@@ -10,11 +10,8 @@ Gram eigenvalue has density exponent (K - n - 1)/2 near zero).
 """
 
 import argparse
-import sys
 
 import numpy as np
-
-sys.path.insert(0, "src")
 
 from carnot_coupling.girsanov import girsanov_normalization_check
 from carnot_coupling.groups import CarnotElement, HeisenbergPoint, SkewMatrix, heis_to_carnot

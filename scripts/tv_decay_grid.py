@@ -10,11 +10,8 @@ two-index construction, so only the proof-stage bound is a failure target).
 
 import argparse
 import csv
-import sys
 
 import numpy as np
-
-sys.path.insert(0, "src")
 
 from carnot_coupling.coupling import failure_probability, tv_bound
 from carnot_coupling.groups import CarnotElement, HeisenbergPoint, SkewMatrix

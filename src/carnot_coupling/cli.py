@@ -30,6 +30,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import scipy.stats
 
 from .catalog import CATALOG, get_function
 from .coupling import failure_probability, tv_bound
@@ -42,8 +43,8 @@ from .girsanov import (
     inequality_suite,
     semigroup_transfer_check,
 )
-from .groups import CarnotElement, HeisenbergPoint, SkewMatrix, heis_to_carnot
-from .legendre import CoefficientStream, integral_Q_table, sde_oracle_batch, truncation_index
+from .groups import CarnotElement, HeisenbergPoint, SkewMatrix, heis_to_carnot, triu_pairs
+from .legendre import endpoint_packed, sde_oracle_batch, truncation_index
 from .mc import bound_check, derive_rng, ks_test, run_vector_estimator, split_seed, two_sample_compare
 from .special_constants import constants_table
 from .sylvester import tsylvester_batch, u_moment_check, wishart_inv_trace_mc
@@ -151,19 +152,30 @@ def _emit(args, config: dict, records: list[Record]) -> int:
     return 0 if all(r.passed for r in records) else 1
 
 
-def _group_of(args) -> str:
-    return args.group
+def _recorder(args, **context):
+    """Record factory for one subcommand: fills group, g, gt, h, T, N, K and seed.
+
+    Keyword arguments override the defaults (the --group and --N flags, no
+    points, T = 0, K = 0) for every record; per-record keywords override again.
+    """
+    base = dict(group=args.group, g="-", gt="-", h="-", T=0.0, N=args.N, K=0, seed=args.seed)
+    base.update(context)
+
+    def record(reference, check, estimate, stderr, bound, passed, **override) -> Record:
+        return Record(reference=reference, check=check, estimate=estimate, stderr=stderr,
+                      bound=bound, passed=passed, **{**base, **override})
+
+    return record
 
 
 def cmd_constants(args) -> int:
+    record = _recorder(args, group="-", N=0)
     records = []
     for entry in constants_table():
         err = abs(entry.value - entry.recompute()) / max(abs(entry.value), 1.0)
-        records.append(Record(
-            reference=f"{entry.source}; {entry.name} = {entry.formula}",
-            group="-", check=f"constant:{entry.name}", g="-", gt="-", h="-",
-            T=0.0, N=0, K=0, seed=args.seed,
-            estimate=entry.value, stderr=0.0, bound=1e-14, passed=bool(err <= 1e-14),
+        records.append(record(
+            f"{entry.source}; {entry.name} = {entry.formula}", f"constant:{entry.name}",
+            entry.value, 0.0, 1e-14, bool(err <= 1e-14),
         ))
     return _emit(args, _config_dict(args), records)
 
@@ -173,68 +185,59 @@ def cmd_couple(args) -> int:
     gt = _parse_point(args.gt, args.group)
     heis = args.group == "heisenberg"
     variant = args.variant or ("proof-stage" if heis else "carnot-n")
+    record = _recorder(args, g=_point_str(g), gt=_point_str(gt))
     records = []
     for T in args.T:
         est = failure_probability(g, gt, T, args.N, args.seed, args.workers)
         bound = tv_bound(g, gt, T, variant).total
         rep = bound_check(est, bound)
-        records.append(Record(
-            reference="endpoint coupling failure vs total-variation bound",
-            group=args.group, check=f"couple:{variant}", g=_point_str(g), gt=_point_str(gt),
-            h="-", T=T, N=args.N, K=0, seed=args.seed,
-            estimate=est.mean, stderr=est.stderr, bound=bound, passed=rep.passed,
+        records.append(record(
+            "endpoint coupling failure vs total-variation bound", f"couple:{variant}",
+            est.mean, est.stderr, bound, rep.passed, T=T,
         ))
     return _emit(args, _config_dict(args), records)
 
 
-def _legendre_moment_sampler(g: CarnotElement, T: float, k_path: int):
-    from .legendre import endpoint_packed
-    from .groups import triu_pairs
+def _moment_columns(xT: np.ndarray, zT: np.ndarray) -> np.ndarray:
+    """Powers 1 to 4 of the first horizontal and the first vertical endpoint entry."""
+    x, z = xT[:, 0], zT[:, 0]
+    return np.stack([x, x ** 2, x ** 3, x ** 4, z, z ** 2, z ** 3, z ** 4], axis=1)
 
+
+def _legendre_moment_sampler(g: CarnotElement, T: float, k_path: int):
     iu, ju = triu_pairs(g.n)
 
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         xi = rng.standard_normal((count, k_path + 1, g.n))
-        xT, zT = endpoint_packed(g.x, g.z.upper, xi, T, iu, ju)
-        cols = [xT[:, 0], xT[:, 0] ** 2, xT[:, 0] ** 3, xT[:, 0] ** 4,
-                zT[:, 0], zT[:, 0] ** 2, zT[:, 0] ** 3, zT[:, 0] ** 4]
-        return np.stack(cols, axis=1)
+        return _moment_columns(*endpoint_packed(g.x, g.z.upper, xi, T, iu, ju))
 
     return sampler
 
 
 def _oracle_moment_sampler(g: CarnotElement, T: float, steps: int):
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
-        xT, zT = sde_oracle_batch(g, T, steps, count, rng)
-        cols = [xT[:, 0], xT[:, 0] ** 2, xT[:, 0] ** 3, xT[:, 0] ** 4,
-                zT[:, 0], zT[:, 0] ** 2, zT[:, 0] ** 3, zT[:, 0] ** 4]
-        return np.stack(cols, axis=1)
+        return _moment_columns(*sde_oracle_batch(g, T, steps, count, rng))
 
     return sampler
 
 
 def cmd_marginals(args) -> int:
-    import scipy.stats
-
     g = _as_carnot(_parse_point(args.g, args.group))
     T = args.T[0]
     k_path = truncation_index(1.0 / 32.0, T)
+    record = _recorder(args, g=_point_str(g), T=T, K=k_path)
     records = []
 
     rng = derive_rng(args.seed, 101)
-    from .legendre import endpoint_packed
-    from .groups import triu_pairs
     iu, ju = triu_pairs(g.n)
     xi = rng.standard_normal((args.N, k_path + 1, g.n))
     xT, zT = endpoint_packed(g.x, g.z.upper, xi, T, iu, ju)
     for i in range(g.n):
         cdf = scipy.stats.norm(loc=float(g.x[i]), scale=math.sqrt(T)).cdf
         p = ks_test(xT[:, i], cdf)
-        records.append(Record(
-            reference="endpoint horizontal coordinate is Gaussian with variance T",
-            group=args.group, check=f"marginals:ks-x{i}", g=_point_str(g), gt="-", h="-",
-            T=T, N=args.N, K=k_path, seed=args.seed,
-            estimate=p, stderr=0.0, bound=0.01, passed=bool(p > 0.01),
+        records.append(record(
+            "endpoint horizontal coordinate is Gaussian with variance T",
+            f"marginals:ks-x{i}", p, 0.0, 0.01, bool(p > 0.01),
         ))
     # vertical entry variance at identity start: T^2/4 per pair
     var = float(zT[:, 0].var(ddof=1)) if float(np.max(np.abs(g.x))) == 0.0 else None
@@ -243,11 +246,9 @@ def cmd_marginals(args) -> int:
         se = var * math.sqrt(2.0 / (args.N - 1)) * 2  # rough 4th-moment allowance
         trunc = target / (2 * k_path + 1)
         ok = abs(var - target) <= 3.0 * se + trunc
-        records.append(Record(
-            reference="vertical entry variance equals T^2/4 at identity start",
-            group=args.group, check="marginals:vertical-variance", g=_point_str(g), gt="-",
-            h="-", T=T, N=args.N, K=k_path, seed=args.seed,
-            estimate=var, stderr=se, bound=target, passed=bool(ok),
+        records.append(record(
+            "vertical entry variance equals T^2/4 at identity start",
+            "marginals:vertical-variance", var, se, target, bool(ok),
         ))
 
     names = ["x1^1", "x1^2", "x1^3", "x1^4", "z12^1", "z12^2", "z12^3", "z12^4"]
@@ -258,11 +259,9 @@ def cmd_marginals(args) -> int:
     for name, a, b in zip(names, leg, orc):
         bias = (abs(a.mean) + abs(b.mean) + 1.0) * 4.0 / args.steps
         rep = two_sample_compare(a, b, bias=bias)
-        records.append(Record(
-            reference="series endpoint moments match the SDE discretization oracle",
-            group=args.group, check=f"marginals:moment-{name}", g=_point_str(g), gt="-", h="-",
-            T=T, N=args.N, K=k_path, seed=args.seed,
-            estimate=a.mean, stderr=rep.sigma, bound=b.mean, passed=rep.passed,
+        records.append(record(
+            "series endpoint moments match the SDE discretization oracle",
+            f"marginals:moment-{name}", a.mean, rep.sigma, b.mean, rep.passed,
         ))
     return _emit(args, _config_dict(args), records)
 
@@ -270,6 +269,7 @@ def cmd_marginals(args) -> int:
 def cmd_sylvester(args) -> int:
     n = _parse_group(args.group)
     m = args.m or 2 * n + 1
+    record = _recorder(args, K=m)
     records = []
     rng = derive_rng(args.seed, 3)
     count = min(args.N, 20000)
@@ -284,27 +284,21 @@ def cmd_sylvester(args) -> int:
     rnorm = np.sqrt(np.sum(resid ** 2, axis=(-2, -1)))
     wnorm = np.sqrt(np.sum(w ** 2, axis=(-2, -1)))
     ratio = float(np.max(rnorm / (1.0 + wnorm)))
-    records.append(Record(
-        reference="T-Sylvester particular solution residual",
-        group=args.group, check="sylvester:residual", g="-", gt="-", h="-",
-        T=0.0, N=count, K=m, seed=args.seed,
-        estimate=ratio, stderr=0.0, bound=1e-10, passed=bool(ratio <= 1e-10),
+    records.append(record(
+        "T-Sylvester particular solution residual", "sylvester:residual",
+        ratio, 0.0, 1e-10, bool(ratio <= 1e-10), N=count,
     ))
     est = wishart_inv_trace_mc(n, m, args.N, split_seed(args.seed, 1), args.workers)
     target = n / (m - n - 1)
     rep = two_sample_compare(est, target)
-    records.append(Record(
-        reference="Wishart inverse-trace identity n/(m-n-1)",
-        group=args.group, check="sylvester:wishart-trace", g="-", gt="-", h="-",
-        T=0.0, N=args.N, K=m, seed=args.seed,
-        estimate=est.mean, stderr=est.stderr, bound=target, passed=rep.passed,
+    records.append(record(
+        "Wishart inverse-trace identity n/(m-n-1)", "sylvester:wishart-trace",
+        est.mean, est.stderr, target, rep.passed,
     ))
     um = u_moment_check(n, m, args.N, split_seed(args.seed, 2), args.workers)
-    records.append(Record(
-        reference="solution moment bound E|u|^2 <= E|w|^2/(4(m-n-1))",
-        group=args.group, check="sylvester:u-moment", g="-", gt="-", h="-",
-        T=0.0, N=args.N, K=m, seed=args.seed,
-        estimate=um.mean_u_sq, stderr=um.stderr, bound=um.bound, passed=um.passed,
+    records.append(record(
+        "solution moment bound E|u|^2 <= E|w|^2/(4(m-n-1))", "sylvester:u-moment",
+        um.mean_u_sq, um.stderr, um.bound, um.passed,
     ))
     return _emit(args, _config_dict(args), records)
 
@@ -314,38 +308,24 @@ def cmd_girsanov(args) -> int:
     gt = _as_carnot(_parse_point(args.gt, args.group))
     T = args.T[0]
     K = args.K or default_support_count(g.n)
+    record = _recorder(args, g=_point_str(g), gt=_point_str(gt), T=T, K=K)
     rep = girsanov_normalization_check(g, gt, T, K, args.N, args.seed, args.workers)
     records = [
-        Record(
-            reference="Gaussian shift weight normalizes: E[R] = 1",
-            group=args.group, check="girsanov:normalization", g=_point_str(g), gt=_point_str(gt),
-            h="-", T=T, N=args.N, K=K, seed=args.seed,
-            estimate=rep.mean_R.mean, stderr=rep.mean_R.stderr, bound=1.0,
-            passed=rep.normalization.passed,
-        ),
-        Record(
-            reference="entropy identity E[R ln R] = E|u|^2/2",
-            group=args.group, check="girsanov:entropy-identity", g=_point_str(g),
-            gt=_point_str(gt), h="-", T=T, N=args.N, K=K, seed=args.seed,
-            estimate=rep.entropy_gap.mean, stderr=rep.entropy_gap.stderr, bound=0.0,
-            passed=rep.entropy_identity.passed,
-        ),
-        Record(
-            reference="entropy bound from the closed-form constants",
-            group=args.group, check="girsanov:entropy-bound", g=_point_str(g),
-            gt=_point_str(gt), h="-", T=T, N=args.N, K=K, seed=args.seed,
-            estimate=rep.mean_half_norm_sq.mean, stderr=rep.mean_half_norm_sq.stderr,
-            bound=rep.entropy_bound, passed=rep.entropy_bounded,
-        ),
+        record("Gaussian shift weight normalizes: E[R] = 1", "girsanov:normalization",
+               rep.mean_R.mean, rep.mean_R.stderr, 1.0, rep.normalization.passed),
+        record("entropy identity E[R ln R] = E|u|^2/2", "girsanov:entropy-identity",
+               rep.entropy_gap.mean, rep.entropy_gap.stderr, 0.0,
+               rep.entropy_identity.passed),
+        record("entropy bound from the closed-form constants", "girsanov:entropy-bound",
+               rep.mean_half_norm_sq.mean, rep.mean_half_norm_sq.stderr, rep.entropy_bound,
+               rep.entropy_bounded),
     ]
     f = get_function(args.function)
     tr = semigroup_transfer_check(f, g, gt, T, K, args.N, split_seed(args.seed, 9), args.workers)
-    records.append(Record(
-        reference="semigroup transfer: weighted run from g matches run from gt",
-        group=args.group, check=f"girsanov:transfer-{f.name}", g=_point_str(g),
-        gt=_point_str(gt), h="-", T=T, N=args.N, K=K, seed=args.seed,
-        estimate=tr.weighted.mean, stderr=tr.comparison.sigma, bound=tr.direct.mean,
-        passed=tr.comparison.passed,
+    records.append(record(
+        "semigroup transfer: weighted run from g matches run from gt",
+        f"girsanov:transfer-{f.name}", tr.weighted.mean, tr.comparison.sigma, tr.direct.mean,
+        tr.comparison.passed,
     ))
     return _emit(args, _config_dict(args), records)
 
@@ -361,11 +341,10 @@ def cmd_bismut(args) -> int:
                               args.workers, K=K)
     bias = args.eps * (1.0 + abs(fd.mean))
     rep = two_sample_compare(bg, fd, bias=bias)
-    records = [Record(
-        reference="integration-by-parts gradient vs central finite differences",
-        group=args.group, check=f"bismut:{f.name}", g=_point_str(g), gt="-", h=_point_str(h),
-        T=T, N=args.N, K=K, seed=args.seed,
-        estimate=bg.mean, stderr=rep.sigma, bound=fd.mean, passed=rep.passed,
+    record = _recorder(args, g=_point_str(g), h=_point_str(h), T=T, K=K)
+    records = [record(
+        "integration-by-parts gradient vs central finite differences", f"bismut:{f.name}",
+        bg.mean, rep.sigma, fd.mean, rep.passed,
     )]
     return _emit(args, _config_dict(args), records)
 
@@ -376,25 +355,21 @@ def cmd_inequalities(args) -> int:
     h = _as_carnot(_parse_point(args.h, args.group))
     T = args.T[0]
     f = get_function(args.function)
+    record = _recorder(args, g=_point_str(g), T=T, K=args.K or default_support_count(g.n))
     suite = inequality_suite(f, g, gt, h, T, args.N, args.seed, K=args.K, workers=args.workers)
     records = []
     for c in suite.checks:
-        records.append(Record(
-            reference=f"semigroup inequality: {c.name}",
-            group=args.group, check=f"inequalities:{c.name}", g=_point_str(g),
-            gt=_point_str(gt), h=_point_str(h), T=T, N=args.N,
-            K=args.K or default_support_count(g.n), seed=args.seed,
-            estimate=c.lhs, stderr=c.sigma, bound=c.rhs, passed=c.passed,
+        records.append(record(
+            f"semigroup inequality: {c.name}", f"inequalities:{c.name}",
+            c.lhs, c.sigma, c.rhs, c.passed, gt=_point_str(gt), h=_point_str(h),
         ))
     spots = gradient_sup_spotcheck(f, [g], T, max(args.N // 10, 2), split_seed(args.seed, 40),
                                    args.workers)
     for sc in spots:
-        records.append(Record(
-            reference="sup-norm gradient bounds at a sample point",
-            group=args.group, check="inequalities:gradient-spot", g=_point_str(g), gt="-",
-            h="-", T=T, N=max(args.N // 10, 2), K=args.K or default_support_count(g.n),
-            seed=args.seed, estimate=sc.horizontal_norm, stderr=sc.horizontal_sigma,
-            bound=sc.horizontal_bound, passed=sc.passed,
+        records.append(record(
+            "sup-norm gradient bounds at a sample point", "inequalities:gradient-spot",
+            sc.horizontal_norm, sc.horizontal_sigma, sc.horizontal_bound, sc.passed,
+            N=max(args.N // 10, 2),
         ))
     return _emit(args, _config_dict(args), records)
 

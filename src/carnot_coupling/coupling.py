@@ -13,6 +13,10 @@ endpoints reduces to a linear constraint on the shifted coefficients:
   again the Heisenberg group, coupled through six blocks instead of two and
   therefore bounded by the rank-n constants, not the sharper two-index ones.
 
+`sylvester_system` builds the mismatch and the probe columns for both
+constructions and for the Girsanov shift in `girsanov`, which solves the same
+equation against differently weighted probes.
+
 Conditionally on everything the shifts depend on, the modified coordinates
 form a standard Gaussian vector, which is coupled jointly with its shifted
 copy by one reflection-maximal coupling.  The joint coupling meets at least
@@ -26,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -39,6 +42,7 @@ from .groups import (
     heis_zeta,
     odot_packed,
     triu_pairs,
+    unpack_skew,
     zeta,
 )
 from .legendre import alpha, endpoint_packed, truncation_index
@@ -99,91 +103,78 @@ def _modified_indices(n: int, two_index: bool) -> list[int]:
     return [0] + [3 * k for k in range(1, 2 * n + 2)]
 
 
-def _probe_scales(ks: Sequence[int]) -> np.ndarray:
-    """sqrt(alpha_{3k}^2 + alpha_{3k-1}^2) for the modified indices 3k, k >= 1."""
-    return np.array([math.hypot(alpha(3 * k), alpha(3 * k - 1)) for k in ks])
+def sylvester_system(gc: CarnotElement, gct: CarnotElement, T: float,
+                     xi: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Linear system of the index-3k shifts, k = 1..K, for rows xi (B, L, n), L >= 3K+2.
 
-
-def _heis_batch(g: HeisenbergPoint, gt: HeisenbergPoint, T: float,
-                rng: np.random.Generator, count: int):
-    """Vectorized two-index coupling runs; returns raw arrays for both streams."""
+    Returns (w, probes, scales): the packed skew mismatch w (B, n(n-1)/2) that
+    the shifts must produce, the normalized probe columns p_k / s_k (B, n, K)
+    built from the neighbouring indices 3k-1 and 3k+1, and the scales
+    s_k = sqrt(alpha_{3k}^2 + alpha_{3k-1}^2).  The shifts u_k must solve
+    T sum_k (u_k p_k^t - p_k u_k^t) = w; each caller picks its particular
+    solution through the weighting of the probe columns it solves against.
+    """
+    iu, ju = triu_pairs(gc.n)
     sqrtT = math.sqrt(T)
-    d = np.array([g.x1 - gt.x1, g.x2 - gt.x2])
-    dnorm = float(np.linalg.norm(d))
-    zeta_s = heis_zeta(g, gt)
-    f1 = d / dnorm if dnorm > 0 else np.array([1.0, 0.0])
-    scale = _probe_scales([1])[0]  # sqrt(alpha_2^2 + alpha_3^2)
-
-    xi = rng.standard_normal((count, 5, 2))
-    uniforms = rng.uniform(size=count)
-
+    d = np.asarray(gc.x, dtype=float) - np.asarray(gct.x, dtype=float)
     hat = (sqrtT / 2.0) * xi[:, 0] - sqrtT * alpha(0) * xi[:, 1]
-    w = -zeta_s + d[0] * hat[:, 1] - d[1] * hat[:, 0]
-    v = (alpha(3) * xi[:, 4] - alpha(2) * xi[:, 2]) / scale
-    vnorm = np.linalg.norm(v, axis=1)
-    degenerate = vnorm == 0.0
-    vnorm_safe = np.where(degenerate, 1.0, vnorm)
-    e1 = v / vnorm_safe[:, None]
-    e2 = np.stack([-e1[:, 1], e1[:, 0]], axis=1)
-    c = -w / (T * scale * vnorm_safe)
-
-    stack = np.concatenate([(xi[:, 0] @ f1)[:, None], xi[:, 3]], axis=1)
-    shift = np.concatenate([np.full((count, 1), dnorm / sqrtT), c[:, None] * e2], axis=1)
-    coupled, met = couple_to_shift(stack, shift, uniforms)
-
-    xi_t = xi.copy()
-    xi_t[:, 0] += (coupled[:, 0] - stack[:, 0])[:, None] * f1
-    xi_t[:, 3] = coupled[:, 1:]
-    met = met & ~degenerate
-    return xi, xi_t, met, w, degenerate
+    w = -zeta(gc, gct).upper + odot_packed(np.broadcast_to(d, hat.shape), hat, iu, ju)
+    scales = np.array([math.hypot(alpha(3 * k), alpha(3 * k - 1)) for k in range(1, K + 1)])
+    probes = np.empty(xi.shape[:1] + (gc.n, K))
+    for k in range(1, K + 1):
+        probes[:, :, k - 1] = (
+            alpha(3 * k) * xi[:, 3 * k + 1] - alpha(3 * k - 1) * xi[:, 3 * k - 1]
+        ) / scales[k - 1]
+    return w, probes, scales
 
 
-def _carnot_batch(g: CarnotElement, gt: CarnotElement, T: float,
-                  rng: np.random.Generator, count: int):
-    """Vectorized rank-n coupling runs with m = 2n+1 modified blocks."""
-    n = g.n
-    m = 2 * n + 1
+def _couple_batch(gc: CarnotElement, gct: CarnotElement, T: float,
+                  rng: np.random.Generator, count: int, two_index: bool):
+    """Vectorized coupling runs; returns raw arrays for both streams.
+
+    two_index modifies {0, 3} (Heisenberg); otherwise {0, 3, ..., 3m} with
+    m = 2n+1.  Returns (xi, xi_t, met, w_packed, cond, bad); bad rows (a
+    degenerate probe or a Gram condition past COND_LIMIT) never count as met.
+    """
+    n = gc.n
+    m = 1 if two_index else 2 * n + 1
     sqrtT = math.sqrt(T)
-    iu, ju = triu_pairs(n)
-    d = np.asarray(g.x, dtype=float) - np.asarray(gt.x, dtype=float)
+    d = np.asarray(gc.x, dtype=float) - np.asarray(gct.x, dtype=float)
     dnorm = float(np.linalg.norm(d))
     f1 = d / dnorm if dnorm > 0 else np.eye(n)[0]
-    zeta_packed = zeta(g, gt).upper
-    ks = list(range(1, m + 1))
-    scales = _probe_scales(ks)
 
     xi = rng.standard_normal((count, 3 * m + 2, n))
     uniforms = rng.uniform(size=count)
 
-    hat = (sqrtT / 2.0) * xi[:, 0] - sqrtT * alpha(0) * xi[:, 1]
-    w_packed = -zeta_packed + odot_packed(np.broadcast_to(d, hat.shape), hat, iu, ju)
-    w_full = np.zeros((count, n, n))
-    w_full[:, iu, ju] = w_packed
-    w_full[:, ju, iu] = -w_packed
-
-    probes = np.stack(
-        [(alpha(3 * k) * xi[:, 3 * k + 1] - alpha(3 * k - 1) * xi[:, 3 * k - 1]) / scales[k - 1]
-         for k in ks],
-        axis=2,
-    )  # (count, n, m)
-    u_cols, cond = tsylvester_batch(probes, w_full)
-    uhat = u_cols / (T * scales)[None, None, :]  # (count, n, m)
+    w_packed, probes, scales = sylvester_system(gc, gct, T, xi, m)
+    if two_index:
+        # the index-3 shift c e2, with e2 the probe direction turned by a right angle
+        v = probes[:, :, 0]
+        vnorm = np.linalg.norm(v, axis=1)
+        bad = vnorm == 0.0
+        vnorm_safe = np.where(bad, 1.0, vnorm)
+        e1 = v / vnorm_safe[:, None]
+        e2 = np.stack([-e1[:, 1], e1[:, 0]], axis=1)
+        c = -w_packed[:, 0] / (T * scales[0] * vnorm_safe)
+        blocks = c[:, None] * e2
+        cond = np.where(bad, np.inf, 1.0)
+    else:
+        u_cols, cond = tsylvester_batch(probes, unpack_skew(n, w_packed))
+        blocks = np.swapaxes(u_cols / (T * scales)[None, None, :], 1, 2)
+        bad = cond > COND_LIMIT
 
     stack = np.concatenate(
         [(xi[:, 0] @ f1)[:, None], xi[:, 3:3 * m + 1:3].reshape(count, m * n)], axis=1
     )
     shift = np.concatenate(
-        [np.full((count, 1), dnorm / sqrtT), np.swapaxes(uhat, 1, 2).reshape(count, m * n)],
-        axis=1,
+        [np.full((count, 1), dnorm / sqrtT), blocks.reshape(count, m * n)], axis=1
     )
     coupled, met = couple_to_shift(stack, shift, uniforms)
 
     xi_t = xi.copy()
     xi_t[:, 0] += (coupled[:, 0] - stack[:, 0])[:, None] * f1
     xi_t[:, 3:3 * m + 1:3] = coupled[:, 1:].reshape(count, m, n)
-    singular = cond > COND_LIMIT
-    met = met & ~singular
-    return xi, xi_t, met, w_packed, cond, singular
+    return xi, xi_t, met & ~bad, w_packed, cond, bad
 
 
 def _gaps(gc: CarnotElement, gct: CarnotElement, T: float,
@@ -201,17 +192,28 @@ def _with_tail(stream: np.ndarray, tail: np.ndarray) -> np.ndarray:
     return np.concatenate([stream, tail], axis=0)
 
 
-def _render_outcome(gc, gct, T, xi, xi_t, met, w_skew, cond, resampled, rng,
-                    as_heisenberg: bool) -> CouplingOutcome:
-    h_gap, v_gap = _gaps(gc, gct, T, xi[None], xi_t[None])
+def _couple_once(gc: CarnotElement, gct: CarnotElement, T: float,
+                 rng: np.random.Generator, two_index: bool) -> CouplingOutcome:
+    """One coupling run, resampling the rare degenerate or singular draw."""
+    resampled = 0
+    while True:
+        xi, xi_t, met, w_packed, cond, bad = _couple_batch(gc, gct, T, rng, 1, two_index)
+        if not bad[0]:
+            break
+        resampled += 1
+        if resampled > _MAX_RESAMPLE:
+            raise RuntimeError("singular probe system persisted across resamples")
+    h_gap, v_gap = _gaps(gc, gct, T, xi, xi_t)
+    xi, xi_t = xi[0], xi_t[0]
     k_path = max(truncation_index(DEFAULT_TAIL_TOL, T), xi.shape[0])
     tail = rng.standard_normal((max(0, k_path + 1 - xi.shape[0]), gc.n))
     iu, ju = triu_pairs(gc.n)
     xT, zT = endpoint_packed(gc.x, gc.z.upper, _with_tail(xi, tail), T, iu, ju)
     xTt, zTt = endpoint_packed(gct.x, gct.z.upper, _with_tail(xi_t, tail), T, iu, ju)
-    shifts = [(k, xi_t[k] - xi[k]) for k in _modified_indices(gc.n, as_heisenberg)]
-    diag = CouplingDiagnostics(w_skew, float(cond), resampled, float(h_gap[0]), float(v_gap[0]))
-    if as_heisenberg:
+    shifts = [(k, xi_t[k] - xi[k]) for k in _modified_indices(gc.n, two_index)]
+    diag = CouplingDiagnostics(SkewMatrix(gc.n, w_packed[0]), float(cond[0]), resampled,
+                               float(h_gap[0]), float(v_gap[0]))
+    if two_index:
         ep = HeisenbergPoint(float(xT[0]), float(xT[1]), float(zT[0]))
         ept = HeisenbergPoint(float(xTt[0]), float(xTt[1]), float(zTt[0]))
     else:
@@ -225,18 +227,7 @@ def couple_heisenberg(g: HeisenbergPoint, gt: HeisenbergPoint, T: float,
     """One coupling run on the Heisenberg group (modified indices {0, 3})."""
     if T <= 0:
         raise ValueError("horizon must be positive")
-    resampled = 0
-    while True:
-        xi, xi_t, met, w, degenerate = _heis_batch(g, gt, T, rng, 1)
-        if not degenerate[0]:
-            break
-        resampled += 1
-        if resampled > _MAX_RESAMPLE:
-            raise RuntimeError("degenerate probe direction persisted across resamples")
-    return _render_outcome(
-        heis_to_carnot(g), heis_to_carnot(gt), T, xi[0], xi_t[0], met,
-        SkewMatrix(2, np.array([w[0]])), 1.0, resampled, rng, as_heisenberg=True,
-    )
+    return _couple_once(heis_to_carnot(g), heis_to_carnot(gt), T, rng, two_index=True)
 
 
 def couple_carnot(g: CarnotElement, gt: CarnotElement, T: float,
@@ -248,18 +239,7 @@ def couple_carnot(g: CarnotElement, gt: CarnotElement, T: float,
         raise ValueError("dimension mismatch")
     if g.n < 2:
         raise ValueError("rank must be at least 2")
-    resampled = 0
-    while True:
-        xi, xi_t, met, w_packed, cond, singular = _carnot_batch(g, gt, T, rng, 1)
-        if not singular[0]:
-            break
-        resampled += 1
-        if resampled > _MAX_RESAMPLE:
-            raise RuntimeError("singular Gram matrix persisted across resamples")
-    return _render_outcome(
-        g, gt, T, xi[0], xi_t[0], met, SkewMatrix(g.n, w_packed[0]), cond[0],
-        resampled, rng, as_heisenberg=False,
-    )
+    return _couple_once(g, gt, T, rng, two_index=False)
 
 
 def _normalize_pair(g, gt):
@@ -279,13 +259,7 @@ def failure_probability(g, gt, T: float, N: int, seed: int,
     gc, gct, heis = _normalize_pair(g, gt)
 
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
-        if heis:
-            gh = HeisenbergPoint(gc.x[0], gc.x[1], gc.z.upper[0])
-            ght = HeisenbergPoint(gct.x[0], gct.x[1], gct.z.upper[0])
-            _, _, met, _, degenerate = _heis_batch(gh, ght, T, rng, count)
-            bad = degenerate
-        else:
-            _, _, met, _, _, bad = _carnot_batch(gc, gct, T, rng, count)
+        _, _, met, _, _, bad = _couple_batch(gc, gct, T, rng, count, heis)
         return np.stack([(~met).astype(float), bad.astype(float)], axis=1)
 
     fail, singular = run_vector_estimator(sampler, N, seed, workers)

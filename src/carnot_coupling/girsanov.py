@@ -35,15 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import TestFunction
-from .groups import (
-    CarnotElement,
-    SkewMatrix,
-    odot,
-    odot_packed,
-    triu_pairs,
-    zeta,
-)
-from .legendre import CoefficientStream, alpha, carnot_endpoint, endpoint_packed
+from .coupling import sylvester_system
+from .groups import CarnotElement, SkewMatrix, odot, triu_pairs, unpack_skew, zeta
+from .legendre import CoefficientStream, carnot_endpoint, endpoint_packed
 from .mc import (
     ComparisonReport,
     MCEstimate,
@@ -131,41 +125,22 @@ def weighted_sample(g: CarnotElement, gt: CarnotElement, T: float, K: int,
     return WeightedSample(carnot_endpoint(g, stream), math.exp(logw), logw)
 
 
-def _probe_scale(k: int) -> float:
-    return math.hypot(alpha(3 * k), alpha(3 * k - 1))
-
-
 def _shift_arrays(gc: CarnotElement, gct: CarnotElement, T: float, K: int,
                   xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched shift construction; xi has shape (B, L, n) with L >= 3K+2.
 
     Returns (u0 (n,), blocks (B, K, n), cond (B,)).
     """
-    n = gc.n
-    iu, ju = triu_pairs(n)
-    sqrtT = math.sqrt(T)
-    d = np.asarray(gc.x, float) - np.asarray(gct.x, float)
-    zeta_packed = zeta(gc, gct).upper
-
-    hat = (sqrtT / 2.0) * xi[:, 0] - sqrtT * alpha(0) * xi[:, 1]
-    w_packed = -zeta_packed + odot_packed(np.broadcast_to(d, hat.shape), hat, iu, ju)
-    w_full = np.zeros(xi.shape[:1] + (n, n))
-    w_full[:, iu, ju] = w_packed
-    w_full[:, ju, iu] = -w_packed
-
-    # rescaled probe columns v_k / beta_k = v_k * T * scale_k
-    cols = []
-    for k in range(1, K + 1):
-        s = _probe_scale(k)
-        vk = (alpha(3 * k) * xi[:, 3 * k + 1] - alpha(3 * k - 1) * xi[:, 3 * k - 1]) / s
-        cols.append(vk * (T * s))
-    vhat = np.stack(cols, axis=2)  # (B, n, K)
-    blocks, cond = tsylvester_batch(vhat, w_full)
+    w_packed, probes, scales = sylvester_system(gc, gct, T, xi, K)
+    # probe columns weighted by T s_k: the particular solution the constants assume
+    probes *= T * scales
+    blocks, cond = tsylvester_batch(probes, unpack_skew(gc.n, w_packed))
     bad = cond > COND_LIMIT
     if bad.any():
         # measure-zero event; fail loudly rather than use an ill-conditioned solve
         raise SingularGramError(f"{int(bad.sum())} singular Gram draws, reseed the run")
-    return d / sqrtT, np.swapaxes(blocks, 1, 2), cond
+    u0 = (np.asarray(gc.x, float) - np.asarray(gct.x, float)) / math.sqrt(T)
+    return u0, np.swapaxes(blocks, 1, 2), cond
 
 
 def build_shift(g: CarnotElement, gt: CarnotElement, T: float, K: int,
@@ -176,17 +151,22 @@ def build_shift(g: CarnotElement, gt: CarnotElement, T: float, K: int,
         raise ValueError("need K >= n + 2 modified blocks")
     if stream.k_path < 3 * K + 1:
         raise ValueError("stream must supply indices up to 3K+1")
-    u0, blocks, cond = _shift_arrays(g, gt, T, K, stream.xi[None])
-    if cond[0] > COND_LIMIT:
-        raise SingularGramError(f"Gram condition {cond[0]:.3e}")
+    u0, blocks, _ = _shift_arrays(g, gt, T, K, stream.xi[None])
     return ShiftVector(n, K, T, u0, blocks[0])
 
 
-def _log_density(u0: np.ndarray, blocks: np.ndarray, xi: np.ndarray) -> np.ndarray:
+def _shift_pairing(u0: np.ndarray, blocks: np.ndarray,
+                   xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise <omega, u> over the shift support and |u|^2."""
     K = blocks.shape[1]
     mods = xi[:, 3:3 * K + 1:3, :]
     dot = xi[:, 0] @ u0 + np.einsum("bkn,bkn->b", mods, blocks)
     norm2 = float(u0 @ u0) + np.einsum("bkn,bkn->b", blocks, blocks)
+    return dot, norm2
+
+
+def _log_density(u0: np.ndarray, blocks: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    dot, norm2 = _shift_pairing(u0, blocks, xi)
     return -dot - 0.5 * norm2
 
 
@@ -241,9 +221,10 @@ def girsanov_normalization_check(
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         xi = rng.standard_normal((count, 3 * K + 2, g.n))
         u0, blocks, _ = _shift_arrays(g, gt, T, K, xi)
-        logw = _log_density(u0, blocks, xi)
+        dot, norm2 = _shift_pairing(u0, blocks, xi)
+        half_u2 = 0.5 * norm2
+        logw = -dot - half_u2
         w = np.exp(logw)
-        half_u2 = 0.5 * (float(u0 @ u0) + np.einsum("bkn,bkn->b", blocks, blocks))
         rlnr = w * logw
         return np.stack([w, rlnr - half_u2, rlnr, half_u2], axis=1)
 
@@ -317,8 +298,7 @@ def bismut_gradient(
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         xi = rng.standard_normal((count, L, g.n))
         u0, blocks, _ = _shift_arrays(g, gth, T, K, xi)
-        mods = xi[:, 3:3 * K + 1:3, :]
-        weight = -(xi[:, 0] @ u0 + np.einsum("bkn,bkn->b", mods, blocks))
+        weight = -_shift_pairing(u0, blocks, xi)[0]
         return _f_on_endpoints(f, g, xi, T) * weight
 
     return run_vector_estimator(sampler, N, seed, workers)[0]
@@ -405,9 +385,8 @@ def inequality_suite(
         xi = rng.standard_normal((count, L, n))
         vals = _f_on_endpoints(f, g, xi, T)
         u0, blocks, _ = _shift_arrays(g, gth, T, K, xi)
-        mods = xi[:, 3:3 * K + 1:3, :]
-        weight = -(xi[:, 0] @ u0 + np.einsum("bkn,bkn->b", mods, blocks))
-        u_sq = float(u0 @ u0) + np.einsum("bkn,bkn->b", blocks, blocks)
+        dot, u_sq = _shift_pairing(u0, blocks, xi)
+        weight = -dot
         cols = [vals, vals ** 2, vals * weight, vals * u_sq]
         for p, q in zip(p_values, extra_q):
             cols.extend([np.abs(vals) ** p, u_sq ** (q / 2.0)])

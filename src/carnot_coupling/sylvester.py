@@ -6,19 +6,19 @@ minimal particular solution is characterized by v u^t = -w/2 and reads
     u^t = -(1/2) v^t (v v^t)^{-1} w.
 
 v v^t is Wishart-distributed (hence a.s. positive definite) when v has
-standard Gaussian entries, so the system is solved by Cholesky factorization,
-never by explicit inversion.  Monte Carlo diagnostics for the Wishart
-inverse-trace identity E[tr((v v^t)^{-1})] = n/(m-n-1) and the induced
-moment bound E|u|^2 <= E|w|^2 / (4(m-n-1)) live here as well.
+standard Gaussian entries.  One batched kernel solves a stack of such
+systems by LU factorization, never by explicit inversion, and flags every
+row whose Gram condition number exceeds COND_LIMIT; a single system is a
+batch of one.  Monte Carlo diagnostics for the Wishart inverse-trace
+identity E[tr((v v^t)^{-1})] = n/(m-n-1) and the induced moment bound
+E|u|^2 <= E|w|^2 / (4(m-n-1)) live here as well.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .groups import SkewMatrix
 from .mc import MCEstimate, run_estimator
@@ -54,6 +54,29 @@ def _hs_norm(mat: np.ndarray) -> float:
     return float(np.sqrt(np.sum(mat * mat)))
 
 
+def tsylvester_batch(v: np.ndarray, w_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched particular solutions; v (B, n, m), w_mat (B, n, n) skew.
+
+    Returns (u, cond) with u (B, n, m).  Rows whose Gram condition exceeds
+    COND_LIMIT (infinite when v v^t is singular) are not solved: their u is
+    NaN and callers treat them as resample events.  Every other row equals
+    the solution of that row alone.
+    """
+    gram = v @ np.swapaxes(v, -1, -2)
+    eigs = np.linalg.eigvalsh(gram)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cond = eigs[..., -1] / eigs[..., 0]
+    cond[~(eigs[..., 0] > 0)] = np.inf
+    ok = cond <= COND_LIMIT
+    if ok.all():
+        sol = np.linalg.solve(gram, v)
+    else:
+        sol = np.full(np.shape(v), np.nan)
+        sol[ok] = np.linalg.solve(gram[ok], v[ok])
+    u = 0.5 * (w_mat @ sol)
+    return u, cond
+
+
 def solve_tsylvester(v: np.ndarray, w) -> SylvesterSolution:
     """Particular solution of u v^t - v u^t = w with skew right-hand side.
 
@@ -67,33 +90,11 @@ def solve_tsylvester(v: np.ndarray, w) -> SylvesterSolution:
     n = v.shape[0]
     if w_mat.shape != (n, n):
         raise ValueError("right-hand side dimension mismatch")
-    gram = v @ v.T
-    eigs = np.linalg.eigvalsh(gram)
-    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
-    if lam_min <= 0 or lam_min * COND_LIMIT < lam_max:
-        raise SingularGramError(
-            f"Gram spectrum [{lam_min:.3e}, {lam_max:.3e}] beyond the condition limit"
-        )
-    cond = lam_max / lam_min
-    cho = scipy.linalg.cho_factor(gram, lower=True)
-    # u = (1/2) w (v v^t)^{-1} v, transposed form of the closed-form solution
-    u = 0.5 * w_mat @ scipy.linalg.cho_solve(cho, v)
-    residual = _hs_norm(u @ v.T - v @ u.T - w_mat)
-    return SylvesterSolution(u, residual, float(cond))
-
-
-def tsylvester_batch(v: np.ndarray, w_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched particular solutions; v (B, n, m), w_mat (B, n, n) skew.
-
-    Returns (u, cond) with u (B, n, m).  Ill-conditioned rows are solved
-    anyway and flagged through cond; callers treat them as resample events.
-    """
-    gram = v @ np.swapaxes(v, -1, -2)
-    eigs = np.linalg.eigvalsh(gram)
-    cond = eigs[..., -1] / np.where(eigs[..., 0] > 0, eigs[..., 0], np.finfo(float).tiny)
-    sol = np.linalg.solve(gram, v)
-    u = 0.5 * (w_mat @ sol)
-    return u, cond
+    u, cond = tsylvester_batch(v[None], w_mat[None])
+    if not cond[0] <= COND_LIMIT:
+        raise SingularGramError(f"Gram condition {cond[0]:.3e} beyond the limit {COND_LIMIT:.0e}")
+    residual = _hs_norm(u[0] @ v.T - v @ u[0].T - w_mat)
+    return SylvesterSolution(u[0], residual, float(cond[0]))
 
 
 def wishart_inv_trace_mc(

@@ -7,20 +7,23 @@ import pytest
 import scipy.stats
 
 from carnot_coupling.coupling import (
-    _carnot_batch,
+    _couple_batch,
     _gaps,
-    _heis_batch,
     couple_carnot,
     couple_heisenberg,
     failure_probability,
+    sylvester_system,
     tv_bound,
 )
+from carnot_coupling.girsanov import _shift_arrays
 from carnot_coupling.groups import (
     CarnotElement,
     HeisenbergPoint,
     SkewMatrix,
     dilate,
     heis_to_carnot,
+    heis_zeta,
+    odot_packed,
     triu_pairs,
 )
 from carnot_coupling.legendre import alpha, endpoint_packed
@@ -99,7 +102,9 @@ class TestCouplingConstraint:
         g = HeisenbergPoint(0, 0, 0)
         gt = HeisenbergPoint(0, 0, 1)
         T = 9.0
-        xi, xi_t, met, w, _ = _heis_batch(g, gt, T, rng, 4000)
+        xi, xi_t, met, w, _, _ = _couple_batch(heis_to_carnot(g), heis_to_carnot(gt), T, rng,
+                                               4000, two_index=True)
+        w = w[:, 0]
         scale = math.hypot(alpha(2), alpha(3))
         v = (alpha(3) * xi[:, 4] - alpha(2) * xi[:, 2]) / scale
         d3 = xi_t[:, 3] - xi[:, 3]
@@ -108,8 +113,9 @@ class TestCouplingConstraint:
 
     def test_unmodified_indices_shared(self):
         rng = derive_rng(7)
-        xi, xi_t, met, _, _ = _heis_batch(
-            HeisenbergPoint(0, 0, 0), HeisenbergPoint(1, 0, 1), 4.0, rng, 1000
+        xi, xi_t, met, _, _, _ = _couple_batch(
+            heis_to_carnot(HeisenbergPoint(0, 0, 0)), heis_to_carnot(HeisenbergPoint(1, 0, 1)),
+            4.0, rng, 1000, two_index=True,
         )
         for k in (1, 2, 4):
             assert np.array_equal(xi[:, k], xi_t[:, k])
@@ -119,12 +125,69 @@ class TestCouplingConstraint:
         g = CarnotElement.identity(4)
         gt = CarnotElement(np.array([0.5, 0, 0, 0]), SkewMatrix(4, np.array([0.3, 0, 0, 0, 0, 0.1])))
         T = 25.0
-        xi, xi_t, met, _, cond, sing = _carnot_batch(g, gt, T, rng, 2000)
+        xi, xi_t, met, _, cond, sing = _couple_batch(g, gt, T, rng, 2000, two_index=False)
         assert not sing.any()
         h_gap, v_gap = _gaps(g, gt, T, xi, xi_t)
         assert np.max(h_gap[met]) <= 1e-12
         assert np.max(v_gap[met]) <= 1e-9
         assert np.min(v_gap[~met] + h_gap[~met]) > 1e-6  # failures genuinely differ
+
+
+def _random_pair(rng, n):
+    # displacements small against sqrt(T), so that many coupling rows meet
+    p = n * (n - 1) // 2
+    mk = lambda: CarnotElement(rng.uniform(-1, 1, n), SkewMatrix(n, rng.uniform(-1, 1, p)))
+    return mk(), mk(), float(np.exp(rng.uniform(np.log(4.0), np.log(64.0))))
+
+
+def _mismatch_residual(gc, gct, T, xi, blocks):
+    """Relative residual of T sum_k (u_k p_k^t - p_k u_k^t) = w per row."""
+    K = blocks.shape[1]
+    w, probes, scales = sylvester_system(gc, gct, T, xi, K)
+    p = probes * scales
+    iu, ju = triu_pairs(gc.n)
+    lhs = T * sum(odot_packed(blocks[:, k], p[:, :, k], iu, ju) for k in range(K))
+    w_norm = np.sqrt(2.0 * np.sum(w * w, axis=1))
+    return np.sqrt(2.0 * np.sum((lhs - w) ** 2, axis=1)) / (1.0 + w_norm)
+
+
+class TestShiftSystem:
+    def test_heisenberg_mismatch_matches_explicit_formula(self):
+        # reference: the scalar area mismatch -zeta + d0 hat1 - d1 hat0, summed
+        # in another order than the packed bracket, so allow a few ulps
+        rng = derive_rng(10)
+        eps = np.finfo(float).eps
+        for _ in range(40):
+            g = HeisenbergPoint(*rng.uniform(-2, 2, 3))
+            gt = HeisenbergPoint(*rng.uniform(-2, 2, 3))
+            T = float(np.exp(rng.uniform(np.log(0.25), np.log(64.0))))
+            xi = rng.standard_normal((20_000, 5, 2))
+            w, _, _ = sylvester_system(heis_to_carnot(g), heis_to_carnot(gt), T, xi, 1)
+            sqrtT = math.sqrt(T)
+            hat = (sqrtT / 2.0) * xi[:, 0] - sqrtT * alpha(0) * xi[:, 1]
+            d0, d1 = g.x1 - gt.x1, g.x2 - gt.x2
+            zeta_s = heis_zeta(g, gt)
+            ref = -zeta_s + d0 * hat[:, 1] - d1 * hat[:, 0]
+            size = abs(zeta_s) + np.abs(d0 * hat[:, 1]) + np.abs(d1 * hat[:, 0])
+            assert np.all(np.abs(w[:, 0] - ref) <= 4 * eps * size)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_coupling_and_girsanov_shifts_solve_the_mismatch(self, n):
+        rng = derive_rng(11, n)
+        for _ in range(5):
+            g, gt, T = _random_pair(rng, n)
+            m = 2 * n + 1
+            variants = [(False, m)] + ([(True, 1)] if n == 2 else [])
+            for two_index, blocks_count in variants:
+                xi, xi_t, met, _, _, bad = _couple_batch(g, gt, T, rng, 2000, two_index)
+                assert not bad.any() and met.any()
+                # on met rows the modified coordinates moved by exactly the shift
+                shift = (xi_t - xi)[met][:, 3:3 * blocks_count + 1:3]
+                assert np.max(_mismatch_residual(g, gt, T, xi[met], shift)) <= 1e-10
+            K = m + 1
+            xi = rng.standard_normal((2000, 3 * K + 2, n))
+            _, blocks, _ = _shift_arrays(g, gt, T, K, xi)
+            assert np.max(_mismatch_residual(g, gt, T, xi, blocks)) <= 1e-10
 
 
 class TestFailureProbability:
@@ -172,9 +235,9 @@ class TestMarginalPreservation:
         gt = HeisenbergPoint(1, 0, 1)
         T = 4.0
         N = 30_000
-        xi, xi_t, met, _, _ = _heis_batch(g, gt, T, rng, N)
-        iu, ju = triu_pairs(2)
         gc, gct = heis_to_carnot(g), heis_to_carnot(gt)
+        xi, xi_t, met, _, _, _ = _couple_batch(gc, gct, T, rng, N, two_index=True)
+        iu, ju = triu_pairs(2)
         xT, zT = endpoint_packed(gc.x, gc.z.upper, xi, T, iu, ju)
         xTt, zTt = endpoint_packed(gct.x, gct.z.upper, xi_t, T, iu, ju)
         for i in range(2):

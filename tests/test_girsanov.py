@@ -20,6 +20,7 @@ from carnot_coupling.girsanov import (
     inequality_suite,
     semigroup_transfer_check,
     vertical_direction,
+    _log_density,
     _shift_arrays,
 )
 from carnot_coupling.groups import CarnotElement, HeisenbergPoint, SkewMatrix, heis_to_carnot
@@ -90,6 +91,24 @@ class TestBuildShift:
         u0b, blocksb, _ = _shift_arrays(g, gt, T, K, xi2[None])
         assert np.allclose(blocksa, blocksb, atol=1e-12)
         assert np.array_equal(u0a, u0b)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_single_shift_is_batch_of_one(self, n):
+        rng = derive_rng(9, n)
+        p = n * (n - 1) // 2
+        g = CarnotElement(rng.uniform(-1, 1, n), SkewMatrix(n, rng.uniform(-1, 1, p)))
+        gt = CarnotElement(rng.uniform(-1, 1, n), SkewMatrix(n, rng.uniform(-1, 1, p)))
+        T, K = 4.0, 2 * n + 1
+        xi = rng.standard_normal((40, 3 * K + 2, n))
+        u0, blocks, _ = _shift_arrays(g, gt, T, K, xi)
+        logw = _log_density(u0, blocks, xi)
+        for i in range(40):
+            stream = CoefficientStream(n, T, xi[i])
+            u = build_shift(g, gt, T, K, stream)
+            assert np.array_equal(u.u0, u0) and np.array_equal(u.blocks, blocks[i])
+            # x_0 . u0 is a BLAS dot for one row and a gemv for many, which may
+            # round differently: the density agrees to a few ulps, not bitwise
+            assert density_R(u, stream) == pytest.approx(math.exp(logw[i]), rel=1e-14)
 
     def test_pathwise_endpoint_identity(self):
         # the shifted stream drives the process from gt onto the endpoint from g:

@@ -8,6 +8,7 @@ import pytest
 from carnot_coupling.groups import SkewMatrix
 from carnot_coupling.mc import derive_rng
 from carnot_coupling.sylvester import (
+    COND_LIMIT,
     SingularGramError,
     solve_tsylvester,
     tsylvester_batch,
@@ -107,6 +108,30 @@ class TestSolve:
             rnorm = np.sqrt(np.sum(resid ** 2, axis=(1, 2)))
             wnorm = np.sqrt(np.sum(w ** 2, axis=(1, 2)))
             assert np.max(rnorm / (1.0 + wnorm)) <= 1e-10
+
+    def test_batch_flags_singular_row_and_solves_the_rest(self):
+        rng = derive_rng(9)
+        v = rng.standard_normal((4, 3, 7))
+        v[2] = 1.0  # rank one: v v^t is exactly singular
+        w = np.stack([random_skew(3, rng) for _ in range(4)])
+        with np.errstate(all="raise"):
+            u, cond = tsylvester_batch(v, w)
+        assert cond[2] > COND_LIMIT
+        assert not np.isfinite(u[2]).any()
+        for i in (0, 1, 3):
+            assert cond[i] <= COND_LIMIT and np.isfinite(u[i]).all()
+            alone_u, alone_cond = tsylvester_batch(v[i:i + 1], w[i:i + 1])
+            assert np.array_equal(alone_u[0], u[i]) and alone_cond[0] == cond[i]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_single_solve_is_batch_of_one(self, n):
+        rng = derive_rng(10, n)
+        v = rng.standard_normal((50, n, 2 * n + 1))
+        w = np.stack([random_skew(n, rng) for _ in range(50)])
+        u, cond = tsylvester_batch(v, w)
+        for i in range(50):
+            sol = solve_tsylvester(v[i], w[i])
+            assert np.array_equal(sol.U, u[i]) and sol.cond == cond[i]
 
     def test_batch_zero_rhs(self):
         rng = derive_rng(8)
