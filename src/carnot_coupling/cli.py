@@ -161,7 +161,7 @@ def _recorder(args, **context):
     base = dict(group=args.group, g="-", gt="-", h="-", T=0.0, N=args.N, K=0, seed=args.seed)
     base.update(context)
 
-    def record(reference, check, estimate, stderr, bound, passed, **override) -> Record:
+    def record(reference, check, *, estimate, stderr, bound, passed, **override) -> Record:
         return Record(reference=reference, check=check, estimate=estimate, stderr=stderr,
                       bound=bound, passed=passed, **{**base, **override})
 
@@ -175,7 +175,7 @@ def cmd_constants(args) -> int:
         err = abs(entry.value - entry.recompute()) / max(abs(entry.value), 1.0)
         records.append(record(
             f"{entry.source}; {entry.name} = {entry.formula}", f"constant:{entry.name}",
-            entry.value, 0.0, 1e-14, bool(err <= 1e-14),
+            estimate=entry.value, stderr=0.0, bound=1e-14, passed=bool(err <= 1e-14),
         ))
     return _emit(args, _config_dict(args), records)
 
@@ -193,7 +193,7 @@ def cmd_couple(args) -> int:
         rep = bound_check(est, bound)
         records.append(record(
             "endpoint coupling failure vs total-variation bound", f"couple:{variant}",
-            est.mean, est.stderr, bound, rep.passed, T=T,
+            estimate=est.mean, stderr=est.stderr, bound=bound, passed=rep.passed, T=T,
         ))
     return _emit(args, _config_dict(args), records)
 
@@ -237,7 +237,7 @@ def cmd_marginals(args) -> int:
         p = ks_test(xT[:, i], cdf)
         records.append(record(
             "endpoint horizontal coordinate is Gaussian with variance T",
-            f"marginals:ks-x{i}", p, 0.0, 0.01, bool(p > 0.01),
+            f"marginals:ks-x{i}", estimate=p, stderr=0.0, bound=0.01, passed=bool(p > 0.01),
         ))
     # vertical entry variance at identity start: T^2/4 per pair
     var = float(zT[:, 0].var(ddof=1)) if float(np.max(np.abs(g.x))) == 0.0 else None
@@ -248,7 +248,8 @@ def cmd_marginals(args) -> int:
         ok = abs(var - target) <= 3.0 * se + trunc
         records.append(record(
             "vertical entry variance equals T^2/4 at identity start",
-            "marginals:vertical-variance", var, se, target, bool(ok),
+            "marginals:vertical-variance",
+            estimate=var, stderr=se, bound=target, passed=bool(ok),
         ))
 
     names = ["x1^1", "x1^2", "x1^3", "x1^4", "z12^1", "z12^2", "z12^3", "z12^4"]
@@ -261,7 +262,8 @@ def cmd_marginals(args) -> int:
         rep = two_sample_compare(a, b, bias=bias)
         records.append(record(
             "series endpoint moments match the SDE discretization oracle",
-            f"marginals:moment-{name}", a.mean, rep.sigma, b.mean, rep.passed,
+            f"marginals:moment-{name}",
+            estimate=a.mean, stderr=rep.sigma, bound=b.mean, passed=rep.passed,
         ))
     return _emit(args, _config_dict(args), records)
 
@@ -286,19 +288,19 @@ def cmd_sylvester(args) -> int:
     ratio = float(np.max(rnorm / (1.0 + wnorm)))
     records.append(record(
         "T-Sylvester particular solution residual", "sylvester:residual",
-        ratio, 0.0, 1e-10, bool(ratio <= 1e-10), N=count,
+        estimate=ratio, stderr=0.0, bound=1e-10, passed=bool(ratio <= 1e-10), N=count,
     ))
     est = wishart_inv_trace_mc(n, m, args.N, split_seed(args.seed, 1), args.workers)
     target = n / (m - n - 1)
     rep = two_sample_compare(est, target)
     records.append(record(
         "Wishart inverse-trace identity n/(m-n-1)", "sylvester:wishart-trace",
-        est.mean, est.stderr, target, rep.passed,
+        estimate=est.mean, stderr=est.stderr, bound=target, passed=rep.passed,
     ))
     um = u_moment_check(n, m, args.N, split_seed(args.seed, 2), args.workers)
     records.append(record(
         "solution moment bound E|u|^2 <= E|w|^2/(4(m-n-1))", "sylvester:u-moment",
-        um.mean_u_sq, um.stderr, um.bound, um.passed,
+        estimate=um.mean_u_sq, stderr=um.stderr, bound=um.bound, passed=um.passed,
     ))
     return _emit(args, _config_dict(args), records)
 
@@ -312,20 +314,21 @@ def cmd_girsanov(args) -> int:
     rep = girsanov_normalization_check(g, gt, T, K, args.N, args.seed, args.workers)
     records = [
         record("Gaussian shift weight normalizes: E[R] = 1", "girsanov:normalization",
-               rep.mean_R.mean, rep.mean_R.stderr, 1.0, rep.normalization.passed),
+               estimate=rep.mean_R.mean, stderr=rep.mean_R.stderr, bound=1.0,
+               passed=rep.normalization.passed),
         record("entropy identity E[R ln R] = E|u|^2/2", "girsanov:entropy-identity",
-               rep.entropy_gap.mean, rep.entropy_gap.stderr, 0.0,
-               rep.entropy_identity.passed),
+               estimate=rep.entropy_gap.mean, stderr=rep.entropy_gap.stderr, bound=0.0,
+               passed=rep.entropy_identity.passed),
         record("entropy bound from the closed-form constants", "girsanov:entropy-bound",
-               rep.mean_half_norm_sq.mean, rep.mean_half_norm_sq.stderr, rep.entropy_bound,
-               rep.entropy_bounded),
+               estimate=rep.mean_half_norm_sq.mean, stderr=rep.mean_half_norm_sq.stderr,
+               bound=rep.entropy_bound, passed=rep.entropy_bounded),
     ]
     f = get_function(args.function)
     tr = semigroup_transfer_check(f, g, gt, T, K, args.N, split_seed(args.seed, 9), args.workers)
     records.append(record(
         "semigroup transfer: weighted run from g matches run from gt",
-        f"girsanov:transfer-{f.name}", tr.weighted.mean, tr.comparison.sigma, tr.direct.mean,
-        tr.comparison.passed,
+        f"girsanov:transfer-{f.name}", estimate=tr.weighted.mean, stderr=tr.comparison.sigma,
+        bound=tr.direct.mean, passed=tr.comparison.passed,
     ))
     return _emit(args, _config_dict(args), records)
 
@@ -344,7 +347,7 @@ def cmd_bismut(args) -> int:
     record = _recorder(args, g=_point_str(g), h=_point_str(h), T=T, K=K)
     records = [record(
         "integration-by-parts gradient vs central finite differences", f"bismut:{f.name}",
-        bg.mean, rep.sigma, fd.mean, rep.passed,
+        estimate=bg.mean, stderr=rep.sigma, bound=fd.mean, passed=rep.passed,
     )]
     return _emit(args, _config_dict(args), records)
 
@@ -361,14 +364,16 @@ def cmd_inequalities(args) -> int:
     for c in suite.checks:
         records.append(record(
             f"semigroup inequality: {c.name}", f"inequalities:{c.name}",
-            c.lhs, c.sigma, c.rhs, c.passed, gt=_point_str(gt), h=_point_str(h),
+            estimate=c.lhs, stderr=c.sigma, bound=c.rhs, passed=c.passed,
+            gt=_point_str(gt), h=_point_str(h),
         ))
     spots = gradient_sup_spotcheck(f, [g], T, max(args.N // 10, 2), split_seed(args.seed, 40),
                                    args.workers)
     for sc in spots:
         records.append(record(
             "sup-norm gradient bounds at a sample point", "inequalities:gradient-spot",
-            sc.horizontal_norm, sc.horizontal_sigma, sc.horizontal_bound, sc.passed,
+            estimate=sc.horizontal_norm, stderr=sc.horizontal_sigma,
+            bound=sc.horizontal_bound, passed=sc.passed,
             N=max(args.N // 10, 2),
         ))
     return _emit(args, _config_dict(args), records)

@@ -68,11 +68,9 @@ def tsylvester_batch(v: np.ndarray, w_mat: np.ndarray) -> tuple[np.ndarray, np.n
         cond = eigs[..., -1] / eigs[..., 0]
     cond[~(eigs[..., 0] > 0)] = np.inf
     ok = cond <= COND_LIMIT
-    if ok.all():
-        sol = np.linalg.solve(gram, v)
-    else:
-        sol = np.full(np.shape(v), np.nan)
-        sol[ok] = np.linalg.solve(gram[ok], v[ok])
+    # flagged rows solve against the identity, so that each row's LU stays its own
+    sol = np.linalg.solve(np.where(ok[:, None, None], gram, np.eye(gram.shape[-1])), v)
+    sol[~ok] = np.nan
     u = 0.5 * (w_mat @ sol)
     return u, cond
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from carnot_coupling.cli import COLUMNS, build_parser, main
+from carnot_coupling.cli import COLUMNS, _recorder, build_parser, main
 
 
 def run_cli(args, tmp_path=None):
@@ -76,6 +76,14 @@ class TestArtifacts:
         assert set(rec) == set(COLUMNS)
         for field in ("reference", "seed", "N", "estimate", "stderr", "bound", "passed"):
             assert field in rec
+
+    def test_record_fields_are_keyword_only(self):
+        args = build_parser().parse_args(["constants"])
+        record = _recorder(args)
+        with pytest.raises(TypeError):
+            record("ref", "check", 1.0, 0.1, 2.0, True)
+        rec = record("ref", "check", estimate=1.0, stderr=0.1, bound=2.0, passed=True)
+        assert (rec.estimate, rec.stderr, rec.bound) == (1.0, 0.1, 2.0)
 
     def test_csv_has_fixed_header(self, tmp_path):
         out = tmp_path / "res.csv"
