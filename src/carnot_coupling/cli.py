@@ -1,21 +1,31 @@
 """Batch experiment runner: every verification as a subcommand.
 
-Subcommands
------------
-constants     closed-form constant table
-couple        coupling failure probability against the closed-form bound
-marginals     endpoint-law checks (KS, variances, moments vs the SDE oracle)
-sylvester     T-Sylvester residuals and Wishart moment identities
-girsanov      weight normalization, entropy identity, semigroup transfer
-bismut        integration-by-parts gradient vs central finite differences
-inequalities  log-Harnack, reverse Poincare, weak log-Sobolev, gradient spots
+Each subcommand takes exactly these flags and rejects any other:
+
+constants     --seed --out --format
+couple        --group --g --gt --T --N --seed --workers --out --format --variant
+marginals     --group --g --T --N --seed --workers --out --format --steps
+sylvester     --group --N --seed --workers --out --format --m
+girsanov      --group --g --gt --T --N --seed --K --workers --out --format --function
+bismut        --group --g --h --T --N --seed --K --workers --out --format --eps --function
+inequalities  --group --g --gt --h --T --N --seed --K --workers --out --format --function
+
+--g, --gt and --h are required where listed.  --T is one positive horizon;
+only `couple` takes a comma-separated grid (`--T 1,25,100`), one record per
+horizon.  --N is at least 2, --workers and --steps at least 1, --eps
+positive.  `sylvester` checks its solver residual on min(N, 20000) instances
+and reports that count in the N column.
 
 Points are given in group coordinates: `heisenberg` takes `x1,x2,z`;
 `carnot-N` takes the N horizontal entries followed by the N(N-1)/2 strictly
 upper triangular vertical entries in row-major (i < j) order.  Records are
-written as CSV (fixed column order) or JSON (canonical schema); identical
-config + seed produce byte-identical artifacts.  Exit code 0 means every
-record passed, 1 that some check failed, 2 a configuration error.
+written as CSV (fixed column order) or JSON (canonical schema, with the
+parsed flags as `config`); identical config + seed produce byte-identical
+artifacts.
+
+Exit codes: 0 every record passed, 1 some check failed, 2 a configuration
+error (found before any sampling where the flags alone show it), 3 a
+numerically singular Gram system (no artifact is written).
 """
 
 from __future__ import annotations
@@ -27,11 +37,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.stats
 
+from . import mc
 from .catalog import CATALOG, get_function
 from .coupling import failure_probability, tv_bound
 from .girsanov import (
@@ -43,22 +54,17 @@ from .girsanov import (
     inequality_suite,
     semigroup_transfer_check,
 )
-from .groups import CarnotElement, HeisenbergPoint, SkewMatrix, heis_to_carnot, triu_pairs
+from .groups import (CarnotElement, HeisenbergPoint, SkewMatrix, heis_to_carnot, triu_pairs,
+                     unpack_skew)
 from .legendre import endpoint_packed, sde_oracle_batch, truncation_index
 from .mc import bound_check, derive_rng, ks_test, run_vector_estimator, split_seed, two_sample_compare
 from .special_constants import constants_table
-from .sylvester import tsylvester_batch, u_moment_check, wishart_inv_trace_mc
-
-COLUMNS = [
-    "reference", "group", "check", "g", "gt", "h", "T", "N", "K",
-    "seed", "estimate", "stderr", "bound", "passed",
-]
+from .sylvester import SingularGramError, tsylvester_batch, u_moment_check, wishart_inv_trace_mc
 
 ENV_SEED = "CARNOT_COUPLING_SEED"
 
 
-@dataclass
-class Record:
+class Record(NamedTuple):
     reference: str
     group: str
     check: str
@@ -74,9 +80,8 @@ class Record:
     bound: float
     passed: bool
 
-    def row(self) -> list:
-        d = asdict(self)
-        return [d[c] for c in COLUMNS]
+
+COLUMNS = list(Record._fields)  # the fixed artifact column order
 
 
 def _parse_group(text: str) -> int:
@@ -117,32 +122,22 @@ def _point_str(g) -> str:
     return ",".join(repr(float(v)) for v in vals)
 
 
-def _config_dict(args: argparse.Namespace) -> dict:
-    # the artifact path is not part of the experiment configuration
-    skip = {"func", "out"}
-    out = {}
-    for k, v in sorted(vars(args).items()):
-        if k in skip:
-            continue
-        out[k] = v
-    return out
-
-
-def _emit(args, config: dict, records: list[Record]) -> int:
-    fmt = args.format
-    if fmt == "json":
+def _emit(args, records: list[Record]) -> int:
+    """Write the artifact; exit code 0 when every record passed, else 1."""
+    if args.format == "json":
+        # the parsed flags, less the handler and the artifact path
+        config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")}
         doc = {
             "config": config,
             "columns": COLUMNS,
-            "records": [dict(zip(COLUMNS, r.row())) for r in records],
+            "records": [r._asdict() for r in records],
         }
         text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
         writer.writerow(COLUMNS)
-        for r in records:
-            writer.writerow(r.row())
+        writer.writerows(records)
         text = buf.getvalue()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -155,10 +150,12 @@ def _emit(args, config: dict, records: list[Record]) -> int:
 def _recorder(args, **context):
     """Record factory for one subcommand: fills group, g, gt, h, T, N, K and seed.
 
-    Keyword arguments override the defaults (the --group and --N flags, no
-    points, T = 0, K = 0) for every record; per-record keywords override again.
+    Keyword arguments override the defaults (the --group and --N flags, or
+    "-" and 0 for a subcommand without them, no points, T = 0, K = 0) for
+    every record; per-record keywords override again.
     """
-    base = dict(group=args.group, g="-", gt="-", h="-", T=0.0, N=args.N, K=0, seed=args.seed)
+    base = dict(group=getattr(args, "group", "-"), g="-", gt="-", h="-", T=0.0,
+                N=getattr(args, "N", 0), K=0, seed=args.seed)
     base.update(context)
 
     def record(reference, check, *, estimate, stderr, bound, passed, **override) -> Record:
@@ -169,7 +166,7 @@ def _recorder(args, **context):
 
 
 def cmd_constants(args) -> int:
-    record = _recorder(args, group="-", N=0)
+    record = _recorder(args)
     records = []
     for entry in constants_table():
         err = abs(entry.value - entry.recompute()) / max(abs(entry.value), 1.0)
@@ -177,7 +174,7 @@ def cmd_constants(args) -> int:
             f"{entry.source}; {entry.name} = {entry.formula}", f"constant:{entry.name}",
             estimate=entry.value, stderr=0.0, bound=1e-14, passed=bool(err <= 1e-14),
         ))
-    return _emit(args, _config_dict(args), records)
+    return _emit(args, records)
 
 
 def cmd_couple(args) -> int:
@@ -188,14 +185,14 @@ def cmd_couple(args) -> int:
     record = _recorder(args, g=_point_str(g), gt=_point_str(gt))
     records = []
     for T in args.T:
+        bound = tv_bound(g, gt, T, variant).total  # rejects a variant the group lacks, unsampled
         est = failure_probability(g, gt, T, args.N, args.seed, args.workers)
-        bound = tv_bound(g, gt, T, variant).total
         rep = bound_check(est, bound)
         records.append(record(
             "endpoint coupling failure vs total-variation bound", f"couple:{variant}",
             estimate=est.mean, stderr=est.stderr, bound=bound, passed=rep.passed, T=T,
         ))
-    return _emit(args, _config_dict(args), records)
+    return _emit(args, records)
 
 
 def _moment_columns(xT: np.ndarray, zT: np.ndarray) -> np.ndarray:
@@ -221,17 +218,32 @@ def _oracle_moment_sampler(g: CarnotElement, T: float, steps: int):
     return sampler
 
 
+def _streamed_endpoints(g: CarnotElement, T: float, k_path: int, N: int,
+                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Horizontal endpoints (N, n) and first vertical entries (N,) of N paths.
+
+    Draws in chunks of mc.BATCH_SIZE rows from one generator, so the samples
+    equal a single draw of all N paths while only one chunk of coefficients
+    is held at a time.
+    """
+    iu, ju = triu_pairs(g.n)
+    xT, z0 = np.empty((N, g.n)), np.empty(N)
+    for start in range(0, N, mc.BATCH_SIZE):
+        stop = min(start + mc.BATCH_SIZE, N)
+        xi = rng.standard_normal((stop - start, k_path + 1, g.n))
+        xT[start:stop], zT = endpoint_packed(g.x, g.z.upper, xi, T, iu, ju)
+        z0[start:stop] = zT[:, 0]
+    return xT, z0
+
+
 def cmd_marginals(args) -> int:
     g = _as_carnot(_parse_point(args.g, args.group))
-    T = args.T[0]
+    T = args.T
     k_path = truncation_index(1.0 / 32.0, T)
     record = _recorder(args, g=_point_str(g), T=T, K=k_path)
     records = []
 
-    rng = derive_rng(args.seed, 101)
-    iu, ju = triu_pairs(g.n)
-    xi = rng.standard_normal((args.N, k_path + 1, g.n))
-    xT, zT = endpoint_packed(g.x, g.z.upper, xi, T, iu, ju)
+    xT, z0 = _streamed_endpoints(g, T, k_path, args.N, derive_rng(args.seed, 101))
     for i in range(g.n):
         cdf = scipy.stats.norm(loc=float(g.x[i]), scale=math.sqrt(T)).cdf
         p = ks_test(xT[:, i], cdf)
@@ -240,7 +252,7 @@ def cmd_marginals(args) -> int:
             f"marginals:ks-x{i}", estimate=p, stderr=0.0, bound=0.01, passed=bool(p > 0.01),
         ))
     # vertical entry variance at identity start: T^2/4 per pair
-    var = float(zT[:, 0].var(ddof=1)) if float(np.max(np.abs(g.x))) == 0.0 else None
+    var = float(z0.var(ddof=1)) if float(np.max(np.abs(g.x))) == 0.0 else None
     if var is not None:
         target = T * T / 4.0
         se = var * math.sqrt(2.0 / (args.N - 1)) * 2  # rough 4th-moment allowance
@@ -265,7 +277,7 @@ def cmd_marginals(args) -> int:
             f"marginals:moment-{name}",
             estimate=a.mean, stderr=rep.sigma, bound=b.mean, passed=rep.passed,
         ))
-    return _emit(args, _config_dict(args), records)
+    return _emit(args, records)
 
 
 def cmd_sylvester(args) -> int:
@@ -276,11 +288,7 @@ def cmd_sylvester(args) -> int:
     rng = derive_rng(args.seed, 3)
     count = min(args.N, 20000)
     v = rng.standard_normal((count, n, m))
-    iu = np.triu_indices(n, k=1)
-    w = np.zeros((count, n, n))
-    upper = rng.standard_normal((count, n * (n - 1) // 2))
-    w[:, iu[0], iu[1]] = upper
-    w[:, iu[1], iu[0]] = -upper
+    w = unpack_skew(n, rng.standard_normal((count, n * (n - 1) // 2)))
     u, cond = tsylvester_batch(v, w)
     resid = u @ np.swapaxes(v, -1, -2) - v @ np.swapaxes(u, -1, -2) - w
     rnorm = np.sqrt(np.sum(resid ** 2, axis=(-2, -1)))
@@ -302,13 +310,13 @@ def cmd_sylvester(args) -> int:
         "solution moment bound E|u|^2 <= E|w|^2/(4(m-n-1))", "sylvester:u-moment",
         estimate=um.mean_u_sq, stderr=um.stderr, bound=um.bound, passed=um.passed,
     ))
-    return _emit(args, _config_dict(args), records)
+    return _emit(args, records)
 
 
 def cmd_girsanov(args) -> int:
     g = _as_carnot(_parse_point(args.g, args.group))
     gt = _as_carnot(_parse_point(args.gt, args.group))
-    T = args.T[0]
+    T = args.T
     K = args.K or default_support_count(g.n)
     record = _recorder(args, g=_point_str(g), gt=_point_str(gt), T=T, K=K)
     rep = girsanov_normalization_check(g, gt, T, K, args.N, args.seed, args.workers)
@@ -330,13 +338,13 @@ def cmd_girsanov(args) -> int:
         f"girsanov:transfer-{f.name}", estimate=tr.weighted.mean, stderr=tr.comparison.sigma,
         bound=tr.direct.mean, passed=tr.comparison.passed,
     ))
-    return _emit(args, _config_dict(args), records)
+    return _emit(args, records)
 
 
 def cmd_bismut(args) -> int:
     g = _as_carnot(_parse_point(args.g, args.group))
     h = _as_carnot(_parse_point(args.h, args.group))
-    T = args.T[0]
+    T = args.T
     K = args.K or default_support_count(g.n)
     f = get_function(args.function)
     bg = bismut_gradient(f, g, h, T, K, args.N, split_seed(args.seed, 1), args.workers)
@@ -349,26 +357,24 @@ def cmd_bismut(args) -> int:
         "integration-by-parts gradient vs central finite differences", f"bismut:{f.name}",
         estimate=bg.mean, stderr=rep.sigma, bound=fd.mean, passed=rep.passed,
     )]
-    return _emit(args, _config_dict(args), records)
+    return _emit(args, records)
 
 
 def cmd_inequalities(args) -> int:
     g = _as_carnot(_parse_point(args.g, args.group))
     gt = _as_carnot(_parse_point(args.gt, args.group))
     h = _as_carnot(_parse_point(args.h, args.group))
-    T = args.T[0]
+    T = args.T
     f = get_function(args.function)
     record = _recorder(args, g=_point_str(g), T=T, K=args.K or default_support_count(g.n))
     suite = inequality_suite(f, g, gt, h, T, args.N, args.seed, K=args.K, workers=args.workers)
-    records = []
-    for c in suite.checks:
-        records.append(record(
-            f"semigroup inequality: {c.name}", f"inequalities:{c.name}",
-            estimate=c.lhs, stderr=c.sigma, bound=c.rhs, passed=c.passed,
-            gt=_point_str(gt), h=_point_str(h),
-        ))
+    records = [record(
+        f"semigroup inequality: {c.name}", f"inequalities:{c.name}",
+        estimate=c.lhs, stderr=c.sigma, bound=c.rhs, passed=c.passed,
+        gt=_point_str(gt), h=_point_str(h),
+    ) for c in suite.checks]
     spots = gradient_sup_spotcheck(f, [g], T, max(args.N // 10, 2), split_seed(args.seed, 40),
-                                   args.workers)
+                                   args.workers, K=args.K)
     for sc in spots:
         records.append(record(
             "sup-norm gradient bounds at a sample point", "inequalities:gradient-spot",
@@ -376,25 +382,67 @@ def cmd_inequalities(args) -> int:
             bound=sc.horizontal_bound, passed=sc.passed,
             N=max(args.N // 10, 2),
         ))
-    return _emit(args, _config_dict(args), records)
+    return _emit(args, records)
 
 
-def _add_common(p: argparse.ArgumentParser, needs_points: bool = True):
-    p.add_argument("--group", default="heisenberg",
-                   help="heisenberg or carnot-N (N >= 2)")
-    if needs_points:
-        p.add_argument("--g", default=None, help="start point of the first process")
-        p.add_argument("--gt", default=None, help="start point of the second process")
-    p.add_argument("--T", type=lambda s: [float(t) for t in s.split(",")],
-                   default=[1.0], help="horizon, or comma list for a grid")
-    p.add_argument("--N", type=int, default=100_000, help="Monte Carlo sample count")
-    p.add_argument("--seed", type=int,
-                   default=int(os.environ.get(ENV_SEED, "20240901")),
-                   help=f"base seed (env {ENV_SEED})")
-    p.add_argument("--K", type=int, default=None, help="modified-block count")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", default=None, help="output artifact path")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+def _checked(convert, accept, what: str):
+    """argparse type: convert the text and reject values outside the accepted range."""
+    def parse(text: str):
+        try:
+            if accept(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+
+    return parse
+
+
+_positive = _checked(float, lambda v: 0.0 < v < math.inf, "a positive number")
+_at_least_one = _checked(int, lambda v: v >= 1, "an integer >= 1")
+
+
+# every flag once; each subcommand below lists the flags its cmd_* reads
+_FLAGS = {
+    "group": dict(default="heisenberg", help="heisenberg or carnot-N (N >= 2)"),
+    "g": dict(required=True, help="start point of the first process"),
+    "gt": dict(required=True, help="start point of the second process"),
+    "h": dict(required=True, help="direction (group coordinates)"),
+    "T": dict(type=_positive, default=1.0, help="horizon"),
+    "N": dict(type=_checked(int, lambda v: v >= 2, "an integer >= 2"), default=100_000,
+              help="Monte Carlo sample count"),
+    "seed": dict(type=int, help=f"base seed (env {ENV_SEED})"),
+    "K": dict(type=int, default=None, help="modified-block count (default 2n+1, at least n+2)"),
+    "workers": dict(type=_at_least_one, default=1),
+    "out": dict(default=None, help="output artifact path (default stdout)"),
+    "format": dict(choices=["csv", "json"], default="csv"),
+    "variant": dict(choices=["proof-stage", "improved-remark2", "carnot-n"], default=None),
+    "steps": dict(type=_at_least_one, default=512, help="SDE oracle steps"),
+    "m": dict(type=int, default=None, help="number of probe columns"),
+    "eps": dict(type=_positive, default=1e-3, help="finite-difference step"),
+    "function": dict(default="gaussian-bump", choices=sorted(CATALOG)),
+}
+
+_SUBCOMMANDS = {
+    # name: (handler, help, flags, per-subcommand flag overrides)
+    "constants": (cmd_constants, "closed-form constant table", "seed out format", {}),
+    "couple": (cmd_couple, "coupling failure probability against the closed-form bound",
+               "group g gt T N seed workers out format variant",
+               {"T": dict(type=lambda text: [_positive(t) for t in text.split(",")], default=[1.0],
+                          help="horizon, or comma list for a grid")}),
+    "marginals": (cmd_marginals, "endpoint-law checks (KS, variances, moments vs the SDE oracle)",
+                  "group g T N seed workers out format steps", {}),
+    "sylvester": (cmd_sylvester, "T-Sylvester residuals and Wishart moment identities",
+                  "group N seed workers out format m", {}),
+    "girsanov": (cmd_girsanov, "weight normalization, entropy identity, semigroup transfer",
+                 "group g gt T N seed K workers out format function", {}),
+    "bismut": (cmd_bismut, "integration-by-parts gradient vs central finite differences",
+               "group g h T N seed K workers out format eps function", {}),
+    "inequalities": (cmd_inequalities,
+                     "log-Harnack, reverse Poincare, weak log-Sobolev, gradient spots",
+                     "group g gt h T N seed K workers out format function",
+                     {"function": dict(default="sin-perturbation")}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,63 +452,27 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("constants", help="closed-form constant table")
-    _add_common(p, needs_points=False)
-    p.set_defaults(func=cmd_constants)
-
-    p = sub.add_parser("couple", help="failure probability vs closed-form bound")
-    _add_common(p)
-    p.add_argument("--variant", choices=["proof-stage", "improved-remark2", "carnot-n"],
-                   default=None)
-    p.set_defaults(func=cmd_couple)
-
-    p = sub.add_parser("marginals", help="endpoint-law checks vs the SDE oracle")
-    _add_common(p)
-    p.add_argument("--steps", type=int, default=512)
-    p.set_defaults(func=cmd_marginals)
-
-    p = sub.add_parser("sylvester", help="solver residual and Wishart moments")
-    _add_common(p, needs_points=False)
-    p.add_argument("--m", type=int, default=None, help="number of probe columns")
-    p.set_defaults(func=cmd_sylvester)
-
-    p = sub.add_parser("girsanov", help="weight normalization, entropy, transfer")
-    _add_common(p)
-    p.add_argument("--function", default="gaussian-bump", choices=sorted(CATALOG))
-    p.set_defaults(func=cmd_girsanov)
-
-    p = sub.add_parser("bismut", help="integration by parts vs finite differences")
-    _add_common(p)
-    p.add_argument("--h", default=None, help="direction (group coordinates)")
-    p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--function", default="gaussian-bump", choices=sorted(CATALOG))
-    p.set_defaults(func=cmd_bismut)
-
-    p = sub.add_parser("inequalities", help="semigroup inequalities and spot checks")
-    _add_common(p)
-    p.add_argument("--h", default=None, help="direction (group coordinates)")
-    p.add_argument("--function", default="sin-perturbation", choices=sorted(CATALOG))
-    p.set_defaults(func=cmd_inequalities)
-
+    seed = int(os.environ.get(ENV_SEED, "20240901"))
+    for name, (func, help_text, flags, overrides) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **{**_FLAGS[flag], **overrides.get(flag, {})})
+        p.set_defaults(func=func, seed=seed)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; the only place where a failure becomes an exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        needed = {
-            "couple": ("g", "gt"), "marginals": ("g",), "girsanov": ("g", "gt"),
-            "bismut": ("g", "h"), "inequalities": ("g", "gt", "h"),
-        }.get(args.command, ())
-        for name in needed:
-            if getattr(args, name, None) is None:
-                parser.error(f"--{name} is required for {args.command}")
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except SingularGramError as exc:
+        # a numerical event, not a configuration error: checked before ValueError,
+        # which it subclasses through numpy's LinAlgError
+        parser.exit(3, f"{parser.prog}: numerical failure: {exc}\n")
+    except ValueError as exc:
         parser.error(str(exc))
-        return 2
 
 
 if __name__ == "__main__":

@@ -48,7 +48,7 @@ from .groups import (
 from .legendre import alpha, endpoint_packed, truncation_index
 from .mc import MCEstimate, run_vector_estimator
 from .special_constants import carnot_constants, heisenberg_constants
-from .sylvester import COND_LIMIT, tsylvester_batch
+from .sylvester import COND_LIMIT, SingularGramError, tsylvester_batch
 
 __all__ = [
     "CouplingDiagnostics",
@@ -202,7 +202,7 @@ def _couple_once(gc: CarnotElement, gct: CarnotElement, T: float,
             break
         resampled += 1
         if resampled > _MAX_RESAMPLE:
-            raise RuntimeError("singular probe system persisted across resamples")
+            raise SingularGramError("singular probe system persisted across resamples")
     h_gap, v_gap = _gaps(gc, gct, T, xi, xi_t)
     xi, xi_t = xi[0], xi_t[0]
     k_path = max(truncation_index(DEFAULT_TAIL_TOL, T), xi.shape[0])
@@ -253,8 +253,8 @@ def failure_probability(g, gt, T: float, N: int, seed: int,
     """Fraction of coupling runs that fail to meet, with standard error.
 
     This upper-bounds the total-variation distance between the two endpoint
-    laws.  Singular-Gram resample events are measure-zero; they are counted
-    and surface as a second estimator column equal to zero in practice.
+    laws.  Singular events (a zero probe or a Gram row past COND_LIMIT) are
+    measure-zero; any one of them raises SingularGramError.
     """
     gc, gct, heis = _normalize_pair(g, gt)
 
@@ -264,7 +264,7 @@ def failure_probability(g, gt, T: float, N: int, seed: int,
 
     fail, singular = run_vector_estimator(sampler, N, seed, workers)
     if singular.mean > 0:
-        raise RuntimeError("singular resample events occurred; seed a rerun")
+        raise SingularGramError("singular resample events occurred; seed a rerun")
     return fail
 
 

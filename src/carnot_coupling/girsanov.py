@@ -131,6 +131,8 @@ def _shift_arrays(gc: CarnotElement, gct: CarnotElement, T: float, K: int,
 
     Returns (u0 (n,), blocks (B, K, n), cond (B,)).
     """
+    if K < gc.n + 2:
+        raise ValueError("need K >= n + 2 modified blocks")
     w_packed, probes, scales = sylvester_system(gc, gct, T, xi, K)
     # probe columns weighted by T s_k: the particular solution the constants assume
     probes *= T * scales
@@ -146,13 +148,10 @@ def _shift_arrays(gc: CarnotElement, gct: CarnotElement, T: float, K: int,
 def build_shift(g: CarnotElement, gt: CarnotElement, T: float, K: int,
                 stream: CoefficientStream) -> ShiftVector:
     """Shift vector coupling the endpoint from g to the one from gt."""
-    n = g.n
-    if K < n + 2:
-        raise ValueError("need K >= n + 2 modified blocks")
     if stream.k_path < 3 * K + 1:
         raise ValueError("stream must supply indices up to 3K+1")
     u0, blocks, _ = _shift_arrays(g, gt, T, K, stream.xi[None])
-    return ShiftVector(n, K, T, u0, blocks[0])
+    return ShiftVector(g.n, K, T, u0, blocks[0])
 
 
 def _shift_pairing(u0: np.ndarray, blocks: np.ndarray,
@@ -485,7 +484,10 @@ def gradient_sup_spotcheck(
 
     Horizontal: |grad_h P_T f| <= 2 C1(n)/sqrt(T) |f|_inf;
     vertical:   |grad_v P_T f| <= 2 sqrt(2) C2(n)/T |f|_inf.
+    Direction j at point idx draws from split_seed(seed, stride * idx + j); the
+    stride, 16 up to rank 5, covers every point's n + n(n-1)/2 directions.
     """
+    stride = max([16] + [g.n + g.n * (g.n - 1) // 2 for g in points])
     out = []
     for idx, g in enumerate(points):
         n = g.n
@@ -494,12 +496,12 @@ def gradient_sup_spotcheck(
         Kn = default_support_count(n) if K is None else K
         h_ests = [
             bismut_gradient(f, g, horizontal_direction(g, i), T, Kn, N,
-                            split_seed(seed, 16 * idx + i), workers)
+                            split_seed(seed, stride * idx + i), workers)
             for i in range(n)
         ]
         v_ests = [
             bismut_gradient(f, g, vertical_direction(n, p), T, Kn, N,
-                            split_seed(seed, 16 * idx + n + p), workers)
+                            split_seed(seed, stride * idx + n + p), workers)
             for p in range(n * (n - 1) // 2)
         ]
 

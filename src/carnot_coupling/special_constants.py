@@ -14,10 +14,13 @@ evaluated here from their closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln, zeta
+
+from .legendre import alpha_sq
 
 __all__ = [
     "heisenberg_constants",
@@ -184,87 +187,71 @@ def gaussian_abs_moment(q: float) -> float:
 
 @dataclass(frozen=True)
 class ConstantEntry:
-    """A named closed-form constant with a display formula and a recompute hook."""
+    """A named constant: `value` from the library function the bounds use, and
+    `reference`, the displayed formula in plain `math`, to catch a fault in it."""
 
     name: str
     value: float
     formula: str
     source: str
+    reference: Callable[[], float] = field(repr=False, compare=False)
 
     def recompute(self) -> float:
-        return _RECOMPUTE[self.name]()
+        return self.reference()
 
 
-def _table_builders():
-    builders = {
-        "heis_C1_proof_stage": lambda: heisenberg_constants("proof-stage")[0],
-        "heis_C2_proof_stage": lambda: heisenberg_constants("proof-stage")[1],
-        "heis_C1_improved": lambda: heisenberg_constants("improved")[0],
-        "heis_C2_improved": lambda: heisenberg_constants("improved")[1],
-        "remark2_constant": remark2_constant,
-        "remark2_gamma": remark2_gamma,
-        "alpha_sq_sum": lambda: 0.125,
-        "s1_inverse_mean": lambda: 3.5 * float(zeta(3.0)),
-        "gauss_abs_m1": lambda: gaussian_abs_moment(1.0),
-        "gauss_abs_m2": lambda: gaussian_abs_moment(2.0),
-        "gauss_abs_m4": lambda: gaussian_abs_moment(4.0),
-    }
-    for n in (2, 3, 4, 5):
-        builders[f"carnot_C1_{n}"] = (lambda n=n: carnot_constants(n)[0])
-        builders[f"carnot_C2_{n}"] = (lambda n=n: carnot_constants(n)[1])
-        builders[f"c3_{n}"] = (lambda n=n: c3(n))
-    return builders
-
-
-_RECOMPUTE = _table_builders()
-
-_FORMULAS = {
-    "heis_C1_proof_stage": "(1 + sqrt(30)) / sqrt(2 pi)",
-    "heis_C2_proof_stage": "sqrt(22.5)",
-    "heis_C1_improved": "(1 + 5 sqrt(28) / (pi sqrt(pi))) / sqrt(2 pi)",
-    "heis_C2_improved": "5 sqrt(21) / (pi sqrt(pi))",
-    "remark2_constant": "5 sqrt(42) / pi",
-    "remark2_gamma": "1/42",
-    "alpha_sq_sum": "sum_k alpha_k^2 = 1/8",
-    "s1_inverse_mean": "(7/2) zeta(3)",
-    "gauss_abs_m1": "sqrt(2/pi)",
-    "gauss_abs_m2": "1",
-    "gauss_abs_m4": "3^(1/4)",
-}
-
-_SOURCES = {
-    "heis_C1_proof_stage": "Heisenberg TV bound, two-index coupling constants",
-    "heis_C2_proof_stage": "Heisenberg TV bound, two-index coupling constants",
-    "heis_C1_improved": "Heisenberg TV bound, refined one-fiber constants",
-    "heis_C2_improved": "Heisenberg TV bound, refined one-fiber constants",
-    "remark2_constant": "refined coupling replacement constant",
-    "remark2_gamma": "coefficient-ladder lower bound ratio",
-    "alpha_sq_sum": "telescoping sum of squared area coefficients",
-    "s1_inverse_mean": "first inverse moment of the weighted chi-square series",
-    "gauss_abs_m1": "absolute moment of a standard normal",
-    "gauss_abs_m2": "absolute moment of a standard normal",
-    "gauss_abs_m4": "absolute moment of a standard normal",
-}
+def _zeta3_reference(M: int = 100_000) -> float:
+    """zeta(3) as the head sum to M plus its Euler-Maclaurin tail."""
+    head = math.fsum(j ** -3.0 for j in range(1, M + 1))
+    return head + 1.0 / (2 * M ** 2) - 1.0 / (2 * M ** 3) + 1.0 / (4 * M ** 4)
 
 
 def constants_table() -> list[ConstantEntry]:
-    """The full named-constant table, every entry recomputable from its formula."""
-    entries = []
-    for name, builder in _RECOMPUTE.items():
-        formula = _FORMULAS.get(name)
-        source = _SOURCES.get(name)
-        if formula is None:
-            if name.startswith("carnot_C1_"):
-                n = int(name.rsplit("_", 1)[1])
-                formula = f"1/sqrt(2 pi) + sqrt(2({n}-1)/3) C2({n})"
-                source = "rank-n TV bound constants"
-            elif name.startswith("carnot_C2_"):
-                n = int(name.rsplit("_", 1)[1])
-                formula = f"(6 sqrt({n}) + 4/sqrt({n})) / sqrt(pi)"
-                source = "rank-n TV bound constants"
-            elif name.startswith("c3_"):
-                n = int(name.rsplit("_", 1)[1])
-                formula = f"8 * {n}^2 * (3*{n}+4)^2"
-                source = "dimensional factor of the infinite-support shift moments"
-        entries.append(ConstantEntry(name, builder(), formula, source))
+    """The full named-constant table, every entry checked against its formula."""
+    sqrt, pi = math.sqrt, math.pi
+    heis_two = "Heisenberg TV bound, two-index coupling constants"
+    heis_one = "Heisenberg TV bound, refined one-fiber constants"
+    gauss = "absolute moment of a standard normal"
+    entries = [
+        ConstantEntry("heis_C1_proof_stage", heisenberg_constants("proof-stage")[0],
+                      "(1 + sqrt(30)) / sqrt(2 pi)", heis_two,
+                      lambda: (1 + sqrt(30)) / sqrt(2 * pi)),
+        ConstantEntry("heis_C2_proof_stage", heisenberg_constants("proof-stage")[1],
+                      "sqrt(22.5)", heis_two, lambda: sqrt(22.5)),
+        ConstantEntry("heis_C1_improved", heisenberg_constants("improved")[0],
+                      "(1 + 5 sqrt(28) / (pi sqrt(pi))) / sqrt(2 pi)", heis_one,
+                      lambda: (1 + 5 * sqrt(28) / (pi * sqrt(pi))) / sqrt(2 * pi)),
+        ConstantEntry("heis_C2_improved", heisenberg_constants("improved")[1],
+                      "5 sqrt(21) / (pi sqrt(pi))", heis_one,
+                      lambda: 5 * sqrt(21) / (pi * sqrt(pi))),
+        ConstantEntry("remark2_constant", remark2_constant(), "5 sqrt(42) / pi",
+                      "refined coupling replacement constant", lambda: 5 * sqrt(42) / pi),
+        ConstantEntry("remark2_gamma", remark2_gamma(), "1/42",
+                      "coefficient-ladder lower bound ratio", lambda: 1 / 42),
+        # the head to k = 999 plus the exact telescoped tail 1/(8 (2*1000+1))
+        ConstantEntry("alpha_sq_sum", 0.125, "sum_k alpha_k^2 = 1/8",
+                      "telescoping sum of squared area coefficients",
+                      lambda: math.fsum(alpha_sq(k) for k in range(1000)) + 1 / (8 * 2001)),
+        ConstantEntry("s1_inverse_mean", 3.5 * float(zeta(3.0)), "(7/2) zeta(3)",
+                      "first inverse moment of the weighted chi-square series",
+                      lambda: 3.5 * _zeta3_reference()),
+        ConstantEntry("gauss_abs_m1", gaussian_abs_moment(1.0), "sqrt(2/pi)", gauss,
+                      lambda: sqrt(2 / pi)),
+        ConstantEntry("gauss_abs_m2", gaussian_abs_moment(2.0), "1", gauss, lambda: 1.0),
+        ConstantEntry("gauss_abs_m4", gaussian_abs_moment(4.0), "3^(1/4)", gauss,
+                      lambda: 3 ** 0.25),
+    ]
+    rank_n = "rank-n TV bound constants"
+    for n in (2, 3, 4, 5):
+        c1, c2 = carnot_constants(n)
+        entries += [
+            ConstantEntry(f"carnot_C1_{n}", c1, f"1/sqrt(2 pi) + sqrt(2({n}-1)/3) C2({n})",
+                          rank_n, lambda n=n: 1 / sqrt(2 * pi)
+                          + sqrt(2 * (n - 1) / 3) * ((6 * sqrt(n) + 4 / sqrt(n)) / sqrt(pi))),
+            ConstantEntry(f"carnot_C2_{n}", c2, f"(6 sqrt({n}) + 4/sqrt({n})) / sqrt(pi)",
+                          rank_n, lambda n=n: (6 * sqrt(n) + 4 / sqrt(n)) / sqrt(pi)),
+            ConstantEntry(f"c3_{n}", c3(n), f"8 * {n}^2 * (3*{n}+4)^2",
+                          "dimensional factor of the infinite-support shift moments",
+                          lambda n=n: 8 * n ** 2 * (3 * n + 4) ** 2),
+        ]
     return entries

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import SkewMatrix
+from .groups import SkewMatrix, unpack_skew
 from .mc import MCEstimate, run_estimator
 
 __all__ = [
@@ -38,7 +38,7 @@ COND_LIMIT = 1e12
 
 
 class SingularGramError(np.linalg.LinAlgError):
-    """v v^t is numerically singular (condition number above COND_LIMIT)."""
+    """A singular probe system: Gram condition above COND_LIMIT, or a zero probe."""
 
 
 @dataclass(frozen=True)
@@ -133,11 +133,7 @@ def u_moment_check(n: int, m: int, N: int, seed: int, workers: int = 1) -> UMome
 
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         v = rng.standard_normal((count, n, m))
-        upper = rng.standard_normal((count, pairs))
-        iu, ju = np.triu_indices(n, k=1)
-        w = np.zeros((count, n, n))
-        w[:, iu, ju] = upper
-        w[:, ju, iu] = -upper
+        w = unpack_skew(n, rng.standard_normal((count, pairs)))
         u, _ = tsylvester_batch(v, w)
         return np.sum(u * u, axis=(-1, -2))
 

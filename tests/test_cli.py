@@ -1,13 +1,44 @@
 """CLI: config round-trip, byte-identical artifacts, exit codes, grammar."""
 
+import argparse
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from carnot_coupling import cli, coupling, girsanov, mc, special_constants
+from carnot_coupling.catalog import CATALOG
 from carnot_coupling.cli import COLUMNS, _recorder, build_parser, main
+from carnot_coupling.groups import HeisenbergPoint, heis_to_carnot
+from carnot_coupling.legendre import truncation_index
+from carnot_coupling.mc import split_seed
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# the flags each subcommand's handler reads, and no others
+FLAGS = {
+    "constants": "seed out format",
+    "couple": "group g gt T N seed workers out format variant",
+    "marginals": "group g T N seed workers out format steps",
+    "sylvester": "group N seed workers out format m",
+    "girsanov": "group g gt T N seed K workers out format function",
+    "bismut": "group g h T N seed K workers out format eps function",
+    "inequalities": "group g gt h T N seed K workers out format function",
+}
+
+HEIS = ["--g", "0,0,0", "--gt", "0,0,1"]
+
+
+def flag_sets(parser):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {a.dest for a in p._actions if a.option_strings and a.dest != "help"}
+            for name, p in sub.choices.items()}
 
 
 def run_cli(args, tmp_path=None):
@@ -43,6 +74,99 @@ class TestParsing:
         with pytest.raises(SystemExit):
             run_cli(["couple", "--group", "carnot-3", "--g", "0,0,0", "--gt", "0,0,0",
                      "--N", "10"])
+
+
+class TestDeclaredFlags:
+    def test_each_subcommand_takes_exactly_the_flags_it_reads(self):
+        sets = flag_sets(build_parser())
+        assert sets == {name: set(flags.split()) for name, flags in FLAGS.items()}
+        assert sum(len(v) for v in sets.values()) == 64
+
+    @pytest.mark.parametrize("argv", [
+        ["constants", "--group", "carnot-3"],
+        ["constants", "--T", "1"],
+        ["constants", "--N", "10"],
+        ["constants", "--K", "3"],
+        ["constants", "--workers", "9"],
+        ["couple", *HEIS, "--K", "5"],
+        ["marginals", *HEIS],
+        ["marginals", "--g", "0,0,0", "--K", "5"],
+        ["sylvester", "--T", "1"],
+        ["sylvester", "--K", "5"],
+        ["bismut", *HEIS, "--h", "1,0,0"],
+        ["marginals", "--g", "0,0,0", "--T", "4,100"],
+        ["girsanov", *HEIS, "--T", "4,100"],
+        ["bismut", "--g", "0,0,0", "--h", "1,0,0", "--T", "4,100"],
+        ["inequalities", *HEIS, "--h", "1,0,0", "--T", "4,100"],
+        ["couple", *HEIS, "--T", "0"],
+        ["couple", *HEIS, "--T", "1,0"],
+        ["girsanov", *HEIS, "--T", "nan"],
+        ["couple", *HEIS, "--N", "1"],
+        ["couple", *HEIS, "--workers", "0"],
+        ["marginals", "--g", "0,0,0", "--steps", "0"],
+        ["bismut", "--g", "0,0,0", "--h", "1,0,0", "--eps", "0"],
+        ["bismut", "--g", "0,0,0"],
+    ])
+    def test_rejected_by_the_parser(self, argv, tmp_path, capsys):
+        # the parser exits before any handler runs, so nothing is sampled
+        out = tmp_path / "res.csv"
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_too_few_blocks_is_a_configuration_error(self, tmp_path, capsys):
+        out = tmp_path / "res.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["girsanov", *HEIS, "--K", "1", "--N", "100", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "need K >= n + 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_heisenberg_variant_on_a_carnot_group_rejected_unsampled(self, monkeypatch):
+        monkeypatch.setattr(cli, "failure_probability", lambda *a: pytest.fail("sampled"))
+        with pytest.raises(SystemExit) as exc:
+            main(["couple", "--group", "carnot-3", "--g", "0,0,0,0,0,0", "--gt", "0,0,0,1,0,0",
+                  "--variant", "improved-remark2"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("module, argv", [
+        (coupling, ["couple", "--group", "carnot-3", "--g", "0,0,0,0,0,0",
+                    "--gt", "0,0,0,1,0,0"]),
+        (girsanov, ["girsanov", *HEIS]),
+    ])
+    def test_singular_gram_exits_3(self, module, argv, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(module, "COND_LIMIT", 0.0)  # every Gram row counts as singular
+        out = tmp_path / "res.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--N", "100", "--out", str(out)])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "singular" in err[0]
+        assert not out.exists()
+
+
+def documented_flags(text):
+    """Subcommand -> flag names, from the lines `name  --flag --flag ...` of a document."""
+    return {m[1]: set(re.findall(r"--(\w+)", m[2]))
+            for m in re.finditer(r"^([a-z]+) +((?:--\w+ ?)+)$", text, re.M)}
+
+
+class TestDocs:
+    def test_readme_cli_section_matches_the_parser(self):
+        section = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("\n## ", 1)[0]
+        block = section.split("```bash", 1)[1].split("```", 1)[0]
+        examples = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                    if line.strip()]
+        assert {argv[1] for argv in examples} == set(FLAGS)
+        for argv in examples:
+            assert argv[0] == "carnot-coupling"
+            build_parser().parse_args(argv[1:])
+        assert documented_flags(section) == flag_sets(build_parser())
+
+    def test_help_text_lists_the_parser_flags(self):
+        assert documented_flags(cli.__doc__) == flag_sets(build_parser())
 
 
 class TestArtifacts:
@@ -84,6 +208,51 @@ class TestArtifacts:
             record("ref", "check", 1.0, 0.1, 2.0, True)
         rec = record("ref", "check", estimate=1.0, stderr=0.1, bound=2.0, passed=True)
         assert (rec.estimate, rec.stderr, rec.bound) == (1.0, 0.1, 2.0)
+
+    def test_constants_check_flags_a_faulty_library_function(self, monkeypatch, tmp_path):
+        real = special_constants.heisenberg_constants
+        monkeypatch.setattr(special_constants, "heisenberg_constants",
+                            lambda variant="improved": tuple(1.01 * c for c in real(variant)))
+        out = tmp_path / "res.json"
+        assert run_cli(["constants", "--format", "json", "--out", str(out)]) == 1
+        failed = {r["check"] for r in json.loads(out.read_text())["records"] if not r["passed"]}
+        assert failed == {f"constant:heis_{c}_{v}" for c in ("C1", "C2")
+                          for v in ("proof_stage", "improved")}
+
+    def test_inequalities_K_reaches_the_gradient_spot_check(self, tmp_path):
+        out = tmp_path / "res.json"
+        run_cli(["inequalities", "--g", "0.3,-0.2,0.1", "--gt", "0.5,0,0.2", "--h", "1,0,0",
+                 "--T", "4", "--K", "8", "--N", "2000", "--seed", "3", "--format", "json",
+                 "--out", str(out)])
+        spot, = (r for r in json.loads(out.read_text())["records"]
+                 if r["check"] == "inequalities:gradient-spot")
+        g = heis_to_carnot(HeisenbergPoint(0.3, -0.2, 0.1))
+        ref, = girsanov.gradient_sup_spotcheck(CATALOG["sin-perturbation"], [g], 4.0, 200,
+                                               split_seed(3, 40), K=8)
+        assert spot["K"] == 8 and spot["estimate"] == ref.horizontal_norm
+
+    def test_marginals_holds_one_batch_of_coefficients(self, monkeypatch, tmp_path):
+        # a small batch keeps the test light; N spans eight full batches and a partial one
+        N = 8 * 1024 + 100
+        full = N * (truncation_index(1.0 / 32.0, 1.0) + 1) * 2 * 8  # all N paths at once
+        argv = ["marginals", "--g", "0,0,0", "--N", str(N), "--steps", "2", "--seed", "4",
+                "--format", "json"]
+        run_cli(argv + ["--out", str(tmp_path / "whole.json")])
+        monkeypatch.setattr(mc, "BATCH_SIZE", 1024)
+        tracemalloc.start()
+        try:
+            run_cli(argv + ["--out", str(tmp_path / "chunked.json")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full
+
+        def ks_and_variance(name):
+            records = json.loads((tmp_path / name).read_text())["records"]
+            return [r for r in records if not r["check"].startswith("marginals:moment")]
+
+        # the KS and variance records do not depend on the chunk size
+        assert ks_and_variance("whole.json") == ks_and_variance("chunked.json")
 
     def test_csv_has_fixed_header(self, tmp_path):
         out = tmp_path / "res.csv"

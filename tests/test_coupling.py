@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from carnot_coupling import coupling
 from carnot_coupling.coupling import (
     _couple_batch,
     _gaps,
@@ -28,6 +29,7 @@ from carnot_coupling.groups import (
 )
 from carnot_coupling.legendre import alpha, endpoint_packed
 from carnot_coupling.mc import derive_rng, ks_test
+from carnot_coupling.sylvester import SingularGramError
 
 
 class TestSingleRuns:
@@ -191,6 +193,15 @@ class TestShiftSystem:
 
 
 class TestFailureProbability:
+    def test_singular_gram_raises_singular_gram_error(self, monkeypatch):
+        monkeypatch.setattr(coupling, "COND_LIMIT", 0.0)  # every Gram row counts as singular
+        g = CarnotElement.identity(3)
+        gt = CarnotElement(np.array([1.0, 0, 0]), SkewMatrix.zero(3))
+        with pytest.raises(SingularGramError):
+            failure_probability(g, gt, 4.0, 100, 1)
+        with pytest.raises(SingularGramError):
+            couple_carnot(g, gt, 4.0, derive_rng(3))
+
     def test_same_start_zero(self):
         est = failure_probability(HeisenbergPoint(1, 2, 3), HeisenbergPoint(1, 2, 3),
                                   4.0, 2000, seed=0)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from carnot_coupling import girsanov
 from carnot_coupling.catalog import CATALOG
 from carnot_coupling.girsanov import (
     bismut_gradient,
@@ -25,7 +26,8 @@ from carnot_coupling.girsanov import (
 )
 from carnot_coupling.groups import CarnotElement, HeisenbergPoint, SkewMatrix, heis_to_carnot
 from carnot_coupling.legendre import CoefficientStream, carnot_endpoint, sample_stream
-from carnot_coupling.mc import derive_rng
+from carnot_coupling.mc import MCEstimate, derive_rng, split_seed
+from carnot_coupling.sylvester import SingularGramError
 
 
 def hpair(a, b):
@@ -312,6 +314,44 @@ class TestInequalities:
             2 * (1 + 5 * math.sqrt(28) / (math.pi * math.sqrt(math.pi)))
             / math.sqrt(2 * math.pi), rel=1e-12
         )
+
+
+class TestSupportCount:
+    def test_every_estimator_rejects_too_few_blocks(self):
+        g, gt = hpair((0, 0, 0), (0, 0, 1))
+        h = horizontal_direction(g, 0)
+        f = CATALOG["gaussian-bump"]
+        calls = [
+            lambda: girsanov_normalization_check(g, gt, 4.0, 1, 100, 1),
+            lambda: semigroup_transfer_check(f, g, gt, 4.0, 1, 100, 1),
+            lambda: bismut_gradient(f, g, h, 4.0, 1, 100, 1),
+            lambda: inequality_suite(f, g, gt, h, 4.0, 100, 1, K=1),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"K >= n \+ 2") as exc:
+                call()
+            assert not isinstance(exc.value, SingularGramError)
+
+
+class TestSpotCheckSeeds:
+    def _seeds(self, monkeypatch, points):
+        seeds = []
+
+        def fake_gradient(f, g, h, T, K, N, seed, workers=1, k_path=None):
+            seeds.append(seed)
+            return MCEstimate(0.0, 0.0, N, seed)
+
+        monkeypatch.setattr(girsanov, "bismut_gradient", fake_gradient)
+        gradient_sup_spotcheck(CATALOG["coordinate-bump"], points, 1.0, 10, seed=5)
+        return seeds
+
+    def test_distinct_across_points_and_unchanged_up_to_rank5(self, monkeypatch):
+        g6 = CarnotElement(np.zeros(6), SkewMatrix(6, np.zeros(15)))
+        seeds = self._seeds(monkeypatch, [g6, g6])
+        assert len(seeds) == 2 * 21 and len(set(seeds)) == len(seeds)
+        g5 = CarnotElement(np.zeros(5), SkewMatrix(5, np.zeros(10)))
+        seeds = self._seeds(monkeypatch, [g5, g5])
+        assert seeds == [split_seed(5, 16 * idx + j) for idx in range(2) for j in range(15)]
 
 
 class TestDefaults:
