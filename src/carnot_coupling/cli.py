@@ -282,7 +282,9 @@ def cmd_marginals(args) -> int:
 
 def cmd_sylvester(args) -> int:
     n = _parse_group(args.group)
-    m = args.m or 2 * n + 1
+    m = 2 * n + 1 if args.m is None else args.m
+    if m < n + 2:
+        raise ValueError(f"--m must be at least n + 2 = {n + 2} on {args.group}")
     record = _recorder(args, K=m)
     records = []
     rng = derive_rng(args.seed, 3)
@@ -313,11 +315,16 @@ def cmd_sylvester(args) -> int:
     return _emit(args, records)
 
 
+def _support_count(args, n: int) -> int:
+    """--K, or the default 2n+1 when it is not given (an explicit 0 is kept and rejected)."""
+    return default_support_count(n) if args.K is None else args.K
+
+
 def cmd_girsanov(args) -> int:
     g = _as_carnot(_parse_point(args.g, args.group))
     gt = _as_carnot(_parse_point(args.gt, args.group))
     T = args.T
-    K = args.K or default_support_count(g.n)
+    K = _support_count(args, g.n)
     record = _recorder(args, g=_point_str(g), gt=_point_str(gt), T=T, K=K)
     rep = girsanov_normalization_check(g, gt, T, K, args.N, args.seed, args.workers)
     records = [
@@ -345,7 +352,7 @@ def cmd_bismut(args) -> int:
     g = _as_carnot(_parse_point(args.g, args.group))
     h = _as_carnot(_parse_point(args.h, args.group))
     T = args.T
-    K = args.K or default_support_count(g.n)
+    K = _support_count(args, g.n)
     f = get_function(args.function)
     bg = bismut_gradient(f, g, h, T, K, args.N, split_seed(args.seed, 1), args.workers)
     fd = finite_diff_gradient(f, g, h, T, args.eps, args.N, split_seed(args.seed, 2),
@@ -366,7 +373,7 @@ def cmd_inequalities(args) -> int:
     h = _as_carnot(_parse_point(args.h, args.group))
     T = args.T
     f = get_function(args.function)
-    record = _recorder(args, g=_point_str(g), T=T, K=args.K or default_support_count(g.n))
+    record = _recorder(args, g=_point_str(g), T=T, K=_support_count(args, g.n))
     suite = inequality_suite(f, g, gt, h, T, args.N, args.seed, K=args.K, workers=args.workers)
     records = [record(
         f"semigroup inequality: {c.name}", f"inequalities:{c.name}",
@@ -418,7 +425,7 @@ _FLAGS = {
     "format": dict(choices=["csv", "json"], default="csv"),
     "variant": dict(choices=["proof-stage", "improved-remark2", "carnot-n"], default=None),
     "steps": dict(type=_at_least_one, default=512, help="SDE oracle steps"),
-    "m": dict(type=int, default=None, help="number of probe columns"),
+    "m": dict(type=int, default=None, help="number of probe columns (default 2n+1, at least n+2)"),
     "eps": dict(type=_positive, default=1e-3, help="finite-difference step"),
     "function": dict(default="gaussian-bump", choices=sorted(CATALOG)),
 }

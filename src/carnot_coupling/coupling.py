@@ -45,7 +45,7 @@ from .groups import (
     unpack_skew,
     zeta,
 )
-from .legendre import alpha, endpoint_packed, truncation_index
+from .legendre import alpha_ladder, endpoint_packed, truncation_index
 from .mc import MCEstimate, run_vector_estimator
 from .special_constants import carnot_constants, heisenberg_constants
 from .sylvester import COND_LIMIT, SingularGramError, tsylvester_batch
@@ -116,14 +116,15 @@ def sylvester_system(gc: CarnotElement, gct: CarnotElement, T: float,
     """
     iu, ju = triu_pairs(gc.n)
     sqrtT = math.sqrt(T)
+    a = alpha_ladder(3 * K + 1)
     d = np.asarray(gc.x, dtype=float) - np.asarray(gct.x, dtype=float)
-    hat = (sqrtT / 2.0) * xi[:, 0] - sqrtT * alpha(0) * xi[:, 1]
+    hat = (sqrtT / 2.0) * xi[:, 0] - sqrtT * a[0] * xi[:, 1]
     w = -zeta(gc, gct).upper + odot_packed(np.broadcast_to(d, hat.shape), hat, iu, ju)
-    scales = np.array([math.hypot(alpha(3 * k), alpha(3 * k - 1)) for k in range(1, K + 1)])
+    scales = np.hypot(a[3::3], a[2:-1:3])  # alpha_{3k} and alpha_{3k-1}, k = 1..K
     probes = np.empty(xi.shape[:1] + (gc.n, K))
     for k in range(1, K + 1):
         probes[:, :, k - 1] = (
-            alpha(3 * k) * xi[:, 3 * k + 1] - alpha(3 * k - 1) * xi[:, 3 * k - 1]
+            a[3 * k] * xi[:, 3 * k + 1] - a[3 * k - 1] * xi[:, 3 * k - 1]
         ) / scales[k - 1]
     return w, probes, scales
 

@@ -156,10 +156,14 @@ def build_shift(g: CarnotElement, gt: CarnotElement, T: float, K: int,
 
 def _shift_pairing(u0: np.ndarray, blocks: np.ndarray,
                    xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise <omega, u> over the shift support and |u|^2."""
+    """Row-wise <omega, u> over the shift support and |u|^2.
+
+    Every term is a row-wise product sum (no BLAS dot, which rounds a single
+    row differently from a batch), so a batch of one equals its batched row.
+    """
     K = blocks.shape[1]
     mods = xi[:, 3:3 * K + 1:3, :]
-    dot = xi[:, 0] @ u0 + np.einsum("bkn,bkn->b", mods, blocks)
+    dot = np.sum(xi[:, 0] * u0, axis=1) + np.einsum("bkn,bkn->b", mods, blocks)
     norm2 = float(u0 @ u0) + np.einsum("bkn,bkn->b", blocks, blocks)
     return dot, norm2
 
@@ -177,9 +181,14 @@ def density_R(u: ShiftVector, stream: CoefficientStream) -> float:
     return math.exp(logw)
 
 
-def _f_on_endpoints(f: TestFunction, gc: CarnotElement, xi: np.ndarray, T: float):
-    iu, ju = triu_pairs(gc.n)
-    xT, zT = endpoint_packed(gc.x, gc.z.upper, xi, T, iu, ju)
+def _f_on_endpoints(f: TestFunction, x: np.ndarray, z: np.ndarray, xi: np.ndarray, T: float):
+    """f at the endpoints driven by xi (B, L, n) from one start or a stack of them.
+
+    One start is x (n,), z (n(n-1)/2,) and gives (B,) values; S starts stacked
+    as x (S, 1, n), z (S, 1, n(n-1)/2) share one area and give (S, B) values.
+    """
+    iu, ju = triu_pairs(xi.shape[-1])
+    xT, zT = endpoint_packed(x, z, xi, T, iu, ju)
     return f(xT, zT)
 
 
@@ -264,11 +273,11 @@ def semigroup_transfer_check(
         xi = rng.standard_normal((count, L, g.n))
         u0, blocks, _ = _shift_arrays(g, gt, T, K, xi)
         w = np.exp(_log_density(u0, blocks, xi))
-        return _f_on_endpoints(f, g, xi, T) * w
+        return _f_on_endpoints(f, g.x, g.z.upper, xi, T) * w
 
     def direct_sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         xi = rng.standard_normal((count, L, g.n))
-        return _f_on_endpoints(f, gt, xi, T)
+        return _f_on_endpoints(f, gt.x, gt.z.upper, xi, T)
 
     lhs = run_vector_estimator(weighted_sampler, N, split_seed(seed, 1), workers)[0]
     rhs = run_vector_estimator(direct_sampler, N, split_seed(seed, 2), workers)[0]
@@ -298,7 +307,7 @@ def bismut_gradient(
         xi = rng.standard_normal((count, L, g.n))
         u0, blocks, _ = _shift_arrays(g, gth, T, K, xi)
         weight = -_shift_pairing(u0, blocks, xi)[0]
-        return _f_on_endpoints(f, g, xi, T) * weight
+        return _f_on_endpoints(f, g.x, g.z.upper, xi, T) * weight
 
     return run_vector_estimator(sampler, N, seed, workers)[0]
 
@@ -311,19 +320,21 @@ def finite_diff_gradient(
     """Central-difference oracle (P_T f(g + eps h) - P_T f(g - eps h)) / (2 eps).
 
     Shares the coefficient streams across the two evaluations (common random
-    numbers); pass the same K / k_path as the integration-by-parts run so both
-    differentiate the same truncated semigroup.
+    numbers), so both start points share one area per batch; pass the same
+    K / k_path as the integration-by-parts run so both differentiate the same
+    truncated semigroup.
     """
     if eps <= 0:
         raise ValueError("step must be positive")
     L = _path_len(K if K is not None else default_support_count(g.n), k_path)
     g_plus = CarnotElement(g.x + eps * h.x, g.z + h.z.scaled(eps))
     g_minus = CarnotElement(g.x - eps * h.x, g.z + h.z.scaled(-eps))
+    x = np.stack([g_plus.x, g_minus.x])[:, None]
+    z = np.stack([g_plus.z.upper, g_minus.z.upper])[:, None]
 
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         xi = rng.standard_normal((count, L, g.n))
-        fp = _f_on_endpoints(f, g_plus, xi, T)
-        fm = _f_on_endpoints(f, g_minus, xi, T)
+        fp, fm = _f_on_endpoints(f, x, z, xi, T)
         return (fp - fm) / (2.0 * eps)
 
     return run_vector_estimator(sampler, N, seed, workers)[0]
@@ -356,6 +367,20 @@ class InequalityReport:
         return all(c.passed for c in self.checks)
 
 
+def _weak_log_sobolev_rhs(ent: float, sigma_ent: float, f_usq: float,
+                          sigma_f_usq: float) -> tuple[float, float]:
+    """sqrt(2 Ent(f) E[f |u|^2]) and its 1-sigma error, both in the units of f.
+
+    Where the right-hand side vanishes its linearized error is undefined, and
+    the error is the upper 1-sigma envelope of the same expression instead.
+    """
+    f_usq = max(f_usq, 0.0)
+    rhs = math.sqrt(2.0 * ent * f_usq)
+    if rhs > 0:
+        return rhs, (ent * sigma_f_usq + f_usq * sigma_ent) / rhs
+    return rhs, math.sqrt(2.0 * (ent + sigma_ent) * (f_usq + sigma_f_usq)) - rhs
+
+
 def inequality_suite(
     f: TestFunction, g: CarnotElement, gt: CarnotElement, h: CarnotElement,
     T: float, N: int, seed: int, K: int | None = None, workers: int = 1,
@@ -382,7 +407,7 @@ def inequality_suite(
 
     def base_sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         xi = rng.standard_normal((count, L, n))
-        vals = _f_on_endpoints(f, g, xi, T)
+        vals = _f_on_endpoints(f, g.x, g.z.upper, xi, T)
         u0, blocks, _ = _shift_arrays(g, gth, T, K, xi)
         dot, u_sq = _shift_pairing(u0, blocks, xi)
         weight = -dot
@@ -397,7 +422,7 @@ def inequality_suite(
     if f.min_value > 0:
         def tilde_sampler(rng: np.random.Generator, count: int) -> np.ndarray:
             xi = rng.standard_normal((count, L, n))
-            return np.log(_f_on_endpoints(f, gt, xi, T))
+            return np.log(_f_on_endpoints(f, gt.x, gt.z.upper, xi, T))
 
         lhs_lh = run_vector_estimator(tilde_sampler, N, split_seed(seed, 4), workers)[0]
         rhs_lh = math.log(mean_f.mean) + entropy_bound_constant(g, gt, T)
@@ -429,17 +454,13 @@ def inequality_suite(
     if f.min_value > 0:
         def flnf_sampler(rng: np.random.Generator, count: int) -> np.ndarray:
             xi = rng.standard_normal((count, L, n))
-            vals = _f_on_endpoints(f, g, xi, T)
+            vals = _f_on_endpoints(f, g.x, g.z.upper, xi, T)
             return vals * np.log(vals)
 
         flnf = run_vector_estimator(flnf_sampler, N, split_seed(seed, 5), workers)[0]
         ent = max(flnf.mean - mean_f.mean * math.log(mean_f.mean), 0.0)
-        rhs_ls = math.sqrt(2.0 * ent * max(f_usq.mean, 0.0))
         sigma_ent = flnf.stderr + mean_f.stderr * abs(1.0 + math.log(mean_f.mean))
-        if rhs_ls > 0:
-            sigma_ls = (ent * f_usq.stderr + max(f_usq.mean, 0.0) * sigma_ent) / rhs_ls
-        else:
-            sigma_ls = math.sqrt(f_usq.stderr + sigma_ent)
+        rhs_ls, sigma_ls = _weak_log_sobolev_rhs(ent, sigma_ent, f_usq.mean, f_usq.stderr)
         lhs_ls = abs(grad.mean)
         checks.append(InequalityCheck(
             "weak-log-sobolev", lhs_ls, rhs_ls,

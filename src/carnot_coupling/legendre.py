@@ -14,12 +14,15 @@ time T collapse to the bilinear series
     alpha_k = 1 / (2 sqrt((2k+1)(2k+3))),
 
 which is what makes this basis the natural driver for endpoint couplings.
+The series is evaluated as one matrix product per path,
+M = xi[:-1]^t diag(alpha) xi[1:], whose skew part T (M - M^t) is the area.
 An Euler-Maruyama discretization of the area SDE is kept alongside as an
 independent distributional oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,6 +32,7 @@ from .groups import CarnotElement, SkewMatrix, odot_packed, triu_pairs
 
 __all__ = [
     "alpha",
+    "alpha_ladder",
     "alpha_sq",
     "pair_alpha_sq",
     "integral_Q",
@@ -52,6 +56,14 @@ def alpha(k: int) -> float:
     if k < 0:
         raise ValueError("index must be nonnegative")
     return 1.0 / (2.0 * math.sqrt((2 * k + 1) * (2 * k + 3)))
+
+
+@functools.lru_cache(maxsize=64)
+def alpha_ladder(kmax: int) -> np.ndarray:
+    """Read-only array of alpha_0..alpha_{kmax-1}, built once per kmax."""
+    a = np.array([alpha(k) for k in range(kmax)], dtype=float)
+    a.flags.writeable = False
+    return a
 
 
 def alpha_sq(k: int) -> float:
@@ -154,12 +166,17 @@ def synth_path(stream: CoefficientStream, times) -> PathSample:
 def levy_area_packed(xi: np.ndarray, T: float, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
     """Packed T * sum_{k < K} alpha_k (xi_k odot xi_{k+1}) for batched xi.
 
-    xi has shape (..., K+1, n); returns shape (..., n(n-1)/2).
+    xi has shape (..., K+1, n); returns shape (..., n(n-1)/2).  One matrix
+    product per row, M = xi[:-1]^t diag(alpha) xi[1:], so the packed skew part
+    M[i, j] - M[j, i] is the sum over k; each row is computed on its own and
+    does not depend on the batch it came in.
     """
-    kmax = xi.shape[-2] - 1
-    a = np.array([alpha(k) for k in range(kmax)])
-    terms = odot_packed(xi[..., :-1, :], xi[..., 1:, :], iu, ju)
-    return T * np.einsum("k,...kp->...p", a, terms)
+    *lead, L, n = xi.shape
+    # diag(alpha) xi[1:] on the flat (K n) view of each row: one long inner loop
+    # instead of K loops of length n
+    weighted = xi.reshape(*lead, L * n)[..., n:] * np.repeat(alpha_ladder(L - 1), n)
+    m = np.swapaxes(xi[..., :-1, :], -1, -2) @ weighted.reshape(*lead, L - 1, n)
+    return T * (m[..., iu, ju] - m[..., ju, iu])
 
 
 def levy_area_series(stream: CoefficientStream) -> SkewMatrix:

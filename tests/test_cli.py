@@ -124,6 +124,29 @@ class TestDeclaredFlags:
         assert "need K >= n + 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["girsanov", *HEIS],
+        ["bismut", "--g", "0,0,0", "--h", "1,0,0"],
+    ])
+    def test_zero_K_is_rejected_not_replaced_by_the_default(self, argv, tmp_path, capsys):
+        out = tmp_path / "res.json"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--K", "0", "--N", "100", "--format", "json", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "need K >= n + 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("m", ["0", "4"])
+    def test_too_few_probe_columns_rejected_before_the_residual_pass(self, m, monkeypatch,
+                                                                   tmp_path, capsys):
+        monkeypatch.setattr(cli, "tsylvester_batch", lambda *a: pytest.fail("residual pass ran"))
+        out = tmp_path / "res.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sylvester", "--group", "carnot-3", "--m", m, "--N", "100", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--m must be at least n + 2 = 5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_heisenberg_variant_on_a_carnot_group_rejected_unsampled(self, monkeypatch):
         monkeypatch.setattr(cli, "failure_probability", lambda *a: pytest.fail("sampled"))
         with pytest.raises(SystemExit) as exc:

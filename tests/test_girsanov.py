@@ -21,8 +21,11 @@ from carnot_coupling.girsanov import (
     inequality_suite,
     semigroup_transfer_check,
     vertical_direction,
+    weighted_sample,
+    _f_on_endpoints,
     _log_density,
     _shift_arrays,
+    _weak_log_sobolev_rhs,
 )
 from carnot_coupling.groups import CarnotElement, HeisenbergPoint, SkewMatrix, heis_to_carnot
 from carnot_coupling.legendre import CoefficientStream, carnot_endpoint, sample_stream
@@ -108,9 +111,9 @@ class TestBuildShift:
             stream = CoefficientStream(n, T, xi[i])
             u = build_shift(g, gt, T, K, stream)
             assert np.array_equal(u.u0, u0) and np.array_equal(u.blocks, blocks[i])
-            # x_0 . u0 is a BLAS dot for one row and a gemv for many, which may
-            # round differently: the density agrees to a few ulps, not bitwise
-            assert density_R(u, stream) == pytest.approx(math.exp(logw[i]), rel=1e-14)
+            assert np.array_equal(density_R(u, stream), math.exp(logw[i]))
+            ws = weighted_sample(g, gt, T, K, stream)
+            assert np.array_equal(ws.logweight, logw[i])
 
     def test_pathwise_endpoint_identity(self):
         # the shifted stream drives the process from gt onto the endpoint from g:
@@ -256,6 +259,24 @@ class TestFiniteDifference:
             finite_diff_gradient(CATALOG["constant"], g, horizontal_direction(g, 0),
                                  1.0, 0.0, 100, seed=23)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("fname", sorted(CATALOG))
+    def test_stacked_starts_equal_separate_calls(self, n, fname):
+        # the two start points share one endpoint call and one area; each row
+        # equals the call from that start alone, bit for bit
+        rng = derive_rng(32, n)
+        p = n * (n - 1) // 2
+        starts = [CarnotElement(rng.uniform(-1, 1, n), SkewMatrix(n, rng.uniform(-1, 1, p)))
+                  for _ in range(2)]
+        xi = rng.standard_normal((64, 3 * (2 * n + 1) + 2, n))
+        f = CATALOG[fname]
+        x = np.stack([s.x for s in starts])[:, None]
+        z = np.stack([s.z.upper for s in starts])[:, None]
+        stacked = _f_on_endpoints(f, x, z, xi, 4.0)
+        assert stacked.shape == (2, 64)
+        for row, s in zip(stacked, starts):
+            assert np.array_equal(row, _f_on_endpoints(f, s.x, s.z.upper, xi, 4.0))
+
 
 class TestInequalities:
     def test_suite_passes_sin_perturbation(self):
@@ -294,10 +315,18 @@ class TestInequalities:
         assert {"reverse-poincare-p1.5", "reverse-poincare-p4"} <= names
         assert rep.all_passed
 
-    def test_weighted_sample_invariants(self):
-        from carnot_coupling.girsanov import weighted_sample
-        from carnot_coupling.legendre import carnot_endpoint, sample_stream
+    @pytest.mark.parametrize("ent", [0.3, 0.0])
+    def test_weak_log_sobolev_sigma_has_the_units_of_its_rhs(self, ent):
+        # every input scaled by c = 4 scales rhs and sigma by exactly c, on the
+        # linearized branch (ent > 0) and on the envelope branch (rhs = 0)
+        inputs = (ent, 0.02, 1.7, 0.05)
+        rhs, sigma = _weak_log_sobolev_rhs(*inputs)
+        rhs4, sigma4 = _weak_log_sobolev_rhs(*(4.0 * v for v in inputs))
+        assert (rhs == 0.0) == (ent == 0.0)
+        assert sigma > 0.0
+        assert rhs4 == 4.0 * rhs and sigma4 == 4.0 * sigma
 
+    def test_weighted_sample_invariants(self):
         g, gt = hpair((0, 0, 0), (0.5, 0, 0.2))
         stream = sample_stream(2, 4.0, 16, derive_rng(31))
         ws = weighted_sample(g, gt, 4.0, 5, stream)

@@ -2,19 +2,28 @@
 and distributional agreement with the discretization oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from carnot_coupling.groups import CarnotElement, SkewMatrix, heis_to_carnot, triu_pairs
+from carnot_coupling.groups import (
+    CarnotElement,
+    SkewMatrix,
+    heis_to_carnot,
+    odot_packed,
+    triu_pairs,
+)
 from carnot_coupling.legendre import (
     CoefficientStream,
     alpha,
+    alpha_ladder,
     alpha_sq,
     carnot_endpoint,
     endpoint_packed,
     integral_Q,
     integral_Q_table,
+    levy_area_packed,
     levy_area_series,
     pair_alpha_sq,
     sample_stream,
@@ -52,6 +61,15 @@ class TestAlpha:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             alpha(-1)
+
+    def test_ladder_is_cached_and_read_only(self):
+        a = alpha_ladder(40)
+        assert a is alpha_ladder(40)
+        assert np.array_equal(a, [alpha(k) for k in range(40)])
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+        assert alpha_ladder(0).shape == (0,)
 
 
 class TestIntegralQ:
@@ -148,12 +166,56 @@ class TestLevyAreaSeries:
         T, N = 2.0, 100_000
         xi = rng.standard_normal((N, 257, 2))
         iu, ju = triu_pairs(2)
-        from carnot_coupling.legendre import levy_area_packed
 
         area = levy_area_packed(xi, T, iu, ju)[:, 0]
         var = area.var()
         se = var * math.sqrt(6.0 / N)  # excess kurtosis of the area is ~2
         assert abs(var - T * T / 4) <= 3 * se
+
+
+def _per_term_area(xi, T, iu, ju):
+    """The area as a sum of packed per-term wedge products (the matmul's reference)."""
+    a = np.array([alpha(k) for k in range(xi.shape[-2] - 1)])
+    terms = odot_packed(xi[..., :-1, :], xi[..., 1:, :], iu, ju)
+    area = T * np.einsum("k,...kp->...p", a, terms)
+    return area, T * np.einsum("k,...kp->...p", a, np.abs(terms))
+
+
+class TestLevyAreaMatmul:
+    @pytest.mark.parametrize("lead", [(), (7,), (2, 7)])
+    @pytest.mark.parametrize("kmax", [0, 1, 25, 128])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_agrees_with_per_term_sum(self, n, kmax, lead):
+        xi = derive_rng(110 + n, kmax).standard_normal(lead + (kmax + 1, n))
+        iu, ju = triu_pairs(n)
+        got = levy_area_packed(xi, 2.5, iu, ju)
+        ref, scale = _per_term_area(xi, 2.5, iu, ju)
+        assert got.shape == lead + (n * (n - 1) // 2,)
+        assert np.all(np.abs(got - ref) <= 1e-13 * (1.0 + scale))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_rows_independent_of_the_batch(self, n):
+        xi = derive_rng(111, n).standard_normal((64, 129, n))
+        iu, ju = triu_pairs(n)
+        full = levy_area_packed(xi, 3.0, iu, ju)
+        assert np.array_equal(levy_area_packed(xi[:32], 3.0, iu, ju), full[:32])
+        for i in (0, 17, 63):
+            assert np.array_equal(levy_area_packed(xi[i], 3.0, iu, ju), full[i])
+            assert np.array_equal(levy_area_packed(xi[i:i + 1], 3.0, iu, ju), full[i:i + 1])
+
+    def test_peak_memory_about_one_coefficient_array(self):
+        # the weighted right operand is the one xi-sized temporary; the per-term
+        # form held four xi-sized wedge copies (about 4x xi.nbytes)
+        xi = derive_rng(112).standard_normal((1024, 129, 3))
+        iu, ju = triu_pairs(3)
+        levy_area_packed(xi, 1.0, iu, ju)  # warm: ladder cached, code paths loaded
+        tracemalloc.start()
+        try:
+            levy_area_packed(xi, 1.0, iu, ju)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * xi.nbytes
 
 
 class TestCarnotEndpoint:
