@@ -30,7 +30,7 @@ from .legendre import (
     synth_path,
     truncation_index,
 )
-from .gaussian_coupling import CoupledPair, gaussian_tv, maximal_coupling_shifted
+from .gaussian_coupling import gaussian_tv
 from .sylvester import (
     SingularGramError,
     SylvesterSolution,
@@ -47,14 +47,13 @@ from .coupling import (
     tv_bound,
 )
 from .girsanov import (
-    ShiftVector,
     bismut_gradient,
     build_shift,
-    density_R,
     finite_diff_gradient,
     girsanov_normalization_check,
     gradient_sup_spotcheck,
     inequality_suite,
+    log_density,
     semigroup_transfer_check,
 )
 from .mc import MCEstimate, ComparisonReport, derive_rng, ks_test, run_estimator

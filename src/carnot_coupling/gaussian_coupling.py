@@ -13,26 +13,14 @@ exactly what the endpoint couplings need.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "CoupledPair",
-    "maximal_coupling_shifted",
     "gaussian_tv",
     "reflection_couple_batch",
     "couple_to_shift",
 ]
-
-
-@dataclass(frozen=True)
-class CoupledPair:
-    """A jointly sampled pair with exact-equality flag (met => X is Y)."""
-
-    X: np.ndarray
-    Y: np.ndarray
-    met: bool
 
 
 def gaussian_tv(delta: float) -> float:
@@ -63,20 +51,6 @@ def reflection_couple_batch(
     reflected = G + (delta - 2.0 * s)[..., None] * e
     Y = np.where(met[..., None], G, reflected)
     return Y, met
-
-
-def maximal_coupling_shifted(
-    m: np.ndarray, m_prime: np.ndarray, rng: np.random.Generator
-) -> CoupledPair:
-    """Maximal coupling of N(m, I_d) and N(m', I_d)."""
-    m = np.atleast_1d(np.asarray(m, dtype=float))
-    m_prime = np.atleast_1d(np.asarray(m_prime, dtype=float))
-    if m.shape != m_prime.shape:
-        raise ValueError("dimension mismatch")
-    G = rng.standard_normal(m.shape)
-    u = rng.uniform(size=())
-    Y0, met = reflection_couple_batch(G[None, :], (m_prime - m)[None, :], np.array([u]))
-    return CoupledPair(m + G, m + Y0[0], bool(met[0]))
 
 
 def couple_to_shift(

@@ -37,7 +37,7 @@ import numpy as np
 from .catalog import TestFunction
 from .coupling import sylvester_system
 from .groups import CarnotElement, SkewMatrix, odot, triu_pairs, unpack_skew, zeta
-from .legendre import CoefficientStream, carnot_endpoint, endpoint_packed
+from .legendre import endpoint_packed
 from .mc import (
     ComparisonReport,
     MCEstimate,
@@ -49,12 +49,9 @@ from .special_constants import carnot_constants, gaussian_abs_moment, heisenberg
 from .sylvester import COND_LIMIT, SingularGramError, tsylvester_batch
 
 __all__ = [
-    "ShiftVector",
     "default_support_count",
     "build_shift",
-    "density_R",
-    "WeightedSample",
-    "weighted_sample",
+    "log_density",
     "GirsanovReport",
     "girsanov_normalization_check",
     "TransferReport",
@@ -78,80 +75,27 @@ def default_support_count(n: int) -> int:
     return 2 * n + 1
 
 
-@dataclass(frozen=True)
-class ShiftVector:
-    """Finitely supported coefficient shift with support {0} u {3k : k <= K}."""
+def build_shift(g: CarnotElement, gt: CarnotElement, T: float, K: int,
+                xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shift coupling the endpoints driven by xi (B, L, n) from g to those from gt.
 
-    n: int
-    K: int
-    T: float
-    u0: np.ndarray          # shape (n,), collinear with x - x~
-    blocks: np.ndarray      # shape (K, n), row k-1 is the shift of index 3k
-
-    @property
-    def support(self) -> list[int]:
-        return [0] + [3 * k for k in range(1, self.K + 1)]
-
-    @property
-    def norm_sq(self) -> float:
-        return float(self.u0 @ self.u0 + np.sum(self.blocks * self.blocks))
-
-    def component(self, index: int) -> np.ndarray:
-        if index == 0:
-            return self.u0
-        if index % 3 == 0 and 1 <= index // 3 <= self.K:
-            return self.blocks[index // 3 - 1]
-        return np.zeros(self.n)
-
-
-@dataclass(frozen=True)
-class WeightedSample:
-    """Endpoint with its change-of-probability weight."""
-
-    endpoint: CarnotElement
-    weight: float
-    logweight: float
-
-
-def weighted_sample(g: CarnotElement, gt: CarnotElement, T: float, K: int,
-                    stream: CoefficientStream) -> WeightedSample:
-    """Endpoint from g with the weight retargeting its law to the one from gt.
-
-    Averaging f(endpoint) * weight over fresh streams estimates the semigroup
-    at gt; the weights themselves average to one.
+    Returns u0 (n,), the shift of index 0, collinear with x - x~, and blocks
+    (B, K, n), whose row k-1 shifts index 3k.  Needs K >= n + 2 and L >= 3K+2.
     """
-    u = build_shift(g, gt, T, K, stream)
-    logw = float(_log_density(u.u0, u.blocks[None], stream.xi[None])[0])
-    return WeightedSample(carnot_endpoint(g, stream), math.exp(logw), logw)
-
-
-def _shift_arrays(gc: CarnotElement, gct: CarnotElement, T: float, K: int,
-                  xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched shift construction; xi has shape (B, L, n) with L >= 3K+2.
-
-    Returns (u0 (n,), blocks (B, K, n), cond (B,)).
-    """
-    if K < gc.n + 2:
+    if K < g.n + 2:
         raise ValueError("need K >= n + 2 modified blocks")
-    w_packed, probes, scales = sylvester_system(gc, gct, T, xi, K)
+    if xi.shape[-2] < 3 * K + 2:
+        raise ValueError("xi must supply indices up to 3K+1")
+    w_packed, probes, scales = sylvester_system(g, gt, T, xi, K)
     # probe columns weighted by T s_k: the particular solution the constants assume
     probes *= T * scales
-    blocks, cond = tsylvester_batch(probes, unpack_skew(gc.n, w_packed))
+    blocks, cond = tsylvester_batch(probes, unpack_skew(g.n, w_packed))
     bad = cond > COND_LIMIT
     if bad.any():
         # measure-zero event; fail loudly rather than use an ill-conditioned solve
         raise SingularGramError(f"{int(bad.sum())} singular Gram draws, reseed the run")
-    u0 = (np.asarray(gc.x, float) - np.asarray(gct.x, float)) / math.sqrt(T)
-    return u0, np.swapaxes(blocks, 1, 2), cond
-
-
-def build_shift(g: CarnotElement, gt: CarnotElement, T: float, K: int,
-                stream: CoefficientStream) -> ShiftVector:
-    """Shift vector coupling the endpoint from g to the one from gt."""
-    if stream.k_path < 3 * K + 1:
-        raise ValueError("stream must supply indices up to 3K+1")
-    u0, blocks, _ = _shift_arrays(g, gt, T, K, stream.xi[None])
-    return ShiftVector(g.n, K, T, u0, blocks[0])
+    u0 = (np.asarray(g.x, float) - np.asarray(gt.x, float)) / math.sqrt(T)
+    return u0, np.swapaxes(blocks, 1, 2)
 
 
 def _shift_pairing(u0: np.ndarray, blocks: np.ndarray,
@@ -168,17 +112,10 @@ def _shift_pairing(u0: np.ndarray, blocks: np.ndarray,
     return dot, norm2
 
 
-def _log_density(u0: np.ndarray, blocks: np.ndarray, xi: np.ndarray) -> np.ndarray:
+def log_density(u0: np.ndarray, blocks: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Row-wise log R(u) = -<omega, u> - |u|^2/2 for the shift from build_shift."""
     dot, norm2 = _shift_pairing(u0, blocks, xi)
     return -dot - 0.5 * norm2
-
-
-def density_R(u: ShiftVector, stream: CoefficientStream) -> float:
-    """Radon-Nikodym weight exp(-<omega, u> - |u|^2/2) over the finite support."""
-    if stream.k_path < 3 * u.K:
-        raise ValueError("stream does not cover the shift support")
-    logw = float(_log_density(u.u0, u.blocks[None], stream.xi[None])[0])
-    return math.exp(logw)
 
 
 def _f_on_endpoints(f: TestFunction, x: np.ndarray, z: np.ndarray, xi: np.ndarray, T: float):
@@ -228,7 +165,7 @@ def girsanov_normalization_check(
 
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         xi = rng.standard_normal((count, 3 * K + 2, g.n))
-        u0, blocks, _ = _shift_arrays(g, gt, T, K, xi)
+        u0, blocks = build_shift(g, gt, T, K, xi)
         dot, norm2 = _shift_pairing(u0, blocks, xi)
         half_u2 = 0.5 * norm2
         logw = -dot - half_u2
@@ -269,17 +206,17 @@ def semigroup_transfer_check(
     """
     L = _path_len(K, k_path)
 
-    def weighted_sampler(rng: np.random.Generator, count: int) -> np.ndarray:
+    def lhs_sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         xi = rng.standard_normal((count, L, g.n))
-        u0, blocks, _ = _shift_arrays(g, gt, T, K, xi)
-        w = np.exp(_log_density(u0, blocks, xi))
+        u0, blocks = build_shift(g, gt, T, K, xi)
+        w = np.exp(log_density(u0, blocks, xi))
         return _f_on_endpoints(f, g.x, g.z.upper, xi, T) * w
 
     def direct_sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         xi = rng.standard_normal((count, L, g.n))
         return _f_on_endpoints(f, gt.x, gt.z.upper, xi, T)
 
-    lhs = run_vector_estimator(weighted_sampler, N, split_seed(seed, 1), workers)[0]
+    lhs = run_vector_estimator(lhs_sampler, N, split_seed(seed, 1), workers)[0]
     rhs = run_vector_estimator(direct_sampler, N, split_seed(seed, 2), workers)[0]
     return TransferReport(lhs, rhs, two_sample_compare(lhs, rhs))
 
@@ -305,7 +242,7 @@ def bismut_gradient(
 
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         xi = rng.standard_normal((count, L, g.n))
-        u0, blocks, _ = _shift_arrays(g, gth, T, K, xi)
+        u0, blocks = build_shift(g, gth, T, K, xi)
         weight = -_shift_pairing(u0, blocks, xi)[0]
         return _f_on_endpoints(f, g.x, g.z.upper, xi, T) * weight
 
@@ -408,7 +345,7 @@ def inequality_suite(
     def base_sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         xi = rng.standard_normal((count, L, n))
         vals = _f_on_endpoints(f, g.x, g.z.upper, xi, T)
-        u0, blocks, _ = _shift_arrays(g, gth, T, K, xi)
+        u0, blocks = build_shift(g, gth, T, K, xi)
         dot, u_sq = _shift_pairing(u0, blocks, xi)
         weight = -dot
         cols = [vals, vals ** 2, vals * weight, vals * u_sq]

@@ -210,9 +210,12 @@ def carnot_endpoint(g: CarnotElement, stream: CoefficientStream) -> CarnotElemen
     return CarnotElement(xT, SkewMatrix(g.n, zT))
 
 
+# Euler increments drawn per RNG call: bounds the (steps, count, n) draw in memory
+_STEPS_PER_DRAW = 256
+
+
 def sde_oracle_batch(
     g: CarnotElement, T: float, steps: int, count: int, rng: np.random.Generator,
-    step_block: int = 256,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Euler-Maruyama endpoints (X_T, z_T packed) for `count` independent paths.
 
@@ -230,7 +233,7 @@ def sde_oracle_batch(
     z = np.tile(np.asarray(g.z.upper, dtype=float), (count, 1))
     done = 0
     while done < steps:
-        blk = min(step_block, steps - done)
+        blk = min(_STEPS_PER_DRAW, steps - done)
         dB = rng.standard_normal((blk, count, n)) * sq
         for j in range(blk):
             z += 0.5 * odot_packed(x, dB[j], iu, ju)

@@ -56,7 +56,6 @@ class MCEstimate:
     stderr: float
     n: int
     seed: int
-    ci_level: float = 0.997
 
     def interval(self, k: float = 3.0) -> tuple[float, float]:
         return (self.mean - k * self.stderr, self.mean + k * self.stderr)

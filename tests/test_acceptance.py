@@ -15,6 +15,7 @@ import scipy.stats
 from scipy.special import zeta
 
 from carnot_coupling.catalog import CATALOG
+from carnot_coupling.cli import _legendre_moment_sampler, _oracle_moment_sampler
 from carnot_coupling.cli import main as cli_main
 from carnot_coupling.coupling import (
     _couple_batch,
@@ -40,7 +41,7 @@ from carnot_coupling.groups import (
     heis_to_carnot,
     triu_pairs,
 )
-from carnot_coupling.legendre import endpoint_packed, sde_oracle_batch, truncation_index
+from carnot_coupling.legendre import endpoint_packed, truncation_index
 from carnot_coupling.mc import derive_rng, ks_test, run_vector_estimator, split_seed
 from carnot_coupling.special_constants import (
     constants_table,
@@ -186,21 +187,10 @@ def test_criterion_04_marginal_laws():
     steps, N_leg, N_sde = 4096, 100_000, 25_000
     for n in (2, 3):
         gco = CarnotElement.identity(n)
-        iun, jun = triu_pairs(n)
-
-        def leg_sampler(rng, count):
-            xs = rng.standard_normal((count, 129, n))
-            xT, zT = endpoint_packed(gco.x, gco.z.upper, xs, 1.0, iun, jun)
-            return np.stack([xT[:, 0] ** q for q in (1, 2, 3, 4)]
-                            + [zT[:, 0] ** q for q in (1, 2, 3, 4)], axis=1)
-
-        def sde_sampler(rng, count):
-            xT, zT = sde_oracle_batch(gco, 1.0, steps, count, rng)
-            return np.stack([xT[:, 0] ** q for q in (1, 2, 3, 4)]
-                            + [zT[:, 0] ** q for q in (1, 2, 3, 4)], axis=1)
-
-        leg = run_vector_estimator(leg_sampler, N_leg, split_seed(SEED, 43 + n))
-        sde = run_vector_estimator(sde_sampler, N_sde, split_seed(SEED, 45 + n))
+        leg = run_vector_estimator(_legendre_moment_sampler(gco, 1.0, 128), N_leg,
+                                   split_seed(SEED, 43 + n))
+        sde = run_vector_estimator(_oracle_moment_sampler(gco, 1.0, steps), N_sde,
+                                   split_seed(SEED, 45 + n))
         for a, b in zip(leg, sde):
             se = math.hypot(a.stderr, b.stderr)
             bias = (abs(b.mean) + 1.0) * 4.0 / steps

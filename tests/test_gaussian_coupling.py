@@ -9,7 +9,6 @@ import scipy.stats
 from carnot_coupling.gaussian_coupling import (
     couple_to_shift,
     gaussian_tv,
-    maximal_coupling_shifted,
     reflection_couple_batch,
 )
 from carnot_coupling.mc import derive_rng, ks_test
@@ -38,21 +37,18 @@ class TestGaussianTV:
 class TestMaximalCoupling:
     def test_equal_means_always_meet(self):
         rng = derive_rng(1)
-        for _ in range(50):
-            pair = maximal_coupling_shifted(np.array([1.0, -2.0]), np.array([1.0, -2.0]), rng)
-            assert pair.met and np.array_equal(pair.X, pair.Y)
+        G = rng.standard_normal((50, 2))
+        Y, met = reflection_couple_batch(G, np.zeros((50, 2)), rng.uniform(size=50))
+        assert met.all() and np.array_equal(Y, G)
 
     def test_met_implies_exact_equality(self):
         rng = derive_rng(2)
-        mets = 0
-        for _ in range(500):
-            pair = maximal_coupling_shifted(np.zeros(3), np.array([0.5, 0.0, 0.0]), rng)
-            if pair.met:
-                mets += 1
-                assert np.array_equal(pair.X, pair.Y)
-            else:
-                assert not np.array_equal(pair.X, pair.Y)
-        assert mets > 0
+        G = rng.standard_normal((500, 3))
+        shift = np.tile([0.5, 0.0, 0.0], (500, 1))
+        Y, met = reflection_couple_batch(G, shift, rng.uniform(size=500))
+        equal = np.all(Y == G, axis=1)
+        assert np.array_equal(equal, met)
+        assert met.any()
 
     def test_meeting_probability_matches_tv(self):
         rng = derive_rng(3)
@@ -113,7 +109,3 @@ class TestMaximalCoupling:
         c1 = np.cov((Y1 @ Q.T).T)
         c2 = np.cov(Y2.T)
         assert np.allclose(c1, c2, atol=0.05)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            maximal_coupling_shifted(np.zeros(2), np.zeros(3), derive_rng(8))

@@ -12,23 +12,26 @@ from carnot_coupling.girsanov import (
     bismut_gradient,
     build_shift,
     default_support_count,
-    density_R,
     entropy_bound_constant,
     finite_diff_gradient,
     girsanov_normalization_check,
     gradient_sup_spotcheck,
     horizontal_direction,
     inequality_suite,
+    log_density,
     semigroup_transfer_check,
     vertical_direction,
-    weighted_sample,
     _f_on_endpoints,
-    _log_density,
-    _shift_arrays,
     _weak_log_sobolev_rhs,
 )
-from carnot_coupling.groups import CarnotElement, HeisenbergPoint, SkewMatrix, heis_to_carnot
-from carnot_coupling.legendre import CoefficientStream, carnot_endpoint, sample_stream
+from carnot_coupling.groups import (
+    CarnotElement,
+    HeisenbergPoint,
+    SkewMatrix,
+    heis_to_carnot,
+    triu_pairs,
+)
+from carnot_coupling.legendre import endpoint_packed
 from carnot_coupling.mc import MCEstimate, derive_rng, split_seed
 from carnot_coupling.sylvester import SingularGramError
 
@@ -37,49 +40,58 @@ def hpair(a, b):
     return heis_to_carnot(HeisenbergPoint(*a)), heis_to_carnot(HeisenbergPoint(*b))
 
 
+def batch(seed, rows, K, n=2):
+    """Coefficients for `rows` paths through index 3K+1, all that build_shift reads."""
+    return derive_rng(seed).standard_normal((rows, 3 * K + 2, n))
+
+
+def shifted_endpoints_agree(g, gt, T, K, xi):
+    """The shifted batch drives gt onto the endpoints driven by xi from g."""
+    u0, blocks = build_shift(g, gt, T, K, xi)
+    shifted = xi.copy()
+    shifted[:, 0] += u0
+    shifted[:, 3:3 * K + 1:3] += blocks
+    iu, ju = triu_pairs(g.n)
+    xT_gt, zT_gt = endpoint_packed(gt.x, gt.z.upper, shifted, T, iu, ju)
+    xT_g, zT_g = endpoint_packed(g.x, g.z.upper, xi, T, iu, ju)
+    assert np.max(np.abs(xT_gt - xT_g)) <= 1e-12
+    assert np.max(np.abs(zT_gt - zT_g)) <= 1e-10
+
+
 class TestBuildShift:
     def test_zero_for_equal_points(self):
         g, gt = hpair((0.5, -1, 0.2), (0.5, -1, 0.2))
-        stream = sample_stream(2, 4.0, 16, derive_rng(0))
-        u = build_shift(g, gt, 4.0, 5, stream)
-        assert u.norm_sq == 0.0
-
-    def test_support_layout(self):
-        g, gt = hpair((0, 0, 0), (1, 0, 1))
-        stream = sample_stream(2, 4.0, 16, derive_rng(1))
-        u = build_shift(g, gt, 4.0, 5, stream)
-        assert u.support == [0, 3, 6, 9, 12, 15]
-        assert np.array_equal(u.component(1), np.zeros(2))
-        assert np.array_equal(u.component(3), u.blocks[0])
+        u0, blocks = build_shift(g, gt, 4.0, 5, batch(0, 16, 5))
+        assert not u0.any() and not blocks.any()
 
     def test_norm_decomposition(self):
         g, gt = hpair((0, 0, 0), (0.7, -0.2, 0.4))
         T = 9.0
-        stream = sample_stream(2, T, 16, derive_rng(2))
-        u = build_shift(g, gt, T, 5, stream)
+        xi = batch(2, 16, 5)
+        u0, blocks = build_shift(g, gt, T, 5, xi)
+        _, norm2 = girsanov._shift_pairing(u0, blocks, xi)
         dx2 = (0.7 ** 2 + 0.2 ** 2)
-        explicit = dx2 / T + sum(float(b @ b) for b in u.blocks)
-        assert u.norm_sq == pytest.approx(explicit, rel=1e-12)
+        for row, b in zip(norm2, blocks):
+            explicit = dx2 / T + sum(float(bk @ bk) for bk in b)
+            assert row == pytest.approx(explicit, rel=1e-12)
 
     def test_index0_collinear_with_displacement(self):
         g, gt = hpair((0, 0, 0), (0.6, 0.8, 0.0))
-        stream = sample_stream(2, 1.0, 16, derive_rng(3))
-        u = build_shift(g, gt, 1.0, 5, stream)
+        u0, _ = build_shift(g, gt, 1.0, 5, batch(3, 16, 5))
         d = np.array([-0.6, -0.8])
-        cross = u.u0[0] * d[1] - u.u0[1] * d[0]
+        cross = u0[0] * d[1] - u0[1] * d[0]
         assert abs(cross) <= 1e-14
 
     def test_small_support_rejected(self):
         g, gt = hpair((0, 0, 0), (1, 0, 0))
-        stream = sample_stream(2, 1.0, 16, derive_rng(4))
         with pytest.raises(ValueError):
-            build_shift(g, gt, 1.0, 3, stream)
+            build_shift(g, gt, 1.0, 3, batch(4, 16, 5))
 
     def test_short_stream_rejected(self):
         g, gt = hpair((0, 0, 0), (1, 0, 0))
-        stream = sample_stream(2, 1.0, 8, derive_rng(5))
+        xi = derive_rng(5).standard_normal((16, 9, 2))  # indices 0..8, K = 5 needs 0..16
         with pytest.raises(ValueError):
-            build_shift(g, gt, 1.0, 5, stream)
+            build_shift(g, gt, 1.0, 5, xi)
 
     def test_shift_reads_only_allowed_coordinates(self):
         # changing the modified coordinates or the displacement component of
@@ -88,12 +100,12 @@ class TestBuildShift:
         T, K = 4.0, 5
         rng = derive_rng(6)
         xi = rng.standard_normal((3 * K + 2, 2))
-        u0a, blocksa, _ = _shift_arrays(g, gt, T, K, xi[None])
+        u0a, blocksa = build_shift(g, gt, T, K, xi[None])
         xi2 = xi.copy()
         xi2[0, 0] += 3.0  # displacement direction is e1 here
         for k in range(1, K + 1):
             xi2[3 * k] = rng.standard_normal(2)
-        u0b, blocksb, _ = _shift_arrays(g, gt, T, K, xi2[None])
+        u0b, blocksb = build_shift(g, gt, T, K, xi2[None])
         assert np.allclose(blocksa, blocksb, atol=1e-12)
         assert np.array_equal(u0a, u0b)
 
@@ -105,64 +117,37 @@ class TestBuildShift:
         gt = CarnotElement(rng.uniform(-1, 1, n), SkewMatrix(n, rng.uniform(-1, 1, p)))
         T, K = 4.0, 2 * n + 1
         xi = rng.standard_normal((40, 3 * K + 2, n))
-        u0, blocks, _ = _shift_arrays(g, gt, T, K, xi)
-        logw = _log_density(u0, blocks, xi)
+        u0, blocks = build_shift(g, gt, T, K, xi)
+        logw = log_density(u0, blocks, xi)
         for i in range(40):
-            stream = CoefficientStream(n, T, xi[i])
-            u = build_shift(g, gt, T, K, stream)
-            assert np.array_equal(u.u0, u0) and np.array_equal(u.blocks, blocks[i])
-            assert np.array_equal(density_R(u, stream), math.exp(logw[i]))
-            ws = weighted_sample(g, gt, T, K, stream)
-            assert np.array_equal(ws.logweight, logw[i])
+            u0_i, blocks_i = build_shift(g, gt, T, K, xi[i:i + 1])
+            assert np.array_equal(u0_i, u0) and np.array_equal(blocks_i, blocks[i:i + 1])
+            assert np.array_equal(log_density(u0_i, blocks_i, xi[i:i + 1]), logw[i:i + 1])
 
     def test_pathwise_endpoint_identity(self):
         # the shifted stream drives the process from gt onto the endpoint from g:
         # endpoint(gt, xi + u) equals endpoint(g, xi) surely, not just on average
-        rng = derive_rng(7)
         g, gt = hpair((0.2, -0.4, 0.1), (0.6, 0.3, -0.2))
-        T, K = 4.0, 6
-        for _ in range(20):
-            stream = sample_stream(2, T, 3 * K + 1, rng)
-            u = build_shift(g, gt, T, K, stream)
-            shifted = stream.xi.copy()
-            shifted[0] += u.u0
-            for k in range(1, K + 1):
-                shifted[3 * k] += u.blocks[k - 1]
-            ep_gt = carnot_endpoint(gt, CoefficientStream(2, T, shifted))
-            ep_g = carnot_endpoint(g, stream)
-            assert np.max(np.abs(ep_gt.x - ep_g.x)) <= 1e-12
-            assert np.max(np.abs(ep_gt.z.upper - ep_g.z.upper)) <= 1e-10
+        shifted_endpoints_agree(g, gt, 4.0, 6, batch(7, 20, 6))
 
     def test_pathwise_endpoint_identity_rank3(self):
-        rng = derive_rng(8)
         g = CarnotElement(np.array([0.1, 0.0, -0.3]), SkewMatrix(3, np.array([0.1, 0.0, 0.2])))
         gt = CarnotElement(np.array([0.5, -0.2, 0.0]), SkewMatrix(3, np.array([0.0, 0.3, -0.1])))
-        T, K = 9.0, 7
-        for _ in range(10):
-            stream = sample_stream(3, T, 3 * K + 1, rng)
-            u = build_shift(g, gt, T, K, stream)
-            shifted = stream.xi.copy()
-            shifted[0] += u.u0
-            for k in range(1, K + 1):
-                shifted[3 * k] += u.blocks[k - 1]
-            ep_gt = carnot_endpoint(gt, CoefficientStream(3, T, shifted))
-            ep_g = carnot_endpoint(g, stream)
-            assert np.max(np.abs(ep_gt.x - ep_g.x)) <= 1e-12
-            assert np.max(np.abs(ep_gt.z.upper - ep_g.z.upper)) <= 1e-10
+        shifted_endpoints_agree(g, gt, 9.0, 7, batch(8, 10, 7, n=3))
 
 
 class TestDensity:
     def test_unit_weight_for_zero_shift(self):
         g, gt = hpair((1, 1, 1), (1, 1, 1))
-        stream = sample_stream(2, 1.0, 16, derive_rng(9))
-        u = build_shift(g, gt, 1.0, 5, stream)
-        assert density_R(u, stream) == 1.0
+        xi = batch(9, 16, 5)
+        u0, blocks = build_shift(g, gt, 1.0, 5, xi)
+        assert np.all(np.exp(log_density(u0, blocks, xi)) == 1.0)
 
     def test_positive(self):
         g, gt = hpair((0, 0, 0), (0.5, 0, 0.2))
-        stream = sample_stream(2, 4.0, 16, derive_rng(10))
-        u = build_shift(g, gt, 4.0, 5, stream)
-        assert density_R(u, stream) > 0.0
+        xi = batch(10, 16, 5)
+        u0, blocks = build_shift(g, gt, 4.0, 5, xi)
+        assert np.all(np.exp(log_density(u0, blocks, xi)) > 0.0)
 
     def test_normalization_and_entropy_identity(self):
         g, gt = hpair((0, 0, 0), (0, 0, 1))
@@ -222,9 +207,9 @@ class TestBismut:
         h = CarnotElement(np.array([1.0, -0.5]), SkewMatrix(2, np.array([0.3])))
         T, K = 4.0, 5
         xi = derive_rng(18).standard_normal((1, 3 * K + 2, 2))
-        u0a, blka, _ = _shift_arrays(g, CarnotElement(g.x + h.x, g.z + h.z), T, K, xi)
+        u0a, blka = build_shift(g, CarnotElement(g.x + h.x, g.z + h.z), T, K, xi)
         h2 = CarnotElement(2 * h.x, h.z.scaled(2.0))
-        u0b, blkb, _ = _shift_arrays(g, CarnotElement(g.x + h2.x, g.z + h2.z), T, K, xi)
+        u0b, blkb = build_shift(g, CarnotElement(g.x + h2.x, g.z + h2.z), T, K, xi)
         assert np.allclose(2 * u0a, u0b, rtol=1e-12)
         assert np.allclose(2 * blka, blkb, rtol=1e-10)
 
@@ -325,15 +310,6 @@ class TestInequalities:
         assert (rhs == 0.0) == (ent == 0.0)
         assert sigma > 0.0
         assert rhs4 == 4.0 * rhs and sigma4 == 4.0 * sigma
-
-    def test_weighted_sample_invariants(self):
-        g, gt = hpair((0, 0, 0), (0.5, 0, 0.2))
-        stream = sample_stream(2, 4.0, 16, derive_rng(31))
-        ws = weighted_sample(g, gt, 4.0, 5, stream)
-        assert ws.weight > 0
-        assert ws.weight == pytest.approx(math.exp(ws.logweight), rel=1e-15)
-        ep = carnot_endpoint(g, stream)
-        assert np.array_equal(ws.endpoint.x, ep.x)
 
     def test_gradient_spotcheck_passes(self):
         g = heis_to_carnot(HeisenbergPoint(0.3, -0.2, 0.1))

@@ -32,7 +32,7 @@ from carnot_coupling.legendre import (
     synth_path,
     truncation_index,
 )
-from carnot_coupling.mc import derive_rng
+from carnot_coupling.mc import BATCH_SIZE, derive_rng
 
 
 class TestAlpha:
@@ -164,10 +164,12 @@ class TestLevyAreaSeries:
     def test_variance_one_quarter_T_squared(self):
         rng = derive_rng(102)
         T, N = 2.0, 100_000
-        xi = rng.standard_normal((N, 257, 2))
         iu, ju = triu_pairs(2)
-
-        area = levy_area_packed(xi, T, iu, ju)[:, 0]
+        # chunks of one generator hold the same samples as one (N, 257, 2) draw
+        area = np.concatenate([
+            levy_area_packed(rng.standard_normal((min(BATCH_SIZE, N - s), 257, 2)), T, iu, ju)[:, 0]
+            for s in range(0, N, BATCH_SIZE)
+        ])
         var = area.var()
         se = var * math.sqrt(6.0 / N)  # excess kurtosis of the area is ~2
         assert abs(var - T * T / 4) <= 3 * se
