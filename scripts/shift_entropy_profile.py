@@ -5,8 +5,10 @@ counts.
 The weight R(u) concentrates like exp(-|u|^2/2), so this entropy decides
 whether a weighted estimator is usable at a given sample budget: direct
 Monte Carlo needs E[|u|^2] of order a few units at most.  Larger support
-counts K both shrink the entropy and lighten the tail of |u|^2 (the smallest
-Gram eigenvalue has density exponent (K - n - 1)/2 near zero).
+counts K both shrink the entropy and lighten the tail of |u|^2: the
+least-norm shift has |u|^2 <= |w|^2 / (2(lambda_1 + lambda_2)), and the sum
+of the two smallest Gram eigenvalues (tr G on the Heisenberg group) has
+density exponent K - n + 1 near zero.
 """
 
 import argparse

@@ -33,8 +33,6 @@ from .legendre import (
 from .gaussian_coupling import gaussian_tv
 from .sylvester import (
     SingularGramError,
-    SylvesterSolution,
-    solve_tsylvester,
     u_moment_check,
     wishart_inv_trace_mc,
 )
@@ -56,7 +54,7 @@ from .girsanov import (
     log_density,
     semigroup_transfer_check,
 )
-from .mc import MCEstimate, ComparisonReport, derive_rng, ks_test, run_estimator
+from .mc import MCEstimate, ComparisonReport, derive_rng, ks_test
 from .special_constants import (
     c3,
     carnot_constants,

@@ -59,7 +59,8 @@ from .groups import (CarnotElement, HeisenbergPoint, SkewMatrix, heis_to_carnot,
 from .legendre import endpoint_packed, sde_oracle_batch, truncation_index
 from .mc import bound_check, derive_rng, ks_test, run_vector_estimator, split_seed, two_sample_compare
 from .special_constants import constants_table
-from .sylvester import SingularGramError, tsylvester_batch, u_moment_check, wishart_inv_trace_mc
+from .sylvester import (SingularGramError, lemma_solution_batch, u_moment_check,
+                        wishart_inv_trace_mc)
 
 ENV_SEED = "CARNOT_COUPLING_SEED"
 
@@ -291,7 +292,7 @@ def cmd_sylvester(args) -> int:
     count = min(args.N, 20000)
     v = rng.standard_normal((count, n, m))
     w = unpack_skew(n, rng.standard_normal((count, n * (n - 1) // 2)))
-    u, cond = tsylvester_batch(v, w)
+    u, cond = lemma_solution_batch(v, w)
     resid = u @ np.swapaxes(v, -1, -2) - v @ np.swapaxes(u, -1, -2) - w
     rnorm = np.sqrt(np.sum(resid ** 2, axis=(-2, -1)))
     wnorm = np.sqrt(np.sum(w ** 2, axis=(-2, -1)))

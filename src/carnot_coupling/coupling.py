@@ -4,26 +4,29 @@ Both constructions drive the two processes with Gaussian coefficient streams
 that agree everywhere except on a finite set of indices.  Matching the
 endpoints reduces to a linear constraint on the shifted coefficients:
 
-* Heisenberg: indices {0, 3} are modified.  The area mismatch must equal a
-  scalar w against the direction v built from indices 2 and 4, which pins
-  one component of the index-3 shift; the index-0 shift is (x - x~)/sqrt(T).
-* rank n >= 2: indices {0, 3, 6, ..., 3m} with m = 2n+1 are modified; the
-  skew mismatch w is produced through the T-Sylvester particular solution
-  against the m probe directions built from neighbouring indices.  Rank 2 is
-  again the Heisenberg group, coupled through six blocks instead of two and
-  therefore bounded by the rank-n constants, not the sharper two-index ones.
+* Heisenberg: indices {0, 3} are modified, with one probe built from
+  indices 2 and 4.
+* rank n >= 2: indices {0, 3, 6, ..., 3m} with m = 2n+1 are modified, with m
+  probes built from the neighbouring indices.  Rank 2 is again the Heisenberg
+  group, coupled through six blocks instead of two and therefore bounded by
+  the rank-n constants, not the sharper two-index ones.
 
-`sylvester_system` builds the mismatch and the probe columns for both
-constructions and for the Girsanov shift in `girsanov`, which solves the same
-equation against differently weighted probes.
+The index-0 shift is (x - x~)/sqrt(T).  The index-3k shifts u_k must produce
+the skew endpoint mismatch w: sum_k (u_k V_k^t - V_k u_k^t) = w, with V_k = T
+times the k-th probe.  `sylvester_system` builds w and V for both
+constructions and for the Girsanov shift in `girsanov`, and both take the
+least-norm solution `tsylvester_batch` of that equation; with one probe it is
+the right-angle turn of the probe scaled to match the area.
 
 Conditionally on everything the shifts depend on, the modified coordinates
 form a standard Gaussian vector, which is coupled jointly with its shifted
 copy by one reflection-maximal coupling.  The joint coupling meets at least
 as often as the per-block couplings used to derive the closed-form bounds,
-so those bounds remain valid Monte Carlo targets.  On success the endpoint
-difference vanishes identically; it is verified through the finite sum over
-modified indices and their neighbours, which no truncation can touch.
+and the least-norm shift is never longer than the particular solution those
+bounds assume, so they remain valid Monte Carlo targets.  On success the
+endpoint difference vanishes identically; it is verified through the finite
+sum over modified indices and their neighbours, which no truncation can
+touch.
 """
 
 from __future__ import annotations
@@ -67,7 +70,12 @@ _MAX_RESAMPLE = 8
 
 @dataclass(frozen=True)
 class CouplingDiagnostics:
-    """Per-run diagnostics: mismatch matrix, Gram condition, resample count."""
+    """Per-run diagnostics: mismatch matrix, condition number, resample count.
+
+    cond is that of the shift solve (`tsylvester_batch`): the condition number
+    of W -> W G + G W on skew matrices, G the Gram matrix of the probe columns;
+    it is 1 on the Heisenberg group and for every rank-2 run.
+    """
 
     w: SkewMatrix
     cond: float
@@ -104,15 +112,13 @@ def _modified_indices(n: int, two_index: bool) -> list[int]:
 
 
 def sylvester_system(gc: CarnotElement, gct: CarnotElement, T: float,
-                     xi: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     xi: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
     """Linear system of the index-3k shifts, k = 1..K, for rows xi (B, L, n), L >= 3K+2.
 
-    Returns (w, probes, scales): the packed skew mismatch w (B, n(n-1)/2) that
-    the shifts must produce, the normalized probe columns p_k / s_k (B, n, K)
-    built from the neighbouring indices 3k-1 and 3k+1, and the scales
-    s_k = sqrt(alpha_{3k}^2 + alpha_{3k-1}^2).  The shifts u_k must solve
-    T sum_k (u_k p_k^t - p_k u_k^t) = w; each caller picks its particular
-    solution through the weighting of the probe columns it solves against.
+    Returns (w, V): the packed skew mismatch w (B, n(n-1)/2) that the shifts
+    must produce, and the columns V_k = T p_k (B, n, K), with p_k the probe
+    built from the neighbouring indices 3k-1 and 3k+1.  The shifts u_k solve
+    sum_k (u_k V_k^t - V_k u_k^t) = w.
     """
     iu, ju = triu_pairs(gc.n)
     sqrtT = math.sqrt(T)
@@ -120,13 +126,10 @@ def sylvester_system(gc: CarnotElement, gct: CarnotElement, T: float,
     d = np.asarray(gc.x, dtype=float) - np.asarray(gct.x, dtype=float)
     hat = (sqrtT / 2.0) * xi[:, 0] - sqrtT * a[0] * xi[:, 1]
     w = -zeta(gc, gct).upper + odot_packed(np.broadcast_to(d, hat.shape), hat, iu, ju)
-    scales = np.hypot(a[3::3], a[2:-1:3])  # alpha_{3k} and alpha_{3k-1}, k = 1..K
-    probes = np.empty(xi.shape[:1] + (gc.n, K))
+    V = np.empty(xi.shape[:1] + (gc.n, K))
     for k in range(1, K + 1):
-        probes[:, :, k - 1] = (
-            a[3 * k] * xi[:, 3 * k + 1] - a[3 * k - 1] * xi[:, 3 * k - 1]
-        ) / scales[k - 1]
-    return w, probes, scales
+        V[:, :, k - 1] = T * (a[3 * k] * xi[:, 3 * k + 1] - a[3 * k - 1] * xi[:, 3 * k - 1])
+    return w, V
 
 
 def _couple_batch(gc: CarnotElement, gct: CarnotElement, T: float,
@@ -134,8 +137,8 @@ def _couple_batch(gc: CarnotElement, gct: CarnotElement, T: float,
     """Vectorized coupling runs; returns raw arrays for both streams.
 
     two_index modifies {0, 3} (Heisenberg); otherwise {0, 3, ..., 3m} with
-    m = 2n+1.  Returns (xi, xi_t, met, w_packed, cond, bad); bad rows (a
-    degenerate probe or a Gram condition past COND_LIMIT) never count as met.
+    m = 2n+1.  Returns (xi, xi_t, met, w, cond, bad); bad rows (a condition
+    number past COND_LIMIT, infinite for a zero probe) never count as met.
     """
     n = gc.n
     m = 1 if two_index else 2 * n + 1
@@ -147,22 +150,10 @@ def _couple_batch(gc: CarnotElement, gct: CarnotElement, T: float,
     xi = rng.standard_normal((count, 3 * m + 2, n))
     uniforms = rng.uniform(size=count)
 
-    w_packed, probes, scales = sylvester_system(gc, gct, T, xi, m)
-    if two_index:
-        # the index-3 shift c e2, with e2 the probe direction turned by a right angle
-        v = probes[:, :, 0]
-        vnorm = np.linalg.norm(v, axis=1)
-        bad = vnorm == 0.0
-        vnorm_safe = np.where(bad, 1.0, vnorm)
-        e1 = v / vnorm_safe[:, None]
-        e2 = np.stack([-e1[:, 1], e1[:, 0]], axis=1)
-        c = -w_packed[:, 0] / (T * scales[0] * vnorm_safe)
-        blocks = c[:, None] * e2
-        cond = np.where(bad, np.inf, 1.0)
-    else:
-        u_cols, cond = tsylvester_batch(probes, unpack_skew(n, w_packed))
-        blocks = np.swapaxes(u_cols / (T * scales)[None, None, :], 1, 2)
-        bad = cond > COND_LIMIT
+    w, V = sylvester_system(gc, gct, T, xi, m)
+    u, cond = tsylvester_batch(V, unpack_skew(n, w))
+    blocks = np.swapaxes(u, 1, 2)
+    bad = cond > COND_LIMIT
 
     stack = np.concatenate(
         [(xi[:, 0] @ f1)[:, None], xi[:, 3:3 * m + 1:3].reshape(count, m * n)], axis=1
@@ -175,7 +166,7 @@ def _couple_batch(gc: CarnotElement, gct: CarnotElement, T: float,
     xi_t = xi.copy()
     xi_t[:, 0] += (coupled[:, 0] - stack[:, 0])[:, None] * f1
     xi_t[:, 3:3 * m + 1:3] = coupled[:, 1:].reshape(count, m, n)
-    return xi, xi_t, met & ~bad, w_packed, cond, bad
+    return xi, xi_t, met & ~bad, w, cond, bad
 
 
 def _gaps(gc: CarnotElement, gct: CarnotElement, T: float,
@@ -198,7 +189,7 @@ def _couple_once(gc: CarnotElement, gct: CarnotElement, T: float,
     """One coupling run, resampling the rare degenerate or singular draw."""
     resampled = 0
     while True:
-        xi, xi_t, met, w_packed, cond, bad = _couple_batch(gc, gct, T, rng, 1, two_index)
+        xi, xi_t, met, w, cond, bad = _couple_batch(gc, gct, T, rng, 1, two_index)
         if not bad[0]:
             break
         resampled += 1
@@ -212,7 +203,7 @@ def _couple_once(gc: CarnotElement, gct: CarnotElement, T: float,
     xT, zT = endpoint_packed(gc.x, gc.z.upper, _with_tail(xi, tail), T, iu, ju)
     xTt, zTt = endpoint_packed(gct.x, gct.z.upper, _with_tail(xi_t, tail), T, iu, ju)
     shifts = [(k, xi_t[k] - xi[k]) for k in _modified_indices(gc.n, two_index)]
-    diag = CouplingDiagnostics(SkewMatrix(gc.n, w_packed[0]), float(cond[0]), resampled,
+    diag = CouplingDiagnostics(SkewMatrix(gc.n, w[0]), float(cond[0]), resampled,
                                float(h_gap[0]), float(v_gap[0]))
     if two_index:
         ep = HeisenbergPoint(float(xT[0]), float(xT[1]), float(zT[0]))

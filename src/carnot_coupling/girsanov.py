@@ -5,11 +5,13 @@ For a trajectory driven by coefficients xi under P, an almost-sure endpoint
 coupling with the trajectory from another start point g~ is obtained by
 shifting finitely many coefficients: indices {0} union {3k : 1 <= k <= K}.
 The shifted index-0 coefficient moves by (x - x~)/sqrt(T) along the
-displacement direction; the index-3k shifts solve the skew mismatch through
-the rescaled T-Sylvester particular solution (probe columns v_k / beta_k,
-beta_k = 1/(T sqrt(alpha_{3k}^2 + alpha_{3k-1}^2))).  The shift u reads only
-coefficients outside its own support plus the components of xi_0 orthogonal
-to x - x~, which is what makes the Gaussian change of density
+displacement direction; the index-3k shifts are the least-norm solution
+(`tsylvester_batch`) of the skew mismatch equation that the coupling solves
+too (`sylvester_system`).  It is never longer, row by row, than the paper's
+particular solution, so the closed-form bounds on E|u|^2 still hold.  The
+shift u reads only coefficients outside its own support plus the components
+of xi_0 orthogonal to x - x~, which is what makes the Gaussian change of
+density
 
     R(u) = exp(-<omega, u> - |u|^2 / 2)
 
@@ -82,20 +84,19 @@ def build_shift(g: CarnotElement, gt: CarnotElement, T: float, K: int,
     Returns u0 (n,), the shift of index 0, collinear with x - x~, and blocks
     (B, K, n), whose row k-1 shifts index 3k.  Needs K >= n + 2 and L >= 3K+2.
     """
-    if K < g.n + 2:
+    n = g.n
+    if K < n + 2:
         raise ValueError("need K >= n + 2 modified blocks")
     if xi.shape[-2] < 3 * K + 2:
         raise ValueError("xi must supply indices up to 3K+1")
-    w_packed, probes, scales = sylvester_system(g, gt, T, xi, K)
-    # probe columns weighted by T s_k: the particular solution the constants assume
-    probes *= T * scales
-    blocks, cond = tsylvester_batch(probes, unpack_skew(g.n, w_packed))
+    w, V = sylvester_system(g, gt, T, xi, K)
+    u, cond = tsylvester_batch(V, unpack_skew(n, w))
     bad = cond > COND_LIMIT
     if bad.any():
         # measure-zero event; fail loudly rather than use an ill-conditioned solve
         raise SingularGramError(f"{int(bad.sum())} singular Gram draws, reseed the run")
     u0 = (np.asarray(g.x, float) - np.asarray(gt.x, float)) / math.sqrt(T)
-    return u0, np.swapaxes(blocks, 1, 2)
+    return u0, np.swapaxes(u, 1, 2)
 
 
 def _shift_pairing(u0: np.ndarray, blocks: np.ndarray,

@@ -24,7 +24,6 @@ __all__ = [
     "ComparisonReport",
     "derive_rng",
     "split_seed",
-    "run_estimator",
     "run_vector_estimator",
     "ks_test",
     "two_sample_compare",
@@ -129,19 +128,6 @@ def run_vector_estimator(
     var = m2 / (n - 1)
     se = np.sqrt(var / n)
     return [MCEstimate(float(mean[j]), float(se[j]), n, seed) for j in range(mean.shape[0])]
-
-
-def run_estimator(
-    sampler: Callable[[np.random.Generator, int], np.ndarray],
-    N: int,
-    seed: int,
-    workers: int = 1,
-) -> MCEstimate:
-    """Scalar-output version of run_vector_estimator."""
-    out = run_vector_estimator(sampler, N, seed, workers)
-    if len(out) != 1:
-        raise ValueError("sampler is vector-valued; use run_vector_estimator")
-    return out[0]
 
 
 def ks_test(samples: Sequence[float], cdf: Callable[[np.ndarray], np.ndarray]) -> float:

@@ -1,17 +1,30 @@
-"""Particular solution of the T-Sylvester equation u v^t - v u^t = w.
+"""Two solutions of the T-Sylvester equation u v^t - v u^t = w.
 
-For a wide matrix v (n x m, m >= n) with v v^t invertible and skew w, the
-minimal particular solution is characterized by v u^t = -w/2 and reads
+For v (n x m) and skew w the solutions, when there are any, form an affine
+space; with G = v v^t = Q diag(lambda) Q^t two of them are used.
 
-    u^t = -(1/2) v^t (v v^t)^{-1} w.
+* The least-norm solution, `tsylvester_batch`: the shift of both couplings
+  and of every Girsanov weight.  It is u = 2 W v with W the skew solution of
+  W G + G W = w/2, that is (Q^t W Q)_ij = (Q^t w Q)_ij / (2(lambda_i +
+  lambda_j)); for n = 2 every skew W has W G + G W = tr(G) W, so
+  u = w v / tr G.  Its cost |u|^2 = sum_{i<j} w~_ij^2 / (lambda_i + lambda_j)
+  (w~ = Q^t w Q) is, by the AM-HM inequality, never above the lemma
+  solution's, row by row, so every bound proved for the lemma solution holds
+  for it as well.
+* The particular solution of the paper's Sylvester lemma,
+  `lemma_solution_batch`, for wide v (m >= n), characterized by
+  v u^t = -w/2:
 
-v v^t is Wishart-distributed (hence a.s. positive definite) when v has
-standard Gaussian entries.  One batched kernel solves a stack of such
-systems by LU factorization, never by explicit inversion, and flags every
-row whose Gram condition number exceeds COND_LIMIT; a single system is a
-batch of one.  Monte Carlo diagnostics for the Wishart inverse-trace
-identity E[tr((v v^t)^{-1})] = n/(m-n-1) and the induced moment bound
-E|u|^2 <= E|w|^2 / (4(m-n-1)) live here as well.
+      u = (1/2) w (v v^t)^{-1} v,
+
+  solved by LU factorization, never by explicit inversion.  The Monte Carlo
+  checks of the lemma use it: the Wishart inverse-trace identity
+  E[tr((v v^t)^{-1})] = n/(m-n-1) for Gaussian v makes its moment
+  E|u|^2 = E|w|^2 / (4(m-n-1)) an equality, so the check is sharp only here.
+
+Each kernel solves a stack of systems and flags every row whose condition
+number exceeds COND_LIMIT by leaving it NaN; a single system is a batch of
+one.
 """
 
 from __future__ import annotations
@@ -20,14 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import SkewMatrix, unpack_skew
-from .mc import MCEstimate, run_estimator
+from .groups import unpack_skew
+from .mc import MCEstimate, run_vector_estimator
 
 __all__ = [
     "SingularGramError",
-    "SylvesterSolution",
-    "solve_tsylvester",
     "tsylvester_batch",
+    "lemma_solution_batch",
     "wishart_inv_trace_mc",
     "UMomentReport",
     "u_moment_check",
@@ -38,29 +50,45 @@ COND_LIMIT = 1e12
 
 
 class SingularGramError(np.linalg.LinAlgError):
-    """A singular probe system: Gram condition above COND_LIMIT, or a zero probe."""
-
-
-@dataclass(frozen=True)
-class SylvesterSolution:
-    """Solution matrix with its residual |u v^t - v u^t - w| and Gram condition."""
-
-    U: np.ndarray
-    residual: float
-    cond: float
-
-
-def _hs_norm(mat: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(mat * mat)))
+    """A singular probe system: condition number above COND_LIMIT, or a zero probe."""
 
 
 def tsylvester_batch(v: np.ndarray, w_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched particular solutions; v (B, n, m), w_mat (B, n, n) skew.
+    """Batched least-norm solutions; v (B, n, m), w_mat (B, n, n) skew.
 
-    Returns (u, cond) with u (B, n, m).  Rows whose Gram condition exceeds
-    COND_LIMIT (infinite when v v^t is singular) are not solved: their u is
-    NaN and callers treat them as resample events.  Every other row equals
-    the solution of that row alone.
+    Returns (u, cond) with u (B, n, m).  cond is the condition number of the
+    operator W -> W G + G W on skew matrices, G = v v^t with eigenvalues
+    lambda_1 <= ... <= lambda_n: (lambda_n + lambda_{n-1}) / (lambda_1 +
+    lambda_2), which is 1 for n = 2, and infinite where the operator is
+    singular.  Rows whose cond exceeds COND_LIMIT are not solved: their u is
+    NaN and callers treat them as resample events.  Every other row equals the
+    solution of that row alone.
+    """
+    n = v.shape[-2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if n == 2:
+            trace = np.einsum("bij,bij->b", v, v)
+            cond = np.where(trace > 0, 1.0, np.inf)
+            u = (w_mat @ v) / trace[:, None, None]
+        else:
+            lam, q = np.linalg.eigh(v @ np.swapaxes(v, -1, -2))
+            low = lam[:, 0] + lam[:, 1]
+            cond = np.where(low > 0, (lam[:, -1] + lam[:, -2]) / low, np.inf)
+            qt = np.swapaxes(q, -1, -2)
+            # a skew W has no diagonal: an infinite denominator zeroes it
+            den = np.where(np.eye(n, dtype=bool), np.inf, lam[:, :, None] + lam[:, None, :])
+            u = q @ ((qt @ w_mat @ q) / den) @ (qt @ v)
+    u[~(cond <= COND_LIMIT)] = np.nan
+    return u, cond
+
+
+def lemma_solution_batch(v: np.ndarray, w_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched particular solutions of the Sylvester lemma; v (B, n, m), w_mat (B, n, n) skew.
+
+    Returns (u, cond) with u (B, n, m) and cond the Gram condition number
+    lambda_max / lambda_min of v v^t (infinite when it is singular).  Rows
+    whose cond exceeds COND_LIMIT are not solved: their u is NaN.  Every
+    other row equals the solution of that row alone.
     """
     gram = v @ np.swapaxes(v, -1, -2)
     eigs = np.linalg.eigvalsh(gram)
@@ -73,26 +101,6 @@ def tsylvester_batch(v: np.ndarray, w_mat: np.ndarray) -> tuple[np.ndarray, np.n
     sol[~ok] = np.nan
     u = 0.5 * (w_mat @ sol)
     return u, cond
-
-
-def solve_tsylvester(v: np.ndarray, w) -> SylvesterSolution:
-    """Particular solution of u v^t - v u^t = w with skew right-hand side.
-
-    v: (n, m) with m >= n; w: SkewMatrix or full (n, n) skew array.
-    Raises SingularGramError when cond(v v^t) exceeds COND_LIMIT.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 2 or v.shape[0] > v.shape[1]:
-        raise ValueError("need a wide matrix (n x m with m >= n)")
-    w_mat = w.to_matrix() if isinstance(w, SkewMatrix) else np.asarray(w, dtype=float)
-    n = v.shape[0]
-    if w_mat.shape != (n, n):
-        raise ValueError("right-hand side dimension mismatch")
-    u, cond = tsylvester_batch(v[None], w_mat[None])
-    if not cond[0] <= COND_LIMIT:
-        raise SingularGramError(f"Gram condition {cond[0]:.3e} beyond the limit {COND_LIMIT:.0e}")
-    residual = _hs_norm(u[0] @ v.T - v @ u[0].T - w_mat)
-    return SylvesterSolution(u[0], residual, float(cond[0]))
 
 
 def wishart_inv_trace_mc(
@@ -110,7 +118,7 @@ def wishart_inv_trace_mc(
         eigs = np.linalg.eigvalsh(gram)
         return np.sum(1.0 / eigs, axis=-1)
 
-    return run_estimator(sampler, max(N, 2), seed, workers)
+    return run_vector_estimator(sampler, max(N, 2), seed, workers)[0]
 
 
 @dataclass(frozen=True)
@@ -125,7 +133,10 @@ class UMomentReport:
 
 
 def u_moment_check(n: int, m: int, N: int, seed: int, workers: int = 1) -> UMomentReport:
-    """Check E|u|^2 <= E|w|^2/(4(m-n-1)) with w having i.i.d. N(0,1) upper entries."""
+    """Check E|u|^2 <= E|w|^2/(4(m-n-1)) for the lemma solution.
+
+    w has i.i.d. N(0,1) upper entries; for this solution the bound is an equality.
+    """
     if m < n + 2:
         raise ValueError("need m >= n + 2")
     pairs = n * (n - 1) // 2
@@ -134,8 +145,8 @@ def u_moment_check(n: int, m: int, N: int, seed: int, workers: int = 1) -> UMome
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         v = rng.standard_normal((count, n, m))
         w = unpack_skew(n, rng.standard_normal((count, pairs)))
-        u, _ = tsylvester_batch(v, w)
+        u, _ = lemma_solution_batch(v, w)
         return np.sum(u * u, axis=(-1, -2))
 
-    est = run_estimator(sampler, N, seed, workers)
+    est = run_vector_estimator(sampler, N, seed, workers)[0]
     return UMomentReport(est.mean, est.stderr, bound, est.n, est.mean <= bound + 3 * est.stderr)

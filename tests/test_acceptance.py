@@ -49,7 +49,7 @@ from carnot_coupling.special_constants import (
     s_h_inverse_moment_bound,
     s_h_laplace,
 )
-from carnot_coupling.sylvester import tsylvester_batch, wishart_inv_trace_mc
+from carnot_coupling.sylvester import lemma_solution_batch, wishart_inv_trace_mc
 
 SEED = 20240901
 
@@ -223,7 +223,7 @@ def test_criterion_06_sylvester_residual():
         vals = rng.standard_normal((count, len(iu)))
         w[:, iu, ju] = vals
         w[:, ju, iu] = -vals
-        u, _ = tsylvester_batch(v, w)
+        u, _ = lemma_solution_batch(v, w)
         resid = u @ np.swapaxes(v, 1, 2) - v @ np.swapaxes(u, 1, 2) - w
         rnorm = np.sqrt(np.sum(resid ** 2, axis=(1, 2)))
         wnorm = np.sqrt(np.sum(w ** 2, axis=(1, 2)))

@@ -139,7 +139,7 @@ class TestDeclaredFlags:
     @pytest.mark.parametrize("m", ["0", "4"])
     def test_too_few_probe_columns_rejected_before_the_residual_pass(self, m, monkeypatch,
                                                                    tmp_path, capsys):
-        monkeypatch.setattr(cli, "tsylvester_batch", lambda *a: pytest.fail("residual pass ran"))
+        monkeypatch.setattr(cli, "lemma_solution_batch", lambda *a: pytest.fail("residual pass ran"))
         out = tmp_path / "res.csv"
         with pytest.raises(SystemExit) as exc:
             main(["sylvester", "--group", "carnot-3", "--m", m, "--N", "100", "--out", str(out)])

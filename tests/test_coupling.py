@@ -145,10 +145,9 @@ def _random_pair(rng, n):
 def _mismatch_residual(gc, gct, T, xi, blocks):
     """Relative residual of T sum_k (u_k p_k^t - p_k u_k^t) = w per row."""
     K = blocks.shape[1]
-    w, probes, scales = sylvester_system(gc, gct, T, xi, K)
-    p = probes * scales
+    w, V = sylvester_system(gc, gct, T, xi, K)
     iu, ju = triu_pairs(gc.n)
-    lhs = T * sum(odot_packed(blocks[:, k], p[:, :, k], iu, ju) for k in range(K))
+    lhs = sum(odot_packed(blocks[:, k], V[:, :, k], iu, ju) for k in range(K))
     w_norm = np.sqrt(2.0 * np.sum(w * w, axis=1))
     return np.sqrt(2.0 * np.sum((lhs - w) ** 2, axis=1)) / (1.0 + w_norm)
 
@@ -164,7 +163,7 @@ class TestShiftSystem:
             gt = HeisenbergPoint(*rng.uniform(-2, 2, 3))
             T = float(np.exp(rng.uniform(np.log(0.25), np.log(64.0))))
             xi = rng.standard_normal((20_000, 5, 2))
-            w, _, _ = sylvester_system(heis_to_carnot(g), heis_to_carnot(gt), T, xi, 1)
+            w, _ = sylvester_system(heis_to_carnot(g), heis_to_carnot(gt), T, xi, 1)
             sqrtT = math.sqrt(T)
             hat = (sqrtT / 2.0) * xi[:, 0] - sqrtT * alpha(0) * xi[:, 1]
             d0, d1 = g.x1 - gt.x1, g.x2 - gt.x2

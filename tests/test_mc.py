@@ -9,7 +9,6 @@ import scipy.stats
 from carnot_coupling.mc import (
     derive_rng,
     ks_test,
-    run_estimator,
     run_vector_estimator,
     split_seed,
     two_sample_compare,
@@ -22,22 +21,22 @@ def normal_sampler(rng, count):
 
 class TestRunEstimator:
     def test_constant_sampler(self):
-        est = run_estimator(lambda rng, c: np.full(c, 2.5), 1000, seed=0)
+        est = run_vector_estimator(lambda rng, c: np.full(c, 2.5), 1000, seed=0)[0]
         assert est.mean == 2.5 and est.stderr == 0.0 and est.n == 1000
 
     def test_standard_normal_mean(self):
-        est = run_estimator(normal_sampler, 1_000_000, seed=1)
+        est = run_vector_estimator(normal_sampler, 1_000_000, seed=1)[0]
         assert abs(est.mean) <= 3.0 / math.sqrt(1_000_000)
         assert est.stderr == pytest.approx(1.0 / math.sqrt(1_000_000), rel=0.01)
 
     def test_doubling_samples_halves_stderr(self):
-        a = run_estimator(normal_sampler, 50_000, seed=2)
-        b = run_estimator(normal_sampler, 200_000, seed=2)
+        a = run_vector_estimator(normal_sampler, 50_000, seed=2)[0]
+        b = run_vector_estimator(normal_sampler, 200_000, seed=2)[0]
         assert b.stderr / a.stderr == pytest.approx(0.5, rel=0.2)
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
-            run_estimator(normal_sampler, 1, seed=0)
+            run_vector_estimator(normal_sampler, 1, seed=0)
 
     def test_vector_columns(self):
         ests = run_vector_estimator(
@@ -46,27 +45,21 @@ class TestRunEstimator:
         )
         assert len(ests) == 2 and ests[0].mean == 1.0
 
-    def test_scalar_guard(self):
-        with pytest.raises(ValueError):
-            run_estimator(
-                lambda rng, c: np.zeros((c, 2)), 100, seed=0
-            )
-
 
 class TestDeterminism:
     def test_bitwise_reproducible(self):
-        a = run_estimator(normal_sampler, 123_457, seed=42)
-        b = run_estimator(normal_sampler, 123_457, seed=42)
+        a = run_vector_estimator(normal_sampler, 123_457, seed=42)[0]
+        b = run_vector_estimator(normal_sampler, 123_457, seed=42)[0]
         assert a.mean == b.mean and a.stderr == b.stderr
 
     def test_workers_do_not_change_samples(self):
-        a = run_estimator(normal_sampler, 100_001, seed=7, workers=1)
-        b = run_estimator(normal_sampler, 100_001, seed=7, workers=4)
+        a = run_vector_estimator(normal_sampler, 100_001, seed=7, workers=1)[0]
+        b = run_vector_estimator(normal_sampler, 100_001, seed=7, workers=4)[0]
         assert a.mean == b.mean and a.stderr == b.stderr
 
     def test_different_seeds_differ(self):
-        a = run_estimator(normal_sampler, 10_000, seed=1)
-        b = run_estimator(normal_sampler, 10_000, seed=2)
+        a = run_vector_estimator(normal_sampler, 10_000, seed=1)[0]
+        b = run_vector_estimator(normal_sampler, 10_000, seed=2)[0]
         assert a.mean != b.mean
 
     def test_derive_rng_deterministic(self):
@@ -82,8 +75,8 @@ class TestDeterminism:
 class TestStatisticalCalibration:
     def test_seed_independence_covariance(self):
         n_seeds = 200
-        a = np.array([run_estimator(normal_sampler, 400, seed=s).mean for s in range(n_seeds)])
-        b = np.array([run_estimator(normal_sampler, 400, seed=s + 10_000).mean
+        a = np.array([run_vector_estimator(normal_sampler, 400, seed=s)[0].mean for s in range(n_seeds)])
+        b = np.array([run_vector_estimator(normal_sampler, 400, seed=s + 10_000)[0].mean
                       for s in range(n_seeds)])
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) <= 3.0 / math.sqrt(n_seeds)
@@ -92,7 +85,7 @@ class TestStatisticalCalibration:
         covered = 0
         trials = 1000
         for s in range(trials):
-            est = run_estimator(normal_sampler, 400, seed=split_seed(99, s))
+            est = run_vector_estimator(normal_sampler, 400, seed=split_seed(99, s))[0]
             lo, hi = est.interval(3.0)
             covered += lo <= 0.0 <= hi
         assert covered >= 990
