@@ -33,8 +33,8 @@ def main():
         ("mixed", HeisenbergPoint(0, 0, 0), HeisenbergPoint(1, 0, 1)),
     ]
     for name, g, gt in pairs_h:
-        for T in horizons:
-            est = failure_probability(g, gt, T, args.N, args.seed)
+        ests = failure_probability(g, gt, horizons, args.N, args.seed)
+        for T, est in zip(horizons, ests):
             rows.append({
                 "group": "heisenberg", "displacement": name, "T": T,
                 "failure": est.mean, "stderr": est.stderr,
@@ -50,8 +50,8 @@ def main():
         ("vertical", CarnotElement(np.zeros(3), SkewMatrix(3, np.array([1.0, 0, 0])))),
     ]
     for name, gt in pairs_3:
-        for T in horizons:
-            est = failure_probability(g3, gt, T, max(args.N // 5, 2), args.seed)
+        ests = failure_probability(g3, gt, horizons, max(args.N // 5, 2), args.seed)
+        for T, est in zip(horizons, ests):
             rows.append({
                 "group": "carnot-3", "displacement": name, "T": T,
                 "failure": est.mean, "stderr": est.stderr,

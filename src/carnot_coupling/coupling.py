@@ -27,12 +27,22 @@ bounds assume, so they remain valid Monte Carlo targets.  On success the
 endpoint difference vanishes identically; it is verified through the finite
 sum over modified indices and their neighbours, which no truncation can
 touch.
+
+`failure_probability` takes a grid of horizons and makes one pass over the
+draws for all of them.  Per batch the draw, the index-0 direction, the stack
+of modified coordinates, the probes p_k and one factorization of their Gram
+matrix are shared: V = T p scales the Gram matrix by T^2, so the condition
+number, and with it the resample flag, does not depend on T, and the
+least-norm shift is u(p, w_T)/T.  Only the mismatch w_T, that solve and the
+reflection coupling are repeated per horizon.  Each horizon's estimate is the
+one a grid of that horizon alone gives, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,6 +121,25 @@ def _modified_indices(n: int, two_index: bool) -> list[int]:
     return [0] + [3 * k for k in range(1, 2 * n + 2)]
 
 
+def _mismatch(gc: CarnotElement, gct: CarnotElement, T: float, xi: np.ndarray) -> np.ndarray:
+    """Packed skew endpoint mismatch w (B, n(n-1)/2) at horizon T for rows xi (B, L, n)."""
+    iu, ju = triu_pairs(gc.n)
+    sqrtT = math.sqrt(T)
+    a0 = alpha_ladder(1)[0]
+    d = np.asarray(gc.x, dtype=float) - np.asarray(gct.x, dtype=float)
+    hat = (sqrtT / 2.0) * xi[:, 0] - sqrtT * a0 * xi[:, 1]
+    return -zeta(gc, gct).upper + odot_packed(np.broadcast_to(d, hat.shape), hat, iu, ju)
+
+
+def _probes(xi: np.ndarray, K: int, T: float) -> np.ndarray:
+    """Columns V_k = T p_k (B, n, K), k = 1..K, p_k from the indices 3k-1 and 3k+1 of xi."""
+    a = alpha_ladder(3 * K + 1)
+    V = np.empty(xi.shape[:1] + (xi.shape[-1], K))
+    for k in range(1, K + 1):
+        V[:, :, k - 1] = T * (a[3 * k] * xi[:, 3 * k + 1] - a[3 * k - 1] * xi[:, 3 * k - 1])
+    return V
+
+
 def sylvester_system(gc: CarnotElement, gct: CarnotElement, T: float,
                      xi: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
     """Linear system of the index-3k shifts, k = 1..K, for rows xi (B, L, n), L >= 3K+2.
@@ -120,29 +149,35 @@ def sylvester_system(gc: CarnotElement, gct: CarnotElement, T: float,
     built from the neighbouring indices 3k-1 and 3k+1.  The shifts u_k solve
     sum_k (u_k V_k^t - V_k u_k^t) = w.
     """
-    iu, ju = triu_pairs(gc.n)
-    sqrtT = math.sqrt(T)
-    a = alpha_ladder(3 * K + 1)
-    d = np.asarray(gc.x, dtype=float) - np.asarray(gct.x, dtype=float)
-    hat = (sqrtT / 2.0) * xi[:, 0] - sqrtT * a[0] * xi[:, 1]
-    w = -zeta(gc, gct).upper + odot_packed(np.broadcast_to(d, hat.shape), hat, iu, ju)
-    V = np.empty(xi.shape[:1] + (gc.n, K))
-    for k in range(1, K + 1):
-        V[:, :, k - 1] = T * (a[3 * k] * xi[:, 3 * k + 1] - a[3 * k - 1] * xi[:, 3 * k - 1])
-    return w, V
+    return _mismatch(gc, gct, T, xi), _probes(xi, K, T)
 
 
-def _couple_batch(gc: CarnotElement, gct: CarnotElement, T: float,
-                  rng: np.random.Generator, count: int, two_index: bool):
-    """Vectorized coupling runs; returns raw arrays for both streams.
+class _GridBatch(NamedTuple):
+    """One batch of B coupling runs over a grid of S horizons, sharing one draw."""
+
+    xi: np.ndarray       # (B, 3m+2, n), the first stream
+    f1: np.ndarray       # (n,), the index-0 displacement direction
+    stack: np.ndarray    # (B, 1 + m n), the modified coordinates of xi
+    coupled: np.ndarray  # (S, B, 1 + m n), their coupled copies, per horizon
+    met: np.ndarray      # (S, B), never true on a bad row
+    w: np.ndarray        # (S, B, n(n-1)/2), the packed mismatch, per horizon
+    cond: np.ndarray     # (B,), horizon-free
+    bad: np.ndarray      # (B,), cond past COND_LIMIT (infinite for a zero probe)
+
+
+def _couple_batch(gc: CarnotElement, gct: CarnotElement, Ts, rng: np.random.Generator,
+                  count: int, two_index: bool) -> _GridBatch:
+    """Vectorized coupling runs at every horizon of the grid Ts, from one draw.
 
     two_index modifies {0, 3} (Heisenberg); otherwise {0, 3, ..., 3m} with
-    m = 2n+1.  Returns (xi, xi_t, met, w, cond, bad); bad rows (a condition
-    number past COND_LIMIT, infinite for a zero probe) never count as met.
+    m = 2n+1.  The draw, the index-0 direction, the modified-coordinate stack,
+    the probes P and the factorization of P P^t are horizon-free and done
+    once.  Per horizon T only the mismatch w_T, the least-norm shift
+    u(T P, w_T) = u(P, w_T)/T (the least-norm map is linear in w and scales
+    as 1/T in the probes) and the reflection coupling are repeated.
     """
     n = gc.n
     m = 1 if two_index else 2 * n + 1
-    sqrtT = math.sqrt(T)
     d = np.asarray(gc.x, dtype=float) - np.asarray(gct.x, dtype=float)
     dnorm = float(np.linalg.norm(d))
     f1 = d / dnorm if dnorm > 0 else np.eye(n)[0]
@@ -150,23 +185,33 @@ def _couple_batch(gc: CarnotElement, gct: CarnotElement, T: float,
     xi = rng.standard_normal((count, 3 * m + 2, n))
     uniforms = rng.uniform(size=count)
 
-    w, V = sylvester_system(gc, gct, T, xi, m)
-    u, cond = tsylvester_batch(V, unpack_skew(n, w))
-    blocks = np.swapaxes(u, 1, 2)
+    w = np.stack([_mismatch(gc, gct, T, xi) for T in Ts])
+    u, cond = tsylvester_batch(_probes(xi, m, 1.0), unpack_skew(n, w))
     bad = cond > COND_LIMIT
 
     stack = np.concatenate(
         [(xi[:, 0] @ f1)[:, None], xi[:, 3:3 * m + 1:3].reshape(count, m * n)], axis=1
     )
-    shift = np.concatenate(
-        [np.full((count, 1), dnorm / sqrtT), blocks.reshape(count, m * n)], axis=1
-    )
-    coupled, met = couple_to_shift(stack, shift, uniforms)
+    coupled = np.empty((len(Ts),) + stack.shape)
+    met = np.empty((len(Ts), count), dtype=bool)
+    for s, T in enumerate(Ts):
+        blocks = np.swapaxes(u[s], 1, 2) / T
+        shift = np.concatenate(
+            [np.full((count, 1), dnorm / math.sqrt(T)), blocks.reshape(count, m * n)], axis=1
+        )
+        coupled[s], met[s] = couple_to_shift(stack, shift, uniforms)
+    return _GridBatch(xi, f1, stack, coupled, met & ~bad, w, cond, bad)
 
-    xi_t = xi.copy()
-    xi_t[:, 0] += (coupled[:, 0] - stack[:, 0])[:, None] * f1
+
+def _second_stream(batch: _GridBatch, s: int) -> np.ndarray:
+    """The coupled stream xi~ of horizon s: xi with its modified coordinates replaced."""
+    count, _, n = batch.xi.shape
+    m = (batch.stack.shape[1] - 1) // n
+    coupled = batch.coupled[s]
+    xi_t = batch.xi.copy()
+    xi_t[:, 0] += (coupled[:, 0] - batch.stack[:, 0])[:, None] * batch.f1
     xi_t[:, 3:3 * m + 1:3] = coupled[:, 1:].reshape(count, m, n)
-    return xi, xi_t, met & ~bad, w, cond, bad
+    return xi_t
 
 
 def _gaps(gc: CarnotElement, gct: CarnotElement, T: float,
@@ -189,12 +234,13 @@ def _couple_once(gc: CarnotElement, gct: CarnotElement, T: float,
     """One coupling run, resampling the rare degenerate or singular draw."""
     resampled = 0
     while True:
-        xi, xi_t, met, w, cond, bad = _couple_batch(gc, gct, T, rng, 1, two_index)
-        if not bad[0]:
+        batch = _couple_batch(gc, gct, [T], rng, 1, two_index)
+        if not batch.bad[0]:
             break
         resampled += 1
         if resampled > _MAX_RESAMPLE:
             raise SingularGramError("singular probe system persisted across resamples")
+    xi, xi_t = batch.xi, _second_stream(batch, 0)
     h_gap, v_gap = _gaps(gc, gct, T, xi, xi_t)
     xi, xi_t = xi[0], xi_t[0]
     k_path = max(truncation_index(DEFAULT_TAIL_TOL, T), xi.shape[0])
@@ -203,15 +249,15 @@ def _couple_once(gc: CarnotElement, gct: CarnotElement, T: float,
     xT, zT = endpoint_packed(gc.x, gc.z.upper, _with_tail(xi, tail), T, iu, ju)
     xTt, zTt = endpoint_packed(gct.x, gct.z.upper, _with_tail(xi_t, tail), T, iu, ju)
     shifts = [(k, xi_t[k] - xi[k]) for k in _modified_indices(gc.n, two_index)]
-    diag = CouplingDiagnostics(SkewMatrix(gc.n, w[0]), float(cond[0]), resampled,
-                               float(h_gap[0]), float(v_gap[0]))
+    diag = CouplingDiagnostics(SkewMatrix(gc.n, batch.w[0, 0]), float(batch.cond[0]),
+                               resampled, float(h_gap[0]), float(v_gap[0]))
     if two_index:
         ep = HeisenbergPoint(float(xT[0]), float(xT[1]), float(zT[0]))
         ept = HeisenbergPoint(float(xTt[0]), float(xTt[1]), float(zTt[0]))
     else:
         ep = CarnotElement(xT, SkewMatrix(gc.n, zT))
         ept = CarnotElement(xTt, SkewMatrix(gc.n, zTt))
-    return CouplingOutcome(ep, ept, bool(met[0]), shifts, diag)
+    return CouplingOutcome(ep, ept, bool(batch.met[0, 0]), shifts, diag)
 
 
 def couple_heisenberg(g: HeisenbergPoint, gt: HeisenbergPoint, T: float,
@@ -240,21 +286,27 @@ def _normalize_pair(g, gt):
     return g, gt, False
 
 
-def failure_probability(g, gt, T: float, N: int, seed: int,
-                        workers: int = 1) -> MCEstimate:
-    """Fraction of coupling runs that fail to meet, with standard error.
+def failure_probability(g, gt, Ts, N: int, seed: int,
+                        workers: int = 1) -> list[MCEstimate]:
+    """Fraction of coupling runs that fail to meet at each horizon of Ts, with its stderr.
 
-    This upper-bounds the total-variation distance between the two endpoint
-    laws.  Singular events (a zero probe or a Gram row past COND_LIMIT) are
+    Returns one estimate per entry of Ts, from one pass over the draws: the
+    horizons share every batch (common random numbers), and each estimate
+    equals that of a one-horizon grid bit for bit.  Each upper-bounds the
+    total-variation distance between the two endpoint laws at its horizon.
+    Singular events (a zero probe or a Gram row past COND_LIMIT) are
     measure-zero; any one of them raises SingularGramError.
     """
+    Ts = [float(T) for T in Ts]
+    if not Ts or min(Ts) <= 0:
+        raise ValueError("need a nonempty grid of positive horizons")
     gc, gct, heis = _normalize_pair(g, gt)
 
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
-        _, _, met, _, _, bad = _couple_batch(gc, gct, T, rng, count, heis)
-        return np.stack([(~met).astype(float), bad.astype(float)], axis=1)
+        batch = _couple_batch(gc, gct, Ts, rng, count, heis)
+        return np.column_stack([(~batch.met).T, batch.bad]).astype(float)
 
-    fail, singular = run_vector_estimator(sampler, N, seed, workers)
+    *fail, singular = run_vector_estimator(sampler, N, seed, workers)
     if singular.mean > 0:
         raise SingularGramError("singular resample events occurred; seed a rerun")
     return fail

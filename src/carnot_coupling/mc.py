@@ -85,7 +85,8 @@ def _combine(stats_a, stats_b):
 
 def _batch_stats(sampler, seed, batch_index, count):
     rng = derive_rng(seed, batch_index)
-    vals = np.asarray(sampler(rng, count), dtype=float)
+    # row-major, so that each column is summed in row order whatever the sampler's layout
+    vals = np.ascontiguousarray(sampler(rng, count), dtype=float)
     if vals.shape[0] != count:
         raise ValueError("sampler returned wrong number of samples")
     if vals.ndim == 1:

@@ -54,15 +54,18 @@ class SingularGramError(np.linalg.LinAlgError):
 
 
 def tsylvester_batch(v: np.ndarray, w_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched least-norm solutions; v (B, n, m), w_mat (B, n, n) skew.
+    """Batched least-norm solutions; v (B, n, m), w_mat (..., B, n, n) skew.
 
-    Returns (u, cond) with u (B, n, m).  cond is the condition number of the
-    operator W -> W G + G W on skew matrices, G = v v^t with eigenvalues
+    Right-hand sides may be stacked on leading axes, (S, B, n, n) against one
+    v: the factorization of each row (its trace for n = 2, one `eigh`
+    otherwise) is done once and serves all S of them.  Returns (u, cond) with
+    u (..., B, n, m).  cond (B,) is the condition number of the operator
+    W -> W G + G W on skew matrices, G = v v^t with eigenvalues
     lambda_1 <= ... <= lambda_n: (lambda_n + lambda_{n-1}) / (lambda_1 +
     lambda_2), which is 1 for n = 2, and infinite where the operator is
     singular.  Rows whose cond exceeds COND_LIMIT are not solved: their u is
-    NaN and callers treat them as resample events.  Every other row equals the
-    solution of that row alone.
+    NaN for every right-hand side and callers treat them as resample events.
+    Every other row equals the solution of that row alone.
     """
     n = v.shape[-2]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -78,7 +81,7 @@ def tsylvester_batch(v: np.ndarray, w_mat: np.ndarray) -> tuple[np.ndarray, np.n
             # a skew W has no diagonal: an infinite denominator zeroes it
             den = np.where(np.eye(n, dtype=bool), np.inf, lam[:, :, None] + lam[:, None, :])
             u = q @ ((qt @ w_mat @ q) / den) @ (qt @ v)
-    u[~(cond <= COND_LIMIT)] = np.nan
+    u[..., ~(cond <= COND_LIMIT), :, :] = np.nan
     return u, cond
 
 

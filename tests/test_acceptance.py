@@ -20,6 +20,7 @@ from carnot_coupling.cli import main as cli_main
 from carnot_coupling.coupling import (
     _couple_batch,
     _gaps,
+    _second_stream,
     failure_probability,
     tv_bound,
 )
@@ -95,8 +96,9 @@ def test_criterion_01_exact_meeting():
     for cfg in range(100):
         g, gt, T = random_heis_pair(rng)
         gc, gct = heis_to_carnot(g), heis_to_carnot(gt)
-        xi, xi_t, met, _, _, _ = _couple_batch(gc, gct, T, rng, 32, two_index=True)
-        h_gap, v_gap = _gaps(gc, gct, T, xi, xi_t)
+        batch = _couple_batch(gc, gct, [T], rng, 32, two_index=True)
+        met = batch.met[0]
+        h_gap, v_gap = _gaps(gc, gct, T, batch.xi, _second_stream(batch, 0))
         if met.any():
             successes += int(met.sum())
             worst_h = max(worst_h, float(h_gap[met].max()))
@@ -104,9 +106,10 @@ def test_criterion_01_exact_meeting():
     for cfg in range(50):
         n = 3 if cfg % 2 == 0 else 4
         g, gt, T = random_carnot_pair(rng, n)
-        xi, xi_t, met, _, _, sing = _couple_batch(g, gt, T, rng, 32, two_index=False)
-        assert not sing.any()
-        h_gap, v_gap = _gaps(g, gt, T, xi, xi_t)
+        batch = _couple_batch(g, gt, [T], rng, 32, two_index=False)
+        assert not batch.bad.any()
+        met = batch.met[0]
+        h_gap, v_gap = _gaps(g, gt, T, batch.xi, _second_stream(batch, 0))
         if met.any():
             successes += int(met.sum())
             worst_h = max(worst_h, float(h_gap[met].max()))
@@ -120,9 +123,10 @@ def test_criterion_02_heisenberg_bound():
     origin = HeisenbergPoint(0, 0, 0)
     ok = True
     lines = []
+    horizons = (1.0, 25.0, 100.0)
     for gt in (HeisenbergPoint(1, 0, 0), HeisenbergPoint(0, 0, 1)):
-        for T in (1.0, 25.0, 100.0):
-            est = failure_probability(origin, gt, T, 100_000, split_seed(SEED, 20))
+        ests = failure_probability(origin, gt, horizons, 100_000, split_seed(SEED, 20))
+        for T, est in zip(horizons, ests):
             bound = tv_bound(origin, gt, T, "proof-stage").total
             good = est.mean <= bound + 3 * est.stderr
             ok &= good
@@ -142,8 +146,9 @@ def test_criterion_03_carnot_bound():
         vert_packed[0] = 1.0
         vert = CarnotElement(np.zeros(n), SkewMatrix(n, vert_packed))
         for gt in (horiz, vert):
-            for T in (1.0, 25.0, 100.0):
-                est = failure_probability(origin, gt, T, 10_000, split_seed(SEED, 30 + n))
+            horizons = (1.0, 25.0, 100.0)
+            ests = failure_probability(origin, gt, horizons, 10_000, split_seed(SEED, 30 + n))
+            for T, est in zip(horizons, ests):
                 bound = tv_bound(origin, gt, T, "carnot-n").total
                 good = est.mean <= bound + 3 * est.stderr
                 ok &= good
@@ -160,7 +165,8 @@ def test_criterion_04_marginal_laws():
     rng = derive_rng(SEED, 40)
     N = 100_000
     gc, gct = heis_to_carnot(g), heis_to_carnot(gt)
-    xi, xi_t, met, _, _, _ = _couple_batch(gc, gct, T, rng, N, two_index=True)
+    batch = _couple_batch(gc, gct, [T], rng, N, two_index=True)
+    xi, xi_t = batch.xi, _second_stream(batch, 0)
     k_path = truncation_index(1.0 / 32.0, T)
     tail = rng.standard_normal((N, k_path + 1 - xi.shape[1], 2))
     xi_full = np.concatenate([xi, tail], axis=1)
@@ -174,7 +180,7 @@ def test_criterion_04_marginal_laws():
         ok &= p1 > 0.01 and p2 > 0.01
         notes.append(f"KS x{i}: p={p1:.3f}/{p2:.3f}")
     # vertical variance T^2/4 at identity start
-    xi0, xi0_t, _, _, _, _ = _couple_batch(gc, gc, T, derive_rng(SEED, 41), N, two_index=True)
+    xi0 = _couple_batch(gc, gc, [T], derive_rng(SEED, 41), N, two_index=True).xi
     tail0 = derive_rng(SEED, 42).standard_normal((N, k_path + 1 - xi0.shape[1], 2))
     _, zT0 = endpoint_packed(gc.x, gc.z.upper, np.concatenate([xi0, tail0], axis=1), T, iu, ju)
     var = float(zT0[:, 0].var())
@@ -379,20 +385,20 @@ def test_criterion_11_dilation_invariance():
     ok = True
     notes = []
     g, gt, T = HeisenbergPoint(0, 0, 0), HeisenbergPoint(0.8, 0.1, 0.5), 9.0
-    base = failure_probability(g, gt, T, 100_000, split_seed(SEED, 110))
+    base = failure_probability(g, gt, [T], 100_000, split_seed(SEED, 110))[0]
     for lam in (0.5, 2.0):
-        scaled = failure_probability(dilate(lam, g), dilate(lam, gt), lam * lam * T,
-                                     100_000, split_seed(SEED, 111))
+        scaled = failure_probability(dilate(lam, g), dilate(lam, gt), [lam * lam * T],
+                                     100_000, split_seed(SEED, 111))[0]
         se = math.hypot(base.stderr, scaled.stderr)
         good = abs(base.mean - scaled.mean) <= 3 * se
         ok &= good
         notes.append(f"H lam={lam:g}: {scaled.mean:.4f} vs {base.mean:.4f}")
     g3 = CarnotElement.identity(3)
     gt3 = CarnotElement(np.array([0.6, 0, 0]), SkewMatrix(3, np.array([0.4, 0, 0])))
-    base3 = failure_probability(g3, gt3, 4.0, 40_000, split_seed(SEED, 112))
+    base3 = failure_probability(g3, gt3, [4.0], 40_000, split_seed(SEED, 112))[0]
     for lam in (0.5, 2.0):
-        scaled = failure_probability(dilate(lam, g3), dilate(lam, gt3), lam * lam * 4.0,
-                                     40_000, split_seed(SEED, 113))
+        scaled = failure_probability(dilate(lam, g3), dilate(lam, gt3), [lam * lam * 4.0],
+                                     40_000, split_seed(SEED, 113))[0]
         se = math.hypot(base3.stderr, scaled.stderr)
         good = abs(base3.mean - scaled.mean) <= 3 * se
         ok &= good

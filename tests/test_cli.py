@@ -209,6 +209,24 @@ class TestArtifacts:
         run_cli(base + ["--workers", "3", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_couple_grid_is_one_pass_with_the_single_horizon_records(self, monkeypatch,
+                                                                     tmp_path):
+        grids = []
+        sample = cli.failure_probability
+        monkeypatch.setattr(cli, "failure_probability",
+                            lambda g, gt, Ts, *rest: grids.append(Ts) or sample(g, gt, Ts, *rest))
+        base = ["couple", "--group", "carnot-3", "--g", "0,0,0,0,0,0", "--gt", "1,0,0,0.5,0,0",
+                "--N", "3000", "--seed", "14"]
+        grid = tmp_path / "grid.csv"
+        run_cli(base + ["--T", "4,1,4", "--out", str(grid)])
+        assert grids == [[4.0, 1.0, 4.0]]
+        rows = []
+        for T in ("4", "1", "4"):
+            out = tmp_path / f"T{T}.csv"
+            run_cli(base + ["--T", T, "--out", str(out)])
+            rows += out.read_text().splitlines()[1:]
+        assert grid.read_text().splitlines()[1:] == rows
+
     def test_json_schema_and_config_roundtrip(self, tmp_path):
         out = tmp_path / "res.json"
         run_cli(["couple", "--group", "heisenberg", "--g", "0,0,0", "--gt", "0,0,1",

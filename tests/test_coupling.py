@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from carnot_coupling import coupling
+from carnot_coupling import coupling, mc
 from carnot_coupling.coupling import (
     _couple_batch,
     _gaps,
+    _second_stream,
     couple_carnot,
     couple_heisenberg,
     failure_probability,
@@ -30,6 +33,13 @@ from carnot_coupling.groups import (
 from carnot_coupling.legendre import alpha, endpoint_packed
 from carnot_coupling.mc import derive_rng, ks_test
 from carnot_coupling.sylvester import SingularGramError
+
+
+
+def _one_horizon(gc, gct, T, rng, count, two_index):
+    """(xi, xi_t, met, w, cond, bad) of a one-horizon grid batch."""
+    b = _couple_batch(gc, gct, [T], rng, count, two_index)
+    return b.xi, _second_stream(b, 0), b.met[0], b.w[0], b.cond, b.bad
 
 
 class TestSingleRuns:
@@ -58,7 +68,7 @@ class TestSingleRuns:
         gt = CarnotElement(np.array([0.5, 0.0]), SkewMatrix(2, np.array([0.3])))
         out = couple_carnot(g, gt, 9.0, derive_rng(12))
         assert [k for k, _ in out.shifts] == [0, 3, 6, 9, 12, 15]
-        est = failure_probability(g, gt, 9.0, 20_000, seed=13)
+        est = failure_probability(g, gt, [9.0], 20_000, seed=13)[0]
         bound = tv_bound(g, gt, 9.0, "carnot-n").total
         assert est.mean <= bound + 3 * est.stderr
 
@@ -104,7 +114,7 @@ class TestCouplingConstraint:
         g = HeisenbergPoint(0, 0, 0)
         gt = HeisenbergPoint(0, 0, 1)
         T = 9.0
-        xi, xi_t, met, w, _, _ = _couple_batch(heis_to_carnot(g), heis_to_carnot(gt), T, rng,
+        xi, xi_t, met, w, _, _ = _one_horizon(heis_to_carnot(g), heis_to_carnot(gt), T, rng,
                                                4000, two_index=True)
         w = w[:, 0]
         scale = math.hypot(alpha(2), alpha(3))
@@ -115,7 +125,7 @@ class TestCouplingConstraint:
 
     def test_unmodified_indices_shared(self):
         rng = derive_rng(7)
-        xi, xi_t, met, _, _, _ = _couple_batch(
+        xi, xi_t, met, _, _, _ = _one_horizon(
             heis_to_carnot(HeisenbergPoint(0, 0, 0)), heis_to_carnot(HeisenbergPoint(1, 0, 1)),
             4.0, rng, 1000, two_index=True,
         )
@@ -127,7 +137,7 @@ class TestCouplingConstraint:
         g = CarnotElement.identity(4)
         gt = CarnotElement(np.array([0.5, 0, 0, 0]), SkewMatrix(4, np.array([0.3, 0, 0, 0, 0, 0.1])))
         T = 25.0
-        xi, xi_t, met, _, cond, sing = _couple_batch(g, gt, T, rng, 2000, two_index=False)
+        xi, xi_t, met, _, cond, sing = _one_horizon(g, gt, T, rng, 2000, False)
         assert not sing.any()
         h_gap, v_gap = _gaps(g, gt, T, xi, xi_t)
         assert np.max(h_gap[met]) <= 1e-12
@@ -180,7 +190,7 @@ class TestShiftSystem:
             m = 2 * n + 1
             variants = [(False, m)] + ([(True, 1)] if n == 2 else [])
             for two_index, blocks_count in variants:
-                xi, xi_t, met, _, _, bad = _couple_batch(g, gt, T, rng, 2000, two_index)
+                xi, xi_t, met, _, _, bad = _one_horizon(g, gt, T, rng, 2000, two_index)
                 assert not bad.any() and met.any()
                 # on met rows the modified coordinates moved by exactly the shift
                 shift = (xi_t - xi)[met][:, 3:3 * blocks_count + 1:3]
@@ -197,45 +207,119 @@ class TestFailureProbability:
         g = CarnotElement.identity(3)
         gt = CarnotElement(np.array([1.0, 0, 0]), SkewMatrix.zero(3))
         with pytest.raises(SingularGramError):
-            failure_probability(g, gt, 4.0, 100, 1)
+            failure_probability(g, gt, [4.0], 100, 1)
         with pytest.raises(SingularGramError):
             couple_carnot(g, gt, 4.0, derive_rng(3))
 
     def test_same_start_zero(self):
         est = failure_probability(HeisenbergPoint(1, 2, 3), HeisenbergPoint(1, 2, 3),
-                                  4.0, 2000, seed=0)
+                                  [4.0], 2000, seed=0)[0]
         assert est.mean == 0.0
 
     def test_deterministic(self):
         g, gt = HeisenbergPoint(0, 0, 0), HeisenbergPoint(1, 0, 1)
-        a = failure_probability(g, gt, 25.0, 20_000, seed=3)
-        b = failure_probability(g, gt, 25.0, 20_000, seed=3)
+        a = failure_probability(g, gt, [25.0], 20_000, seed=3)[0]
+        b = failure_probability(g, gt, [25.0], 20_000, seed=3)[0]
         assert a.mean == b.mean and a.stderr == b.stderr
 
     def test_bound_domination_heisenberg(self):
         g, gt = HeisenbergPoint(0, 0, 0), HeisenbergPoint(1, 0, 1)
         for T in (4.0, 25.0):
-            est = failure_probability(g, gt, T, 30_000, seed=4)
+            est = failure_probability(g, gt, [T], 30_000, seed=4)[0]
             bound = tv_bound(g, gt, T, "proof-stage").total
             assert est.mean <= bound + 3 * est.stderr
 
     def test_bound_domination_carnot(self):
         g = CarnotElement.identity(3)
         gt = CarnotElement(np.array([1.0, 0, 0]), SkewMatrix(3, np.array([1.0, 0, 0])))
-        est = failure_probability(g, gt, 25.0, 10_000, seed=5)
+        est = failure_probability(g, gt, [25.0], 10_000, seed=5)[0]
         bound = tv_bound(g, gt, 25.0, "carnot-n").total
         assert est.mean <= bound + 3 * est.stderr
 
     def test_dilation_invariance(self):
         g, gt = HeisenbergPoint(0, 0, 0), HeisenbergPoint(0.8, 0.1, 0.5)
         T = 9.0
-        base = failure_probability(g, gt, T, 40_000, seed=6)
+        base = failure_probability(g, gt, [T], 40_000, seed=6)[0]
         for lam in (0.5, 2.0):
             scaled = failure_probability(
-                dilate(lam, g), dilate(lam, gt), lam * lam * T, 40_000, seed=7
-            )
+                dilate(lam, g), dilate(lam, gt), [lam * lam * T], 40_000, seed=7
+            )[0]
             se = math.hypot(base.stderr, scaled.stderr)
             assert abs(base.mean - scaled.mean) <= 3 * se
+
+
+
+def _pair_from_seed(seed, n, heis, spread=1.0, offset=1.0):
+    """Start points for n: coordinates in [-spread, spread], then moved by up to offset."""
+    rng = np.random.default_rng(seed)
+    p = n * (n - 1) // 2
+    a = rng.uniform(-spread, spread, n + p)
+    b = a + rng.uniform(-offset, offset, n + p)
+    if heis:
+        return HeisenbergPoint(*a), HeisenbergPoint(*b)
+    return (CarnotElement(a[:n], SkewMatrix(n, a[n:])),
+            CarnotElement(b[:n], SkewMatrix(n, b[n:])))
+
+
+class TestHorizonGrid:
+    # small batches, so that every run below spans several of them
+    BATCH = 256
+    N = 3 * BATCH + 17
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 5), heis=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+           grid=st.lists(st.one_of(st.sampled_from([1.0, 4.0, 25.0]), st.floats(0.25, 100.0)),
+                         min_size=1, max_size=4))
+    def test_each_entry_equals_its_one_horizon_call(self, n, heis, seed, grid):
+        g, gt = _pair_from_seed(seed, n, heis and n == 2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mc, "BATCH_SIZE", self.BATCH)
+            for workers in (1, 3):
+                ests = failure_probability(g, gt, grid, self.N, seed, workers)
+                assert len(ests) == len(grid)
+                for T, est in zip(grid, ests):
+                    assert est == failure_probability(g, gt, [T], self.N, seed, workers)[0]
+
+    def test_batch_shares_the_draw_and_the_stack(self):
+        g, gt = _pair_from_seed(5, 3, False)
+        grid = [4.0, 25.0, 4.0]
+        batch = _couple_batch(g, gt, grid, derive_rng(6), 500, False)
+        assert batch.coupled.shape[:2] == batch.met.shape == (3, 500)
+        assert np.array_equal(batch.coupled[0], batch.coupled[2])
+        assert not np.array_equal(batch.coupled[0], batch.coupled[1])
+        for s, T in enumerate(grid):
+            one = _couple_batch(g, gt, [T], derive_rng(6), 500, False)
+            assert np.array_equal(one.xi, batch.xi)
+            assert np.array_equal(_second_stream(one, 0), _second_stream(batch, s))
+            assert np.array_equal(one.met[0], batch.met[s])
+
+    @pytest.mark.parametrize("grid", [[], [4.0, 0.0], [-1.0]])
+    def test_empty_or_nonpositive_grid_rejected(self, grid):
+        with pytest.raises(ValueError):
+            failure_probability(HeisenbergPoint(0, 0, 0), HeisenbergPoint(1, 0, 0), grid, 100, 1)
+
+
+class TestExactMeeting:
+    RUNS = 16
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 6), heis=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+           T=st.floats(16.0, 64.0))
+    def test_met_runs_meet_exactly(self, n, heis, seed, T):
+        # displacements of at most 0.1 per coordinate: at T >= 16 at most about
+        # a third of the runs fail (rank 6), so some of the runs meet
+        heis = heis and n == 2
+        g, gt = _pair_from_seed(seed, n, heis, spread=2.0, offset=0.1)
+        couple = couple_heisenberg if heis else couple_carnot
+        rng = derive_rng(seed)
+        met = 0
+        for _ in range(self.RUNS):
+            out = couple(g, gt, T, rng)
+            if out.success:
+                met += 1
+                assert out.diagnostics.horizontal_gap <= 1e-12
+                assert out.diagnostics.vertical_gap <= 1e-9
+        assert met > 0
 
 
 class TestMarginalPreservation:
@@ -246,7 +330,7 @@ class TestMarginalPreservation:
         T = 4.0
         N = 30_000
         gc, gct = heis_to_carnot(g), heis_to_carnot(gt)
-        xi, xi_t, met, _, _, _ = _couple_batch(gc, gct, T, rng, N, two_index=True)
+        xi, xi_t, met, _, _, _ = _one_horizon(gc, gct, T, rng, N, two_index=True)
         iu, ju = triu_pairs(2)
         xT, zT = endpoint_packed(gc.x, gc.z.upper, xi, T, iu, ju)
         xTt, zTt = endpoint_packed(gct.x, gct.z.upper, xi_t, T, iu, ju)

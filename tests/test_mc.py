@@ -6,6 +6,19 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from carnot_coupling import cli, mc
+from carnot_coupling.catalog import CATALOG
+from carnot_coupling.coupling import failure_probability
+from carnot_coupling.girsanov import (
+    bismut_gradient,
+    finite_diff_gradient,
+    girsanov_normalization_check,
+    horizontal_direction,
+    inequality_suite,
+    semigroup_transfer_check,
+    vertical_direction,
+)
+from carnot_coupling.groups import CarnotElement, HeisenbergPoint, SkewMatrix, heis_to_carnot
 from carnot_coupling.mc import (
     derive_rng,
     ks_test,
@@ -13,6 +26,7 @@ from carnot_coupling.mc import (
     split_seed,
     two_sample_compare,
 )
+from carnot_coupling.sylvester import u_moment_check, wishart_inv_trace_mc
 
 
 def normal_sampler(rng, count):
@@ -57,6 +71,17 @@ class TestDeterminism:
         b = run_vector_estimator(normal_sampler, 100_001, seed=7, workers=4)[0]
         assert a.mean == b.mean and a.stderr == b.stderr
 
+    def test_column_layout_does_not_change_the_estimate(self):
+        # a column-major sampler output is summed in the same row order
+        def sampler(rng, count):
+            return np.asfortranarray(rng.standard_normal((count, 3)))
+
+        def row_major(rng, count):
+            return np.ascontiguousarray(sampler(rng, count))
+
+        assert run_vector_estimator(sampler, 20_000, seed=8) == \
+            run_vector_estimator(row_major, 20_000, seed=8)
+
     def test_different_seeds_differ(self):
         a = run_vector_estimator(normal_sampler, 10_000, seed=1)[0]
         b = run_vector_estimator(normal_sampler, 10_000, seed=2)[0]
@@ -70,6 +95,53 @@ class TestDeterminism:
     def test_split_seed_distinct(self):
         seeds = {split_seed(11, t) for t in range(100)}
         assert len(seeds) == 100
+
+
+# every caller of run_vector_estimator, each as a function of workers
+_H = heis_to_carnot(HeisenbergPoint(0.3, -0.2, 0.1))
+_HT = heis_to_carnot(HeisenbergPoint(0.5, 0.0, 0.2))
+_G3 = CarnotElement(np.array([0.1, -0.2, 0.3]), SkewMatrix(3, np.array([0.1, 0.0, -0.1])))
+_G3T = CarnotElement(np.array([0.3, 0.0, 0.1]), SkewMatrix(3, np.array([0.0, 0.2, 0.0])))
+_N = 4 * 1024 + 7
+_SIN = CATALOG["sin-perturbation"]
+ESTIMATORS = {
+    "failure_probability-heisenberg": lambda w: failure_probability(
+        HeisenbergPoint(0, 0, 0), HeisenbergPoint(1, 0, 1), [1.0, 25.0, 1.0], _N, 1, w),
+    "failure_probability-carnot-3": lambda w: failure_probability(
+        _G3, _G3T, [4.0, 25.0], _N, 2, w),
+    "girsanov_normalization_check": lambda w: girsanov_normalization_check(
+        _G3, _G3T, 9.0, 7, _N, 3, w),
+    "semigroup_transfer_check": lambda w: semigroup_transfer_check(
+        _SIN, _H, _HT, 4.0, 5, _N, 4, w),
+    "bismut_gradient": lambda w: bismut_gradient(
+        _SIN, _G3, vertical_direction(3, 1), 4.0, 7, _N, 5, w),
+    "finite_diff_gradient": lambda w: finite_diff_gradient(
+        _SIN, _H, horizontal_direction(_H, 0), 4.0, 1e-3, _N, 6, w),
+    "inequality_suite": lambda w: inequality_suite(
+        CATALOG["gaussian-bump"], _H, _HT, horizontal_direction(_H, 0), 4.0, _N, 7,
+        workers=w, p_values=(2.0,)),
+    "wishart_inv_trace_mc": lambda w: wishart_inv_trace_mc(3, 7, _N, 8, w),
+    "u_moment_check": lambda w: u_moment_check(3, 7, _N, 9, w),
+}
+
+
+class TestEveryEstimator:
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_same_result_for_one_and_four_workers(self, name, monkeypatch):
+        monkeypatch.setattr(mc, "BATCH_SIZE", 1024)  # five batches
+        run = ESTIMATORS[name]
+        assert run(1) == run(4)
+
+    def test_marginals_artifact_same_for_one_and_four_workers(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(mc, "BATCH_SIZE", 1024)
+        argv = ["marginals", "--group", "carnot-3", "--g", "0,0,0,0,0,0", "--T", "1",
+                "--N", str(_N), "--steps", "64", "--seed", "10"]
+        outs = []
+        for w in ("1", "4"):
+            out = tmp_path / f"w{w}.csv"
+            cli.main(argv + ["--workers", w, "--out", str(out)])
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestStatisticalCalibration:

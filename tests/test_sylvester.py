@@ -254,6 +254,31 @@ class TestLeastNorm:
         assert np.array_equal(u[~flagged], kept_u) and np.array_equal(cond[~flagged], kept_cond)
 
 
+    @pytest.mark.parametrize("n,m", [(2, 1), (2, 5), (3, 7), (4, 9), (5, 11)])
+    def test_stacked_right_hand_sides_equal_separate_solves(self, n, m):
+        rng = derive_rng(26, n)
+        v, _ = random_system(rng, 30, n, m)
+        w = np.stack([random_system(rng, 30, n, m)[1] for _ in range(3)])
+        v[4] = 0.0  # a flagged row stays NaN for every right-hand side
+        u, cond = tsylvester_batch(v, w)
+        assert u.shape == (3, 30, n, m) and cond.shape == (30,)
+        assert np.isnan(u[:, 4]).all()
+        for s in range(3):
+            alone_u, alone_cond = tsylvester_batch(v, w[s])
+            assert np.array_equal(u[s], alone_u, equal_nan=True)
+            assert np.array_equal(cond, alone_cond)
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (2, 5), (3, 7), (4, 9)])
+    def test_solution_scales_as_one_over_the_probe_scale(self, n, m):
+        # u(T v, w) = u(v, w) / T: the horizon grid solves once against v
+        v, w = random_system(derive_rng(27, n), 200, n, m)
+        u, cond = tsylvester_batch(v, w)
+        for T in (0.25, 3.0, 100.0):
+            uT, condT = tsylvester_batch(T * v, w)
+            assert np.allclose(uT, u / T, rtol=1e-11, atol=1e-12 * np.max(np.abs(u / T)))
+            assert np.allclose(condT, cond, rtol=1e-9)
+
+
 class TestWishartMoments:
     @pytest.mark.parametrize("n,m,target", [(2, 5, 1.0), (3, 7, 1.0)])
     def test_inverse_trace_identity(self, n, m, target):
