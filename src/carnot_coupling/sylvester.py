@@ -4,13 +4,18 @@ For v (n x m) and skew w the solutions, when there are any, form an affine
 space; with G = v v^t = Q diag(lambda) Q^t two of them are used.
 
 * The least-norm solution, `tsylvester_batch`: the shift of both couplings
-  and of every Girsanov weight.  It is u = 2 W v with W the skew solution of
-  W G + G W = w/2, that is (Q^t W Q)_ij = (Q^t w Q)_ij / (2(lambda_i +
-  lambda_j)); for n = 2 every skew W has W G + G W = tr(G) W, so
+  and of every Girsanov weight.  It is u = W v with W the skew solution of
+  W G + G W = w, that is (Q^t W Q)_ij = (Q^t w Q)_ij / (lambda_i +
+  lambda_j); for n = 2 every skew W has W G + G W = tr(G) W, so
   u = w v / tr G.  Its cost |u|^2 = sum_{i<j} w~_ij^2 / (lambda_i + lambda_j)
   (w~ = Q^t w Q) is, by the AM-HM inequality, never above the lemma
   solution's, row by row, so every bound proved for the lemma solution holds
-  for it as well.
+  for it as well.  The operator W -> W G + G W is symmetric positive
+  definite on skew matrices, with eigenvalues lambda_i + lambda_j, so the
+  kernel solves it by Cholesky on the packed entries of W and reads its
+  condition number off a Jacobi eigenvalue sweep of G; both run elementwise
+  over the batch, one (B,) column per matrix entry, because per-row LAPACK
+  calls on 3 x 3 to 6 x 6 matrices cost far more than their arithmetic.
 * The particular solution of the paper's Sylvester lemma,
   `lemma_solution_batch`, for wide v (m >= n), characterized by
   v u^t = -w/2:
@@ -29,11 +34,12 @@ one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import unpack_skew
+from .groups import triu_pairs, unpack_skew
 from .mc import MCEstimate, run_vector_estimator
 
 __all__ = [
@@ -47,6 +53,7 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e12
+_TINY = np.finfo(float).tiny
 
 
 class SingularGramError(np.linalg.LinAlgError):
@@ -57,32 +64,152 @@ def tsylvester_batch(v: np.ndarray, w_mat: np.ndarray) -> tuple[np.ndarray, np.n
     """Batched least-norm solutions; v (B, n, m), w_mat (..., B, n, n) skew.
 
     Right-hand sides may be stacked on leading axes, (S, B, n, n) against one
-    v: the factorization of each row (its trace for n = 2, one `eigh`
-    otherwise) is done once and serves all S of them.  Returns (u, cond) with
-    u (..., B, n, m).  cond (B,) is the condition number of the operator
-    W -> W G + G W on skew matrices, G = v v^t with eigenvalues
-    lambda_1 <= ... <= lambda_n: (lambda_n + lambda_{n-1}) / (lambda_1 +
-    lambda_2), which is 1 for n = 2, and infinite where the operator is
-    singular.  Rows whose cond exceeds COND_LIMIT are not solved: their u is
-    NaN for every right-hand side and callers treat them as resample events.
-    Every other row equals the solution of that row alone.
+    v: the factorization of each row is done once and serves all S of them.
+    Returns (u, cond) with u (..., B, n, m).  cond (B,) is the condition
+    number of the operator W -> W G + G W on skew matrices, G = v v^t with
+    eigenvalues lambda_1 <= ... <= lambda_n: (lambda_n + lambda_{n-1}) /
+    (lambda_1 + lambda_2), which is 1 for n = 2, and infinite where the
+    operator is singular or v has a non-finite entry.  Rows whose cond
+    exceeds COND_LIMIT are not solved: their u is NaN for every right-hand
+    side and callers treat them as resample events.  Every other row equals
+    the solution of that row alone, bit for bit.
+
+    n = 2 is the closed form u = w_01 (v_1, -v_0) / tr G.  For n >= 3 every
+    step is elementwise on (B,) columns, with no LAPACK call per row: the
+    Gram entries, a cyclic Jacobi on G / tr G for the eigenvalues behind
+    cond, and one Cholesky factorization of the packed operator, whose two
+    substitutions serve every right-hand side; then u = W v.  Jacobi runs a
+    fixed 3 + ceil(log2(n - 1)) sweeps (4 at n = 3, 5 at n = 4 and 5, 6 at
+    n = 6 to 9), the fewest after which one more sweep moved no cond by more
+    than 2e-13 relative, over Gaussian, graded (cond up to 1e10), clustered
+    and repeated-eigenvalue Gram matrices at n = 3 to 10; a fixed count keeps
+    every row's steps independent of the batch.
     """
     n = v.shape[-2]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         if n == 2:
             trace = np.einsum("bij,bij->b", v, v)
-            cond = np.where(trace > 0, 1.0, np.inf)
-            u = (w_mat @ v) / trace[:, None, None]
+            cond = np.where((trace > 0) & (trace < np.inf), 1.0, np.inf)
+            w01 = w_mat[..., 0, 1, None]
+            u = np.empty(w_mat.shape[:-2] + v.shape[-2:])
+            np.multiply(w01, v[:, 1], out=u[..., 0, :])
+            np.multiply(-w01, v[:, 0], out=u[..., 1, :])
+            u /= trace[:, None, None]
         else:
-            lam, q = np.linalg.eigh(v @ np.swapaxes(v, -1, -2))
-            low = lam[:, 0] + lam[:, 1]
-            cond = np.where(low > 0, (lam[:, -1] + lam[:, -2]) / low, np.inf)
-            qt = np.swapaxes(q, -1, -2)
-            # a skew W has no diagonal: an infinite denominator zeroes it
-            den = np.where(np.eye(n, dtype=bool), np.inf, lam[:, :, None] + lam[:, None, :])
-            u = q @ ((qt @ w_mat @ q) / den) @ (qt @ v)
+            g = _gram_columns(v)
+            cond = _operator_cond(g, n)
+            iu, ju = triu_pairs(n)
+            x = _skew_solve(g, n, [w_mat[..., i, j] for i, j in zip(iu, ju)])
+            w_sol = np.zeros(w_mat.shape)
+            for i, j, xk in zip(iu, ju, x):
+                w_sol[..., i, j] = xk
+                w_sol[..., j, i] = -xk
+            u = w_sol @ v
     u[..., ~(cond <= COND_LIMIT), :, :] = np.nan
     return u, cond
+
+
+def _gram_columns(v: np.ndarray) -> dict:
+    """Upper Gram entries G_kl = <v_k, v_l>, k <= l, as (B,) columns, summed in a fixed order."""
+    n, m = v.shape[-2:]
+    vt = np.ascontiguousarray(np.moveaxis(v, 0, -1))  # (n, m, B)
+    g = {}
+    for k in range(n):
+        acc = vt[k, 0] * vt[k:, 0]
+        for j in range(1, m):
+            acc += vt[k, j] * vt[k:, j]
+        for l in range(k, n):
+            g[k, l] = acc[l - k]
+    return g
+
+
+def _operator_cond(g: dict, n: int) -> np.ndarray:
+    """cond of W -> W G + G W from the upper Gram columns g[k, l], k <= l.
+
+    The operator's eigenvalues are the sums lambda_i + lambda_j, i < j, of
+    the Gram eigenvalues, which cyclic Jacobi finds on G / tr G (no entry
+    can overflow).  Only the eigenvalues are kept, not the rotations.
+    """
+    trace = g[0, 0]
+    for i in range(1, n):
+        trace = trace + g[i, i]
+    scale = 1.0 / trace
+    a = {key: col * scale for key, col in g.items()}
+    for _ in range(3 + math.ceil(math.log2(n - 1))):
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                # t = tan of the angle that zeroes a_pq, the root of smaller modulus
+                apq = a[p, q]
+                apq2 = apq + apq
+                tau = a[q, q] - a[p, p]
+                root = np.sqrt(tau * tau + apq2 * apq2)
+                root += _TINY  # t = 0, not 0/0, where a_pq and tau both vanish
+                t = apq2 / (tau + np.copysign(root, tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                t_apq = t * apq
+                a[p, p] = a[p, p] - t_apq
+                a[q, q] = a[q, q] + t_apq
+                a[p, q] = 0.0
+                for r in range(n):
+                    if r != p and r != q:
+                        rp, rq = (min(r, p), max(r, p)), (min(r, q), max(r, q))
+                        arp, arq = a[rp], a[rq]
+                        a[rp] = c * arp - s * arq
+                        a[rq] = s * arp + c * arq
+    sums = [a[i, i] + a[j, j] for i in range(n) for j in range(i + 1, n)]
+    low, high = sums[0], sums[0]
+    for x in sums[1:]:
+        low, high = np.minimum(low, x), np.maximum(high, x)
+    return np.where((low > 0) & (high < np.inf), high / low, np.inf)
+
+
+def _skew_solve(g: dict, n: int, w: list) -> list:
+    """Packed skew W with W G + G W = w, from the packed columns w (..., B).
+
+    On the basis E_ij - E_ji, i < j, in row-major order, the operator has
+    diagonal entries G_ii + G_jj; two pairs sharing one index couple through
+    +-G of their other two, and pairs sharing none do not couple.  One
+    Cholesky factorization, with those structural zeros skipped, serves every
+    stacked right-hand side.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    op = {}
+    for a, (k, l) in enumerate(pairs):
+        op[a, a] = g[k, k] + g[l, l]
+        for b, (i, j) in enumerate(pairs[:a]):  # i < k, or i = k and j < l
+            if i == k:
+                op[a, b] = g[j, l]
+            elif j == k:
+                op[a, b] = -g[i, l]
+            elif j == l:
+                op[a, b] = g[i, k]
+    low = {}
+    for j in range(len(pairs)):
+        for i in range(j, len(pairs)):
+            acc = op.get((i, j))
+            for k in range(j):
+                if (i, k) in low and (j, k) in low:
+                    term = low[i, k] * low[j, k]
+                    acc = -term if acc is None else acc - term
+            if i == j:
+                low[j, j] = np.sqrt(acc)
+            elif acc is not None:
+                low[i, j] = acc / low[j, j]
+    x = []  # forward substitution, then back substitution in place
+    for i in range(len(pairs)):
+        acc = w[i]
+        for k in range(i):
+            if (i, k) in low:
+                acc = acc - low[i, k] * x[k]
+        x.append(acc / low[i, i])
+    for i in reversed(range(len(pairs))):
+        acc = x[i]
+        for k in range(i + 1, len(pairs)):
+            if (k, i) in low:
+                acc = acc - low[k, i] * x[k]
+        x[i] = acc / low[i, i]
+    return x
 
 
 def lemma_solution_batch(v: np.ndarray, w_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carnot_coupling.gaussian_coupling import (
     couple_to_shift,
@@ -109,3 +111,51 @@ class TestMaximalCoupling:
         c1 = np.cov((Y1 @ Q.T).T)
         c2 = np.cov(Y2.T)
         assert np.allclose(c1, c2, atol=0.05)
+
+
+def coupling_rows(seed, count, d, scale):
+    """count rows G ~ N(0, I_d), shifts of size about `scale` (every third zero), uniforms."""
+    rng = np.random.default_rng(seed)
+    shift = scale * rng.standard_normal((count, d))
+    shift[::3] = 0.0
+    return rng.standard_normal((count, d)), shift, rng.uniform(size=count)
+
+
+class TestOneScalarPerRow:
+    """Y = G + c mu and X~ = X + c shift, one scalar c per row."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 40), count=st.integers(1, 48), scale=st.floats(0.0, 3.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_batch_of_one_equals_its_row(self, d, count, scale, seed):
+        G, shift, uniforms = coupling_rows(seed, count, d, scale)
+        for kernel in (reflection_couple_batch, couple_to_shift):
+            out, met = kernel(G, shift, uniforms)
+            for i in range(count):
+                alone, alone_met = kernel(G[i:i + 1], shift[i:i + 1], uniforms[i:i + 1])
+                assert np.array_equal(alone[0], out[i]) and alone_met[0] == met[i]
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 40), count=st.integers(1, 48), scale=st.floats(0.0, 3.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_met_rows_are_exactly_shifted(self, d, count, scale, seed):
+        X, shift, uniforms = coupling_rows(seed, count, d, scale)
+        Xt, met = couple_to_shift(X, shift, uniforms)
+        assert met[::3].all()
+        assert np.array_equal(Xt[met], (X + shift)[met])
+
+    @pytest.mark.parametrize("d", [1, 3, 22, 37])
+    def test_matches_the_reflection_through_the_bisecting_hyperplane(self, d):
+        # reference: e = mu/|mu|, s = <G, e>, Y = G + (|mu| - 2 s) e off the met rows
+        G, shift, uniforms = coupling_rows(d, 2000, d, 0.7)
+        Y, met = reflection_couple_batch(G, shift, uniforms)
+        delta = np.linalg.norm(shift, axis=1)
+        e = shift / np.where(delta > 0, delta, 1.0)[:, None]
+        s = np.sum(G * e, axis=1)
+        assert np.array_equal(met, (np.log(uniforms) <= s * delta - 0.5 * delta ** 2) | (delta == 0))
+        ref = np.where(met[:, None], G, G + (delta - 2.0 * s)[:, None] * e)
+        assert np.allclose(Y, ref, rtol=0.0, atol=1e-13 * (1.0 + np.max(np.abs(ref))))
+        Xt, met_t = couple_to_shift(G, shift, uniforms)
+        Z, met_z = reflection_couple_batch(G, -shift, uniforms)
+        assert np.array_equal(met_t, met_z)
+        assert np.allclose(Xt, Z + shift, rtol=0.0, atol=1e-13 * (1.0 + np.max(np.abs(Xt))))

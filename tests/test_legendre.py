@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carnot_coupling.groups import (
     CarnotElement,
@@ -255,6 +257,19 @@ class TestCarnotEndpoint:
             assert ep.x[0] == pytest.approx(x1, abs=1e-12)
             assert ep.x[1] == pytest.approx(x2, abs=1e-12)
             assert ep.z.upper[0] == pytest.approx(z, abs=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 5), L=st.integers(2, 40), count=st.integers(1, 24),
+           T=st.floats(0.01, 100.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_batch_of_one_equals_its_row(self, n, L, count, T, seed):
+        rng = np.random.default_rng(seed)
+        x, z = rng.standard_normal(n), rng.standard_normal(n * (n - 1) // 2)
+        xi = rng.standard_normal((count, L, n))
+        iu, ju = triu_pairs(n)
+        xT, zT = endpoint_packed(x, z, xi, T, iu, ju)
+        for i in range(count):
+            xTi, zTi = endpoint_packed(x, z, xi[i:i + 1], T, iu, ju)
+            assert np.array_equal(xTi[0], xT[i]) and np.array_equal(zTi[0], zT[i])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -159,6 +159,41 @@ def row_norm(a):
 
 # the shapes the shift solves: m = 1 is the two-index Heisenberg coupling
 LEAST_NORM_SHAPES = [(2, 1)] + [(n, m) for n in range(2, 7) for m in (n + 2, 2 * n + 1)]
+HARD_SHAPES = [(n, m) for n in range(3, 7) for m in (n + 2, 2 * n + 1)]
+# Gaussian rows (at n = 5 they need every Jacobi sweep), repeated eigenvalues,
+# a cluster of width 1e-6, cond from about 1e7 to 1e10, v scaled by 1e+-100
+HARD_KINDS = ["gaussian", "repeated", "clustered", "ill8", "ill9", "scale+100", "scale-100"]
+EPS = np.finfo(float).eps
+
+
+def hard_system(kind, n, m, count=200):
+    """count systems (v, w) of one kind of Gram spectrum, seeded by (n, m)."""
+    rng = derive_rng(29, 16 * n + m)
+    rows = np.linalg.qr(rng.standard_normal((count, m, m)))[0][:, :n]  # orthonormal rows
+    if kind == "repeated":
+        v = rows * rng.uniform(0.5, 2.0, (count, 1, 1))
+    elif kind == "clustered":
+        turn = np.linalg.qr(rng.standard_normal((count, n, n)))[0]
+        v = (turn * np.sqrt(1.0 + 1e-6 * rng.standard_normal((count, 1, n)))) @ rows
+    elif kind.startswith("ill"):
+        # two rows of order 10^(-e/2) make the two smallest eigenvalues, and with
+        # them the operator's smallest, of order 10^-e
+        v = rng.standard_normal((count, n, m))
+        v[:, :2] *= 10.0 ** (-int(kind[3:]) / 2)
+    elif kind == "gaussian":
+        v = rng.standard_normal((count, n, m))
+    else:
+        v = rng.standard_normal((count, n, m)) * 10.0 ** int(kind[5:])
+    return v, unpack_skew(n, rng.standard_normal((count, n * (n - 1) // 2)))
+
+
+def skew_operator(gram):
+    """The matrix of W -> W G + G W on the basis E_ij - E_ji, i < j."""
+    n = gram.shape[0]
+    iu, ju = np.triu_indices(n, k=1)
+    basis = unpack_skew(n, np.eye(len(iu)))
+    images = basis @ gram + gram @ basis
+    return images[:, iu, ju].T
 
 
 class TestLeastNorm:
@@ -198,17 +233,54 @@ class TestLeastNorm:
         assert np.allclose(u, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
 
     def test_cond_is_that_of_the_skew_operator(self):
-        # the matrix of W -> W G + G W on the basis E_ij - E_ji, i < j
         for n in (3, 4, 5):
             v, w = random_system(derive_rng(22, n), 20, n, n + 2)
             _, cond = tsylvester_batch(v, w)
-            iu, ju = np.triu_indices(n, k=1)
-            basis = unpack_skew(n, np.eye(len(iu)))
             for row, c in zip(v, cond):
-                gram = row @ row.T
-                images = basis @ gram + gram @ basis
-                op = images[:, iu, ju].T
-                assert c == pytest.approx(np.linalg.cond(op), rel=1e-9)
+                assert c == pytest.approx(np.linalg.cond(skew_operator(row @ row.T)), rel=1e-9)
+
+    @pytest.mark.parametrize("kind", HARD_KINDS)
+    @pytest.mark.parametrize("n,m", HARD_SHAPES)
+    def test_cond_on_hard_spectra(self, n, m, kind):
+        v, w = hard_system(kind, n, m)
+        _, cond = tsylvester_batch(v, w)
+        if kind.startswith("ill"):
+            assert np.all((cond > 1e6) & (cond < 1e11))
+        for row, c in zip(v, cond):
+            assert c == pytest.approx(np.linalg.cond(skew_operator(row @ row.T)), rel=1e-9)
+
+    @pytest.mark.parametrize("kind", HARD_KINDS)
+    @pytest.mark.parametrize("n,m", HARD_SHAPES)
+    def test_residual_on_hard_spectra(self, n, m, kind):
+        # a backward-stable solve leaves a residual of order eps * cond * |w|
+        v, w = hard_system(kind, n, m)
+        u, cond = tsylvester_batch(v, w)
+        resid = u @ np.swapaxes(v, 1, 2) - v @ np.swapaxes(u, 1, 2) - w
+        assert np.all(row_norm(resid) <= 16 * EPS * cond * (1.0 + row_norm(w)))
+
+    @pytest.mark.parametrize("kind", HARD_KINDS)
+    @pytest.mark.parametrize("n,m", HARD_SHAPES)
+    def test_never_longer_than_the_lemma_solution_on_hard_spectra(self, n, m, kind):
+        # equal lengths when every Gram eigenvalue is equal (v v^t = cI); the lemma
+        # solution's own cond, lambda_n / lambda_1, can pass COND_LIMIT on an ill row
+        v, w = hard_system(kind, n, m)
+        u, _ = tsylvester_batch(v, w)
+        u_lemma, _ = lemma_solution_batch(v, w)
+        solved = np.isfinite(u_lemma).all(axis=(1, 2))
+        assert solved.mean() >= 0.99
+        assert np.all(row_norm(u[solved]) <= row_norm(u_lemma[solved]) * (1.0 + 1e-9))
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (2, 5), (3, 7), (4, 9)])
+    def test_non_finite_probe_rows_flagged(self, n, m):
+        v, w = random_system(derive_rng(28, n), 12, n, m)
+        v[3, 0, 0] = np.nan
+        v[8, -1, -1] = np.inf
+        flagged = np.isin(np.arange(12), [3, 8])
+        with np.errstate(all="raise"):
+            u, cond = tsylvester_batch(v, w)
+        kept_u, kept_cond = tsylvester_batch(v[~flagged], w[~flagged])
+        assert np.all(cond[flagged] == np.inf) and np.isnan(u[flagged]).all()
+        assert np.array_equal(u[~flagged], kept_u) and np.array_equal(cond[~flagged], kept_cond)
 
     def test_one_probe_is_the_two_index_rotation(self):
         # the hand-derived two-index shift c e2, e2 the probe turned by a right angle
