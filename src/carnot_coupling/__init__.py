@@ -18,18 +18,7 @@ from .groups import (
     so3_iso_check,
     zeta,
 )
-from .legendre import (
-    CoefficientStream,
-    PathSample,
-    alpha,
-    carnot_endpoint,
-    integral_Q,
-    levy_area_series,
-    sample_stream,
-    sde_oracle,
-    synth_path,
-    truncation_index,
-)
+from .legendre import alpha, truncation_index
 from .gaussian_coupling import gaussian_tv
 from .sylvester import (
     SingularGramError,

@@ -56,8 +56,7 @@ from .girsanov import (
     inequality_suite,
     semigroup_transfer_check,
 )
-from .groups import (CarnotElement, HeisenbergPoint, SkewMatrix, heis_to_carnot, triu_pairs,
-                     unpack_skew)
+from .groups import CarnotElement, HeisenbergPoint, SkewMatrix, heis_to_carnot, unpack_skew
 from .legendre import endpoint_packed, sde_oracle_batch, truncation_index
 from .mc import bound_check, derive_rng, ks_test, run_vector_estimator, split_seed, two_sample_compare
 from .special_constants import constants_table
@@ -205,11 +204,9 @@ def _moment_columns(xT: np.ndarray, zT: np.ndarray) -> np.ndarray:
 
 
 def _legendre_moment_sampler(g: CarnotElement, T: float, k_path: int):
-    iu, ju = triu_pairs(g.n)
-
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         xi = rng.standard_normal((count, k_path + 1, g.n))
-        return _moment_columns(*endpoint_packed(g.x, g.z.upper, xi, T, iu, ju))
+        return _moment_columns(*endpoint_packed(g.x, g.z.upper, xi, T))
 
     return sampler
 
@@ -229,12 +226,11 @@ def _streamed_endpoints(g: CarnotElement, T: float, k_path: int, N: int,
     equal a single draw of all N paths while only one chunk of coefficients
     is held at a time.
     """
-    iu, ju = triu_pairs(g.n)
     xT, z0 = np.empty((N, g.n)), np.empty(N)
     for start in range(0, N, mc.BATCH_SIZE):
         stop = min(start + mc.BATCH_SIZE, N)
         xi = rng.standard_normal((stop - start, k_path + 1, g.n))
-        xT[start:stop], zT = endpoint_packed(g.x, g.z.upper, xi, T, iu, ju)
+        xT[start:stop], zT = endpoint_packed(g.x, g.z.upper, xi, T)
         z0[start:stop] = zT[:, 0]
     return xT, z0
 
@@ -293,8 +289,9 @@ def cmd_sylvester(args) -> int:
     rng = derive_rng(args.seed, 3)
     count = min(args.N, 20000)
     v = rng.standard_normal((count, n, m))
-    w = unpack_skew(n, rng.standard_normal((count, n * (n - 1) // 2)))
-    u, cond = lemma_solution_batch(v, w)
+    w_packed = rng.standard_normal((count, n * (n - 1) // 2))
+    u, cond = lemma_solution_batch(v, w_packed)
+    w = unpack_skew(n, w_packed)
     resid = u @ np.swapaxes(v, -1, -2) - v @ np.swapaxes(u, -1, -2) - w
     rnorm = np.sqrt(np.sum(resid ** 2, axis=(-2, -1)))
     wnorm = np.sqrt(np.sum(w ** 2, axis=(-2, -1)))

@@ -16,7 +16,9 @@ the skew endpoint mismatch w: sum_k (u_k V_k^t - V_k u_k^t) = w, with V_k = T
 times the k-th probe.  `sylvester_system` builds w and V for both
 constructions and for the Girsanov shift in `girsanov`, and both take the
 least-norm solution `tsylvester_batch` of that equation; with one probe it is
-the right-angle turn of the probe scaled to match the area.
+the right-angle turn of the probe scaled to match the area.  The streams are
+coefficient arrays xi (B, L, n) and w stays packed, (B, n(n-1)/2), up to the
+solve; a single run is a batch of one.
 
 Conditionally on everything the shifts depend on, the modified coordinates
 form a standard Gaussian vector, which is coupled jointly with its shifted
@@ -55,7 +57,6 @@ from .groups import (
     heis_zeta,
     odot_packed,
     triu_pairs,
-    unpack_skew,
     zeta,
 )
 from .legendre import alpha_ladder, endpoint_packed, truncation_index
@@ -113,6 +114,11 @@ class BoundReport:
     vertical_term: float
     total: float
     variant: str
+
+
+def _check_horizon(T: float) -> None:
+    if not 0 < T < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {T}")
 
 
 def _modified_indices(n: int, two_index: bool) -> list[int]:
@@ -186,7 +192,7 @@ def _couple_batch(gc: CarnotElement, gct: CarnotElement, Ts, rng: np.random.Gene
     uniforms = rng.uniform(size=count)
 
     w = np.stack([_mismatch(gc, gct, T, xi) for T in Ts])
-    u, cond = tsylvester_batch(_probes(xi, m, 1.0), unpack_skew(n, w))
+    u, cond = tsylvester_batch(_probes(xi, m, 1.0), w)
     bad = cond > COND_LIMIT
 
     stack = np.concatenate(
@@ -217,9 +223,8 @@ def _second_stream(batch: _GridBatch, s: int) -> np.ndarray:
 def _gaps(gc: CarnotElement, gct: CarnotElement, T: float,
           xi: np.ndarray, xi_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact finite-sum endpoint differences (max-abs horizontal, HS vertical)."""
-    iu, ju = triu_pairs(gc.n)
-    xT, zT = endpoint_packed(gc.x, gc.z.upper, xi, T, iu, ju)
-    xTt, zTt = endpoint_packed(gct.x, gct.z.upper, xi_t, T, iu, ju)
+    xT, zT = endpoint_packed(gc.x, gc.z.upper, xi, T)
+    xTt, zTt = endpoint_packed(gct.x, gct.z.upper, xi_t, T)
     h_gap = np.max(np.abs(xT - xTt), axis=-1)
     v_gap = np.sqrt(2.0 * np.sum((zT - zTt) ** 2, axis=-1))
     return h_gap, v_gap
@@ -245,9 +250,8 @@ def _couple_once(gc: CarnotElement, gct: CarnotElement, T: float,
     xi, xi_t = xi[0], xi_t[0]
     k_path = max(truncation_index(DEFAULT_TAIL_TOL, T), xi.shape[0])
     tail = rng.standard_normal((max(0, k_path + 1 - xi.shape[0]), gc.n))
-    iu, ju = triu_pairs(gc.n)
-    xT, zT = endpoint_packed(gc.x, gc.z.upper, _with_tail(xi, tail), T, iu, ju)
-    xTt, zTt = endpoint_packed(gct.x, gct.z.upper, _with_tail(xi_t, tail), T, iu, ju)
+    xT, zT = endpoint_packed(gc.x, gc.z.upper, _with_tail(xi, tail), T)
+    xTt, zTt = endpoint_packed(gct.x, gct.z.upper, _with_tail(xi_t, tail), T)
     shifts = [(k, xi_t[k] - xi[k]) for k in _modified_indices(gc.n, two_index)]
     diag = CouplingDiagnostics(SkewMatrix(gc.n, batch.w[0, 0]), float(batch.cond[0]),
                                resampled, float(h_gap[0]), float(v_gap[0]))
@@ -263,16 +267,14 @@ def _couple_once(gc: CarnotElement, gct: CarnotElement, T: float,
 def couple_heisenberg(g: HeisenbergPoint, gt: HeisenbergPoint, T: float,
                       rng: np.random.Generator) -> CouplingOutcome:
     """One coupling run on the Heisenberg group (modified indices {0, 3})."""
-    if T <= 0:
-        raise ValueError("horizon must be positive")
+    _check_horizon(T)
     return _couple_once(heis_to_carnot(g), heis_to_carnot(gt), T, rng, two_index=True)
 
 
 def couple_carnot(g: CarnotElement, gt: CarnotElement, T: float,
                   rng: np.random.Generator) -> CouplingOutcome:
     """One coupling run on the rank-n group (modified indices {0, 3, ..., 3(2n+1)})."""
-    if T <= 0:
-        raise ValueError("horizon must be positive")
+    _check_horizon(T)
     if g.n != gt.n:
         raise ValueError("dimension mismatch")
     if g.n < 2:
@@ -298,8 +300,10 @@ def failure_probability(g, gt, Ts, N: int, seed: int,
     measure-zero; any one of them raises SingularGramError.
     """
     Ts = [float(T) for T in Ts]
-    if not Ts or min(Ts) <= 0:
-        raise ValueError("need a nonempty grid of positive horizons")
+    if not Ts:
+        raise ValueError("need a nonempty grid of horizons")
+    for T in Ts:
+        _check_horizon(T)
     gc, gct, heis = _normalize_pair(g, gt)
 
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -314,8 +318,7 @@ def failure_probability(g, gt, Ts, N: int, seed: int,
 
 def tv_bound(g, gt, T: float, variant: str) -> BoundReport:
     """Closed-form total-variation bound for the chosen constant set."""
-    if T <= 0:
-        raise ValueError("horizon must be positive")
+    _check_horizon(T)
     if variant in ("proof-stage", "improved-remark2"):
         if not isinstance(g, HeisenbergPoint):
             raise ValueError("Heisenberg variants need Heisenberg points")

@@ -38,7 +38,7 @@ import numpy as np
 
 from .catalog import TestFunction
 from .coupling import sylvester_system
-from .groups import CarnotElement, SkewMatrix, odot, triu_pairs, unpack_skew, zeta
+from .groups import CarnotElement, SkewMatrix, odot, zeta
 from .legendre import endpoint_packed
 from .mc import (
     ComparisonReport,
@@ -84,13 +84,12 @@ def build_shift(g: CarnotElement, gt: CarnotElement, T: float, K: int,
     Returns u0 (n,), the shift of index 0, collinear with x - x~, and blocks
     (B, K, n), whose row k-1 shifts index 3k.  Needs K >= n + 2 and L >= 3K+2.
     """
-    n = g.n
-    if K < n + 2:
+    if K < g.n + 2:
         raise ValueError("need K >= n + 2 modified blocks")
     if xi.shape[-2] < 3 * K + 2:
         raise ValueError("xi must supply indices up to 3K+1")
     w, V = sylvester_system(g, gt, T, xi, K)
-    u, cond = tsylvester_batch(V, unpack_skew(n, w))
+    u, cond = tsylvester_batch(V, w)
     bad = cond > COND_LIMIT
     if bad.any():
         # measure-zero event; fail loudly rather than use an ill-conditioned solve
@@ -117,17 +116,6 @@ def log_density(u0: np.ndarray, blocks: np.ndarray, xi: np.ndarray) -> np.ndarra
     """Row-wise log R(u) = -<omega, u> - |u|^2/2 for the shift from build_shift."""
     dot, norm2 = _shift_pairing(u0, blocks, xi)
     return -dot - 0.5 * norm2
-
-
-def _f_on_endpoints(f: TestFunction, x: np.ndarray, z: np.ndarray, xi: np.ndarray, T: float):
-    """f at the endpoints driven by xi (B, L, n) from one start or a stack of them.
-
-    One start is x (n,), z (n(n-1)/2,) and gives (B,) values; S starts stacked
-    as x (S, 1, n), z (S, 1, n(n-1)/2) share one area and give (S, B) values.
-    """
-    iu, ju = triu_pairs(xi.shape[-1])
-    xT, zT = endpoint_packed(x, z, xi, T, iu, ju)
-    return f(xT, zT)
 
 
 def _path_len(K: int, k_path: int | None) -> int:
@@ -211,11 +199,11 @@ def semigroup_transfer_check(
         xi = rng.standard_normal((count, L, g.n))
         u0, blocks = build_shift(g, gt, T, K, xi)
         w = np.exp(log_density(u0, blocks, xi))
-        return _f_on_endpoints(f, g.x, g.z.upper, xi, T) * w
+        return f(*endpoint_packed(g.x, g.z.upper, xi, T)) * w
 
     def direct_sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         xi = rng.standard_normal((count, L, g.n))
-        return _f_on_endpoints(f, gt.x, gt.z.upper, xi, T)
+        return f(*endpoint_packed(gt.x, gt.z.upper, xi, T))
 
     lhs = run_vector_estimator(lhs_sampler, N, split_seed(seed, 1), workers)[0]
     rhs = run_vector_estimator(direct_sampler, N, split_seed(seed, 2), workers)[0]
@@ -245,7 +233,7 @@ def bismut_gradient(
         xi = rng.standard_normal((count, L, g.n))
         u0, blocks = build_shift(g, gth, T, K, xi)
         weight = -_shift_pairing(u0, blocks, xi)[0]
-        return _f_on_endpoints(f, g.x, g.z.upper, xi, T) * weight
+        return f(*endpoint_packed(g.x, g.z.upper, xi, T)) * weight
 
     return run_vector_estimator(sampler, N, seed, workers)[0]
 
@@ -272,7 +260,7 @@ def finite_diff_gradient(
 
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         xi = rng.standard_normal((count, L, g.n))
-        fp, fm = _f_on_endpoints(f, x, z, xi, T)
+        fp, fm = f(*endpoint_packed(x, z, xi, T))
         return (fp - fm) / (2.0 * eps)
 
     return run_vector_estimator(sampler, N, seed, workers)[0]
@@ -345,7 +333,7 @@ def inequality_suite(
 
     def base_sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         xi = rng.standard_normal((count, L, n))
-        vals = _f_on_endpoints(f, g.x, g.z.upper, xi, T)
+        vals = f(*endpoint_packed(g.x, g.z.upper, xi, T))
         u0, blocks = build_shift(g, gth, T, K, xi)
         dot, u_sq = _shift_pairing(u0, blocks, xi)
         weight = -dot
@@ -360,7 +348,7 @@ def inequality_suite(
     if f.min_value > 0:
         def tilde_sampler(rng: np.random.Generator, count: int) -> np.ndarray:
             xi = rng.standard_normal((count, L, n))
-            return np.log(_f_on_endpoints(f, gt.x, gt.z.upper, xi, T))
+            return np.log(f(*endpoint_packed(gt.x, gt.z.upper, xi, T)))
 
         lhs_lh = run_vector_estimator(tilde_sampler, N, split_seed(seed, 4), workers)[0]
         rhs_lh = math.log(mean_f.mean) + entropy_bound_constant(g, gt, T)
@@ -392,7 +380,7 @@ def inequality_suite(
     if f.min_value > 0:
         def flnf_sampler(rng: np.random.Generator, count: int) -> np.ndarray:
             xi = rng.standard_normal((count, L, n))
-            vals = _f_on_endpoints(f, g.x, g.z.upper, xi, T)
+            vals = f(*endpoint_packed(g.x, g.z.upper, xi, T))
             return vals * np.log(vals)
 
         flnf = run_vector_estimator(flnf_sampler, N, split_seed(seed, 5), workers)[0]

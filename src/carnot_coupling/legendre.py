@@ -6,9 +6,10 @@ Gaussian vectors xi_0, xi_1, ... as
     B_t = sum_k xi_k * int_0^t Q_k(s) ds,
 
 where Q_k(s) = sqrt(2/T) P_k(2s/T - 1) and P_k are the L^2-normalized
-Legendre polynomials on [-1, 1].  Only the k = 0 integral survives at t = T,
-so B_T = sqrt(T) xi_0 exactly.  The signed swept areas of the components at
-time T collapse to the bilinear series
+Legendre polynomials on [-1, 1]; `integral_Q_table(times, T, K) @ xi` is
+the truncated path at the given times.  Only the k = 0 integral survives at
+t = T, so B_T = sqrt(T) xi_0 exactly.  The signed swept areas of the
+components at time T collapse to the bilinear series
 
     A_T = T * sum_k alpha_k * (xi_k odot xi_{k+1}),
     alpha_k = 1 / (2 sqrt((2k+1)(2k+3))),
@@ -18,34 +19,29 @@ The series is evaluated as one matrix product per path,
 M = xi[:-1]^t diag(alpha) xi[1:], whose skew part T (M - M^t) is the area.
 An Euler-Maruyama discretization of the area SDE is kept alongside as an
 independent distributional oracle.
+
+Paths cross this module's boundary only as coefficient arrays xi of shape
+(..., K+1, n), row k the R^n coefficient of int Q_k, and endpoints only in
+packed vertical coordinates; a single path is a batch of one.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import CarnotElement, SkewMatrix, odot_packed, triu_pairs
+from .groups import CarnotElement, odot_packed, triu_pairs
 
 __all__ = [
     "alpha",
     "alpha_ladder",
     "alpha_sq",
     "pair_alpha_sq",
-    "integral_Q",
     "integral_Q_table",
-    "CoefficientStream",
-    "PathSample",
-    "sample_stream",
-    "synth_path",
-    "levy_area_series",
     "levy_area_packed",
-    "carnot_endpoint",
     "endpoint_packed",
-    "sde_oracle",
     "sde_oracle_batch",
     "truncation_index",
 ]
@@ -110,59 +106,6 @@ def integral_Q_table(times: np.ndarray, T: float, kmax: int) -> np.ndarray:
     return table
 
 
-def integral_Q(k: int, t: float, T: float) -> float:
-    """int_0^t Q_k(s) ds for a single index."""
-    if k < 0:
-        raise ValueError("index must be nonnegative")
-    return float(integral_Q_table(np.array([t]), T, k)[0, k])
-
-
-@dataclass(frozen=True)
-class CoefficientStream:
-    """Gaussian coefficients xi_0..xi_K driving one path on [0, T].
-
-    xi has shape (K+1, n); row k is the R^n coefficient of int Q_k.
-    """
-
-    n: int
-    T: float
-    xi: np.ndarray
-
-    def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=float)
-        if xi.ndim != 2 or xi.shape[1] != self.n:
-            raise ValueError("coefficients must have shape (K+1, n)")
-        if xi.shape[0] < 2:
-            raise ValueError("need at least indices 0 and 1")
-        object.__setattr__(self, "xi", xi)
-
-    @property
-    def k_path(self) -> int:
-        return self.xi.shape[0] - 1
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """Brownian path values at increasing times in [0, T]; B_0 = 0."""
-
-    times: np.ndarray
-    values: np.ndarray  # shape (len(times), n)
-
-
-def sample_stream(n: int, T: float, k_path: int, rng: np.random.Generator) -> CoefficientStream:
-    """Fresh i.i.d. standard-normal coefficient stream with indices 0..k_path."""
-    if k_path < 1:
-        raise ValueError("truncation index must be >= 1")
-    return CoefficientStream(n, T, rng.standard_normal((k_path + 1, n)))
-
-
-def synth_path(stream: CoefficientStream, times) -> PathSample:
-    """Evaluate the truncated Legendre synthesis at the given times."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    table = integral_Q_table(times, stream.T, stream.k_path)
-    return PathSample(times, table @ stream.xi)
-
-
 def levy_area_packed(xi: np.ndarray, T: float, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
     """Packed T * sum_{k < K} alpha_k (xi_k odot xi_{k+1}) for batched xi.
 
@@ -179,35 +122,25 @@ def levy_area_packed(xi: np.ndarray, T: float, iu: np.ndarray, ju: np.ndarray) -
     return T * (m[..., iu, ju] - m[..., ju, iu])
 
 
-def levy_area_series(stream: CoefficientStream) -> SkewMatrix:
-    """Swept-area matrix at time T of the path driven by the stream."""
-    iu, ju = triu_pairs(stream.n)
-    return SkewMatrix(stream.n, levy_area_packed(stream.xi, stream.T, iu, ju))
-
-
 def endpoint_packed(
     x: np.ndarray, z_packed: np.ndarray, xi: np.ndarray, T: float,
-    iu: np.ndarray, ju: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint (X_T, z_T) in packed vertical coordinates, batched over xi.
 
     X_T = x + sqrt(T) xi_0,
     z_T = z + (sqrt(T)/2) (x odot xi_0) + area series.
+
+    xi (..., L, n) gives (..., n) and (..., n(n-1)/2); a single path is a
+    batch of one.  One start is x (n,), z (n(n-1)/2,); S starts stacked as
+    x (S, 1, n), z (S, 1, n(n-1)/2) against xi (B, L, n) share one area and
+    give (S, B, ...) endpoints.
     """
+    iu, ju = triu_pairs(xi.shape[-1])
     sqrtT = math.sqrt(T)
     xT = x + sqrtT * xi[..., 0, :]
     zT = z_packed + 0.5 * sqrtT * odot_packed(x, xi[..., 0, :], iu, ju)
     zT = zT + levy_area_packed(xi, T, iu, ju)
     return xT, zT
-
-
-def carnot_endpoint(g: CarnotElement, stream: CoefficientStream) -> CarnotElement:
-    """Endpoint of the group Brownian motion started at g, driven by the stream."""
-    if g.n != stream.n:
-        raise ValueError("dimension mismatch")
-    iu, ju = triu_pairs(g.n)
-    xT, zT = endpoint_packed(g.x, g.z.upper, stream.xi, stream.T, iu, ju)
-    return CarnotElement(xT, SkewMatrix(g.n, zT))
 
 
 # Euler increments drawn per RNG call: bounds the (steps, count, n) draw in memory
@@ -240,12 +173,6 @@ def sde_oracle_batch(
             x += dB[j]
         done += blk
     return x, z
-
-
-def sde_oracle(g: CarnotElement, T: float, steps: int, rng: np.random.Generator) -> CarnotElement:
-    """Single Euler-Maruyama endpoint (see sde_oracle_batch)."""
-    x, z = sde_oracle_batch(g, T, steps, 1, rng)
-    return CarnotElement(x[0], SkewMatrix(g.n, z[0]))
 
 
 def truncation_index(tol: float, T: float) -> int:

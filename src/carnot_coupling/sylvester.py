@@ -29,7 +29,9 @@ space; with G = v v^t = Q diag(lambda) Q^t two of them are used.
 
 Each kernel solves a stack of systems and flags every row whose condition
 number exceeds COND_LIMIT by leaving it NaN; a single system is a batch of
-one.
+one.  The right-hand side w is passed packed, as its n(n-1)/2 strictly upper
+entries in the row-major order of `groups`, shape (..., B, n(n-1)/2); each
+kernel builds the dense skew matrix only where it multiplies by one.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import triu_pairs, unpack_skew
+from .groups import unpack_skew
 from .mc import MCEstimate, run_vector_estimator
 
 __all__ = [
@@ -60,11 +62,11 @@ class SingularGramError(np.linalg.LinAlgError):
     """A singular probe system: condition number above COND_LIMIT, or a zero probe."""
 
 
-def tsylvester_batch(v: np.ndarray, w_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched least-norm solutions; v (B, n, m), w_mat (..., B, n, n) skew.
+def tsylvester_batch(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched least-norm solutions; v (B, n, m), w (..., B, n(n-1)/2) packed skew.
 
-    Right-hand sides may be stacked on leading axes, (S, B, n, n) against one
-    v: the factorization of each row is done once and serves all S of them.
+    Right-hand sides may be stacked on leading axes, (S, B, n(n-1)/2) against
+    one v: the factorization of each row is done once and serves all S of them.
     Returns (u, cond) with u (..., B, n, m).  cond (B,) is the condition
     number of the operator W -> W G + G W on skew matrices, G = v v^t with
     eigenvalues lambda_1 <= ... <= lambda_n: (lambda_n + lambda_{n-1}) /
@@ -90,21 +92,16 @@ def tsylvester_batch(v: np.ndarray, w_mat: np.ndarray) -> tuple[np.ndarray, np.n
         if n == 2:
             trace = np.einsum("bij,bij->b", v, v)
             cond = np.where((trace > 0) & (trace < np.inf), 1.0, np.inf)
-            w01 = w_mat[..., 0, 1, None]
-            u = np.empty(w_mat.shape[:-2] + v.shape[-2:])
+            w01 = w[..., :1]
+            u = np.empty(w.shape[:-1] + v.shape[-2:])
             np.multiply(w01, v[:, 1], out=u[..., 0, :])
             np.multiply(-w01, v[:, 0], out=u[..., 1, :])
             u /= trace[:, None, None]
         else:
             g = _gram_columns(v)
             cond = _operator_cond(g, n)
-            iu, ju = triu_pairs(n)
-            x = _skew_solve(g, n, [w_mat[..., i, j] for i, j in zip(iu, ju)])
-            w_sol = np.zeros(w_mat.shape)
-            for i, j, xk in zip(iu, ju, x):
-                w_sol[..., i, j] = xk
-                w_sol[..., j, i] = -xk
-            u = w_sol @ v
+            x = _skew_solve(g, n, [w[..., k] for k in range(w.shape[-1])])
+            u = unpack_skew(n, np.stack(x, axis=-1)) @ v
     u[..., ~(cond <= COND_LIMIT), :, :] = np.nan
     return u, cond
 
@@ -212,8 +209,8 @@ def _skew_solve(g: dict, n: int, w: list) -> list:
     return x
 
 
-def lemma_solution_batch(v: np.ndarray, w_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched particular solutions of the Sylvester lemma; v (B, n, m), w_mat (B, n, n) skew.
+def lemma_solution_batch(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched particular solutions of the Sylvester lemma; v (B, n, m), w (B, n(n-1)/2) packed skew.
 
     Returns (u, cond) with u (B, n, m) and cond the Gram condition number
     lambda_max / lambda_min of v v^t (infinite when it is singular).  Rows
@@ -229,7 +226,7 @@ def lemma_solution_batch(v: np.ndarray, w_mat: np.ndarray) -> tuple[np.ndarray, 
     # flagged rows solve against the identity, so that each row's LU stays its own
     sol = np.linalg.solve(np.where(ok[:, None, None], gram, np.eye(gram.shape[-1])), v)
     sol[~ok] = np.nan
-    u = 0.5 * (w_mat @ sol)
+    u = 0.5 * (unpack_skew(v.shape[-2], w) @ sol)
     return u, cond
 
 
@@ -239,8 +236,6 @@ def wishart_inv_trace_mc(
     """Monte Carlo mean of tr((v v^t)^{-1}) over Gaussian v; target n/(m-n-1)."""
     if m < n + 2:
         raise ValueError("need m >= n + 2 for the inverse trace to be integrable")
-    if N < 1:
-        raise ValueError("need at least one sample")
 
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         v = rng.standard_normal((count, n, m))
@@ -248,7 +243,7 @@ def wishart_inv_trace_mc(
         eigs = np.linalg.eigvalsh(gram)
         return np.sum(1.0 / eigs, axis=-1)
 
-    return run_vector_estimator(sampler, max(N, 2), seed, workers)[0]
+    return run_vector_estimator(sampler, N, seed, workers)[0]
 
 
 @dataclass(frozen=True)
@@ -274,8 +269,7 @@ def u_moment_check(n: int, m: int, N: int, seed: int, workers: int = 1) -> UMome
 
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         v = rng.standard_normal((count, n, m))
-        w = unpack_skew(n, rng.standard_normal((count, pairs)))
-        u, _ = lemma_solution_batch(v, w)
+        u, _ = lemma_solution_batch(v, rng.standard_normal((count, pairs)))
         return np.sum(u * u, axis=(-1, -2))
 
     est = run_vector_estimator(sampler, N, seed, workers)[0]

@@ -40,7 +40,6 @@ from carnot_coupling.groups import (
     SkewMatrix,
     dilate,
     heis_to_carnot,
-    triu_pairs,
 )
 from carnot_coupling.legendre import endpoint_packed, truncation_index
 from carnot_coupling.mc import derive_rng, ks_test, run_vector_estimator, split_seed
@@ -171,9 +170,8 @@ def test_criterion_04_marginal_laws():
     tail = rng.standard_normal((N, k_path + 1 - xi.shape[1], 2))
     xi_full = np.concatenate([xi, tail], axis=1)
     xi_t_full = np.concatenate([xi_t, tail], axis=1)
-    iu, ju = triu_pairs(2)
-    xT, _ = endpoint_packed(gc.x, gc.z.upper, xi_full, T, iu, ju)
-    xTt, _ = endpoint_packed(gct.x, gct.z.upper, xi_t_full, T, iu, ju)
+    xT, _ = endpoint_packed(gc.x, gc.z.upper, xi_full, T)
+    xTt, _ = endpoint_packed(gct.x, gct.z.upper, xi_t_full, T)
     for i in range(2):
         p1 = ks_test(xT[:, i], scipy.stats.norm(loc=gc.x[i], scale=math.sqrt(T)).cdf)
         p2 = ks_test(xTt[:, i], scipy.stats.norm(loc=gct.x[i], scale=math.sqrt(T)).cdf)
@@ -182,7 +180,7 @@ def test_criterion_04_marginal_laws():
     # vertical variance T^2/4 at identity start
     xi0 = _couple_batch(gc, gc, [T], derive_rng(SEED, 41), N, two_index=True).xi
     tail0 = derive_rng(SEED, 42).standard_normal((N, k_path + 1 - xi0.shape[1], 2))
-    _, zT0 = endpoint_packed(gc.x, gc.z.upper, np.concatenate([xi0, tail0], axis=1), T, iu, ju)
+    _, zT0 = endpoint_packed(gc.x, gc.z.upper, np.concatenate([xi0, tail0], axis=1), T)
     var = float(zT0[:, 0].var())
     target = T * T / 4
     se = var * math.sqrt(6.0 / N)
@@ -229,7 +227,7 @@ def test_criterion_06_sylvester_residual():
         vals = rng.standard_normal((count, len(iu)))
         w[:, iu, ju] = vals
         w[:, ju, iu] = -vals
-        u, _ = lemma_solution_batch(v, w)
+        u, _ = lemma_solution_batch(v, vals)
         resid = u @ np.swapaxes(v, 1, 2) - v @ np.swapaxes(u, 1, 2) - w
         rnorm = np.sqrt(np.sum(resid ** 2, axis=(1, 2)))
         wnorm = np.sqrt(np.sum(w ** 2, axis=(1, 2)))

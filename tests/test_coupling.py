@@ -101,10 +101,14 @@ class TestSingleRuns:
                 assert out.diagnostics.vertical_gap <= 1e-9
         assert hits > 30
 
-    def test_invalid_horizon(self):
+    @pytest.mark.parametrize("T", [0.0, math.nan, math.inf])
+    def test_invalid_horizon(self, T):
         with pytest.raises(ValueError):
-            couple_heisenberg(HeisenbergPoint(0, 0, 0), HeisenbergPoint(0, 0, 0), 0.0,
+            couple_heisenberg(HeisenbergPoint(0, 0, 0), HeisenbergPoint(0, 0, 0), T,
                               derive_rng(5))
+        with pytest.raises(ValueError):
+            couple_carnot(CarnotElement.identity(3), CarnotElement.identity(3), T,
+                          derive_rng(5))
 
 
 class TestCouplingConstraint:
@@ -293,7 +297,7 @@ class TestHorizonGrid:
             assert np.array_equal(_second_stream(one, 0), _second_stream(batch, s))
             assert np.array_equal(one.met[0], batch.met[s])
 
-    @pytest.mark.parametrize("grid", [[], [4.0, 0.0], [-1.0]])
+    @pytest.mark.parametrize("grid", [[], [4.0, 0.0], [-1.0], [math.nan], [4.0, math.inf]])
     def test_empty_or_nonpositive_grid_rejected(self, grid):
         with pytest.raises(ValueError):
             failure_probability(HeisenbergPoint(0, 0, 0), HeisenbergPoint(1, 0, 0), grid, 100, 1)
@@ -331,9 +335,8 @@ class TestMarginalPreservation:
         N = 30_000
         gc, gct = heis_to_carnot(g), heis_to_carnot(gt)
         xi, xi_t, met, _, _, _ = _one_horizon(gc, gct, T, rng, N, two_index=True)
-        iu, ju = triu_pairs(2)
-        xT, zT = endpoint_packed(gc.x, gc.z.upper, xi, T, iu, ju)
-        xTt, zTt = endpoint_packed(gct.x, gct.z.upper, xi_t, T, iu, ju)
+        xT, zT = endpoint_packed(gc.x, gc.z.upper, xi, T)
+        xTt, zTt = endpoint_packed(gct.x, gct.z.upper, xi_t, T)
         for i in range(2):
             assert ks_test(xT[:, i], scipy.stats.norm(loc=gc.x[i], scale=math.sqrt(T)).cdf) > 0.01
             assert ks_test(xTt[:, i], scipy.stats.norm(loc=gct.x[i], scale=math.sqrt(T)).cdf) > 0.01
@@ -374,3 +377,8 @@ class TestTVBound:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             tv_bound(HeisenbergPoint(0, 0, 0), HeisenbergPoint(0, 0, 0), 1.0, "optimal")
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_horizon(self, T):
+        with pytest.raises(ValueError):
+            tv_bound(HeisenbergPoint(0, 0, 0), HeisenbergPoint(0, 0, 1), T, "proof-stage")

@@ -21,7 +21,6 @@ from carnot_coupling.girsanov import (
     log_density,
     semigroup_transfer_check,
     vertical_direction,
-    _f_on_endpoints,
     _weak_log_sobolev_rhs,
 )
 from carnot_coupling.groups import (
@@ -29,7 +28,6 @@ from carnot_coupling.groups import (
     HeisenbergPoint,
     SkewMatrix,
     heis_to_carnot,
-    triu_pairs,
 )
 from carnot_coupling.legendre import endpoint_packed
 from carnot_coupling.mc import MCEstimate, derive_rng, split_seed
@@ -51,9 +49,8 @@ def shifted_endpoints_agree(g, gt, T, K, xi):
     shifted = xi.copy()
     shifted[:, 0] += u0
     shifted[:, 3:3 * K + 1:3] += blocks
-    iu, ju = triu_pairs(g.n)
-    xT_gt, zT_gt = endpoint_packed(gt.x, gt.z.upper, shifted, T, iu, ju)
-    xT_g, zT_g = endpoint_packed(g.x, g.z.upper, xi, T, iu, ju)
+    xT_gt, zT_gt = endpoint_packed(gt.x, gt.z.upper, shifted, T)
+    xT_g, zT_g = endpoint_packed(g.x, g.z.upper, xi, T)
     assert np.max(np.abs(xT_gt - xT_g)) <= 1e-12
     assert np.max(np.abs(zT_gt - zT_g)) <= 1e-10
 
@@ -257,10 +254,10 @@ class TestFiniteDifference:
         f = CATALOG[fname]
         x = np.stack([s.x for s in starts])[:, None]
         z = np.stack([s.z.upper for s in starts])[:, None]
-        stacked = _f_on_endpoints(f, x, z, xi, 4.0)
+        stacked = f(*endpoint_packed(x, z, xi, 4.0))
         assert stacked.shape == (2, 64)
         for row, s in zip(stacked, starts):
-            assert np.array_equal(row, _f_on_endpoints(f, s.x, s.z.upper, xi, 4.0))
+            assert np.array_equal(row, f(*endpoint_packed(s.x, s.z.upper, xi, 4.0)))
 
 
 class TestInequalities:

@@ -17,21 +17,14 @@ from carnot_coupling.groups import (
     triu_pairs,
 )
 from carnot_coupling.legendre import (
-    CoefficientStream,
     alpha,
     alpha_ladder,
     alpha_sq,
-    carnot_endpoint,
     endpoint_packed,
-    integral_Q,
     integral_Q_table,
     levy_area_packed,
-    levy_area_series,
     pair_alpha_sq,
-    sample_stream,
-    sde_oracle,
     sde_oracle_batch,
-    synth_path,
     truncation_index,
 )
 from carnot_coupling.mc import BATCH_SIZE, derive_rng
@@ -74,24 +67,30 @@ class TestAlpha:
         assert alpha_ladder(0).shape == (0,)
 
 
+def path(xi, T, times):
+    """The truncated synthesis B_t = sum_k xi_k int_0^t Q_k at the given times."""
+    return integral_Q_table(times, T, xi.shape[0] - 1) @ xi
+
+
 class TestIntegralQ:
     def test_constant_mode_full_integral(self):
         for T in (1.0, 2.0, 25.0):
-            assert integral_Q(0, T, T) == math.sqrt(T)
+            assert integral_Q_table([T], T, 0)[0, 0] == math.sqrt(T)
 
     def test_higher_modes_vanish_at_T(self):
         for k in (1, 2, 3, 10, 57):
-            assert integral_Q(k, 4.0, 4.0) == 0.0
+            assert integral_Q_table([4.0], 4.0, k)[0, k] == 0.0
 
     def test_degree_one_midpoint(self):
         T = 4.0
-        assert integral_Q(1, T / 2, T) == pytest.approx(-math.sqrt(3 * T) / 4.0, rel=1e-14)
+        assert integral_Q_table([T / 2], T, 1)[0, 1] == pytest.approx(-math.sqrt(3 * T) / 4.0,
+                                                                      rel=1e-14)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            integral_Q(0, 2.0, 1.0)
+            integral_Q_table([2.0], 1.0, 0)
         with pytest.raises(ValueError):
-            integral_Q(0, -0.1, 1.0)
+            integral_Q_table([-0.1], 1.0, 0)
 
     def test_table_columns_orthonormal(self):
         # int_0^T Q_j Q_k = delta_jk, checked by differencing the table on a fine grid
@@ -106,28 +105,24 @@ class TestIntegralQ:
 
 class TestSynthPath:
     def test_zero_stream_zero_path(self):
-        s = CoefficientStream(2, 1.0, np.zeros((8, 2)))
-        path = synth_path(s, [0.0, 0.3, 1.0])
-        assert np.array_equal(path.values, np.zeros((3, 2)))
+        values = path(np.zeros((8, 2)), 1.0, [0.0, 0.3, 1.0])
+        assert np.array_equal(values, np.zeros((3, 2)))
 
     def test_only_constant_mode_survives_at_T(self):
         T = 2.0
         xi = np.zeros((6, 2))
         xi[0] = [1.0, 0.0]
-        path = synth_path(CoefficientStream(2, T, xi), [T])
-        assert np.array_equal(path.values[0], [math.sqrt(T), 0.0])
+        assert np.array_equal(path(xi, T, [T])[0], [math.sqrt(T), 0.0])
 
     def test_endpoint_bit_for_bit(self):
         rng = np.random.default_rng(0)
         T = 3.0
-        s = sample_stream(3, T, 64, rng)
-        path = synth_path(s, [T])
-        assert np.array_equal(path.values[0], math.sqrt(T) * s.xi[0])
+        xi = rng.standard_normal((65, 3))
+        assert np.array_equal(path(xi, T, [T])[0], math.sqrt(T) * xi[0])
 
     def test_starts_at_zero_exactly(self):
-        s = sample_stream(2, 2.0, 32, np.random.default_rng(1))
-        path = synth_path(s, [0.0, 1.0, 2.0])
-        assert np.array_equal(path.values[0], np.zeros(2))
+        xi = np.random.default_rng(1).standard_normal((33, 2))
+        assert np.array_equal(path(xi, 2.0, [0.0, 1.0, 2.0])[0], np.zeros(2))
 
     def test_midpoint_variance(self):
         rng = derive_rng(100)
@@ -153,15 +148,14 @@ class TestSynthPath:
 
 class TestLevyAreaSeries:
     def test_zero_stream(self):
-        s = CoefficientStream(2, 1.0, np.zeros((6, 2)))
-        assert np.array_equal(levy_area_series(s).upper, np.zeros(1))
+        area = levy_area_packed(np.zeros((6, 2)), 1.0, *triu_pairs(2))
+        assert np.array_equal(area, np.zeros(1))
 
     def test_single_term(self):
         xi = np.zeros((6, 2))
         xi[0] = [1.0, 0.0]
         xi[1] = [0.0, 1.0]
-        s = CoefficientStream(2, 1.0, xi)
-        assert levy_area_series(s).upper[0] == pytest.approx(alpha(0), rel=1e-15)
+        assert levy_area_packed(xi, 1.0, *triu_pairs(2))[0] == pytest.approx(alpha(0), rel=1e-15)
 
     def test_variance_one_quarter_T_squared(self):
         rng = derive_rng(102)
@@ -225,17 +219,17 @@ class TestLevyAreaMatmul:
 class TestCarnotEndpoint:
     def test_zero_stream_keeps_start(self):
         g = CarnotElement(np.array([1.0, -2.0]), SkewMatrix(2, np.array([0.5])))
-        s = CoefficientStream(2, 4.0, np.zeros((8, 2)))
-        got = carnot_endpoint(g, s)
-        assert np.array_equal(got.x, g.x) and np.array_equal(got.z.upper, g.z.upper)
+        xT, zT = endpoint_packed(g.x, g.z.upper, np.zeros((8, 2)), 4.0)
+        assert np.array_equal(xT, g.x) and np.array_equal(zT, g.z.upper)
 
     def test_pure_constant_mode(self):
         T = 9.0
         xi = np.zeros((6, 3))
         xi[0, 0] = 1.0
-        got = carnot_endpoint(CarnotElement.identity(3), CoefficientStream(3, T, xi))
-        assert np.array_equal(got.x, [3.0, 0.0, 0.0])
-        assert np.array_equal(got.z.upper, np.zeros(3))
+        g = CarnotElement.identity(3)
+        xT, zT = endpoint_packed(g.x, g.z.upper, xi, T)
+        assert np.array_equal(xT, [3.0, 0.0, 0.0])
+        assert np.array_equal(zT, np.zeros(3))
 
     def test_matches_heisenberg_formula(self):
         rng = np.random.default_rng(4)
@@ -244,19 +238,20 @@ class TestCarnotEndpoint:
         for _ in range(20):
             gh = cc.HeisenbergPoint(*rng.uniform(-2, 2, 3))
             T = rng.uniform(0.5, 9.0)
-            s = sample_stream(2, T, 32, rng)
-            ep = carnot_endpoint(cc.heis_to_carnot(gh), s)
+            xi = rng.standard_normal((33, 2))
+            gc = heis_to_carnot(gh)
+            xT, zT = endpoint_packed(gc.x, gc.z.upper, xi, T)
             # scalar formula evaluated directly
-            x1 = gh.x1 + math.sqrt(T) * s.xi[0, 0]
-            x2 = gh.x2 + math.sqrt(T) * s.xi[0, 1]
+            x1 = gh.x1 + math.sqrt(T) * xi[0, 0]
+            x2 = gh.x2 + math.sqrt(T) * xi[0, 1]
             cross = sum(
-                alpha(k) * (s.xi[k, 0] * s.xi[k + 1, 1] - s.xi[k, 1] * s.xi[k + 1, 0])
+                alpha(k) * (xi[k, 0] * xi[k + 1, 1] - xi[k, 1] * xi[k + 1, 0])
                 for k in range(32)
             )
-            z = gh.z + 0.5 * math.sqrt(T) * (gh.x1 * s.xi[0, 1] - gh.x2 * s.xi[0, 0]) + T * cross
-            assert ep.x[0] == pytest.approx(x1, abs=1e-12)
-            assert ep.x[1] == pytest.approx(x2, abs=1e-12)
-            assert ep.z.upper[0] == pytest.approx(z, abs=1e-10)
+            z = gh.z + 0.5 * math.sqrt(T) * (gh.x1 * xi[0, 1] - gh.x2 * xi[0, 0]) + T * cross
+            assert xT[0] == pytest.approx(x1, abs=1e-12)
+            assert xT[1] == pytest.approx(x2, abs=1e-12)
+            assert zT[0] == pytest.approx(z, abs=1e-10)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 5), L=st.integers(2, 40), count=st.integers(1, 24),
@@ -265,25 +260,20 @@ class TestCarnotEndpoint:
         rng = np.random.default_rng(seed)
         x, z = rng.standard_normal(n), rng.standard_normal(n * (n - 1) // 2)
         xi = rng.standard_normal((count, L, n))
-        iu, ju = triu_pairs(n)
-        xT, zT = endpoint_packed(x, z, xi, T, iu, ju)
+        xT, zT = endpoint_packed(x, z, xi, T)
         for i in range(count):
-            xTi, zTi = endpoint_packed(x, z, xi[i:i + 1], T, iu, ju)
+            xTi, zTi = endpoint_packed(x, z, xi[i:i + 1], T)
             assert np.array_equal(xTi[0], xT[i]) and np.array_equal(zTi[0], zT[i])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            carnot_endpoint(CarnotElement.identity(3), CoefficientStream(2, 1.0, np.zeros((4, 2))))
 
 
 class TestSdeOracle:
     def test_single_run_shape(self):
-        got = sde_oracle(CarnotElement.identity(3), 1.0, 32, np.random.default_rng(0))
-        assert got.n == 3
+        x, z = sde_oracle_batch(CarnotElement.identity(3), 1.0, 32, 1, np.random.default_rng(0))
+        assert x.shape == (1, 3) and z.shape == (1, 3)
 
     def test_zero_steps_rejected(self):
         with pytest.raises(ValueError):
-            sde_oracle(CarnotElement.identity(2), 1.0, 0, np.random.default_rng(0))
+            sde_oracle_batch(CarnotElement.identity(2), 1.0, 0, 1, np.random.default_rng(0))
 
     def test_horizontal_moments(self):
         rng = derive_rng(103)
@@ -300,9 +290,8 @@ class TestSdeOracle:
         rng1, rng2 = derive_rng(104, n), derive_rng(105, n)
         g = CarnotElement.identity(n)
         T, N, steps = 1.0, 40_000, 512
-        iu, ju = triu_pairs(n)
         xi = rng1.standard_normal((N, 129, n))
-        xT, zT = endpoint_packed(g.x, g.z.upper, xi, T, iu, ju)
+        xT, zT = endpoint_packed(g.x, g.z.upper, xi, T)
         ox, oz = sde_oracle_batch(g, T, steps, N, rng2)
         for order in (1, 2, 3, 4):
             for a, b in ((xT[:, 0] ** order, ox[:, 0] ** order),

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carnot_coupling.coupling import sylvester_system
-from carnot_coupling.groups import HeisenbergPoint, SkewMatrix, heis_to_carnot, unpack_skew
+from carnot_coupling.groups import HeisenbergPoint, SkewMatrix, heis_to_carnot, pack_skew, unpack_skew
 from carnot_coupling.legendre import alpha
 from carnot_coupling.mc import derive_rng
 from carnot_coupling.sylvester import (
@@ -30,8 +30,8 @@ def random_skew(n, rng):
 
 
 def lemma_one(v, w):
-    """The lemma solution of one system as a batch of one: (u, residual, cond)."""
-    u, cond = lemma_solution_batch(v[None], w[None])
+    """The lemma solution of one system, w dense, as a batch of one: (u, residual, cond)."""
+    u, cond = lemma_solution_batch(v[None], pack_skew(w)[None])
     residual = float(np.sqrt(np.sum((u[0] @ v.T - v @ u[0].T - w) ** 2)))
     return u[0], residual, cond[0]
 
@@ -111,7 +111,7 @@ class TestSolve:
             vals = rng.standard_normal((count, len(iu[0])))
             w[:, iu[0], iu[1]] = vals
             w[:, iu[1], iu[0]] = -vals
-            u, cond = lemma_solution_batch(v, w)
+            u, cond = lemma_solution_batch(v, vals)
             resid = u @ np.swapaxes(v, 1, 2) - v @ np.swapaxes(u, 1, 2) - w
             rnorm = np.sqrt(np.sum(resid ** 2, axis=(1, 2)))
             wnorm = np.sqrt(np.sum(w ** 2, axis=(1, 2)))
@@ -121,7 +121,7 @@ class TestSolve:
         rng = derive_rng(9)
         v = rng.standard_normal((4, 3, 7))
         v[2] = 1.0  # rank one: v v^t is exactly singular
-        w = np.stack([random_skew(3, rng) for _ in range(4)])
+        w = pack_skew(np.stack([random_skew(3, rng) for _ in range(4)]))
         with np.errstate(all="raise"):
             u, cond = lemma_solution_batch(v, w)
         assert cond[2] > COND_LIMIT
@@ -135,7 +135,7 @@ class TestSolve:
     def test_single_solve_is_batch_of_one(self, n):
         rng = derive_rng(10, n)
         v = rng.standard_normal((50, n, 2 * n + 1))
-        w = np.stack([random_skew(n, rng) for _ in range(50)])
+        w = pack_skew(np.stack([random_skew(n, rng) for _ in range(50)]))
         u, cond = lemma_solution_batch(v, w)
         for i in range(50):
             alone_u, alone_cond = lemma_solution_batch(v[i:i + 1], w[i:i + 1])
@@ -144,17 +144,25 @@ class TestSolve:
     def test_batch_zero_rhs(self):
         rng = derive_rng(8)
         v = rng.standard_normal((10, 3, 7))
-        u, _ = lemma_solution_batch(v, np.zeros((10, 3, 3)))
+        u, _ = lemma_solution_batch(v, np.zeros((10, 3)))
         assert np.array_equal(u, np.zeros((10, 3, 7)))
 
 
 def random_system(rng, count, n, m):
+    """count systems (v, w), w packed."""
     v = rng.standard_normal((count, n, m))
-    return v, unpack_skew(n, rng.standard_normal((count, n * (n - 1) // 2)))
+    return v, rng.standard_normal((count, n * (n - 1) // 2))
 
 
 def row_norm(a):
     return np.sqrt(np.sum(a * a, axis=(1, 2)))
+
+
+def residual_norms(u, v, w):
+    """Row norms of u v^t - v u^t - w and of w, for packed w."""
+    w_mat = unpack_skew(v.shape[-2], w)
+    resid = u @ np.swapaxes(v, 1, 2) - v @ np.swapaxes(u, 1, 2) - w_mat
+    return row_norm(resid), row_norm(w_mat)
 
 
 # the shapes the shift solves: m = 1 is the two-index Heisenberg coupling
@@ -167,7 +175,7 @@ EPS = np.finfo(float).eps
 
 
 def hard_system(kind, n, m, count=200):
-    """count systems (v, w) of one kind of Gram spectrum, seeded by (n, m)."""
+    """count systems (v, w), w packed, of one kind of Gram spectrum, seeded by (n, m)."""
     rng = derive_rng(29, 16 * n + m)
     rows = np.linalg.qr(rng.standard_normal((count, m, m)))[0][:, :n]  # orthonormal rows
     if kind == "repeated":
@@ -184,7 +192,7 @@ def hard_system(kind, n, m, count=200):
         v = rng.standard_normal((count, n, m))
     else:
         v = rng.standard_normal((count, n, m)) * 10.0 ** int(kind[5:])
-    return v, unpack_skew(n, rng.standard_normal((count, n * (n - 1) // 2)))
+    return v, rng.standard_normal((count, n * (n - 1) // 2))
 
 
 def skew_operator(gram):
@@ -204,8 +212,8 @@ class TestLeastNorm:
         v, w = random_system(derive_rng(20, 8 * n + m), 500, n, m)
         u, cond = tsylvester_batch(v, w)
         assert np.all(cond <= COND_LIMIT)
-        resid = u @ np.swapaxes(v, 1, 2) - v @ np.swapaxes(u, 1, 2) - w
-        assert np.max(row_norm(resid) / (1.0 + row_norm(w))) <= 1e-10
+        rnorm, wnorm = residual_norms(u, v, w)
+        assert np.max(rnorm / (1.0 + wnorm)) <= 1e-10
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 6), extra=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1),
@@ -223,7 +231,7 @@ class TestLeastNorm:
         v, w = random_system(derive_rng(21, m), 300, 2, m)
         lam, q = np.linalg.eigh(v @ np.swapaxes(v, 1, 2))
         qt = np.swapaxes(q, 1, 2)
-        w_eig = qt @ w @ q
+        w_eig = qt @ unpack_skew(2, w) @ q
         W_eig = np.zeros_like(w_eig)
         W_eig[:, 0, 1] = w_eig[:, 0, 1] / (2.0 * (lam[:, 0] + lam[:, 1]))
         W_eig[:, 1, 0] = -W_eig[:, 0, 1]
@@ -255,8 +263,8 @@ class TestLeastNorm:
         # a backward-stable solve leaves a residual of order eps * cond * |w|
         v, w = hard_system(kind, n, m)
         u, cond = tsylvester_batch(v, w)
-        resid = u @ np.swapaxes(v, 1, 2) - v @ np.swapaxes(u, 1, 2) - w
-        assert np.all(row_norm(resid) <= 16 * EPS * cond * (1.0 + row_norm(w)))
+        rnorm, wnorm = residual_norms(u, v, w)
+        assert np.all(rnorm <= 16 * EPS * cond * (1.0 + wnorm))
 
     @pytest.mark.parametrize("kind", HARD_KINDS)
     @pytest.mark.parametrize("n,m", HARD_SHAPES)
@@ -299,7 +307,7 @@ class TestLeastNorm:
             gt = heis_to_carnot(HeisenbergPoint(*rng.uniform(-2, 2, 3)))
             T = float(np.exp(rng.uniform(np.log(0.25), np.log(64.0))))
             w, V = sylvester_system(g, gt, T, rng.standard_normal((2000, 5, 2)), 1)
-            u, _ = tsylvester_batch(V, unpack_skew(2, w))
+            u, _ = tsylvester_batch(V, w)
             expected = rotation(w, V / (T * scale), [scale], T)
             err = np.linalg.norm(u[:, :, 0] - expected, axis=1)
             assert np.all(err <= 1e-14 * np.linalg.norm(expected, axis=1))
@@ -360,6 +368,11 @@ class TestWishartMoments:
     def test_integrability_precondition(self):
         with pytest.raises(ValueError):
             wishart_inv_trace_mc(3, 4, 100, seed=0)
+
+    def test_one_sample_rejected(self):
+        # a mean and its stderr need two samples; N = 1 is not silently raised to 2
+        with pytest.raises(ValueError):
+            wishart_inv_trace_mc(3, 7, 1, seed=5)
 
     def test_u_moment_bound(self):
         for n, m in ((2, 5), (3, 7)):
