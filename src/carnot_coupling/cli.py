@@ -340,6 +340,11 @@ def cmd_girsanov(args) -> int:
     ]
     f = get_function(args.function)
     tr = semigroup_transfer_check(f, g, gt, T, K, args.N, split_seed(args.seed, 9), args.workers)
+    if tr.ess_fraction < 0.01:
+        # on stderr only: the artifact stays byte-identical
+        print(f"carnot-coupling: warning: girsanov:transfer-{f.name} weights have a Kish "
+              f"ESS fraction of {tr.ess_fraction:.2e} < 0.01; few samples carry the "
+              f"weighted estimate", file=sys.stderr)
     records.append(record(
         "semigroup transfer: weighted run from g matches run from gt",
         f"girsanov:transfer-{f.name}", estimate=tr.weighted.mean, stderr=tr.comparison.sigma,

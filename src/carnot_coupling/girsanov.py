@@ -16,7 +16,10 @@ density
     R(u) = exp(-<omega, u> - |u|^2 / 2)
 
 a martingale weight: E[R] = 1, E[R ln R] = E[|u|^2]/2, and
-P_T f(g~) = E[f(endpoint from g) R(u)].
+P_T f(g~) = E[f(endpoint from g) R(u)].  Because E[R] = 1 is known exactly,
+the transfer estimator uses R - 1 as a control variate: it regresses f R on
+R in the same pass, with an in-sample coefficient and its standard error on
+N - 2 degrees of freedom.
 
 Differentiating the same construction in the direction h = (h_x, h_z) gives
 the integration-by-parts weight -sum_k <xi_{3k}, u_k(h)> for d_g P_T f(h),
@@ -178,11 +181,16 @@ def girsanov_normalization_check(
 
 @dataclass(frozen=True)
 class TransferReport:
-    """Weighted estimate from g against an independent unweighted run from g~."""
+    """Weighted estimate from g against an independent unweighted run from g~.
+
+    `ess_fraction` is the Kish effective sample size of the weights over N,
+    (sum R)^2 / (N sum R^2); near 1/N a few weights carry the estimate.
+    """
 
     weighted: MCEstimate
     direct: MCEstimate
     comparison: ComparisonReport
+    ess_fraction: float
 
 
 def semigroup_transfer_check(
@@ -191,6 +199,10 @@ def semigroup_transfer_check(
 ) -> TransferReport:
     """Verify P_T f(g~) = E[f(endpoint from g) R(u)] end to end.
 
+    The weighted side regresses f R on the weight R, whose mean is exactly 1:
+    its estimate is mean(f R) - beta (mean(R) - 1) with the in-sample
+    beta = Cov(f R, R) / Var(R), and its standard error comes from the
+    residual variance on N - 2 degrees of freedom (see `run_vector_estimator`).
     The two sides use independent substreams so the pooled sigma is honest.
     """
     L = _path_len(K, k_path)
@@ -199,15 +211,19 @@ def semigroup_transfer_check(
         xi = rng.standard_normal((count, L, g.n))
         u0, blocks = build_shift(g, gt, T, K, xi)
         w = np.exp(log_density(u0, blocks, xi))
-        return f(*endpoint_packed(g.x, g.z.upper, xi, T)) * w
+        return np.stack([f(*endpoint_packed(g.x, g.z.upper, xi, T)) * w, w], axis=1)
 
     def direct_sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         xi = rng.standard_normal((count, L, g.n))
         return f(*endpoint_packed(gt.x, gt.z.upper, xi, T))
 
-    lhs = run_vector_estimator(lhs_sampler, N, split_seed(seed, 1), workers)[0]
+    lhs, weight = run_vector_estimator(lhs_sampler, N, split_seed(seed, 1), workers,
+                                       control_mean=1.0)
     rhs = run_vector_estimator(direct_sampler, N, split_seed(seed, 2), workers)[0]
-    return TransferReport(lhs, rhs, two_sample_compare(lhs, rhs))
+    # sum R = n mean and sum R^2 = C_RR + n mean^2, with C_RR = (n - 1) n stderr^2
+    mean_sq = weight.mean ** 2
+    ess = mean_sq / (mean_sq + (weight.n - 1) * weight.stderr ** 2)
+    return TransferReport(lhs, rhs, two_sample_compare(lhs, rhs), ess)
 
 
 def _direction_pair(g: CarnotElement, h: CarnotElement) -> CarnotElement:

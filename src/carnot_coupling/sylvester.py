@@ -213,15 +213,18 @@ def lemma_solution_batch(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.n
     """Batched particular solutions of the Sylvester lemma; v (B, n, m), w (B, n(n-1)/2) packed skew.
 
     Returns (u, cond) with u (B, n, m) and cond the Gram condition number
-    lambda_max / lambda_min of v v^t (infinite when it is singular).  Rows
-    whose cond exceeds COND_LIMIT are not solved: their u is NaN.  Every
-    other row equals the solution of that row alone.
+    lambda_max / lambda_min of v v^t (infinite when it is singular or v has a
+    non-finite entry).  Rows whose cond exceeds COND_LIMIT are not solved:
+    their u is NaN.  Every other row equals the solution of that row alone.
     """
     gram = v @ np.swapaxes(v, -1, -2)
+    # a non-finite Gram row would stop eigvalsh for the whole stack; it takes the identity
+    finite = np.isfinite(gram).all(axis=(-2, -1))
+    gram[~finite] = np.eye(gram.shape[-1])
     eigs = np.linalg.eigvalsh(gram)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         cond = eigs[..., -1] / eigs[..., 0]
-    cond[~(eigs[..., 0] > 0)] = np.inf
+    cond[~((eigs[..., 0] > 0) & finite)] = np.inf
     ok = cond <= COND_LIMIT
     # flagged rows solve against the identity, so that each row's LU stays its own
     sol = np.linalg.solve(np.where(ok[:, None, None], gram, np.eye(gram.shape[-1])), v)

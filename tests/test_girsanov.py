@@ -30,7 +30,7 @@ from carnot_coupling.groups import (
     heis_to_carnot,
 )
 from carnot_coupling.legendre import endpoint_packed
-from carnot_coupling.mc import MCEstimate, derive_rng, split_seed
+from carnot_coupling.mc import MCEstimate, derive_rng, run_vector_estimator, split_seed
 from carnot_coupling.sylvester import SingularGramError
 
 
@@ -173,17 +173,48 @@ class TestTransfer:
         g, gt = hpair((0, 0, 0), (0, 0, 1))
         rep = semigroup_transfer_check(CATALOG["constant"], g, gt, 100.0, 5, 100_000, seed=13)
         assert rep.direct.mean == 1.0
+        # f R regressed on R with f = 1: beta = 1, so the estimate is 1 with no residual
+        assert (rep.weighted.mean, rep.weighted.stderr) == (1.0, 0.0)
+        assert 0.0 < rep.ess_fraction < 1.0
         assert rep.comparison.passed
 
     def test_same_start(self):
         g, gt = hpair((0.5, 0, 0.1), (0.5, 0, 0.1))
-        rep = semigroup_transfer_check(CATALOG["gaussian-bump"], g, gt, 1.0, 5, 50_000, seed=14)
+        f, K, N, seed = CATALOG["gaussian-bump"], 5, 50_000, 14
+        rep = semigroup_transfer_check(f, g, gt, 1.0, K, N, seed)
         assert rep.comparison.passed
+
+        # R = 1 on every row, so beta = 0 and the weighted side is the plain mean of f
+        def plain_sampler(rng, count):
+            xi = rng.standard_normal((count, 3 * K + 2, 2))
+            return np.stack([f(*endpoint_packed(g.x, g.z.upper, xi, 1.0)), np.ones(count)], axis=1)
+
+        plain = run_vector_estimator(plain_sampler, N, split_seed(seed, 1))[0]
+        assert rep.weighted.mean == plain.mean
+        assert rep.ess_fraction == 1.0
 
     def test_gaussian_bump_moderate_pair(self):
         g, gt = hpair((0, 0, 0), (0.5, 0, 0.2))
         rep = semigroup_transfer_check(CATALOG["gaussian-bump"], g, gt, 4.0, 5, 200_000, seed=15)
         assert rep.comparison.passed
+
+    @pytest.mark.parametrize("j, a, b, T", [
+        (0, (0, 0, 0), (0.3, 0.2, 0.05), 16.0),
+        (1, (0.2, -0.3, 0), (0.4, 0, 0.1), 9.0),
+    ])
+    def test_control_variate_sigma_covers_the_exact_target(self, j, a, b, T):
+        # X_T = x~ + sqrt(T) xi_0, so P_T f(g~) = 2 + sin(x~_1) e^{-T/2} for sin-perturbation;
+        # with an honest sigma, 5 or more 3-sigma misses in 300 have probability ~0.002
+        g, gt = hpair(a, b)
+        exact = 2.0 + math.sin(gt.x[0]) * math.exp(-T / 2)
+        s0 = split_seed(20240901, j)
+        z = np.array([
+            (rep.weighted.mean - exact) / rep.weighted.stderr
+            for rep in (semigroup_transfer_check(CATALOG["sin-perturbation"], g, gt, T, 8, 4096,
+                                                 split_seed(s0, i)) for i in range(300))
+        ])
+        assert np.sum(np.abs(z) > 3.0) <= 4
+        assert abs(z.mean()) <= 0.2
 
 
 class TestBismut:

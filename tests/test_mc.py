@@ -97,6 +97,80 @@ class TestDeterminism:
         assert len(seeds) == 100
 
 
+def _reference_m2_stream(sampler, N, seed):
+    """The per-column (n, mean, M2) batch statistics and merge, kept as the reference."""
+    def batch_stats(b, count):
+        vals = np.ascontiguousarray(sampler(derive_rng(seed, b), count), dtype=float)
+        if vals.ndim == 1:
+            vals = vals[:, None]
+        mean = vals.mean(axis=0)
+        return count, mean, ((vals - mean) ** 2).sum(axis=0)
+
+    def combine(stats_a, stats_b):
+        na, ma, sa = stats_a
+        nb, mb, sb = stats_b
+        n = na + nb
+        delta = mb - ma
+        return n, ma + delta * (nb / n), sa + sb + delta * delta * (na * nb / n)
+
+    sizes = [min(mc.BATCH_SIZE, N - b) for b in range(0, N, mc.BATCH_SIZE)]
+    acc = batch_stats(0, sizes[0])
+    for b, count in enumerate(sizes[1:], start=1):
+        acc = combine(acc, batch_stats(b, count))
+    return acc, np.concatenate([sampler(derive_rng(seed, b), c) for b, c in enumerate(sizes)])
+
+
+def correlated_columns(rng, count):
+    x, y = rng.standard_normal((2, count))
+    return np.stack([x, 0.5 * x + y, np.exp(x), np.full(count, 3.0)], axis=1)
+
+
+class TestCoMoments:
+    @pytest.mark.parametrize("N", [1024, 3 * 1024 - 5, 5 * 1024 - 100])  # 1, 3 and 5 batches
+    def test_diagonal_is_the_per_column_m2_and_the_rest_the_covariance(self, N, monkeypatch):
+        monkeypatch.setattr(mc, "BATCH_SIZE", 1024)
+        n, mean, com = mc._stream_stats(correlated_columns, N, 31, 1)
+        (ref_n, ref_mean, ref_m2), rows = _reference_m2_stream(correlated_columns, N, 31)
+        assert n == ref_n and np.array_equal(mean, ref_mean)
+        assert np.array_equal(np.diagonal(com), ref_m2)
+        assert np.array_equal(com, com.T)
+        cov = np.cov(rows[:, :3], rowvar=False) * (N - 1)
+        assert np.allclose(com[:3, :3], cov, rtol=1e-12, atol=0.0)
+        assert np.all(com[3] == 0.0)  # the constant column
+
+
+class TestControlVariate:
+    def test_removes_the_correlated_part(self):
+        # y = x + e with E[x] = 0 known: the residual e has variance 1, the plain y 2
+        def sampler(rng, count):
+            x, e = rng.standard_normal((2, count))
+            return np.stack([x + e, x], axis=1)
+
+        N = 200_000
+        adjusted, control = run_vector_estimator(sampler, N, seed=33, control_mean=0.0)
+        plain = run_vector_estimator(sampler, N, seed=33)
+        assert control == plain[1]
+        assert adjusted.stderr == pytest.approx(1.0 / math.sqrt(N), rel=0.01)
+        assert plain[0].stderr == pytest.approx(math.sqrt(2.0 / N), rel=0.01)
+        assert abs(adjusted.mean) <= 3.0 * adjusted.stderr
+
+    def test_constant_control_leaves_the_plain_estimate(self):
+        def sampler(rng, count):
+            return np.stack([rng.standard_normal(count), np.ones(count)], axis=1)
+
+        N = 50_000
+        adjusted, control = run_vector_estimator(sampler, N, seed=34, control_mean=1.0)
+        plain, _ = run_vector_estimator(sampler, N, seed=34)
+        assert adjusted.mean == plain.mean
+        assert adjusted.stderr == pytest.approx(plain.stderr * math.sqrt((N - 1) / (N - 2)),
+                                                rel=1e-14)
+        assert (control.mean, control.stderr) == (1.0, 0.0)
+
+    def test_control_needs_a_second_column(self):
+        with pytest.raises(ValueError):
+            run_vector_estimator(normal_sampler, 1000, seed=35, control_mean=0.0)
+
+
 # every caller of run_vector_estimator, each as a function of workers
 _H = heis_to_carnot(HeisenbergPoint(0.3, -0.2, 0.1))
 _HT = heis_to_carnot(HeisenbergPoint(0.5, 0.0, 0.2))

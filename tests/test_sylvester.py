@@ -290,6 +290,19 @@ class TestLeastNorm:
         assert np.all(cond[flagged] == np.inf) and np.isnan(u[flagged]).all()
         assert np.array_equal(u[~flagged], kept_u) and np.array_equal(cond[~flagged], kept_cond)
 
+    @pytest.mark.parametrize("n,m", [(2, 5), (3, 7)])
+    def test_non_finite_probe_rows_flagged_by_the_lemma_solution(self, n, m):
+        # one NaN row stopped eigvalsh for the whole stack at n = 3
+        v, w = random_system(derive_rng(29, n), 12, n, m)
+        v[3, 0, 0] = np.nan
+        v[8, -1, -1] = np.inf
+        flagged = np.isin(np.arange(12), [3, 8])
+        with np.errstate(all="raise"):
+            u, cond = lemma_solution_batch(v, w)
+        kept_u, kept_cond = lemma_solution_batch(v[~flagged], w[~flagged])
+        assert np.all(cond[flagged] == np.inf) and np.isnan(u[flagged]).all()
+        assert np.array_equal(u[~flagged], kept_u) and np.array_equal(cond[~flagged], kept_cond)
+
     def test_one_probe_is_the_two_index_rotation(self):
         # the hand-derived two-index shift c e2, e2 the probe turned by a right angle
         def rotation(w_packed, probes, scales, T):
