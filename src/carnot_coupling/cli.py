@@ -346,7 +346,7 @@ def cmd_girsanov(args) -> int:
               f"ESS fraction of {tr.ess_fraction:.2e} < 0.01; few samples carry the "
               f"weighted estimate", file=sys.stderr)
     records.append(record(
-        "semigroup transfer: weighted run from g matches run from gt",
+        "semigroup transfer: weighted estimate from g matches the one from gt, same draws",
         f"girsanov:transfer-{f.name}", estimate=tr.weighted.mean, stderr=tr.comparison.sigma,
         bound=tr.direct.mean, passed=tr.comparison.passed,
     ))

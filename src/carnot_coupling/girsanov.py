@@ -16,10 +16,13 @@ density
     R(u) = exp(-<omega, u> - |u|^2 / 2)
 
 a martingale weight: E[R] = 1, E[R ln R] = E[|u|^2]/2, and
-P_T f(g~) = E[f(endpoint from g) R(u)].  Because E[R] = 1 is known exactly,
-the transfer estimator uses R - 1 as a control variate: it regresses f R on
-R in the same pass, with an in-sample coefficient and its standard error on
-N - 2 degrees of freedom.
+P_T f(g~) = E[f(endpoint from g) R(u)].  The transfer check estimates both
+sides on the same coefficients xi: each row draws xi once and evaluates the
+endpoints from g and from g~ with one shared area, so the check costs one
+draw per row and tests the paired difference f(X^g) R - f(X^g~) against its
+own standard error.  Because E[R] = 1 is known exactly, R - 1 is a control
+variate: every column is regressed on R in the same pass, with an in-sample
+coefficient and its standard error on N - 2 degrees of freedom.
 
 Differentiating the same construction in the direction h = (h_x, h_z) gives
 the integration-by-parts weight -sum_k <xi_{3k}, u_k(h)> for d_g P_T f(h),
@@ -181,7 +184,7 @@ def girsanov_normalization_check(
 
 @dataclass(frozen=True)
 class TransferReport:
-    """Weighted estimate from g against an independent unweighted run from g~.
+    """Both sides of the transfer identity, E[f(X^g) R] and P_T f(g~), on the same draws.
 
     `ess_fraction` is the Kish effective sample size of the weights over N,
     (sum R)^2 / (N sum R^2); near 1/N a few weights carry the estimate.
@@ -199,31 +202,37 @@ def semigroup_transfer_check(
 ) -> TransferReport:
     """Verify P_T f(g~) = E[f(endpoint from g) R(u)] end to end.
 
-    The weighted side regresses f R on the weight R, whose mean is exactly 1:
-    its estimate is mean(f R) - beta (mean(R) - 1) with the in-sample
-    beta = Cov(f R, R) / Var(R), and its standard error comes from the
-    residual variance on N - 2 degrees of freedom (see `run_vector_estimator`).
-    The two sides use independent substreams so the pooled sigma is honest.
+    One stream serves both sides: each row draws xi once, builds the shift and
+    R from it, and evaluates the endpoints from g and from g~ with one shared
+    area.  Every column (f R, f from g~, their difference) is regressed on R,
+    whose mean is exactly 1 (see `run_vector_estimator`).  The sides are
+    correlated, so the comparison's sigma is the standard error of the paired
+    difference, not a pooled one.
     """
     L = _path_len(K, k_path)
+    x = np.stack([g.x, gt.x])[:, None]
+    z = np.stack([g.z.upper, gt.z.upper])[:, None]
 
-    def lhs_sampler(rng: np.random.Generator, count: int) -> np.ndarray:
+    def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         xi = rng.standard_normal((count, L, g.n))
         u0, blocks = build_shift(g, gt, T, K, xi)
         w = np.exp(log_density(u0, blocks, xi))
-        return np.stack([f(*endpoint_packed(g.x, g.z.upper, xi, T)) * w, w], axis=1)
+        fg, fgt = f(*endpoint_packed(x, z, xi, T))
+        fw = fg * w
+        return np.stack([fw, fgt, fw - fgt, w], axis=1)
 
-    def direct_sampler(rng: np.random.Generator, count: int) -> np.ndarray:
-        xi = rng.standard_normal((count, L, g.n))
-        return f(*endpoint_packed(gt.x, gt.z.upper, xi, T))
-
-    lhs, weight = run_vector_estimator(lhs_sampler, N, split_seed(seed, 1), workers,
-                                       control_mean=1.0)
-    rhs = run_vector_estimator(direct_sampler, N, split_seed(seed, 2), workers)[0]
+    weighted, direct, diff, weight = run_vector_estimator(
+        sampler, N, split_seed(seed, 1), workers, control_mean=1.0)
     # sum R = n mean and sum R^2 = C_RR + n mean^2, with C_RR = (n - 1) n stderr^2
     mean_sq = weight.mean ** 2
     ess = mean_sq / (mean_sq + (weight.n - 1) * weight.stderr ** 2)
-    return TransferReport(lhs, rhs, two_sample_compare(lhs, rhs), ess)
+    # the margin is the difference of the two sides, not the difference column's
+    # mean: with f constant that column is R - 1, fitted exactly by beta = 1, and
+    # its adjusted mean is rounding noise over a zero sigma
+    margin = weighted.mean - direct.mean
+    comparison = ComparisonReport(weighted.mean, direct.mean, margin, diff.stderr,
+                                  abs(margin) <= 3.0 * diff.stderr)
+    return TransferReport(weighted, direct, comparison, ess)
 
 
 def _direction_pair(g: CarnotElement, h: CarnotElement) -> CarnotElement:
@@ -346,6 +355,7 @@ def inequality_suite(
     gth = _direction_pair(g, h)
     checks: list[InequalityCheck] = []
     extra_q = [p / (p - 1.0) for p in p_values]
+    positive = f.min_value > 0
 
     def base_sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         xi = rng.standard_normal((count, L, n))
@@ -356,12 +366,14 @@ def inequality_suite(
         cols = [vals, vals ** 2, vals * weight, vals * u_sq]
         for p, q in zip(p_values, extra_q):
             cols.extend([np.abs(vals) ** p, u_sq ** (q / 2.0)])
+        if positive:
+            cols.append(vals * np.log(vals))
         return np.stack(cols, axis=1)
 
     base = run_vector_estimator(base_sampler, N, split_seed(seed, 3), workers)
     mean_f, mean_f2, grad, f_usq = base[:4]
 
-    if f.min_value > 0:
+    if positive:
         def tilde_sampler(rng: np.random.Generator, count: int) -> np.ndarray:
             xi = rng.standard_normal((count, L, n))
             return np.log(f(*endpoint_packed(gt.x, gt.z.upper, xi, T)))
@@ -393,13 +405,10 @@ def inequality_suite(
             lhs_p <= rhs_p + 3.0 * (grad.stderr + sigma_p),
         ))
 
-    if f.min_value > 0:
-        def flnf_sampler(rng: np.random.Generator, count: int) -> np.ndarray:
-            xi = rng.standard_normal((count, L, n))
-            vals = f(*endpoint_packed(g.x, g.z.upper, xi, T))
-            return vals * np.log(vals)
-
-        flnf = run_vector_estimator(flnf_sampler, N, split_seed(seed, 5), workers)[0]
+    if positive:
+        # f ln f shares the draws of E[f], and the linear sum of the two
+        # stderrs below bounds the error of Ent(f) whatever their correlation
+        flnf = base[-1]
         ent = max(flnf.mean - mean_f.mean * math.log(mean_f.mean), 0.0)
         sigma_ent = flnf.stderr + mean_f.stderr * abs(1.0 + math.log(mean_f.mean))
         rhs_ls, sigma_ls = _weak_log_sobolev_rhs(ent, sigma_ent, f_usq.mean, f_usq.stderr)

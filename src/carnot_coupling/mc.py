@@ -93,20 +93,24 @@ def _combine(stats_a, stats_b):
 
 def _batch_stats(sampler, seed, batch_index, count):
     rng = derive_rng(seed, batch_index)
-    # row-major, so that each column is summed in row order whatever the sampler's layout
-    vals = np.ascontiguousarray(sampler(rng, count), dtype=float)
+    vals = np.asarray(sampler(rng, count), dtype=float)
     if vals.shape[0] != count:
         raise ValueError("sampler returned wrong number of samples")
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    mean = vals.mean(axis=0)
-    dev = vals - mean
-    com = np.diag((dev ** 2).sum(axis=0))
-    for j, k in zip(*np.triu_indices(vals.shape[1], 1)):
-        # a cumsum adds in row order, one add per row, as the axis-0 sum above does:
-        # identical columns get C_jk = C_jj exactly, and it costs far less than
-        # another narrow axis-0 reduction
-        com[j, k] = com[k, j] = np.cumsum(dev[:, j] * dev[:, k])[-1]
+    if vals.ndim == 1 or vals.shape[1] == 1:
+        # numpy sums a lone column pairwise
+        vals = vals.reshape(count, 1)
+        mean = vals.mean(axis=0)
+        return count, mean, ((vals - mean) ** 2).sum(axis=0)[:, None]
+    # numpy reduces a row-major (count, d) array over axis 0 one row at a time, a
+    # running sum per column; the last entry of a 1-D cumsum over each contiguous
+    # column adds in that same order, at a fraction of the cost, so every column
+    # is summed exactly as a per-column accumulator of row-major batches sums it
+    cols = np.ascontiguousarray(vals.T)
+    mean = np.array([np.cumsum(c)[-1] for c in cols]) / count
+    dev = cols - mean[:, None]
+    com = np.empty((cols.shape[0],) * 2)
+    for j, k in zip(*np.triu_indices(cols.shape[0])):
+        com[j, k] = com[k, j] = np.cumsum(dev[j] * dev[k])[-1]
     return count, mean, com
 
 

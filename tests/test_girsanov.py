@@ -1,6 +1,7 @@
 """Change-of-probability machinery: shift construction, density identities,
 transfer, integration by parts, and the inequality suite."""
 
+import functools
 import math
 
 import numpy as np
@@ -177,6 +178,8 @@ class TestTransfer:
         assert (rep.weighted.mean, rep.weighted.stderr) == (1.0, 0.0)
         assert 0.0 < rep.ess_fraction < 1.0
         assert rep.comparison.passed
+        # the margin is weighted - direct, not the mean of the fitted R - 1 column
+        assert rep.comparison.margin == 0.0
 
     def test_same_start(self):
         g, gt = hpair((0.5, 0, 0.1), (0.5, 0, 0.1))
@@ -192,27 +195,44 @@ class TestTransfer:
         plain = run_vector_estimator(plain_sampler, N, split_seed(seed, 1))[0]
         assert rep.weighted.mean == plain.mean
         assert rep.ess_fraction == 1.0
+        # both sides read the same endpoints, so they agree bit for bit
+        assert rep.weighted.mean == rep.direct.mean
+        assert rep.comparison.margin == 0.0
 
     def test_gaussian_bump_moderate_pair(self):
         g, gt = hpair((0, 0, 0), (0.5, 0, 0.2))
         rep = semigroup_transfer_check(CATALOG["gaussian-bump"], g, gt, 4.0, 5, 200_000, seed=15)
         assert rep.comparison.passed
 
-    @pytest.mark.parametrize("j, a, b, T", [
+    COVERAGE_PAIRS = [
         (0, (0, 0, 0), (0.3, 0.2, 0.05), 16.0),
         (1, (0.2, -0.3, 0), (0.4, 0, 0.1), 9.0),
-    ])
+    ]
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _coverage_reports(j, a, b, T):
+        g, gt = hpair(a, b)
+        s0 = split_seed(20240901, j)
+        return gt, [semigroup_transfer_check(CATALOG["sin-perturbation"], g, gt, T, 8, 4096,
+                                             split_seed(s0, i)) for i in range(300)]
+
+    @pytest.mark.parametrize("j, a, b, T", COVERAGE_PAIRS)
     def test_control_variate_sigma_covers_the_exact_target(self, j, a, b, T):
         # X_T = x~ + sqrt(T) xi_0, so P_T f(g~) = 2 + sin(x~_1) e^{-T/2} for sin-perturbation;
         # with an honest sigma, 5 or more 3-sigma misses in 300 have probability ~0.002
-        g, gt = hpair(a, b)
+        gt, reps = self._coverage_reports(j, a, b, T)
         exact = 2.0 + math.sin(gt.x[0]) * math.exp(-T / 2)
-        s0 = split_seed(20240901, j)
-        z = np.array([
-            (rep.weighted.mean - exact) / rep.weighted.stderr
-            for rep in (semigroup_transfer_check(CATALOG["sin-perturbation"], g, gt, T, 8, 4096,
-                                                 split_seed(s0, i)) for i in range(300))
-        ])
+        z = np.array([(rep.weighted.mean - exact) / rep.weighted.stderr for rep in reps])
+        assert np.sum(np.abs(z) > 3.0) <= 4
+        assert abs(z.mean()) <= 0.2
+
+    @pytest.mark.parametrize("j, a, b, T", COVERAGE_PAIRS)
+    def test_paired_sigma_covers_the_difference_of_the_sides(self, j, a, b, T):
+        # both sides estimate P_T f(g~), so margin / sigma is a z-score of the paired
+        # difference; the same 300 runs and the same bounds as the test above
+        _, reps = self._coverage_reports(j, a, b, T)
+        z = np.array([rep.comparison.margin / rep.comparison.sigma for rep in reps])
         assert np.sum(np.abs(z) > 3.0) <= 4
         assert abs(z.mean()) <= 0.2
 

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carnot_coupling import cli, mc
 from carnot_coupling.catalog import CATALOG
@@ -137,6 +139,40 @@ class TestCoMoments:
         cov = np.cov(rows[:, :3], rowvar=False) * (N - 1)
         assert np.allclose(com[:3, :3], cov, rtol=1e-12, atol=0.0)
         assert np.all(com[3] == 0.0)  # the constant column
+
+
+def _reference_batch_stats(vals):
+    """The row-major axis-0 batch statistics, kept as the reference."""
+    vals = np.ascontiguousarray(vals, dtype=float)
+    if vals.ndim == 1:
+        vals = vals[:, None]
+    mean = vals.mean(axis=0)
+    dev = vals - mean
+    com = np.diag((dev ** 2).sum(axis=0))
+    for j, k in zip(*np.triu_indices(vals.shape[1], 1)):
+        com[j, k] = com[k, j] = np.cumsum(dev[:, j] * dev[:, k])[-1]
+    return vals.shape[0], mean, com
+
+
+class TestBatchStats:
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 6), count=st.integers(5, 16384), seed=st.integers(0, 2 ** 32 - 1),
+           column_major=st.booleans())
+    def test_bit_identical_to_the_row_major_reductions(self, d, count, seed, column_major):
+        rng = derive_rng(seed)
+        # columns of very different scales and offsets, in a third of the cases one constant
+        vals = (rng.standard_normal((count, d)) * np.exp(rng.uniform(-8, 8, d))
+                + rng.uniform(-1e3, 1e3, d))
+        if seed % 3 == 0:
+            vals[:, -1] = vals[0, -1]
+        if column_major:
+            vals = np.asfortranarray(vals)
+        samples = [vals[:, 0], vals] if d == 1 else [vals]
+        ref_n, ref_mean, ref_com = _reference_batch_stats(vals)
+        for out in samples:
+            n, mean, com = mc._batch_stats(lambda rng, c: out, seed, 0, count)
+            assert n == ref_n
+            assert np.array_equal(mean, ref_mean) and np.array_equal(com, ref_com)
 
 
 class TestControlVariate:
