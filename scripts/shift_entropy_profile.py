@@ -16,7 +16,12 @@ import argparse
 import numpy as np
 
 from carnot_coupling.girsanov import girsanov_normalization_check
-from carnot_coupling.groups import CarnotElement, HeisenbergPoint, SkewMatrix, heis_to_carnot
+from carnot_coupling.groups import CarnotElement, SkewMatrix
+
+
+def heis(x1, x2, z):
+    """The Heisenberg point (x1, x2, z): the rank-2 element with vertical entry z."""
+    return CarnotElement(np.array([x1, x2], dtype=float), SkewMatrix(2, np.array([z], dtype=float)))
 
 
 def main():
@@ -27,11 +32,11 @@ def main():
 
     print(f"{'pair':34s} {'T':>6s} {'K':>3s} {'E|u|^2/2':>9s} {'bound':>8s} "
           f"{'E[R]':>7s} {'ent.gap z':>9s}")
-    g = heis_to_carnot(HeisenbergPoint(0, 0, 0))
+    g = heis(0, 0, 0)
     pairs = [
-        ("H (0,0,0)->(0,0,1)", g, heis_to_carnot(HeisenbergPoint(0, 0, 1))),
-        ("H (0,0,0)->(1,0,0)", g, heis_to_carnot(HeisenbergPoint(1, 0, 0))),
-        ("H (0,0,0)->(1,0,1)", g, heis_to_carnot(HeisenbergPoint(1, 0, 1))),
+        ("H (0,0,0)->(0,0,1)", g, heis(0, 0, 1)),
+        ("H (0,0,0)->(1,0,0)", g, heis(1, 0, 0)),
+        ("H (0,0,0)->(1,0,1)", g, heis(1, 0, 1)),
     ]
     for name, a, b in pairs:
         for T in (1.0, 4.0, 25.0, 100.0):

@@ -14,7 +14,12 @@ import csv
 import numpy as np
 
 from carnot_coupling.coupling import failure_probability, tv_bound
-from carnot_coupling.groups import CarnotElement, HeisenbergPoint, SkewMatrix
+from carnot_coupling.groups import CarnotElement, SkewMatrix
+
+
+def heis(x1, x2, z):
+    """The Heisenberg point (x1, x2, z): the rank-2 element with vertical entry z."""
+    return CarnotElement(np.array([x1, x2], dtype=float), SkewMatrix(2, np.array([z], dtype=float)))
 
 
 def main():
@@ -28,12 +33,12 @@ def main():
     rows = []
 
     pairs_h = [
-        ("horizontal", HeisenbergPoint(0, 0, 0), HeisenbergPoint(1, 0, 0)),
-        ("vertical", HeisenbergPoint(0, 0, 0), HeisenbergPoint(0, 0, 1)),
-        ("mixed", HeisenbergPoint(0, 0, 0), HeisenbergPoint(1, 0, 1)),
+        ("horizontal", heis(0, 0, 0), heis(1, 0, 0)),
+        ("vertical", heis(0, 0, 0), heis(0, 0, 1)),
+        ("mixed", heis(0, 0, 0), heis(1, 0, 1)),
     ]
     for name, g, gt in pairs_h:
-        ests = failure_probability(g, gt, horizons, args.N, args.seed)
+        ests = failure_probability(g, gt, horizons, args.N, args.seed, two_index=True)
         for T, est in zip(horizons, ests):
             rows.append({
                 "group": "heisenberg", "displacement": name, "T": T,

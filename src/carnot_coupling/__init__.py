@@ -7,15 +7,9 @@ from .groups import (
     SkewMatrix,
     carnot_inv,
     carnot_mul,
-    carnot_to_heis,
     dilate,
-    heis_inv,
-    heis_mul,
     heis_to_carnot,
-    heis_zeta,
     odot,
-    quasinorm_H,
-    so3_iso_check,
     zeta,
 )
 from .legendre import alpha, truncation_index

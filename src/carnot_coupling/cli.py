@@ -18,12 +18,16 @@ least 2, --workers and --steps at least 1, --eps positive.  `sylvester`
 checks its solver residual on min(N, 20000) instances and reports that count
 in the N column.
 
-Points are given in group coordinates: `heisenberg` takes `x1,x2,z`;
-`carnot-N` takes the N horizontal entries followed by the N(N-1)/2 strictly
-upper triangular vertical entries in row-major (i < j) order.  Records are
-written as CSV (fixed column order) or JSON (canonical schema, with the
-parsed flags as `config`); identical config + seed produce byte-identical
-artifacts.
+Points are given in group coordinates: `carnot-N` takes the N horizontal
+entries followed by the N(N-1)/2 strictly upper triangular vertical entries
+in row-major (i < j) order.  `heisenberg` is the rank-2 group and takes
+`x1,x2,z` like `carnot-2`.  The group picks the coupling that `couple`
+samples: the two-index one on `heisenberg`, the 2n+1-block one on
+`carnot-N`.  --variant picks only the closed-form bound (default
+proof-stage on `heisenberg`, carnot-n otherwise); its Heisenberg variants
+need rank 2.  Records are written as CSV (fixed column order) or JSON
+(canonical schema, with the parsed flags as `config`); identical config +
+seed produce byte-identical artifacts.
 
 Exit codes: 0 every record passed, 1 some check failed, 2 a configuration
 error (found before any sampling where the flags alone show it), 3 a
@@ -56,7 +60,7 @@ from .girsanov import (
     inequality_suite,
     semigroup_transfer_check,
 )
-from .groups import CarnotElement, HeisenbergPoint, SkewMatrix, heis_to_carnot, unpack_skew
+from .groups import CarnotElement, SkewMatrix, unpack_skew
 from .legendre import endpoint_packed, sde_oracle_batch, truncation_index
 from .mc import bound_check, derive_rng, ks_test, run_vector_estimator, split_seed, two_sample_compare
 from .special_constants import constants_table
@@ -98,30 +102,18 @@ def _parse_group(text: str) -> int:
     raise ValueError(f"unknown group {text!r}")
 
 
-def _parse_point(text: str, group: str):
-    """Point in group coordinates; HeisenbergPoint for 'heisenberg' else CarnotElement."""
+def _parse_point(text: str, group: str) -> CarnotElement:
+    """Point in group coordinates; 'heisenberg' is rank 2, read as x1,x2,z."""
     vals = [float(tok) for tok in text.split(",")]
     n = _parse_group(group)
-    if group == "heisenberg":
-        if len(vals) != 3:
-            raise ValueError("heisenberg points take x1,x2,z")
-        return HeisenbergPoint(*vals)
     need = n + n * (n - 1) // 2
     if len(vals) != need:
-        raise ValueError(f"carnot-{n} points take {need} coordinates")
+        raise ValueError(f"{group} points take {need} coordinates")
     return CarnotElement(np.array(vals[:n]), SkewMatrix(n, np.array(vals[n:])))
 
 
-def _as_carnot(g) -> CarnotElement:
-    return heis_to_carnot(g) if isinstance(g, HeisenbergPoint) else g
-
-
-def _point_str(g) -> str:
-    if isinstance(g, HeisenbergPoint):
-        vals = [g.x1, g.x2, g.z]
-    else:
-        vals = list(map(float, g.x)) + list(map(float, g.z.upper))
-    return ",".join(repr(float(v)) for v in vals)
+def _point_str(g: CarnotElement) -> str:
+    return ",".join(repr(float(v)) for v in [*g.x, *g.z.upper])
 
 
 def _emit(args, records: list[Record]) -> int:
@@ -182,12 +174,14 @@ def cmd_constants(args) -> int:
 def cmd_couple(args) -> int:
     g = _parse_point(args.g, args.group)
     gt = _parse_point(args.gt, args.group)
-    heis = args.group == "heisenberg"
-    variant = args.variant or ("proof-stage" if heis else "carnot-n")
+    # the group picks the sampler; the variant picks only the bound
+    two_index = args.group == "heisenberg"
+    variant = args.variant or ("proof-stage" if two_index else "carnot-n")
     record = _recorder(args, g=_point_str(g), gt=_point_str(gt))
     # rejects a variant the group lacks before any sampling
     bounds = [tv_bound(g, gt, T, variant).total for T in args.T]
-    ests = failure_probability(g, gt, args.T, args.N, args.seed, args.workers)
+    ests = failure_probability(g, gt, args.T, args.N, args.seed, args.workers,
+                               two_index=two_index)
     records = [
         record("endpoint coupling failure vs total-variation bound", f"couple:{variant}",
                estimate=est.mean, stderr=est.stderr, bound=bound,
@@ -236,7 +230,7 @@ def _streamed_endpoints(g: CarnotElement, T: float, k_path: int, N: int,
 
 
 def cmd_marginals(args) -> int:
-    g = _as_carnot(_parse_point(args.g, args.group))
+    g = _parse_point(args.g, args.group)
     T = args.T
     k_path = truncation_index(1.0 / 32.0, T)
     record = _recorder(args, g=_point_str(g), T=T, K=k_path)
@@ -321,8 +315,8 @@ def _support_count(args, n: int) -> int:
 
 
 def cmd_girsanov(args) -> int:
-    g = _as_carnot(_parse_point(args.g, args.group))
-    gt = _as_carnot(_parse_point(args.gt, args.group))
+    g = _parse_point(args.g, args.group)
+    gt = _parse_point(args.gt, args.group)
     T = args.T
     K = _support_count(args, g.n)
     record = _recorder(args, g=_point_str(g), gt=_point_str(gt), T=T, K=K)
@@ -354,8 +348,8 @@ def cmd_girsanov(args) -> int:
 
 
 def cmd_bismut(args) -> int:
-    g = _as_carnot(_parse_point(args.g, args.group))
-    h = _as_carnot(_parse_point(args.h, args.group))
+    g = _parse_point(args.g, args.group)
+    h = _parse_point(args.h, args.group)
     T = args.T
     K = _support_count(args, g.n)
     f = get_function(args.function)
@@ -373,9 +367,9 @@ def cmd_bismut(args) -> int:
 
 
 def cmd_inequalities(args) -> int:
-    g = _as_carnot(_parse_point(args.g, args.group))
-    gt = _as_carnot(_parse_point(args.gt, args.group))
-    h = _as_carnot(_parse_point(args.h, args.group))
+    g = _parse_point(args.g, args.group)
+    gt = _parse_point(args.gt, args.group)
+    h = _parse_point(args.h, args.group)
     T = args.T
     f = get_function(args.function)
     record = _recorder(args, g=_point_str(g), T=T, K=_support_count(args, g.n))
@@ -416,7 +410,8 @@ _at_least_one = _checked(int, lambda v: v >= 1, "an integer >= 1")
 
 # every flag once; each subcommand below lists the flags its cmd_* reads
 _FLAGS = {
-    "group": dict(default="heisenberg", help="heisenberg or carnot-N (N >= 2)"),
+    "group": dict(default="heisenberg",
+                  help="heisenberg (rank 2, two-index coupling) or carnot-N (N >= 2)"),
     "g": dict(required=True, help="start point of the first process"),
     "gt": dict(required=True, help="start point of the second process"),
     "h": dict(required=True, help="direction (group coordinates)"),

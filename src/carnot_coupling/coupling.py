@@ -2,14 +2,15 @@
 
 Both constructions drive the two processes with Gaussian coefficient streams
 that agree everywhere except on a finite set of indices.  Matching the
-endpoints reduces to a linear constraint on the shifted coefficients:
+endpoints reduces to a linear constraint on the shifted coefficients.  The
+points are `CarnotElement`s of any rank n >= 2 (the Heisenberg group is rank
+2), and the flag `two_index` picks the construction:
 
-* Heisenberg: indices {0, 3} are modified, with one probe built from
-  indices 2 and 4.
-* rank n >= 2: indices {0, 3, 6, ..., 3m} with m = 2n+1 are modified, with m
-  probes built from the neighbouring indices.  Rank 2 is again the Heisenberg
-  group, coupled through six blocks instead of two and therefore bounded by
-  the rank-n constants, not the sharper two-index ones.
+* two_index (rank 2 only): indices {0, 3} are modified, with one probe built
+  from indices 2 and 4; bounded by the sharper Heisenberg constants.
+* otherwise: indices {0, 3, 6, ..., 3m} with m = 2n+1 are modified, with m
+  probes built from the neighbouring indices; bounded by the rank-n
+  constants, on rank 2 too.
 
 The index-0 shift is (x - x~)/sqrt(T).  The index-3k shifts u_k must produce
 the skew endpoint mismatch w: sum_k (u_k V_k^t - V_k u_k^t) = w, with V_k = T
@@ -54,7 +55,6 @@ from .groups import (
     HeisenbergPoint,
     SkewMatrix,
     heis_to_carnot,
-    heis_zeta,
     odot_packed,
     triu_pairs,
     zeta,
@@ -99,8 +99,8 @@ class CouplingDiagnostics:
 class CouplingOutcome:
     """Both endpoints, success flag and the applied coefficient shifts."""
 
-    endpoint: object
-    endpoint_tilde: object
+    endpoint: CarnotElement
+    endpoint_tilde: CarnotElement
     success: bool
     shifts: list
     diagnostics: CouplingDiagnostics
@@ -119,6 +119,15 @@ class BoundReport:
 def _check_horizon(T: float) -> None:
     if not 0 < T < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {T}")
+
+
+def _check_pair(g: CarnotElement, gt: CarnotElement, two_index: bool) -> None:
+    if g.n != gt.n:
+        raise ValueError("dimension mismatch")
+    if g.n < 2:
+        raise ValueError("rank must be at least 2")
+    if two_index and g.n != 2:
+        raise ValueError(f"the two-index coupling needs rank 2, got rank {g.n}")
 
 
 def _modified_indices(n: int, two_index: bool) -> list[int]:
@@ -175,7 +184,7 @@ def _couple_batch(gc: CarnotElement, gct: CarnotElement, Ts, rng: np.random.Gene
                   count: int, two_index: bool) -> _GridBatch:
     """Vectorized coupling runs at every horizon of the grid Ts, from one draw.
 
-    two_index modifies {0, 3} (Heisenberg); otherwise {0, 3, ..., 3m} with
+    two_index modifies {0, 3} (rank 2 only); otherwise {0, 3, ..., 3m} with
     m = 2n+1.  The draw, the index-0 direction, the modified-coordinate stack,
     the probes P and the factorization of P P^t are horizon-free and done
     once.  Per horizon T only the mismatch w_T, the least-norm shift
@@ -255,18 +264,18 @@ def _couple_once(gc: CarnotElement, gct: CarnotElement, T: float,
     shifts = [(k, xi_t[k] - xi[k]) for k in _modified_indices(gc.n, two_index)]
     diag = CouplingDiagnostics(SkewMatrix(gc.n, batch.w[0, 0]), float(batch.cond[0]),
                                resampled, float(h_gap[0]), float(v_gap[0]))
-    if two_index:
-        ep = HeisenbergPoint(float(xT[0]), float(xT[1]), float(zT[0]))
-        ept = HeisenbergPoint(float(xTt[0]), float(xTt[1]), float(zTt[0]))
-    else:
-        ep = CarnotElement(xT, SkewMatrix(gc.n, zT))
-        ept = CarnotElement(xTt, SkewMatrix(gc.n, zTt))
+    ep = CarnotElement(xT, SkewMatrix(gc.n, zT))
+    ept = CarnotElement(xTt, SkewMatrix(gc.n, zTt))
     return CouplingOutcome(ep, ept, bool(batch.met[0, 0]), shifts, diag)
 
 
 def couple_heisenberg(g: HeisenbergPoint, gt: HeisenbergPoint, T: float,
                       rng: np.random.Generator) -> CouplingOutcome:
-    """One coupling run on the Heisenberg group (modified indices {0, 3})."""
+    """One two-index coupling run (modified indices {0, 3}) from Heisenberg points.
+
+    Kept only because the benchmark harness calls it; it is `_couple_once` on
+    the rank-2 embeddings with two_index set.
+    """
     _check_horizon(T)
     return _couple_once(heis_to_carnot(g), heis_to_carnot(gt), T, rng, two_index=True)
 
@@ -275,39 +284,32 @@ def couple_carnot(g: CarnotElement, gt: CarnotElement, T: float,
                   rng: np.random.Generator) -> CouplingOutcome:
     """One coupling run on the rank-n group (modified indices {0, 3, ..., 3(2n+1)})."""
     _check_horizon(T)
-    if g.n != gt.n:
-        raise ValueError("dimension mismatch")
-    if g.n < 2:
-        raise ValueError("rank must be at least 2")
+    _check_pair(g, gt, two_index=False)
     return _couple_once(g, gt, T, rng, two_index=False)
 
 
-def _normalize_pair(g, gt):
-    if isinstance(g, HeisenbergPoint):
-        return heis_to_carnot(g), heis_to_carnot(gt), True
-    return g, gt, False
-
-
-def failure_probability(g, gt, Ts, N: int, seed: int,
-                        workers: int = 1) -> list[MCEstimate]:
+def failure_probability(g: CarnotElement, gt: CarnotElement, Ts, N: int, seed: int,
+                        workers: int = 1, two_index: bool = False) -> list[MCEstimate]:
     """Fraction of coupling runs that fail to meet at each horizon of Ts, with its stderr.
 
-    Returns one estimate per entry of Ts, from one pass over the draws: the
-    horizons share every batch (common random numbers), and each estimate
-    equals that of a one-horizon grid bit for bit.  Each upper-bounds the
-    total-variation distance between the two endpoint laws at its horizon.
-    Singular events (a zero probe or a Gram row past COND_LIMIT) are
-    measure-zero; any one of them raises SingularGramError.
+    two_index samples the two-index coupling, which needs rank 2; otherwise
+    the 2n+1-block one.  Both are checked before any sampling.  Returns one
+    estimate per entry of Ts, from one pass over the draws: the horizons
+    share every batch (common random numbers), and each estimate equals that
+    of a one-horizon grid bit for bit.  Each upper-bounds the total-variation
+    distance between the two endpoint laws at its horizon.  Singular events
+    (a zero probe or a Gram row past COND_LIMIT) are measure-zero; any one of
+    them raises SingularGramError.
     """
     Ts = [float(T) for T in Ts]
     if not Ts:
         raise ValueError("need a nonempty grid of horizons")
     for T in Ts:
         _check_horizon(T)
-    gc, gct, heis = _normalize_pair(g, gt)
+    _check_pair(g, gt, two_index)
 
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
-        batch = _couple_batch(gc, gct, Ts, rng, count, heis)
+        batch = _couple_batch(g, gt, Ts, rng, count, two_index)
         return np.column_stack([(~batch.met).T, batch.bad]).astype(float)
 
     *fail, singular = run_vector_estimator(sampler, N, seed, workers)
@@ -316,20 +318,23 @@ def failure_probability(g, gt, Ts, N: int, seed: int,
     return fail
 
 
-def tv_bound(g, gt, T: float, variant: str) -> BoundReport:
-    """Closed-form total-variation bound for the chosen constant set."""
+def tv_bound(g: CarnotElement, gt: CarnotElement, T: float, variant: str) -> BoundReport:
+    """Closed-form total-variation bound for the chosen constant set.
+
+    The Heisenberg variants ("proof-stage", "improved-remark2") need rank-2
+    points; "carnot-n" takes any rank.
+    """
     _check_horizon(T)
     if variant in ("proof-stage", "improved-remark2"):
-        if not isinstance(g, HeisenbergPoint):
-            raise ValueError("Heisenberg variants need Heisenberg points")
+        if g.n != 2:
+            raise ValueError(f"Heisenberg variants need rank-2 points, got rank {g.n}")
         c1, c2 = heisenberg_constants("proof-stage" if variant == "proof-stage" else "improved")
-        dx = math.hypot(gt.x1 - g.x1, gt.x2 - g.x2)
-        vert = abs(heis_zeta(g, gt))
+        dx = math.hypot(*(gt.x - g.x))
+        vert = abs(zeta(g, gt).upper[0])
     elif variant == "carnot-n":
-        gc, gct, _ = _normalize_pair(g, gt)
-        c1, c2 = carnot_constants(gc.n)
-        dx = float(np.linalg.norm(gct.x - gc.x))
-        vert = zeta(gc, gct).hs_norm()
+        c1, c2 = carnot_constants(g.n)
+        dx = float(np.linalg.norm(gt.x - g.x))
+        vert = zeta(g, gt).hs_norm()
     else:
         raise ValueError(f"unknown variant {variant!r}")
     h_term = c1 * dx / math.sqrt(T)

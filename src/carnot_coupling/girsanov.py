@@ -348,6 +348,9 @@ def inequality_suite(
 
     Log-based checks need inf f > 0; for functions without a positive
     infimum they are omitted and the report lists only the checks that ran.
+    Every check reads one pass over one stream.  With log-based checks, each
+    row evaluates the endpoints from g and from g~ with one shared area, so
+    ln f(X^g~) of the log-Harnack check shares the draws of E[f].
     """
     n = g.n
     K = default_support_count(n) if K is None else K
@@ -356,10 +359,13 @@ def inequality_suite(
     checks: list[InequalityCheck] = []
     extra_q = [p / (p - 1.0) for p in p_values]
     positive = f.min_value > 0
+    starts = [g, gt] if positive else [g]
+    x = np.stack([s.x for s in starts])[:, None]
+    z = np.stack([s.z.upper for s in starts])[:, None]
 
     def base_sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         xi = rng.standard_normal((count, L, n))
-        vals = f(*endpoint_packed(g.x, g.z.upper, xi, T))
+        vals, *tilde = f(*endpoint_packed(x, z, xi, T))
         u0, blocks = build_shift(g, gth, T, K, xi)
         dot, u_sq = _shift_pairing(u0, blocks, xi)
         weight = -dot
@@ -367,18 +373,16 @@ def inequality_suite(
         for p, q in zip(p_values, extra_q):
             cols.extend([np.abs(vals) ** p, u_sq ** (q / 2.0)])
         if positive:
-            cols.append(vals * np.log(vals))
+            cols.extend([vals * np.log(vals), np.log(tilde[0])])
         return np.stack(cols, axis=1)
 
     base = run_vector_estimator(base_sampler, N, split_seed(seed, 3), workers)
     mean_f, mean_f2, grad, f_usq = base[:4]
 
     if positive:
-        def tilde_sampler(rng: np.random.Generator, count: int) -> np.ndarray:
-            xi = rng.standard_normal((count, L, n))
-            return np.log(f(*endpoint_packed(gt.x, gt.z.upper, xi, T)))
-
-        lhs_lh = run_vector_estimator(tilde_sampler, N, split_seed(seed, 4), workers)[0]
+        # ln f(X^g~) shares the draws of E[f], and the linear sum of the two
+        # stderrs below bounds the error whatever their correlation
+        flnf, lhs_lh = base[-2:]
         rhs_lh = math.log(mean_f.mean) + entropy_bound_constant(g, gt, T)
         sigma_lh = lhs_lh.stderr + mean_f.stderr / mean_f.mean
         checks.append(InequalityCheck(
@@ -408,7 +412,6 @@ def inequality_suite(
     if positive:
         # f ln f shares the draws of E[f], and the linear sum of the two
         # stderrs below bounds the error of Ent(f) whatever their correlation
-        flnf = base[-1]
         ent = max(flnf.mean - mean_f.mean * math.log(mean_f.mean), 0.0)
         sigma_ent = flnf.stderr + mean_f.stderr * abs(1.0 + math.log(mean_f.mean))
         rhs_ls, sigma_ls = _weak_log_sobolev_rhs(ent, sigma_ent, f_usq.mean, f_usq.stderr)

@@ -1,10 +1,13 @@
-"""Exact algebra of the Heisenberg group and the free step-2 Carnot groups.
-
-The Heisenberg group is R^3 with product
-    (x1, x2, z) * (x1', x2', z') = (x1+x1', x2+x2', z+z' + (x1 x2' - x2 x1')/2).
+"""Exact algebra of the free step-2 Carnot groups.
 
 The free step-2 Carnot group of rank n is R^n x so(n) with product
     (u, A) * (v, B) = (u+v, A + B + odot(u, v)/2),   odot(u, v) = u v^t - v u^t.
+
+The Heisenberg group is the rank-2 group: a point (x1, x2, z) is the element
+with x = (x1, x2) and the single packed vertical entry z, and the product
+above reads (x1+x1', x2+x2', z+z' + (x1 x2' - x2 x1')/2).  `CarnotElement` is
+the one point type of the library; `HeisenbergPoint` and `heis_to_carnot`
+remain only as an input form for the benchmark harness.
 
 Skew-symmetric matrices are stored packed: the n(n-1)/2 strictly upper
 triangular entries in row-major (i < j) order.  Antisymmetry is then true by
@@ -26,18 +29,12 @@ __all__ = [
     "HeisenbergPoint",
     "SkewMatrix",
     "CarnotElement",
-    "heis_mul",
-    "heis_inv",
     "carnot_mul",
     "carnot_inv",
     "odot",
-    "so3_iso_check",
     "dilate",
     "zeta",
-    "heis_zeta",
-    "quasinorm_H",
     "heis_to_carnot",
-    "carnot_to_heis",
     "triu_pairs",
     "pack_skew",
     "unpack_skew",
@@ -75,7 +72,11 @@ def odot_packed(u: np.ndarray, v: np.ndarray, iu: np.ndarray, ju: np.ndarray) ->
 
 @dataclass(frozen=True)
 class HeisenbergPoint:
-    """Point (x1, x2, z) of the Heisenberg group; z is the vertical coordinate."""
+    """Point (x1, x2, z) of the Heisenberg group; z is the vertical coordinate.
+
+    Kept only because the benchmark harness builds its inputs with it; library
+    code takes the rank-2 `CarnotElement` that `heis_to_carnot` returns.
+    """
 
     x1: float
     x2: float
@@ -152,18 +153,6 @@ class CarnotElement:
         return cls(np.zeros(n), SkewMatrix.zero(n))
 
 
-def heis_mul(a: HeisenbergPoint, b: HeisenbergPoint) -> HeisenbergPoint:
-    """Group product on the Heisenberg group."""
-    cross = a.x1 * b.x2 - a.x2 * b.x1
-    half = cross / 2
-    return HeisenbergPoint(a.x1 + b.x1, a.x2 + b.x2, a.z + b.z + half)
-
-
-def heis_inv(a: HeisenbergPoint) -> HeisenbergPoint:
-    """Group inverse (-x1, -x2, -z); the cross term vanishes."""
-    return HeisenbergPoint(-a.x1, -a.x2, -a.z)
-
-
 def odot(u: Sequence[float], v: Sequence[float]) -> SkewMatrix:
     """The skew bracket u odot v = u v^t - v u^t (bilinear, odot(u, u) = 0)."""
     u = np.asarray(u)
@@ -189,28 +178,10 @@ def carnot_inv(a: CarnotElement) -> CarnotElement:
     return CarnotElement(-a.x, a.z.scaled(-1))
 
 
-def so3_iso_check(u: Sequence[float], v: Sequence[float], tol: float = 1e-12) -> bool:
-    """Check psi(u ^ v) = -u odot v, the so(3) <-> (R^3, cross) isomorphism.
-
-    psi maps (a, b, c) to the skew matrix [[0, -c, b], [c, 0, -a], [-b, a, 0]].
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != (3,) or v.shape != (3,):
-        raise ValueError("so3_iso_check requires 3-vectors")
-    a, b, c = np.cross(u, v)
-    psi = np.array([[0.0, -c, b], [c, 0.0, -a], [-b, a, 0.0]])
-    lhs = psi
-    rhs = -odot(u, v).to_matrix()
-    return bool(np.max(np.abs(lhs - rhs)) <= tol)
-
-
-def dilate(lam: float, g):
+def dilate(lam: float, g: CarnotElement) -> CarnotElement:
     """Homogeneous dilation (x, z) -> (lam x, lam^2 z) for lam > 0."""
     if lam <= 0:
         raise ValueError("dilation parameter must be positive")
-    if isinstance(g, HeisenbergPoint):
-        return HeisenbergPoint(lam * g.x1, lam * g.x2, lam * lam * g.z)
     return CarnotElement(g.x * lam, g.z.scaled(lam * lam))
 
 
@@ -222,23 +193,9 @@ def zeta(g: CarnotElement, g_tilde: CarnotElement) -> SkewMatrix:
     return g_tilde.z - g.z - half
 
 
-def heis_zeta(g: HeisenbergPoint, g_tilde: HeisenbergPoint) -> float:
-    """Scalar relative vertical displacement on the Heisenberg group."""
-    return g_tilde.z - g.z - (g.x1 * g_tilde.x2 - g.x2 * g_tilde.x1) / 2
-
-
-def quasinorm_H(a: HeisenbergPoint) -> float:
-    """Homogeneous quasinorm sqrt(x1^2 + x2^2 + |z|); H(dil_lam a) = lam H(a)."""
-    return math.sqrt(a.x1 ** 2 + a.x2 ** 2 + abs(a.z))
-
-
 def heis_to_carnot(a: HeisenbergPoint) -> CarnotElement:
-    """Embed (x1, x2, z) as the rank-2 Carnot element with upper entry z."""
+    """Embed (x1, x2, z) as the rank-2 Carnot element with upper entry z.
+
+    Kept only for the benchmark harness, whose inputs are `HeisenbergPoint`s.
+    """
     return CarnotElement(np.array([a.x1, a.x2]), SkewMatrix(2, np.array([a.z])))
-
-
-def carnot_to_heis(g: CarnotElement) -> HeisenbergPoint:
-    """Inverse of the rank-2 embedding."""
-    if g.n != 2:
-        raise ValueError("only rank-2 elements embed into the Heisenberg group")
-    return HeisenbergPoint(g.x[0], g.x[1], g.z.upper[0])

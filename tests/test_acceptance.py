@@ -119,17 +119,19 @@ def test_criterion_01_exact_meeting():
 
 
 def test_criterion_02_heisenberg_bound():
-    origin = HeisenbergPoint(0, 0, 0)
+    origin = heis_to_carnot(HeisenbergPoint(0, 0, 0))
     ok = True
     lines = []
     horizons = (1.0, 25.0, 100.0)
-    for gt in (HeisenbergPoint(1, 0, 0), HeisenbergPoint(0, 0, 1)):
-        ests = failure_probability(origin, gt, horizons, 100_000, split_seed(SEED, 20))
+    for point in (HeisenbergPoint(1, 0, 0), HeisenbergPoint(0, 0, 1)):
+        gt = heis_to_carnot(point)
+        ests = failure_probability(origin, gt, horizons, 100_000, split_seed(SEED, 20),
+                                   two_index=True)
         for T, est in zip(horizons, ests):
             bound = tv_bound(origin, gt, T, "proof-stage").total
             good = est.mean <= bound + 3 * est.stderr
             ok &= good
-            lines.append(f"{gt.as_tuple()}@T={T:g}: {est.mean:.4f}<= {bound:.4f}+3se")
+            lines.append(f"{point.as_tuple()}@T={T:g}: {est.mean:.4f}<= {bound:.4f}+3se")
     _report(2, "two-index coupling failure under the proof-stage bound at every "
                "grid point [" + "; ".join(lines) + "]", ok)
 
@@ -382,11 +384,12 @@ def test_criterion_10_constants_and_special_functions():
 def test_criterion_11_dilation_invariance():
     ok = True
     notes = []
-    g, gt, T = HeisenbergPoint(0, 0, 0), HeisenbergPoint(0.8, 0.1, 0.5), 9.0
-    base = failure_probability(g, gt, [T], 100_000, split_seed(SEED, 110))[0]
+    H = lambda *a: heis_to_carnot(HeisenbergPoint(*a))
+    g, gt, T = H(0, 0, 0), H(0.8, 0.1, 0.5), 9.0
+    base = failure_probability(g, gt, [T], 100_000, split_seed(SEED, 110), two_index=True)[0]
     for lam in (0.5, 2.0):
         scaled = failure_probability(dilate(lam, g), dilate(lam, gt), [lam * lam * T],
-                                     100_000, split_seed(SEED, 111))[0]
+                                     100_000, split_seed(SEED, 111), two_index=True)[0]
         se = math.hypot(base.stderr, scaled.stderr)
         good = abs(base.mean - scaled.mean) <= 3 * se
         ok &= good

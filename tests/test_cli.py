@@ -214,7 +214,8 @@ class TestArtifacts:
         grids = []
         sample = cli.failure_probability
         monkeypatch.setattr(cli, "failure_probability",
-                            lambda g, gt, Ts, *rest: grids.append(Ts) or sample(g, gt, Ts, *rest))
+                            lambda g, gt, Ts, *rest, **kw: grids.append(Ts)
+                            or sample(g, gt, Ts, *rest, **kw))
         base = ["couple", "--group", "carnot-3", "--g", "0,0,0,0,0,0", "--gt", "1,0,0,0.5,0,0",
                 "--N", "3000", "--seed", "14"]
         grid = tmp_path / "grid.csv"
@@ -226,6 +227,33 @@ class TestArtifacts:
             run_cli(base + ["--T", T, "--out", str(out)])
             rows += out.read_text().splitlines()[1:]
         assert grid.read_text().splitlines()[1:] == rows
+
+    @pytest.mark.parametrize("variant", ["proof-stage", "improved-remark2", "carnot-n"])
+    def test_heisenberg_record_is_the_two_index_estimate(self, variant, tmp_path):
+        out = tmp_path / "res.json"
+        run_cli(["couple", "--group", "heisenberg", "--g", "0.3,-0.2,0.1", "--gt", "0.5,0,0.6",
+                 "--T", "1,25", "--N", "3000", "--seed", "17", "--workers", "2",
+                 "--variant", variant, "--format", "json", "--out", str(out)])
+        got = [(r["estimate"], r["stderr"]) for r in json.loads(out.read_text())["records"]]
+        g, gt = (heis_to_carnot(HeisenbergPoint(*p)) for p in ((0.3, -0.2, 0.1), (0.5, 0, 0.6)))
+        for two_index in (True, False):
+            ests = coupling.failure_probability(g, gt, [1.0, 25.0], 3000, 17, 2,
+                                                two_index=two_index)
+            assert (got == [(e.mean, e.stderr) for e in ests]) == two_index
+
+    def test_heisenberg_variant_on_carnot_2_bounds_the_rank_n_coupling(self, tmp_path):
+        # rank 2 is the Heisenberg group, so its constants apply; the group
+        # still picks the 2n+1-block sampler
+        out = tmp_path / "res.json"
+        code = run_cli(["couple", "--group", "carnot-2", "--g", "0,0,0", "--gt", "0,0,1",
+                        "--T", "25", "--N", "3000", "--seed", "18", "--variant", "proof-stage",
+                        "--format", "json", "--out", str(out)])
+        assert code == 0
+        rec, = json.loads(out.read_text())["records"]
+        g, gt = heis_to_carnot(HeisenbergPoint(0, 0, 0)), heis_to_carnot(HeisenbergPoint(0, 0, 1))
+        est, = coupling.failure_probability(g, gt, [25.0], 3000, 18)
+        assert (rec["estimate"], rec["stderr"]) == (est.mean, est.stderr)
+        assert rec["bound"] == coupling.tv_bound(g, gt, 25.0, "proof-stage").total
 
     def test_json_schema_and_config_roundtrip(self, tmp_path):
         out = tmp_path / "res.json"

@@ -26,14 +26,22 @@ from carnot_coupling.groups import (
     SkewMatrix,
     dilate,
     heis_to_carnot,
-    heis_zeta,
     odot_packed,
     triu_pairs,
 )
 from carnot_coupling.legendre import alpha, endpoint_packed
 from carnot_coupling.mc import derive_rng, ks_test
+from carnot_coupling.special_constants import heisenberg_constants
 from carnot_coupling.sylvester import SingularGramError
 
+
+def H(*a):
+    """The Heisenberg point (x1, x2, z) as the rank-2 element."""
+    return heis_to_carnot(HeisenbergPoint(*a))
+
+
+def coords(g):
+    return (*g.x, *g.z.upper)
 
 
 def _one_horizon(gc, gct, T, rng, count, two_index):
@@ -50,7 +58,7 @@ class TestSingleRuns:
             out = couple_heisenberg(g, g, 2.0, rng)
             assert out.success
             assert all(np.allclose(v, 0.0) for _, v in out.shifts)
-            assert out.endpoint == out.endpoint_tilde
+            assert coords(out.endpoint) == coords(out.endpoint_tilde)
 
     def test_heisenberg_modified_indices(self):
         out = couple_heisenberg(HeisenbergPoint(0, 0, 0), HeisenbergPoint(1, 0, 1),
@@ -84,7 +92,7 @@ class TestSingleRuns:
                 assert out.diagnostics.horizontal_gap <= 1e-12
                 assert out.diagnostics.vertical_gap <= 1e-9
                 # rendered endpoints also agree coordinatewise
-                for a, b in zip(out.endpoint.as_tuple(), out.endpoint_tilde.as_tuple()):
+                for a, b in zip(coords(out.endpoint), coords(out.endpoint_tilde)):
                     assert abs(a - b) <= 1e-9 * (1.0 + abs(a))
         assert hits > 100
 
@@ -181,7 +189,7 @@ class TestShiftSystem:
             sqrtT = math.sqrt(T)
             hat = (sqrtT / 2.0) * xi[:, 0] - sqrtT * alpha(0) * xi[:, 1]
             d0, d1 = g.x1 - gt.x1, g.x2 - gt.x2
-            zeta_s = heis_zeta(g, gt)
+            zeta_s = gt.z - g.z - (g.x1 * gt.x2 - g.x2 * gt.x1) / 2
             ref = -zeta_s + d0 * hat[:, 1] - d1 * hat[:, 0]
             size = abs(zeta_s) + np.abs(d0 * hat[:, 1]) + np.abs(d1 * hat[:, 0])
             assert np.all(np.abs(w[:, 0] - ref) <= 4 * eps * size)
@@ -216,20 +224,20 @@ class TestFailureProbability:
             couple_carnot(g, gt, 4.0, derive_rng(3))
 
     def test_same_start_zero(self):
-        est = failure_probability(HeisenbergPoint(1, 2, 3), HeisenbergPoint(1, 2, 3),
-                                  [4.0], 2000, seed=0)[0]
+        est = failure_probability(H(1, 2, 3), H(1, 2, 3), [4.0], 2000, seed=0,
+                                  two_index=True)[0]
         assert est.mean == 0.0
 
     def test_deterministic(self):
-        g, gt = HeisenbergPoint(0, 0, 0), HeisenbergPoint(1, 0, 1)
-        a = failure_probability(g, gt, [25.0], 20_000, seed=3)[0]
-        b = failure_probability(g, gt, [25.0], 20_000, seed=3)[0]
+        g, gt = H(0, 0, 0), H(1, 0, 1)
+        a = failure_probability(g, gt, [25.0], 20_000, seed=3, two_index=True)[0]
+        b = failure_probability(g, gt, [25.0], 20_000, seed=3, two_index=True)[0]
         assert a.mean == b.mean and a.stderr == b.stderr
 
     def test_bound_domination_heisenberg(self):
-        g, gt = HeisenbergPoint(0, 0, 0), HeisenbergPoint(1, 0, 1)
+        g, gt = H(0, 0, 0), H(1, 0, 1)
         for T in (4.0, 25.0):
-            est = failure_probability(g, gt, [T], 30_000, seed=4)[0]
+            est = failure_probability(g, gt, [T], 30_000, seed=4, two_index=True)[0]
             bound = tv_bound(g, gt, T, "proof-stage").total
             assert est.mean <= bound + 3 * est.stderr
 
@@ -241,26 +249,66 @@ class TestFailureProbability:
         assert est.mean <= bound + 3 * est.stderr
 
     def test_dilation_invariance(self):
-        g, gt = HeisenbergPoint(0, 0, 0), HeisenbergPoint(0.8, 0.1, 0.5)
+        g, gt = H(0, 0, 0), H(0.8, 0.1, 0.5)
         T = 9.0
-        base = failure_probability(g, gt, [T], 40_000, seed=6)[0]
+        base = failure_probability(g, gt, [T], 40_000, seed=6, two_index=True)[0]
         for lam in (0.5, 2.0):
             scaled = failure_probability(
-                dilate(lam, g), dilate(lam, gt), [lam * lam * T], 40_000, seed=7
+                dilate(lam, g), dilate(lam, gt), [lam * lam * T], 40_000, seed=7, two_index=True
             )[0]
             se = math.hypot(base.stderr, scaled.stderr)
             assert abs(base.mean - scaled.mean) <= 3 * se
 
 
 
-def _pair_from_seed(seed, n, heis, spread=1.0, offset=1.0):
+class TestCouplingChoice:
+    """The two_index flag, not the point type, picks the coupling, and a bad pick is loud."""
+
+    @pytest.fixture
+    def unsampled(self, monkeypatch):
+        monkeypatch.setattr(coupling, "_couple_batch", lambda *a: pytest.fail("sampled"))
+
+    def test_two_index_needs_rank_2(self, unsampled):
+        g = CarnotElement.identity(3)
+        gt = CarnotElement(np.array([1.0, 0, 0]), SkewMatrix.zero(3))
+        with pytest.raises(ValueError, match="rank 2"):
+            failure_probability(g, gt, [4.0], 100, 1, two_index=True)
+
+    @pytest.mark.parametrize("two_index", [False, True])
+    def test_heisenberg_point_is_rejected_unsampled(self, two_index, unsampled):
+        g, gt = HeisenbergPoint(0, 0, 0), HeisenbergPoint(1, 0, 1)
+        with pytest.raises(AttributeError):
+            failure_probability(g, gt, [4.0], 100, 1, two_index=two_index)
+
+    @pytest.mark.parametrize("variant", ["proof-stage", "improved-remark2", "carnot-n"])
+    def test_tv_bound_rejects_a_heisenberg_point(self, variant):
+        with pytest.raises(AttributeError):
+            tv_bound(HeisenbergPoint(0, 0, 0), HeisenbergPoint(1, 0, 1), 4.0, variant)
+
+    @pytest.mark.parametrize("variant", ["proof-stage", "improved-remark2"])
+    def test_heisenberg_variant_needs_rank_2(self, variant):
+        with pytest.raises(ValueError, match="rank-2"):
+            tv_bound(CarnotElement.identity(3), CarnotElement.identity(3), 4.0, variant)
+
+    @pytest.mark.parametrize("variant, constants", [("proof-stage", "proof-stage"),
+                                                    ("improved-remark2", "improved")])
+    def test_heisenberg_variants_equal_the_scalar_formula(self, variant, constants):
+        c1, c2 = heisenberg_constants(constants)
+        rng = derive_rng(14)
+        for _ in range(200):
+            (x1, x2, z), (y1, y2, w) = rng.uniform(-3, 3, (2, 3)).tolist()
+            T = float(np.exp(rng.uniform(np.log(0.25), np.log(64.0))))
+            b = tv_bound(H(x1, x2, z), H(y1, y2, w), T, variant)
+            assert b.horizontal_term == c1 * math.hypot(y1 - x1, y2 - x2) / math.sqrt(T)
+            assert b.vertical_term == c2 * abs(w - z - (x1 * y2 - x2 * y1) / 2) / T
+
+
+def _pair_from_seed(seed, n, spread=1.0, offset=1.0):
     """Start points for n: coordinates in [-spread, spread], then moved by up to offset."""
     rng = np.random.default_rng(seed)
     p = n * (n - 1) // 2
     a = rng.uniform(-spread, spread, n + p)
     b = a + rng.uniform(-offset, offset, n + p)
-    if heis:
-        return HeisenbergPoint(*a), HeisenbergPoint(*b)
     return (CarnotElement(a[:n], SkewMatrix(n, a[n:])),
             CarnotElement(b[:n], SkewMatrix(n, b[n:])))
 
@@ -275,17 +323,19 @@ class TestHorizonGrid:
            grid=st.lists(st.one_of(st.sampled_from([1.0, 4.0, 25.0]), st.floats(0.25, 100.0)),
                          min_size=1, max_size=4))
     def test_each_entry_equals_its_one_horizon_call(self, n, heis, seed, grid):
-        g, gt = _pair_from_seed(seed, n, heis and n == 2)
+        heis = heis and n == 2
+        g, gt = _pair_from_seed(seed, n)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mc, "BATCH_SIZE", self.BATCH)
             for workers in (1, 3):
-                ests = failure_probability(g, gt, grid, self.N, seed, workers)
+                ests = failure_probability(g, gt, grid, self.N, seed, workers, two_index=heis)
                 assert len(ests) == len(grid)
                 for T, est in zip(grid, ests):
-                    assert est == failure_probability(g, gt, [T], self.N, seed, workers)[0]
+                    assert est == failure_probability(g, gt, [T], self.N, seed, workers,
+                                                      two_index=heis)[0]
 
     def test_batch_shares_the_draw_and_the_stack(self):
-        g, gt = _pair_from_seed(5, 3, False)
+        g, gt = _pair_from_seed(5, 3)
         grid = [4.0, 25.0, 4.0]
         batch = _couple_batch(g, gt, grid, derive_rng(6), 500, False)
         assert batch.coupled.shape[:2] == batch.met.shape == (3, 500)
@@ -300,7 +350,7 @@ class TestHorizonGrid:
     @pytest.mark.parametrize("grid", [[], [4.0, 0.0], [-1.0], [math.nan], [4.0, math.inf]])
     def test_empty_or_nonpositive_grid_rejected(self, grid):
         with pytest.raises(ValueError):
-            failure_probability(HeisenbergPoint(0, 0, 0), HeisenbergPoint(1, 0, 0), grid, 100, 1)
+            failure_probability(H(0, 0, 0), H(1, 0, 0), grid, 100, 1, two_index=True)
 
 
 class TestExactMeeting:
@@ -313,12 +363,11 @@ class TestExactMeeting:
         # displacements of at most 0.1 per coordinate: at T >= 16 at most about
         # a third of the runs fail (rank 6), so some of the runs meet
         heis = heis and n == 2
-        g, gt = _pair_from_seed(seed, n, heis, spread=2.0, offset=0.1)
-        couple = couple_heisenberg if heis else couple_carnot
+        g, gt = _pair_from_seed(seed, n, spread=2.0, offset=0.1)
         rng = derive_rng(seed)
         met = 0
         for _ in range(self.RUNS):
-            out = couple(g, gt, T, rng)
+            out = coupling._couple_once(g, gt, T, rng, two_index=heis)
             if out.success:
                 met += 1
                 assert out.diagnostics.horizontal_gap <= 1e-12
@@ -351,11 +400,11 @@ class TestMarginalPreservation:
 
 class TestTVBound:
     def test_zero_at_equal_points(self):
-        g = HeisenbergPoint(1, 2, 3)
+        g = H(1, 2, 3)
         assert tv_bound(g, g, 5.0, "proof-stage").total == 0.0
 
     def test_variant_constants(self):
-        g, gt = HeisenbergPoint(0, 0, 0), HeisenbergPoint(0, 0, 1)
+        g, gt = H(0, 0, 0), H(0, 0, 1)
         b = tv_bound(g, gt, 1.0, "improved-remark2")
         assert b.vertical_term == pytest.approx(
             5 * math.sqrt(21) / (math.pi * math.sqrt(math.pi)), rel=1e-14
@@ -370,15 +419,15 @@ class TestTVBound:
         assert b.vertical_term == pytest.approx(c2_expect * math.sqrt(2), rel=1e-14)
 
     def test_total_is_sum(self):
-        g, gt = HeisenbergPoint(0, 0, 0), HeisenbergPoint(1, 1, 1)
+        g, gt = H(0, 0, 0), H(1, 1, 1)
         b = tv_bound(g, gt, 2.0, "proof-stage")
         assert b.total == b.horizontal_term + b.vertical_term
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
-            tv_bound(HeisenbergPoint(0, 0, 0), HeisenbergPoint(0, 0, 0), 1.0, "optimal")
+            tv_bound(H(0, 0, 0), H(0, 0, 0), 1.0, "optimal")
 
     @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
     def test_invalid_horizon(self, T):
         with pytest.raises(ValueError):
-            tv_bound(HeisenbergPoint(0, 0, 0), HeisenbergPoint(0, 0, 1), T, "proof-stage")
+            tv_bound(H(0, 0, 0), H(0, 0, 1), T, "proof-stage")

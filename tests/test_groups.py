@@ -14,15 +14,9 @@ from carnot_coupling.groups import (
     SkewMatrix,
     carnot_inv,
     carnot_mul,
-    carnot_to_heis,
     dilate,
-    heis_inv,
-    heis_mul,
     heis_to_carnot,
-    heis_zeta,
     odot,
-    quasinorm_H,
-    so3_iso_check,
     zeta,
 )
 
@@ -32,33 +26,41 @@ rationals = st.fractions(
 
 
 def hpoint(x1, x2, z):
-    return HeisenbergPoint(x1, x2, z)
+    """The Heisenberg point (x1, x2, z) as a rank-2 element, kept exact for Fractions."""
+    return CarnotElement(np.array([x1, x2], dtype=object),
+                         SkewMatrix(2, np.array([z], dtype=object)))
+
+
+def coords(g):
+    return (*g.x, *g.z.upper)
 
 
 class TestHeisenbergProduct:
+    """The group law at rank 2, which is the Heisenberg group."""
+
     def test_identity_element(self):
-        assert heis_mul(hpoint(0, 0, 0), hpoint(1, 2, 3)) == hpoint(1, 2, 3)
-        assert heis_mul(hpoint(1, 2, 3), hpoint(0, 0, 0)) == hpoint(1, 2, 3)
+        assert coords(carnot_mul(hpoint(0, 0, 0), hpoint(1, 2, 3))) == (1, 2, 3)
+        assert coords(carnot_mul(hpoint(1, 2, 3), hpoint(0, 0, 0))) == (1, 2, 3)
 
     def test_basic_product(self):
-        assert heis_mul(hpoint(1, 0, 0), hpoint(0, 1, 0)) == hpoint(1, 1, 0.5)
+        assert coords(carnot_mul(hpoint(1, 0, 0), hpoint(0, 1, 0))) == (1, 1, 0.5)
 
     def test_inverse_cancels(self):
-        assert heis_mul(hpoint(1, 2, 3), hpoint(-1, -2, -3)) == hpoint(0, 0, 0)
+        assert coords(carnot_mul(hpoint(1, 2, 3), hpoint(-1, -2, -3))) == (0, 0, 0)
 
     @given(rationals, rationals, rationals)
     def test_inverse_is_negation_exact(self, x1, x2, z):
         g = hpoint(x1, x2, z)
-        assert heis_mul(g, heis_inv(g)) == hpoint(0, 0, 0)
-        assert heis_mul(heis_inv(g), g) == hpoint(0, 0, 0)
+        assert coords(carnot_mul(g, carnot_inv(g))) == (0, 0, 0)
+        assert coords(carnot_mul(carnot_inv(g), g)) == (0, 0, 0)
 
     @settings(max_examples=200)
     @given(st.tuples(*[rationals] * 9))
-    def test_associativity_exact_on_rationals(self, coords):
-        a = hpoint(*coords[0:3])
-        b = hpoint(*coords[3:6])
-        c = hpoint(*coords[6:9])
-        assert heis_mul(heis_mul(a, b), c) == heis_mul(a, heis_mul(b, c))
+    def test_associativity_exact_on_rationals(self, coords9):
+        a = hpoint(*coords9[0:3])
+        b = hpoint(*coords9[3:6])
+        c = hpoint(*coords9[6:9])
+        assert coords(carnot_mul(carnot_mul(a, b), c)) == coords(carnot_mul(a, carnot_mul(b, c)))
 
 
 class TestSkewMatrix:
@@ -158,36 +160,17 @@ class TestCarnotProduct:
             assert np.max(np.abs(left.z.upper - right.z.upper)) <= 1e-12 * scale
 
     def test_embedding_commutes_with_product(self):
+        # the scalar Heisenberg product of the embedded points
         rng = np.random.default_rng(11)
         for _ in range(100):
             a = HeisenbergPoint(*rng.uniform(-3, 3, 3))
             b = HeisenbergPoint(*rng.uniform(-3, 3, 3))
-            via_heis = heis_to_carnot(heis_mul(a, b))
-            via_carnot = carnot_mul(heis_to_carnot(a), heis_to_carnot(b))
-            assert np.allclose(via_heis.x, via_carnot.x, atol=1e-14)
-            assert np.allclose(via_heis.z.upper, via_carnot.z.upper, atol=1e-14)
-
-    def test_embedding_round_trip(self):
-        g = HeisenbergPoint(1.5, -0.25, 3.0)
-        assert carnot_to_heis(heis_to_carnot(g)) == g
+            got = carnot_mul(heis_to_carnot(a), heis_to_carnot(b))
+            expect = (a.x1 + b.x1, a.x2 + b.x2, a.z + b.z + (a.x1 * b.x2 - a.x2 * b.x1) / 2)
+            assert np.allclose(coords(got), expect, atol=1e-14)
 
 
-class TestSO3Isomorphism:
-    def test_canonical_pair(self):
-        assert so3_iso_check([1, 0, 0], [0, 1, 0])
-
-    def test_equal_arguments(self):
-        assert so3_iso_check([2, -1, 3], [2, -1, 3])
-
-    def test_random_rationals(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            u = rng.integers(-8, 8, 3) / 4.0
-            v = rng.integers(-8, 8, 3) / 4.0
-            assert so3_iso_check(u, v)
-
-
-class TestDilationAndQuasinorm:
+class TestDilation:
     def test_dilation_definition(self):
         g = CarnotElement(np.array([1.0, 1.0]), SkewMatrix(2, np.array([1.0])))
         got = dilate(2.0, g)
@@ -210,23 +193,7 @@ class TestDilationAndQuasinorm:
         with pytest.raises(ValueError):
             dilate(0.0, CarnotElement.identity(2))
         with pytest.raises(ValueError):
-            dilate(-1.0, HeisenbergPoint(0, 0, 0))
-
-    def test_quasinorm_values(self):
-        assert quasinorm_H(hpoint(0, 0, 0)) == 0.0
-        assert quasinorm_H(hpoint(3, 4, 0)) == 5.0
-        assert quasinorm_H(hpoint(0, 0, 4)) == 2.0
-
-    def test_quasinorm_homogeneous(self):
-        g = hpoint(0, 0, 4)
-        assert quasinorm_H(dilate(3.0, g)) == pytest.approx(3 * quasinorm_H(g), rel=1e-15)
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            g = hpoint(*rng.uniform(-3, 3, 3))
-            lam = rng.uniform(0.1, 4.0)
-            assert quasinorm_H(dilate(lam, g)) == pytest.approx(
-                lam * quasinorm_H(g), rel=1e-12
-            )
+            dilate(-1.0, hpoint(0, 0, 0))
 
 
 class TestZeta:
@@ -241,7 +208,7 @@ class TestZeta:
         assert np.array_equal(zeta(g, CarnotElement(x, zt)).upper, zt.upper)
 
     def test_heisenberg_scalar_case(self):
-        assert heis_zeta(hpoint(0, 0, 0), hpoint(1, 1, 1)) == 1.0
+        assert zeta(hpoint(0, 0, 0), hpoint(1, 1, 1)).upper[0] == 1.0
 
     def test_is_vertical_part_of_quotient(self):
         rng = np.random.default_rng(21)

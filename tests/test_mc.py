@@ -216,7 +216,8 @@ _N = 4 * 1024 + 7
 _SIN = CATALOG["sin-perturbation"]
 ESTIMATORS = {
     "failure_probability-heisenberg": lambda w: failure_probability(
-        HeisenbergPoint(0, 0, 0), HeisenbergPoint(1, 0, 1), [1.0, 25.0, 1.0], _N, 1, w),
+        heis_to_carnot(HeisenbergPoint(0, 0, 0)), heis_to_carnot(HeisenbergPoint(1, 0, 1)),
+        [1.0, 25.0, 1.0], _N, 1, w, two_index=True),
     "failure_probability-carnot-3": lambda w: failure_probability(
         _G3, _G3T, [4.0, 25.0], _N, 2, w),
     "girsanov_normalization_check": lambda w: girsanov_normalization_check(

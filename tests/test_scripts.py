@@ -6,6 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from carnot_coupling.coupling import failure_probability
+from carnot_coupling.groups import CarnotElement, SkewMatrix
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -35,3 +40,14 @@ def test_tv_decay_grid_writes_every_row(tmp_path):
     # 3 Heisenberg and 2 carnot-3 displacements x 8 horizons
     assert len(rows) == 40
     assert {r["group"] for r in rows} == {"heisenberg", "carnot-3"}
+    # the Heisenberg rows sample the two-index coupling, at the script's default seed
+    origin = CarnotElement.identity(2)
+    targets = {"horizontal": (1.0, 0.0, 0.0), "vertical": (0.0, 0.0, 1.0),
+               "mixed": (1.0, 0.0, 1.0)}
+    for name, (x1, x2, z) in targets.items():
+        got = [r for r in rows if r["group"] == "heisenberg" and r["displacement"] == name]
+        gt = CarnotElement(np.array([x1, x2]), SkewMatrix(2, np.array([z])))
+        ests = failure_probability(origin, gt, [float(r["T"]) for r in got], 2000, 20240901,
+                                   two_index=True)
+        assert [(float(r["failure"]), float(r["stderr"])) for r in got] == [
+            (e.mean, e.stderr) for e in ests]
