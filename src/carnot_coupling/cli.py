@@ -21,13 +21,14 @@ in the N column.
 Points are given in group coordinates: `carnot-N` takes the N horizontal
 entries followed by the N(N-1)/2 strictly upper triangular vertical entries
 in row-major (i < j) order.  `heisenberg` is the rank-2 group and takes
-`x1,x2,z` like `carnot-2`.  The group picks the coupling that `couple`
-samples: the two-index one on `heisenberg`, the 2n+1-block one on
-`carnot-N`.  --variant picks only the closed-form bound (default
-proof-stage on `heisenberg`, carnot-n otherwise); its Heisenberg variants
-need rank 2.  Records are written as CSV (fixed column order) or JSON
-(canonical schema, with the parsed flags as `config`); identical config +
-seed produce byte-identical artifacts.
+`x1,x2,z` like `carnot-2`; every coordinate must be finite.  The group picks
+the block count K of the coupling that `couple` samples: K = 1 (the
+two-index coupling) on `heisenberg`, K = 2n+1 on `carnot-N`.  --variant
+picks only the closed-form bound (default proof-stage on `heisenberg`,
+carnot-n otherwise); its Heisenberg variants need rank 2.  Records are
+written as CSV (fixed column order) or JSON (canonical schema, with the
+parsed flags as `config`); identical config + seed produce byte-identical
+artifacts.
 
 Exit codes: 0 every record passed, 1 some check failed, 2 a configuration
 error (found before any sampling where the flags alone show it), 3 a
@@ -50,10 +51,9 @@ import scipy.stats
 
 from . import mc
 from .catalog import CATALOG, get_function
-from .coupling import failure_probability, tv_bound
+from .coupling import default_support_count, failure_probability, tv_bound
 from .girsanov import (
     bismut_gradient,
-    default_support_count,
     finite_diff_gradient,
     girsanov_normalization_check,
     gradient_sup_spotcheck,
@@ -105,6 +105,8 @@ def _parse_group(text: str) -> int:
 def _parse_point(text: str, group: str) -> CarnotElement:
     """Point in group coordinates; 'heisenberg' is rank 2, read as x1,x2,z."""
     vals = [float(tok) for tok in text.split(",")]
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"point coordinates must be finite, got {text!r}")
     n = _parse_group(group)
     need = n + n * (n - 1) // 2
     if len(vals) != need:
@@ -175,13 +177,13 @@ def cmd_couple(args) -> int:
     g = _parse_point(args.g, args.group)
     gt = _parse_point(args.gt, args.group)
     # the group picks the sampler; the variant picks only the bound
-    two_index = args.group == "heisenberg"
-    variant = args.variant or ("proof-stage" if two_index else "carnot-n")
+    heisenberg = args.group == "heisenberg"
+    variant = args.variant or ("proof-stage" if heisenberg else "carnot-n")
     record = _recorder(args, g=_point_str(g), gt=_point_str(gt))
     # rejects a variant the group lacks before any sampling
     bounds = [tv_bound(g, gt, T, variant).total for T in args.T]
     ests = failure_probability(g, gt, args.T, args.N, args.seed, args.workers,
-                               two_index=two_index)
+                               K=1 if heisenberg else None)
     records = [
         record("endpoint coupling failure vs total-variation bound", f"couple:{variant}",
                estimate=est.mean, stderr=est.stderr, bound=bound,
@@ -275,7 +277,7 @@ def cmd_marginals(args) -> int:
 
 def cmd_sylvester(args) -> int:
     n = _parse_group(args.group)
-    m = 2 * n + 1 if args.m is None else args.m
+    m = default_support_count(n) if args.m is None else args.m
     if m < n + 2:
         raise ValueError(f"--m must be at least n + 2 = {n + 2} on {args.group}")
     record = _recorder(args, K=m)
@@ -411,7 +413,7 @@ _at_least_one = _checked(int, lambda v: v >= 1, "an integer >= 1")
 # every flag once; each subcommand below lists the flags its cmd_* reads
 _FLAGS = {
     "group": dict(default="heisenberg",
-                  help="heisenberg (rank 2, two-index coupling) or carnot-N (N >= 2)"),
+                  help="heisenberg (rank 2, K = 1 coupling) or carnot-N (N >= 2)"),
     "g": dict(required=True, help="start point of the first process"),
     "gt": dict(required=True, help="start point of the second process"),
     "h": dict(required=True, help="direction (group coordinates)"),

@@ -1,25 +1,23 @@
 """Exact fixed-time couplings of two group Brownian motions.
 
-Both constructions drive the two processes with Gaussian coefficient streams
-that agree everywhere except on a finite set of indices.  Matching the
-endpoints reduces to a linear constraint on the shifted coefficients.  The
-points are `CarnotElement`s of any rank n >= 2 (the Heisenberg group is rank
-2), and the flag `two_index` picks the construction:
-
-* two_index (rank 2 only): indices {0, 3} are modified, with one probe built
-  from indices 2 and 4; bounded by the sharper Heisenberg constants.
-* otherwise: indices {0, 3, 6, ..., 3m} with m = 2n+1 are modified, with m
-  probes built from the neighbouring indices; bounded by the rank-n
-  constants, on rank 2 too.
+One construction with a block count K couples every rank n >= 2 (the
+Heisenberg group is rank 2): the two processes are driven by Gaussian
+coefficient streams that agree everywhere except on the indices {0, 3, ...,
+3K}, and matching the endpoints reduces to a linear constraint on the
+shifted coefficients.  K defaults to `default_support_count(n)` = 2n+1,
+bounded by the rank-n constants, on rank 2 too; the two-index coupling of
+the Heisenberg group is K = 1, indices {0, 3}, bounded by the sharper
+Heisenberg constants.  K must be at least n - 1, the fewest probes for which
+the shift solve is almost surely invertible.
 
 The index-0 shift is (x - x~)/sqrt(T).  The index-3k shifts u_k must produce
-the skew endpoint mismatch w: sum_k (u_k V_k^t - V_k u_k^t) = w, with V_k = T
-times the k-th probe.  `sylvester_system` builds w and V for both
-constructions and for the Girsanov shift in `girsanov`, and both take the
-least-norm solution `tsylvester_batch` of that equation; with one probe it is
-the right-angle turn of the probe scaled to match the area.  The streams are
-coefficient arrays xi (B, L, n) and w stays packed, (B, n(n-1)/2), up to the
-solve; a single run is a batch of one.
+the skew endpoint mismatch w (`_mismatch`): sum_k (u_k V_k^t - V_k u_k^t) =
+w, with V_k = T p_k and p_k the k-th probe (`_probes`), built from the
+neighbouring indices 3k-1 and 3k+1.  The coupling and the Girsanov shift in
+`girsanov` both take the least-norm solution `tsylvester_batch` of that
+equation; with one probe it is the right-angle turn of the probe scaled to
+match the area.  The streams are coefficient arrays xi (B, L, n) and w stays
+packed, (B, n(n-1)/2), up to the solve; a single run is a batch of one.
 
 Conditionally on everything the shifts depend on, the modified coordinates
 form a standard Gaussian vector, which is coupled jointly with its shifted
@@ -70,6 +68,7 @@ __all__ = [
     "BoundReport",
     "couple_heisenberg",
     "couple_carnot",
+    "default_support_count",
     "failure_probability",
     "tv_bound",
     "DEFAULT_TAIL_TOL",
@@ -116,24 +115,27 @@ class BoundReport:
     variant: str
 
 
+def default_support_count(n: int) -> int:
+    """Default block count K = 2n+1 of the coupling and of the Girsanov weights.
+
+    The coupling needs K >= n - 1, the Girsanov weights K >= n + 2.
+    """
+    return 2 * n + 1
+
+
 def _check_horizon(T: float) -> None:
     if not 0 < T < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {T}")
 
 
-def _check_pair(g: CarnotElement, gt: CarnotElement, two_index: bool) -> None:
+def _check_pair(g: CarnotElement, gt: CarnotElement, K: int) -> None:
     if g.n != gt.n:
         raise ValueError("dimension mismatch")
     if g.n < 2:
         raise ValueError("rank must be at least 2")
-    if two_index and g.n != 2:
-        raise ValueError(f"the two-index coupling needs rank 2, got rank {g.n}")
-
-
-def _modified_indices(n: int, two_index: bool) -> list[int]:
-    if two_index:
-        return [0, 3]
-    return [0] + [3 * k for k in range(1, 2 * n + 2)]
+    # W -> W G + G W is invertible iff lambda_i + lambda_j > 0, i.e. rank G >= n - 1
+    if K < g.n - 1:
+        raise ValueError(f"the coupling needs K >= n - 1 = {g.n - 1} blocks, got K = {K}")
 
 
 def _mismatch(gc: CarnotElement, gct: CarnotElement, T: float, xi: np.ndarray) -> np.ndarray:
@@ -146,86 +148,75 @@ def _mismatch(gc: CarnotElement, gct: CarnotElement, T: float, xi: np.ndarray) -
     return -zeta(gc, gct).upper + odot_packed(np.broadcast_to(d, hat.shape), hat, iu, ju)
 
 
-def _probes(xi: np.ndarray, K: int, T: float) -> np.ndarray:
-    """Columns V_k = T p_k (B, n, K), k = 1..K, p_k from the indices 3k-1 and 3k+1 of xi."""
-    a = alpha_ladder(3 * K + 1)
-    V = np.empty(xi.shape[:1] + (xi.shape[-1], K))
-    for k in range(1, K + 1):
-        V[:, :, k - 1] = T * (a[3 * k] * xi[:, 3 * k + 1] - a[3 * k - 1] * xi[:, 3 * k - 1])
-    return V
+def _probes(xi: np.ndarray, K: int) -> np.ndarray:
+    """Probes p_k (B, n, K), k = 1..K, from the indices 3k-1 and 3k+1 of rows xi (B, L, n).
 
-
-def sylvester_system(gc: CarnotElement, gct: CarnotElement, T: float,
-                     xi: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Linear system of the index-3k shifts, k = 1..K, for rows xi (B, L, n), L >= 3K+2.
-
-    Returns (w, V): the packed skew mismatch w (B, n(n-1)/2) that the shifts
-    must produce, and the columns V_k = T p_k (B, n, K), with p_k the probe
-    built from the neighbouring indices 3k-1 and 3k+1.  The shifts u_k solve
-    sum_k (u_k V_k^t - V_k u_k^t) = w.
+    Needs L >= 3K+2.  At horizon T the index-3k shifts u_k solve
+    sum_k (u_k V_k^t - V_k u_k^t) = w with V_k = T p_k and w the `_mismatch` at T.
     """
-    return _mismatch(gc, gct, T, xi), _probes(xi, K, T)
+    a = alpha_ladder(3 * K + 1)
+    P = np.empty(xi.shape[:1] + (xi.shape[-1], K))
+    for k in range(1, K + 1):
+        P[:, :, k - 1] = a[3 * k] * xi[:, 3 * k + 1] - a[3 * k - 1] * xi[:, 3 * k - 1]
+    return P
 
 
 class _GridBatch(NamedTuple):
     """One batch of B coupling runs over a grid of S horizons, sharing one draw."""
 
-    xi: np.ndarray       # (B, 3m+2, n), the first stream
+    xi: np.ndarray       # (B, 3K+2, n), the first stream
     f1: np.ndarray       # (n,), the index-0 displacement direction
-    stack: np.ndarray    # (B, 1 + m n), the modified coordinates of xi
-    coupled: np.ndarray  # (S, B, 1 + m n), their coupled copies, per horizon
+    stack: np.ndarray    # (B, 1 + K n), the modified coordinates of xi
+    coupled: np.ndarray  # (S, B, 1 + K n), their coupled copies, per horizon
     met: np.ndarray      # (S, B), never true on a bad row
-    w: np.ndarray        # (S, B, n(n-1)/2), the packed mismatch, per horizon
     cond: np.ndarray     # (B,), horizon-free
     bad: np.ndarray      # (B,), cond past COND_LIMIT (infinite for a zero probe)
 
 
 def _couple_batch(gc: CarnotElement, gct: CarnotElement, Ts, rng: np.random.Generator,
-                  count: int, two_index: bool) -> _GridBatch:
-    """Vectorized coupling runs at every horizon of the grid Ts, from one draw.
+                  count: int, K: int) -> _GridBatch:
+    """Vectorized K-block coupling runs at every horizon of the grid Ts, from one draw.
 
-    two_index modifies {0, 3} (rank 2 only); otherwise {0, 3, ..., 3m} with
-    m = 2n+1.  The draw, the index-0 direction, the modified-coordinate stack,
-    the probes P and the factorization of P P^t are horizon-free and done
-    once.  Per horizon T only the mismatch w_T, the least-norm shift
-    u(T P, w_T) = u(P, w_T)/T (the least-norm map is linear in w and scales
-    as 1/T in the probes) and the reflection coupling are repeated.
+    The draw, the index-0 direction, the modified-coordinate stack, the
+    probes P and the factorization of P P^t are horizon-free and done once.
+    Per horizon T only the mismatch w_T, the least-norm shift u(T P, w_T) =
+    u(P, w_T)/T (the least-norm map is linear in w and scales as 1/T in the
+    probes) and the reflection coupling are repeated.
     """
     n = gc.n
-    m = 1 if two_index else 2 * n + 1
     d = np.asarray(gc.x, dtype=float) - np.asarray(gct.x, dtype=float)
     dnorm = float(np.linalg.norm(d))
     f1 = d / dnorm if dnorm > 0 else np.eye(n)[0]
 
-    xi = rng.standard_normal((count, 3 * m + 2, n))
+    xi = rng.standard_normal((count, 3 * K + 2, n))
     uniforms = rng.uniform(size=count)
 
     w = np.stack([_mismatch(gc, gct, T, xi) for T in Ts])
-    u, cond = tsylvester_batch(_probes(xi, m, 1.0), w)
+    u, cond = tsylvester_batch(_probes(xi, K), w)
     bad = cond > COND_LIMIT
 
     stack = np.concatenate(
-        [(xi[:, 0] @ f1)[:, None], xi[:, 3:3 * m + 1:3].reshape(count, m * n)], axis=1
+        [(xi[:, 0] @ f1)[:, None], xi[:, 3:3 * K + 1:3].reshape(count, K * n)], axis=1
     )
     coupled = np.empty((len(Ts),) + stack.shape)
     met = np.empty((len(Ts), count), dtype=bool)
     for s, T in enumerate(Ts):
         blocks = np.swapaxes(u[s], 1, 2) / T
         shift = np.concatenate(
-            [np.full((count, 1), dnorm / math.sqrt(T)), blocks.reshape(count, m * n)], axis=1
+            [np.full((count, 1), dnorm / math.sqrt(T)), blocks.reshape(count, K * n)], axis=1
         )
         coupled[s], met[s] = couple_to_shift(stack, shift, uniforms)
-    return _GridBatch(xi, f1, stack, coupled, met & ~bad, w, cond, bad)
+    return _GridBatch(xi, f1, stack, coupled, met & ~bad, cond, bad)
 
 
 def _second_stream(batch: _GridBatch, s: int) -> np.ndarray:
     """The coupled stream xi~ of horizon s: xi with its modified coordinates replaced."""
     count, _, n = batch.xi.shape
-    m = (batch.stack.shape[1] - 1) // n
+    K = (batch.stack.shape[1] - 1) // n
     coupled = batch.coupled[s]
     xi_t = batch.xi.copy()
     xi_t[:, 0] += (coupled[:, 0] - batch.stack[:, 0])[:, None] * batch.f1
-    xi_t[:, 3:3 * m + 1:3] = coupled[:, 1:].reshape(count, m, n)
+    xi_t[:, 3:3 * K + 1:3] = coupled[:, 1:].reshape(count, K, n)
     return xi_t
 
 
@@ -244,11 +235,11 @@ def _with_tail(stream: np.ndarray, tail: np.ndarray) -> np.ndarray:
 
 
 def _couple_once(gc: CarnotElement, gct: CarnotElement, T: float,
-                 rng: np.random.Generator, two_index: bool) -> CouplingOutcome:
-    """One coupling run, resampling the rare degenerate or singular draw."""
+                 rng: np.random.Generator, K: int) -> CouplingOutcome:
+    """One K-block coupling run, resampling the rare degenerate or singular draw."""
     resampled = 0
     while True:
-        batch = _couple_batch(gc, gct, [T], rng, 1, two_index)
+        batch = _couple_batch(gc, gct, [T], rng, 1, K)
         if not batch.bad[0]:
             break
         resampled += 1
@@ -261,8 +252,9 @@ def _couple_once(gc: CarnotElement, gct: CarnotElement, T: float,
     tail = rng.standard_normal((max(0, k_path + 1 - xi.shape[0]), gc.n))
     xT, zT = endpoint_packed(gc.x, gc.z.upper, _with_tail(xi, tail), T)
     xTt, zTt = endpoint_packed(gct.x, gct.z.upper, _with_tail(xi_t, tail), T)
-    shifts = [(k, xi_t[k] - xi[k]) for k in _modified_indices(gc.n, two_index)]
-    diag = CouplingDiagnostics(SkewMatrix(gc.n, batch.w[0, 0]), float(batch.cond[0]),
+    shifts = [(k, xi_t[k] - xi[k]) for k in range(0, 3 * K + 1, 3)]
+    w = _mismatch(gc, gct, T, batch.xi)[0]
+    diag = CouplingDiagnostics(SkewMatrix(gc.n, w), float(batch.cond[0]),
                                resampled, float(h_gap[0]), float(v_gap[0]))
     ep = CarnotElement(xT, SkewMatrix(gc.n, zT))
     ept = CarnotElement(xTt, SkewMatrix(gc.n, zTt))
@@ -274,42 +266,45 @@ def couple_heisenberg(g: HeisenbergPoint, gt: HeisenbergPoint, T: float,
     """One two-index coupling run (modified indices {0, 3}) from Heisenberg points.
 
     Kept only because the benchmark harness calls it; it is `_couple_once` on
-    the rank-2 embeddings with two_index set.
+    the rank-2 embeddings with K = 1.
     """
     _check_horizon(T)
-    return _couple_once(heis_to_carnot(g), heis_to_carnot(gt), T, rng, two_index=True)
+    return _couple_once(heis_to_carnot(g), heis_to_carnot(gt), T, rng, K=1)
 
 
 def couple_carnot(g: CarnotElement, gt: CarnotElement, T: float,
                   rng: np.random.Generator) -> CouplingOutcome:
     """One coupling run on the rank-n group (modified indices {0, 3, ..., 3(2n+1)})."""
     _check_horizon(T)
-    _check_pair(g, gt, two_index=False)
-    return _couple_once(g, gt, T, rng, two_index=False)
+    K = default_support_count(g.n)
+    _check_pair(g, gt, K)
+    return _couple_once(g, gt, T, rng, K)
 
 
 def failure_probability(g: CarnotElement, gt: CarnotElement, Ts, N: int, seed: int,
-                        workers: int = 1, two_index: bool = False) -> list[MCEstimate]:
-    """Fraction of coupling runs that fail to meet at each horizon of Ts, with its stderr.
+                        workers: int = 1, K: int | None = None) -> list[MCEstimate]:
+    """Fraction of K-block coupling runs that fail to meet at each horizon of Ts, with its stderr.
 
-    two_index samples the two-index coupling, which needs rank 2; otherwise
-    the 2n+1-block one.  Both are checked before any sampling.  Returns one
-    estimate per entry of Ts, from one pass over the draws: the horizons
-    share every batch (common random numbers), and each estimate equals that
-    of a one-horizon grid bit for bit.  Each upper-bounds the total-variation
-    distance between the two endpoint laws at its horizon.  Singular events
-    (a zero probe or a Gram row past COND_LIMIT) are measure-zero; any one of
-    them raises SingularGramError.
+    K defaults to `default_support_count(n)`; K = 1 is the two-index coupling.
+    K < n - 1 is rejected before any sampling.  Returns one estimate per
+    entry of Ts, from one pass over the draws: the horizons share every batch
+    (common random numbers), and each estimate equals that of a one-horizon
+    grid bit for bit.  Each upper-bounds the total-variation distance between
+    the two endpoint laws at its horizon.  Singular events (a zero probe or a
+    Gram row past COND_LIMIT) are measure-zero; any one of them raises
+    SingularGramError.
     """
     Ts = [float(T) for T in Ts]
     if not Ts:
         raise ValueError("need a nonempty grid of horizons")
     for T in Ts:
         _check_horizon(T)
-    _check_pair(g, gt, two_index)
+    if K is None:
+        K = default_support_count(g.n)
+    _check_pair(g, gt, K)
 
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
-        batch = _couple_batch(g, gt, Ts, rng, count, two_index)
+        batch = _couple_batch(g, gt, Ts, rng, count, K)
         return np.column_stack([(~batch.met).T, batch.bad]).astype(float)
 
     *fail, singular = run_vector_estimator(sampler, N, seed, workers)

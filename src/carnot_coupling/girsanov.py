@@ -6,12 +6,12 @@ coupling with the trajectory from another start point g~ is obtained by
 shifting finitely many coefficients: indices {0} union {3k : 1 <= k <= K}.
 The shifted index-0 coefficient moves by (x - x~)/sqrt(T) along the
 displacement direction; the index-3k shifts are the least-norm solution
-(`tsylvester_batch`) of the skew mismatch equation that the coupling solves
-too (`sylvester_system`).  It is never longer, row by row, than the paper's
-particular solution, so the closed-form bounds on E|u|^2 still hold.  The
-shift u reads only coefficients outside its own support plus the components
-of xi_0 orthogonal to x - x~, which is what makes the Gaussian change of
-density
+(`tsylvester_batch`) of the skew mismatch equation of the K-block coupling
+in `coupling`, with its mismatch and probes.  It is never longer, row by
+row, than the paper's particular solution, so the closed-form bounds on
+E|u|^2 still hold.  The shift u reads only coefficients outside its own
+support plus the components of xi_0 orthogonal to x - x~, which is what
+makes the Gaussian change of density
 
     R(u) = exp(-<omega, u> - |u|^2 / 2)
 
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import TestFunction
-from .coupling import sylvester_system
+from .coupling import _mismatch, _probes, default_support_count
 from .groups import CarnotElement, SkewMatrix, odot, zeta
 from .legendre import endpoint_packed
 from .mc import (
@@ -57,7 +57,6 @@ from .special_constants import carnot_constants, gaussian_abs_moment, heisenberg
 from .sylvester import COND_LIMIT, SingularGramError, tsylvester_batch
 
 __all__ = [
-    "default_support_count",
     "build_shift",
     "log_density",
     "GirsanovReport",
@@ -78,11 +77,6 @@ __all__ = [
 ]
 
 
-def default_support_count(n: int) -> int:
-    """Default number K of modified blocks: 2n+1 (minimum allowed is n+2)."""
-    return 2 * n + 1
-
-
 def build_shift(g: CarnotElement, gt: CarnotElement, T: float, K: int,
                 xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shift coupling the endpoints driven by xi (B, L, n) from g to those from gt.
@@ -94,8 +88,7 @@ def build_shift(g: CarnotElement, gt: CarnotElement, T: float, K: int,
         raise ValueError("need K >= n + 2 modified blocks")
     if xi.shape[-2] < 3 * K + 2:
         raise ValueError("xi must supply indices up to 3K+1")
-    w, V = sylvester_system(g, gt, T, xi, K)
-    u, cond = tsylvester_batch(V, w)
+    u, cond = tsylvester_batch(T * _probes(xi, K), _mismatch(g, gt, T, xi))
     bad = cond > COND_LIMIT
     if bad.any():
         # measure-zero event; fail loudly rather than use an ill-conditioned solve

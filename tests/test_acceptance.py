@@ -21,6 +21,7 @@ from carnot_coupling.coupling import (
     _couple_batch,
     _gaps,
     _second_stream,
+    default_support_count,
     failure_probability,
     tv_bound,
 )
@@ -95,7 +96,7 @@ def test_criterion_01_exact_meeting():
     for cfg in range(100):
         g, gt, T = random_heis_pair(rng)
         gc, gct = heis_to_carnot(g), heis_to_carnot(gt)
-        batch = _couple_batch(gc, gct, [T], rng, 32, two_index=True)
+        batch = _couple_batch(gc, gct, [T], rng, 32, K=1)
         met = batch.met[0]
         h_gap, v_gap = _gaps(gc, gct, T, batch.xi, _second_stream(batch, 0))
         if met.any():
@@ -105,7 +106,7 @@ def test_criterion_01_exact_meeting():
     for cfg in range(50):
         n = 3 if cfg % 2 == 0 else 4
         g, gt, T = random_carnot_pair(rng, n)
-        batch = _couple_batch(g, gt, [T], rng, 32, two_index=False)
+        batch = _couple_batch(g, gt, [T], rng, 32, default_support_count(n))
         assert not batch.bad.any()
         met = batch.met[0]
         h_gap, v_gap = _gaps(g, gt, T, batch.xi, _second_stream(batch, 0))
@@ -126,7 +127,7 @@ def test_criterion_02_heisenberg_bound():
     for point in (HeisenbergPoint(1, 0, 0), HeisenbergPoint(0, 0, 1)):
         gt = heis_to_carnot(point)
         ests = failure_probability(origin, gt, horizons, 100_000, split_seed(SEED, 20),
-                                   two_index=True)
+                                   K=1)
         for T, est in zip(horizons, ests):
             bound = tv_bound(origin, gt, T, "proof-stage").total
             good = est.mean <= bound + 3 * est.stderr
@@ -166,7 +167,7 @@ def test_criterion_04_marginal_laws():
     rng = derive_rng(SEED, 40)
     N = 100_000
     gc, gct = heis_to_carnot(g), heis_to_carnot(gt)
-    batch = _couple_batch(gc, gct, [T], rng, N, two_index=True)
+    batch = _couple_batch(gc, gct, [T], rng, N, K=1)
     xi, xi_t = batch.xi, _second_stream(batch, 0)
     k_path = truncation_index(1.0 / 32.0, T)
     tail = rng.standard_normal((N, k_path + 1 - xi.shape[1], 2))
@@ -180,7 +181,7 @@ def test_criterion_04_marginal_laws():
         ok &= p1 > 0.01 and p2 > 0.01
         notes.append(f"KS x{i}: p={p1:.3f}/{p2:.3f}")
     # vertical variance T^2/4 at identity start
-    xi0 = _couple_batch(gc, gc, [T], derive_rng(SEED, 41), N, two_index=True).xi
+    xi0 = _couple_batch(gc, gc, [T], derive_rng(SEED, 41), N, K=1).xi
     tail0 = derive_rng(SEED, 42).standard_normal((N, k_path + 1 - xi0.shape[1], 2))
     _, zT0 = endpoint_packed(gc.x, gc.z.upper, np.concatenate([xi0, tail0], axis=1), T)
     var = float(zT0[:, 0].var())
@@ -386,10 +387,10 @@ def test_criterion_11_dilation_invariance():
     notes = []
     H = lambda *a: heis_to_carnot(HeisenbergPoint(*a))
     g, gt, T = H(0, 0, 0), H(0.8, 0.1, 0.5), 9.0
-    base = failure_probability(g, gt, [T], 100_000, split_seed(SEED, 110), two_index=True)[0]
+    base = failure_probability(g, gt, [T], 100_000, split_seed(SEED, 110), K=1)[0]
     for lam in (0.5, 2.0):
         scaled = failure_probability(dilate(lam, g), dilate(lam, gt), [lam * lam * T],
-                                     100_000, split_seed(SEED, 111), two_index=True)[0]
+                                     100_000, split_seed(SEED, 111), K=1)[0]
         se = math.hypot(base.stderr, scaled.stderr)
         good = abs(base.mean - scaled.mean) <= 3 * se
         ok &= good

@@ -70,6 +70,33 @@ class TestParsing:
             run_cli(["couple", "--group", "octonion", "--g", "0,0,0", "--gt", "0,0,1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv, flag", [
+        (["couple", *HEIS], "--g"),
+        (["couple", *HEIS], "--gt"),
+        (["marginals", "--g", "0,0,0"], "--g"),
+        (["girsanov", *HEIS], "--g"),
+        (["girsanov", *HEIS], "--gt"),
+        (["bismut", "--g", "0,0,0", "--h", "1,0,0"], "--g"),
+        (["bismut", "--g", "0,0,0", "--h", "1,0,0"], "--h"),
+        (["inequalities", *HEIS, "--h", "1,0,0"], "--g"),
+        (["inequalities", *HEIS, "--h", "1,0,0"], "--gt"),
+        (["inequalities", *HEIS, "--h", "1,0,0"], "--h"),
+    ])
+    def test_non_finite_coordinate_exits_2_unsampled(self, argv, flag, bad, monkeypatch,
+                                                     tmp_path, capsys):
+        for module in (mc, cli):
+            monkeypatch.setattr(module, "derive_rng", lambda *a: pytest.fail("sampled"))
+        argv = list(argv)
+        at = argv.index(flag) + 1
+        argv[at] = ",".join(argv[at].split(",")[:-1] + [bad])  # the last, vertical entry
+        out = tmp_path / "res.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--N", "100", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "coordinates must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_carnot_point_arity_checked(self):
         with pytest.raises(SystemExit):
             run_cli(["couple", "--group", "carnot-3", "--g", "0,0,0", "--gt", "0,0,0",
@@ -229,17 +256,16 @@ class TestArtifacts:
         assert grid.read_text().splitlines()[1:] == rows
 
     @pytest.mark.parametrize("variant", ["proof-stage", "improved-remark2", "carnot-n"])
-    def test_heisenberg_record_is_the_two_index_estimate(self, variant, tmp_path):
+    def test_heisenberg_record_is_the_one_block_estimate(self, variant, tmp_path):
         out = tmp_path / "res.json"
         run_cli(["couple", "--group", "heisenberg", "--g", "0.3,-0.2,0.1", "--gt", "0.5,0,0.6",
                  "--T", "1,25", "--N", "3000", "--seed", "17", "--workers", "2",
                  "--variant", variant, "--format", "json", "--out", str(out)])
         got = [(r["estimate"], r["stderr"]) for r in json.loads(out.read_text())["records"]]
         g, gt = (heis_to_carnot(HeisenbergPoint(*p)) for p in ((0.3, -0.2, 0.1), (0.5, 0, 0.6)))
-        for two_index in (True, False):
-            ests = coupling.failure_probability(g, gt, [1.0, 25.0], 3000, 17, 2,
-                                                two_index=two_index)
-            assert (got == [(e.mean, e.stderr) for e in ests]) == two_index
+        for K, same in ((1, True), (None, False)):
+            ests = coupling.failure_probability(g, gt, [1.0, 25.0], 3000, 17, 2, K=K)
+            assert (got == [(e.mean, e.stderr) for e in ests]) == same
 
     def test_heisenberg_variant_on_carnot_2_bounds_the_rank_n_coupling(self, tmp_path):
         # rank 2 is the Heisenberg group, so its constants apply; the group

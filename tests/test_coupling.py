@@ -15,8 +15,10 @@ from carnot_coupling.coupling import (
     _second_stream,
     couple_carnot,
     couple_heisenberg,
+    _mismatch,
+    _probes,
+    default_support_count,
     failure_probability,
-    sylvester_system,
     tv_bound,
 )
 from carnot_coupling.girsanov import build_shift
@@ -32,7 +34,7 @@ from carnot_coupling.groups import (
 from carnot_coupling.legendre import alpha, endpoint_packed
 from carnot_coupling.mc import derive_rng, ks_test
 from carnot_coupling.special_constants import heisenberg_constants
-from carnot_coupling.sylvester import SingularGramError
+from carnot_coupling.sylvester import COND_LIMIT, SingularGramError, tsylvester_batch
 
 
 def H(*a):
@@ -44,10 +46,10 @@ def coords(g):
     return (*g.x, *g.z.upper)
 
 
-def _one_horizon(gc, gct, T, rng, count, two_index):
-    """(xi, xi_t, met, w, cond, bad) of a one-horizon grid batch."""
-    b = _couple_batch(gc, gct, [T], rng, count, two_index)
-    return b.xi, _second_stream(b, 0), b.met[0], b.w[0], b.cond, b.bad
+def _one_horizon(gc, gct, T, rng, count, K):
+    """(xi, xi_t, met, w, cond, bad) of a one-horizon grid batch of the K-block coupling."""
+    b = _couple_batch(gc, gct, [T], rng, count, K)
+    return b.xi, _second_stream(b, 0), b.met[0], _mismatch(gc, gct, T, b.xi), b.cond, b.bad
 
 
 class TestSingleRuns:
@@ -127,7 +129,7 @@ class TestCouplingConstraint:
         gt = HeisenbergPoint(0, 0, 1)
         T = 9.0
         xi, xi_t, met, w, _, _ = _one_horizon(heis_to_carnot(g), heis_to_carnot(gt), T, rng,
-                                               4000, two_index=True)
+                                               4000, K=1)
         w = w[:, 0]
         scale = math.hypot(alpha(2), alpha(3))
         v = (alpha(3) * xi[:, 4] - alpha(2) * xi[:, 2]) / scale
@@ -139,7 +141,7 @@ class TestCouplingConstraint:
         rng = derive_rng(7)
         xi, xi_t, met, _, _, _ = _one_horizon(
             heis_to_carnot(HeisenbergPoint(0, 0, 0)), heis_to_carnot(HeisenbergPoint(1, 0, 1)),
-            4.0, rng, 1000, two_index=True,
+            4.0, rng, 1000, K=1,
         )
         for k in (1, 2, 4):
             assert np.array_equal(xi[:, k], xi_t[:, k])
@@ -149,7 +151,7 @@ class TestCouplingConstraint:
         g = CarnotElement.identity(4)
         gt = CarnotElement(np.array([0.5, 0, 0, 0]), SkewMatrix(4, np.array([0.3, 0, 0, 0, 0, 0.1])))
         T = 25.0
-        xi, xi_t, met, _, cond, sing = _one_horizon(g, gt, T, rng, 2000, False)
+        xi, xi_t, met, _, cond, sing = _one_horizon(g, gt, T, rng, 2000, K=9)
         assert not sing.any()
         h_gap, v_gap = _gaps(g, gt, T, xi, xi_t)
         assert np.max(h_gap[met]) <= 1e-12
@@ -167,7 +169,7 @@ def _random_pair(rng, n):
 def _mismatch_residual(gc, gct, T, xi, blocks):
     """Relative residual of T sum_k (u_k p_k^t - p_k u_k^t) = w per row."""
     K = blocks.shape[1]
-    w, V = sylvester_system(gc, gct, T, xi, K)
+    w, V = _mismatch(gc, gct, T, xi), T * _probes(xi, K)
     iu, ju = triu_pairs(gc.n)
     lhs = sum(odot_packed(blocks[:, k], V[:, :, k], iu, ju) for k in range(K))
     w_norm = np.sqrt(2.0 * np.sum(w * w, axis=1))
@@ -185,7 +187,7 @@ class TestShiftSystem:
             gt = HeisenbergPoint(*rng.uniform(-2, 2, 3))
             T = float(np.exp(rng.uniform(np.log(0.25), np.log(64.0))))
             xi = rng.standard_normal((20_000, 5, 2))
-            w, _ = sylvester_system(heis_to_carnot(g), heis_to_carnot(gt), T, xi, 1)
+            w = _mismatch(heis_to_carnot(g), heis_to_carnot(gt), T, xi)
             sqrtT = math.sqrt(T)
             hat = (sqrtT / 2.0) * xi[:, 0] - sqrtT * alpha(0) * xi[:, 1]
             d0, d1 = g.x1 - gt.x1, g.x2 - gt.x2
@@ -194,23 +196,40 @@ class TestShiftSystem:
             size = abs(zeta_s) + np.abs(d0 * hat[:, 1]) + np.abs(d1 * hat[:, 0])
             assert np.all(np.abs(w[:, 0] - ref) <= 4 * eps * size)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_coupling_and_girsanov_shifts_solve_the_mismatch(self, n):
+    # the fewest blocks K = n - 1 (the two-index coupling on rank 2) and the default 2n + 1
+    @pytest.mark.parametrize("n, K", [(n, K) for n in (2, 3, 4, 5) for K in (n - 1, 2 * n + 1)])
+    def test_coupling_and_girsanov_shifts_solve_the_mismatch(self, n, K):
         rng = derive_rng(11, n)
         for _ in range(5):
             g, gt, T = _random_pair(rng, n)
-            m = 2 * n + 1
-            variants = [(False, m)] + ([(True, 1)] if n == 2 else [])
-            for two_index, blocks_count in variants:
-                xi, xi_t, met, _, _, bad = _one_horizon(g, gt, T, rng, 2000, two_index)
-                assert not bad.any() and met.any()
-                # on met rows the modified coordinates moved by exactly the shift
-                shift = (xi_t - xi)[met][:, 3:3 * blocks_count + 1:3]
-                assert np.max(_mismatch_residual(g, gt, T, xi[met], shift)) <= 1e-10
-            K = m + 1
-            xi = rng.standard_normal((2000, 3 * K + 2, n))
-            _, blocks = build_shift(g, gt, T, K, xi)
+            xi, xi_t, met, _, _, bad = _one_horizon(g, gt, T, rng, 2000, K)
+            assert not bad.any() and met.any()
+            # on met rows the modified coordinates moved by exactly the shift
+            shift = (xi_t - xi)[met][:, 3:3 * K + 1:3]
+            assert np.max(_mismatch_residual(g, gt, T, xi[met], shift)) <= 1e-10
+            K_girsanov = 2 * n + 2
+            xi = rng.standard_normal((2000, 3 * K_girsanov + 2, n))
+            _, blocks = build_shift(g, gt, T, K_girsanov, xi)
             assert np.max(_mismatch_residual(g, gt, T, xi, blocks)) <= 1e-10
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_more_blocks_never_lengthen_the_shift(self, n, seed, data):
+        # the K-block shift padded with zero columns solves the K'-block system,
+        # so the least-norm K'-block shift is never longer, and the conditional
+        # failure erf(|shift| / (2 sqrt 2)) never rises with K
+        K = data.draw(st.integers(n - 1, 2 * n + 3), label="K")
+        K2 = data.draw(st.integers(K + 1, 2 * n + 4), label="K'")
+        rng = derive_rng(seed)
+        g, gt, T = _random_pair(rng, n)
+        xi = rng.standard_normal((256, 3 * K2 + 2, n))
+        w = _mismatch(g, gt, T, xi)
+        (u, cond), (u2, cond2) = (tsylvester_batch(T * _probes(xi, k), w) for k in (K, K2))
+        ok = (cond <= COND_LIMIT) & (cond2 <= COND_LIMIT)
+        assert ok.mean() > 0.9
+        norm2 = np.sum(u[ok] ** 2, axis=(1, 2))
+        assert np.all(np.sum(u2[ok] ** 2, axis=(1, 2)) <= norm2 * (1 + 1e-12))
 
 
 class TestFailureProbability:
@@ -225,19 +244,19 @@ class TestFailureProbability:
 
     def test_same_start_zero(self):
         est = failure_probability(H(1, 2, 3), H(1, 2, 3), [4.0], 2000, seed=0,
-                                  two_index=True)[0]
+                                  K=1)[0]
         assert est.mean == 0.0
 
     def test_deterministic(self):
         g, gt = H(0, 0, 0), H(1, 0, 1)
-        a = failure_probability(g, gt, [25.0], 20_000, seed=3, two_index=True)[0]
-        b = failure_probability(g, gt, [25.0], 20_000, seed=3, two_index=True)[0]
+        a = failure_probability(g, gt, [25.0], 20_000, seed=3, K=1)[0]
+        b = failure_probability(g, gt, [25.0], 20_000, seed=3, K=1)[0]
         assert a.mean == b.mean and a.stderr == b.stderr
 
     def test_bound_domination_heisenberg(self):
         g, gt = H(0, 0, 0), H(1, 0, 1)
         for T in (4.0, 25.0):
-            est = failure_probability(g, gt, [T], 30_000, seed=4, two_index=True)[0]
+            est = failure_probability(g, gt, [T], 30_000, seed=4, K=1)[0]
             bound = tv_bound(g, gt, T, "proof-stage").total
             assert est.mean <= bound + 3 * est.stderr
 
@@ -251,10 +270,10 @@ class TestFailureProbability:
     def test_dilation_invariance(self):
         g, gt = H(0, 0, 0), H(0.8, 0.1, 0.5)
         T = 9.0
-        base = failure_probability(g, gt, [T], 40_000, seed=6, two_index=True)[0]
+        base = failure_probability(g, gt, [T], 40_000, seed=6, K=1)[0]
         for lam in (0.5, 2.0):
             scaled = failure_probability(
-                dilate(lam, g), dilate(lam, gt), [lam * lam * T], 40_000, seed=7, two_index=True
+                dilate(lam, g), dilate(lam, gt), [lam * lam * T], 40_000, seed=7, K=1
             )[0]
             se = math.hypot(base.stderr, scaled.stderr)
             assert abs(base.mean - scaled.mean) <= 3 * se
@@ -262,23 +281,24 @@ class TestFailureProbability:
 
 
 class TestCouplingChoice:
-    """The two_index flag, not the point type, picks the coupling, and a bad pick is loud."""
+    """The block count K, not the point type, picks the coupling, and a bad pick is loud."""
 
     @pytest.fixture
     def unsampled(self, monkeypatch):
         monkeypatch.setattr(coupling, "_couple_batch", lambda *a: pytest.fail("sampled"))
 
-    def test_two_index_needs_rank_2(self, unsampled):
-        g = CarnotElement.identity(3)
-        gt = CarnotElement(np.array([1.0, 0, 0]), SkewMatrix.zero(3))
-        with pytest.raises(ValueError, match="rank 2"):
-            failure_probability(g, gt, [4.0], 100, 1, two_index=True)
+    @pytest.mark.parametrize("n, K", [(3, 1), (4, 2)])
+    def test_fewer_than_n_minus_1_blocks_rejected_unsampled(self, n, K, unsampled):
+        g = CarnotElement.identity(n)
+        gt = CarnotElement(np.eye(n)[0], SkewMatrix.zero(n))
+        with pytest.raises(ValueError, match=f"K >= n - 1 = {n - 1}"):
+            failure_probability(g, gt, [4.0], 100, 1, K=K)
 
-    @pytest.mark.parametrize("two_index", [False, True])
-    def test_heisenberg_point_is_rejected_unsampled(self, two_index, unsampled):
+    @pytest.mark.parametrize("K", [None, 1])
+    def test_heisenberg_point_is_rejected_unsampled(self, K, unsampled):
         g, gt = HeisenbergPoint(0, 0, 0), HeisenbergPoint(1, 0, 1)
         with pytest.raises(AttributeError):
-            failure_probability(g, gt, [4.0], 100, 1, two_index=two_index)
+            failure_probability(g, gt, [4.0], 100, 1, K=K)
 
     @pytest.mark.parametrize("variant", ["proof-stage", "improved-remark2", "carnot-n"])
     def test_tv_bound_rejects_a_heisenberg_point(self, variant):
@@ -328,21 +348,22 @@ class TestHorizonGrid:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mc, "BATCH_SIZE", self.BATCH)
             for workers in (1, 3):
-                ests = failure_probability(g, gt, grid, self.N, seed, workers, two_index=heis)
+                ests = failure_probability(g, gt, grid, self.N, seed, workers,
+                                           K=1 if heis else None)
                 assert len(ests) == len(grid)
                 for T, est in zip(grid, ests):
                     assert est == failure_probability(g, gt, [T], self.N, seed, workers,
-                                                      two_index=heis)[0]
+                                                      K=1 if heis else None)[0]
 
     def test_batch_shares_the_draw_and_the_stack(self):
         g, gt = _pair_from_seed(5, 3)
         grid = [4.0, 25.0, 4.0]
-        batch = _couple_batch(g, gt, grid, derive_rng(6), 500, False)
+        batch = _couple_batch(g, gt, grid, derive_rng(6), 500, 7)
         assert batch.coupled.shape[:2] == batch.met.shape == (3, 500)
         assert np.array_equal(batch.coupled[0], batch.coupled[2])
         assert not np.array_equal(batch.coupled[0], batch.coupled[1])
         for s, T in enumerate(grid):
-            one = _couple_batch(g, gt, [T], derive_rng(6), 500, False)
+            one = _couple_batch(g, gt, [T], derive_rng(6), 500, 7)
             assert np.array_equal(one.xi, batch.xi)
             assert np.array_equal(_second_stream(one, 0), _second_stream(batch, s))
             assert np.array_equal(one.met[0], batch.met[s])
@@ -350,7 +371,7 @@ class TestHorizonGrid:
     @pytest.mark.parametrize("grid", [[], [4.0, 0.0], [-1.0], [math.nan], [4.0, math.inf]])
     def test_empty_or_nonpositive_grid_rejected(self, grid):
         with pytest.raises(ValueError):
-            failure_probability(H(0, 0, 0), H(1, 0, 0), grid, 100, 1, two_index=True)
+            failure_probability(H(0, 0, 0), H(1, 0, 0), grid, 100, 1, K=1)
 
 
 class TestExactMeeting:
@@ -367,7 +388,7 @@ class TestExactMeeting:
         rng = derive_rng(seed)
         met = 0
         for _ in range(self.RUNS):
-            out = coupling._couple_once(g, gt, T, rng, two_index=heis)
+            out = coupling._couple_once(g, gt, T, rng, 1 if heis else default_support_count(n))
             if out.success:
                 met += 1
                 assert out.diagnostics.horizontal_gap <= 1e-12
@@ -383,7 +404,7 @@ class TestMarginalPreservation:
         T = 4.0
         N = 30_000
         gc, gct = heis_to_carnot(g), heis_to_carnot(gt)
-        xi, xi_t, met, _, _, _ = _one_horizon(gc, gct, T, rng, N, two_index=True)
+        xi, xi_t, met, _, _, _ = _one_horizon(gc, gct, T, rng, N, K=1)
         xT, zT = endpoint_packed(gc.x, gc.z.upper, xi, T)
         xTt, zTt = endpoint_packed(gct.x, gct.z.upper, xi_t, T)
         for i in range(2):

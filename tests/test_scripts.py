@@ -40,7 +40,7 @@ def test_tv_decay_grid_writes_every_row(tmp_path):
     # 3 Heisenberg and 2 carnot-3 displacements x 8 horizons
     assert len(rows) == 40
     assert {r["group"] for r in rows} == {"heisenberg", "carnot-3"}
-    # the Heisenberg rows sample the two-index coupling, at the script's default seed
+    # the Heisenberg rows sample the two-index coupling, K = 1, at the script's default seed
     origin = CarnotElement.identity(2)
     targets = {"horizontal": (1.0, 0.0, 0.0), "vertical": (0.0, 0.0, 1.0),
                "mixed": (1.0, 0.0, 1.0)}
@@ -48,6 +48,6 @@ def test_tv_decay_grid_writes_every_row(tmp_path):
         got = [r for r in rows if r["group"] == "heisenberg" and r["displacement"] == name]
         gt = CarnotElement(np.array([x1, x2]), SkewMatrix(2, np.array([z])))
         ests = failure_probability(origin, gt, [float(r["T"]) for r in got], 2000, 20240901,
-                                   two_index=True)
+                                   K=1)
         assert [(float(r["failure"]), float(r["stderr"])) for r in got] == [
             (e.mean, e.stderr) for e in ests]
