@@ -21,14 +21,16 @@ in the N column.
 Points are given in group coordinates: `carnot-N` takes the N horizontal
 entries followed by the N(N-1)/2 strictly upper triangular vertical entries
 in row-major (i < j) order.  `heisenberg` is the rank-2 group and takes
-`x1,x2,z` like `carnot-2`; every coordinate must be finite.  The group picks
-the block count K of the coupling that `couple` samples: K = 1 (the
-two-index coupling) on `heisenberg`, K = 2n+1 on `carnot-N`.  --variant
-picks only the closed-form bound (default proof-stage on `heisenberg`,
-carnot-n otherwise); its Heisenberg variants need rank 2.  Records are
-written as CSV (fixed column order) or JSON (canonical schema, with the
-parsed flags as `config`); identical config + seed produce byte-identical
-artifacts.
+`x1,x2,z` like `carnot-2`; every coordinate must be finite.  A point whose
+first coordinate is negative takes the `--flag=value` form, `--g=-1,0,0`:
+the parser reads a separate token that starts with `-` as a flag.  The
+group picks the block count K of the coupling that `couple` samples and
+records: K = 1 (the two-index coupling) on `heisenberg`, K = 2n+1 on
+`carnot-N`.  --variant picks only the closed-form bound (default
+proof-stage on `heisenberg`, carnot-n otherwise); its Heisenberg variants
+need rank 2.  Records are written as CSV (fixed column order) or JSON
+(canonical schema, with the parsed flags as `config`); identical config +
+seed produce byte-identical artifacts.
 
 Exit codes: 0 every record passed, 1 some check failed, 2 a configuration
 error (found before any sampling where the flags alone show it), 3 a
@@ -165,7 +167,7 @@ def cmd_constants(args) -> int:
     record = _recorder(args)
     records = []
     for entry in constants_table():
-        err = abs(entry.value - entry.recompute()) / max(abs(entry.value), 1.0)
+        err = abs(entry.value - entry.reference()) / max(abs(entry.value), 1.0)
         records.append(record(
             f"{entry.source}; {entry.name} = {entry.formula}", f"constant:{entry.name}",
             estimate=entry.value, stderr=0.0, bound=1e-14, passed=bool(err <= 1e-14),
@@ -179,11 +181,11 @@ def cmd_couple(args) -> int:
     # the group picks the sampler; the variant picks only the bound
     heisenberg = args.group == "heisenberg"
     variant = args.variant or ("proof-stage" if heisenberg else "carnot-n")
-    record = _recorder(args, g=_point_str(g), gt=_point_str(gt))
+    K = 1 if heisenberg else default_support_count(g.n)
+    record = _recorder(args, g=_point_str(g), gt=_point_str(gt), K=K)
     # rejects a variant the group lacks before any sampling
     bounds = [tv_bound(g, gt, T, variant).total for T in args.T]
-    ests = failure_probability(g, gt, args.T, args.N, args.seed, args.workers,
-                               K=1 if heisenberg else None)
+    ests = failure_probability(g, gt, args.T, args.N, args.seed, args.workers, K=K)
     records = [
         record("endpoint coupling failure vs total-variation bound", f"couple:{variant}",
                estimate=est.mean, stderr=est.stderr, bound=bound,
@@ -384,12 +386,16 @@ def cmd_inequalities(args) -> int:
     spots = gradient_sup_spotcheck(f, [g], T, max(args.N // 10, 2), split_seed(args.seed, 40),
                                    args.workers, K=args.K)
     for sc in spots:
-        records.append(record(
-            "sup-norm gradient bounds at a sample point", "inequalities:gradient-spot",
-            estimate=sc.horizontal_norm, stderr=sc.horizontal_sigma,
-            bound=sc.horizontal_bound, passed=sc.passed,
-            N=max(args.N // 10, 2),
-        ))
+        records += [
+            record("sup-norm horizontal gradient bound at a sample point",
+                   "inequalities:gradient-spot", estimate=sc.horizontal_norm,
+                   stderr=sc.horizontal_sigma, bound=sc.horizontal_bound,
+                   passed=sc.horizontal_passed, N=max(args.N // 10, 2)),
+            record("sup-norm vertical gradient bound at a sample point",
+                   "inequalities:gradient-spot-vertical", estimate=sc.vertical_norm,
+                   stderr=sc.vertical_sigma, bound=sc.vertical_bound,
+                   passed=sc.vertical_passed, N=max(args.N // 10, 2)),
+        ]
     return _emit(args, records)
 
 

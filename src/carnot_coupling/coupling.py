@@ -21,13 +21,15 @@ packed, (B, n(n-1)/2), up to the solve; a single run is a batch of one.
 
 Conditionally on everything the shifts depend on, the modified coordinates
 form a standard Gaussian vector, which is coupled jointly with its shifted
-copy by one reflection-maximal coupling.  The joint coupling meets at least
-as often as the per-block couplings used to derive the closed-form bounds,
-and the least-norm shift is never longer than the particular solution those
-bounds assume, so they remain valid Monte Carlo targets.  On success the
-endpoint difference vanishes identically; it is verified through the finite
-sum over modified indices and their neighbours, which no truncation can
-touch.
+copy by one reflection-maximal coupling (`couple_to_shift`).  It moves each
+row by one scalar multiple c of its shift, so a batch keeps c and the shift,
+and only `_second_stream` builds the coupled stream.  The joint coupling
+meets at least as often as the per-block couplings used to derive the
+closed-form bounds, and the least-norm shift is never longer than the
+particular solution those bounds assume, so they remain valid Monte Carlo
+targets.  On success the endpoint difference vanishes identically; it is
+verified through the finite sum over modified indices and their neighbours,
+which no truncation can touch.
 
 `failure_probability` takes a grid of horizons and makes one pass over the
 draws for all of them.  Per batch the draw, the index-0 direction, the stack
@@ -165,9 +167,9 @@ class _GridBatch(NamedTuple):
     """One batch of B coupling runs over a grid of S horizons, sharing one draw."""
 
     xi: np.ndarray       # (B, 3K+2, n), the first stream
-    f1: np.ndarray       # (n,), the index-0 displacement direction
-    stack: np.ndarray    # (B, 1 + K n), the modified coordinates of xi
-    coupled: np.ndarray  # (S, B, 1 + K n), their coupled copies, per horizon
+    u0: np.ndarray       # (S, n), the index-0 shift (x - x~)/sqrt(T)
+    u: np.ndarray        # (S, B, n, K), the index-3k shifts u_k = u(p, w_T)/T
+    c: np.ndarray        # (S, B), the coupled stream is xi + c shift on the modified indices
     met: np.ndarray      # (S, B), never true on a bad row
     cond: np.ndarray     # (B,), horizon-free
     bad: np.ndarray      # (B,), cond past COND_LIMIT (infinite for a zero probe)
@@ -191,32 +193,32 @@ def _couple_batch(gc: CarnotElement, gct: CarnotElement, Ts, rng: np.random.Gene
     xi = rng.standard_normal((count, 3 * K + 2, n))
     uniforms = rng.uniform(size=count)
 
+    Ts = np.asarray(Ts, dtype=float)
     w = np.stack([_mismatch(gc, gct, T, xi) for T in Ts])
     u, cond = tsylvester_batch(_probes(xi, K), w)
+    u /= Ts[:, None, None, None]
     bad = cond > COND_LIMIT
+    shift0 = dnorm / np.sqrt(Ts)
 
     stack = np.concatenate(
         [(xi[:, 0] @ f1)[:, None], xi[:, 3:3 * K + 1:3].reshape(count, K * n)], axis=1
     )
-    coupled = np.empty((len(Ts),) + stack.shape)
+    c = np.empty((len(Ts), count))
     met = np.empty((len(Ts), count), dtype=bool)
-    for s, T in enumerate(Ts):
-        blocks = np.swapaxes(u[s], 1, 2) / T
-        shift = np.concatenate(
-            [np.full((count, 1), dnorm / math.sqrt(T)), blocks.reshape(count, K * n)], axis=1
-        )
-        coupled[s], met[s] = couple_to_shift(stack, shift, uniforms)
-    return _GridBatch(xi, f1, stack, coupled, met & ~bad, cond, bad)
+    for s in range(len(Ts)):
+        blocks = np.swapaxes(u[s], 1, 2).reshape(count, K * n)
+        shift = np.concatenate([np.full((count, 1), shift0[s]), blocks], axis=1)
+        c[s], met[s] = couple_to_shift(stack, shift, uniforms)
+    return _GridBatch(xi, d / np.sqrt(Ts)[:, None], u, c, met & ~bad, cond, bad)
 
 
 def _second_stream(batch: _GridBatch, s: int) -> np.ndarray:
-    """The coupled stream xi~ of horizon s: xi with its modified coordinates replaced."""
-    count, _, n = batch.xi.shape
-    K = (batch.stack.shape[1] - 1) // n
-    coupled = batch.coupled[s]
+    """The coupled stream xi~ of horizon s: xi plus c times the shift on the modified indices."""
+    K = batch.u.shape[-1]
+    c = batch.c[s]
     xi_t = batch.xi.copy()
-    xi_t[:, 0] += (coupled[:, 0] - batch.stack[:, 0])[:, None] * batch.f1
-    xi_t[:, 3:3 * K + 1:3] = coupled[:, 1:].reshape(count, K, n)
+    xi_t[:, 0] += c[:, None] * batch.u0[s]
+    xi_t[:, 3:3 * K + 1:3] += c[:, None, None] * np.swapaxes(batch.u[s], 1, 2)
     return xi_t
 
 

@@ -196,9 +196,6 @@ class ConstantEntry:
     source: str
     reference: Callable[[], float] = field(repr=False, compare=False)
 
-    def recompute(self) -> float:
-        return self.reference()
-
 
 def _zeta3_reference(M: int = 100_000) -> float:
     """zeta(3) as the head sum to M plus its Euler-Maclaurin tail."""

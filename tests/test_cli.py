@@ -35,6 +35,11 @@ FLAGS = {
 HEIS = ["--g", "0,0,0", "--gt", "0,0,1"]
 
 
+def passing_suite(*args, **kwargs):
+    """Stands in for `inequality_suite`: one passing check, no sampling."""
+    return girsanov.InequalityReport([girsanov.InequalityCheck("stub", 0.0, 1.0, 0.0, True)])
+
+
 def flag_sets(parser):
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return {name: {a.dest for a in p._actions if a.option_strings and a.dest != "help"}
@@ -96,6 +101,16 @@ class TestParsing:
         assert exc.value.code == 2
         assert "coordinates must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_first_coordinates_take_the_equals_form(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "inequality_suite", passing_suite)
+        monkeypatch.setattr(cli, "gradient_sup_spotcheck", lambda *a, **k: [])
+        out = tmp_path / "res.json"
+        assert run_cli(["inequalities", "--g=-0.5,0,0", "--gt=-1,0.25,0", "--h=-1,0,0.5",
+                        "--format", "json", "--out", str(out)]) == 0
+        rec, = json.loads(out.read_text())["records"]
+        assert (rec["g"], rec["gt"], rec["h"]) == ("-0.5,0.0,0.0", "-1.0,0.25,0.0",
+                                                   "-1.0,0.0,0.5")
 
     def test_carnot_point_arity_checked(self):
         with pytest.raises(SystemExit):
@@ -267,6 +282,24 @@ class TestArtifacts:
             ests = coupling.failure_probability(g, gt, [1.0, 25.0], 3000, 17, 2, K=K)
             assert (got == [(e.mean, e.stderr) for e in ests]) == same
 
+    @pytest.mark.parametrize("group, gt, K", [("heisenberg", "0,0,1", 1),
+                                              ("carnot-3", "0,0,0,1,0,0", 7)])
+    def test_couple_records_the_sampled_block_count(self, group, gt, K, monkeypatch,
+                                                    tmp_path):
+        sampled = []
+
+        def spy(*args, K):
+            sampled.append(K)
+            return coupling.failure_probability(*args, K=K)
+
+        monkeypatch.setattr(cli, "failure_probability", spy)
+        out = tmp_path / "res.json"
+        g = ",".join(["0"] * len(gt.split(",")))
+        run_cli(["couple", "--group", group, "--g", g, "--gt", gt, "--T", "1,25", "--N", "200",
+                 "--format", "json", "--out", str(out)])
+        assert sampled == [K]
+        assert [r["K"] for r in json.loads(out.read_text())["records"]] == [K, K]
+
     def test_heisenberg_variant_on_carnot_2_bounds_the_rank_n_coupling(self, tmp_path):
         # rank 2 is the Heisenberg group, so its constants apply; the group
         # still picks the 2n+1-block sampler
@@ -342,6 +375,25 @@ class TestArtifacts:
         ref, = girsanov.gradient_sup_spotcheck(CATALOG["sin-perturbation"], [g], 4.0, 200,
                                                split_seed(3, 40), K=8)
         assert spot["K"] == 8 and spot["estimate"] == ref.horizontal_norm
+
+    def test_gradient_spot_records_each_direction_apart(self, monkeypatch, tmp_path):
+        g = heis_to_carnot(HeisenbergPoint(0.3, -0.2, 0.1))
+        spot = girsanov.GradientSpotCheck(g, 0.5, 0.01, 1.0, 2.0, 0.01, 1.0)
+        assert spot.horizontal_passed and not spot.vertical_passed and not spot.passed
+        monkeypatch.setattr(cli, "inequality_suite", passing_suite)
+        monkeypatch.setattr(cli, "gradient_sup_spotcheck", lambda *a, **k: [spot])
+        out = tmp_path / "res.json"
+        code = run_cli(["inequalities", *HEIS, "--h", "1,0,0", "--format", "json",
+                        "--out", str(out)])
+        assert code == 1
+        records = {r["check"]: r for r in json.loads(out.read_text())["records"]}
+        assert [c for c, r in records.items() if not r["passed"]] == [
+            "inequalities:gradient-spot-vertical"]
+        for check, (norm, sigma, bound) in (("inequalities:gradient-spot", (0.5, 0.01, 1.0)),
+                                            ("inequalities:gradient-spot-vertical",
+                                             (2.0, 0.01, 1.0))):
+            r = records[check]
+            assert (r["estimate"], r["stderr"], r["bound"]) == (norm, sigma, bound)
 
     def test_marginals_holds_one_batch_of_coefficients(self, monkeypatch, tmp_path):
         # a small batch keeps the test light; N spans eight full batches and a partial one

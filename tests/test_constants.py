@@ -214,7 +214,7 @@ class TestConstantsTable:
         table = constants_table()
         assert len(table) >= 15
         for entry in table:
-            err = abs(entry.value - entry.recompute()) / max(abs(entry.value), 1.0)
+            err = abs(entry.value - entry.reference()) / max(abs(entry.value), 1.0)
             assert err <= 1e-14, entry.name
 
     def test_has_improved_c2(self):

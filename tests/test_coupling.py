@@ -359,9 +359,9 @@ class TestHorizonGrid:
         g, gt = _pair_from_seed(5, 3)
         grid = [4.0, 25.0, 4.0]
         batch = _couple_batch(g, gt, grid, derive_rng(6), 500, 7)
-        assert batch.coupled.shape[:2] == batch.met.shape == (3, 500)
-        assert np.array_equal(batch.coupled[0], batch.coupled[2])
-        assert not np.array_equal(batch.coupled[0], batch.coupled[1])
+        assert batch.c.shape == batch.met.shape == (3, 500)
+        assert np.array_equal(batch.c[0], batch.c[2])
+        assert not np.array_equal(batch.c[0], batch.c[1])
         for s, T in enumerate(grid):
             one = _couple_batch(g, gt, [T], derive_rng(6), 500, 7)
             assert np.array_equal(one.xi, batch.xi)

@@ -8,12 +8,14 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carnot_coupling.gaussian_coupling import (
-    couple_to_shift,
-    gaussian_tv,
-    reflection_couple_batch,
-)
+from carnot_coupling.gaussian_coupling import couple_to_shift, gaussian_tv
 from carnot_coupling.mc import derive_rng, ks_test
+
+
+def coupled(X, shift, uniforms):
+    """(X~, met) with X~ = X + c shift, from the scalars c of `couple_to_shift`."""
+    c, met = couple_to_shift(X, shift, uniforms)
+    return X + c[:, None] * shift, met
 
 
 class TestGaussianTV:
@@ -37,20 +39,20 @@ class TestGaussianTV:
 
 
 class TestMaximalCoupling:
-    def test_equal_means_always_meet(self):
+    def test_zero_shift_always_meets(self):
         rng = derive_rng(1)
-        G = rng.standard_normal((50, 2))
-        Y, met = reflection_couple_batch(G, np.zeros((50, 2)), rng.uniform(size=50))
-        assert met.all() and np.array_equal(Y, G)
+        X = rng.standard_normal((50, 2))
+        c, met = couple_to_shift(X, np.zeros((50, 2)), rng.uniform(size=50))
+        assert met.all() and np.array_equal(c, np.ones(50))
 
-    def test_met_implies_exact_equality(self):
+    def test_met_iff_exactly_shifted(self):
         rng = derive_rng(2)
-        G = rng.standard_normal((500, 3))
+        X = rng.standard_normal((500, 3))
         shift = np.tile([0.5, 0.0, 0.0], (500, 1))
-        Y, met = reflection_couple_batch(G, shift, rng.uniform(size=500))
-        equal = np.all(Y == G, axis=1)
+        Xt, met = coupled(X, shift, rng.uniform(size=500))
+        equal = np.all(Xt == X + shift, axis=1)
         assert np.array_equal(equal, met)
-        assert met.any()
+        assert met.any() and not met.all()
 
     def test_meeting_probability_matches_tv(self):
         rng = derive_rng(3)
@@ -65,24 +67,22 @@ class TestMaximalCoupling:
         assert fail <= min(1.0, delta / math.sqrt(2 * math.pi)) + 3 * se
 
     def test_marginals_pass_ks(self):
+        # X~ ~ N(0, I) whatever the shift
         rng = derive_rng(4)
         N = 100_000
-        m = np.array([0.3, -1.0])
-        mp = np.array([1.0, 0.5])
-        G = rng.standard_normal((N, 2))
-        Y, _ = reflection_couple_batch(G, np.tile(mp - m, (N, 1)), rng.uniform(size=N))
-        X_rows = m + G
-        Y_rows = m + Y
+        shift = np.array([0.7, 1.5])
+        X = rng.standard_normal((N, 2))
+        Xt, _ = coupled(X, np.tile(shift, (N, 1)), rng.uniform(size=N))
         for i in range(2):
-            assert ks_test(X_rows[:, i], scipy.stats.norm(loc=m[i]).cdf) > 0.01
-            assert ks_test(Y_rows[:, i], scipy.stats.norm(loc=mp[i]).cdf) > 0.01
+            assert ks_test(X[:, i], scipy.stats.norm.cdf) > 0.01
+            assert ks_test(Xt[:, i], scipy.stats.norm.cdf) > 0.01
 
     def test_orthogonal_components_shared(self):
         rng = derive_rng(5)
         N = 10_000
         X = rng.standard_normal((N, 3))
         shift = np.tile([0.8, 0.0, 0.0], (N, 1))
-        Xt, met = couple_to_shift(X, shift, rng.uniform(size=N))
+        Xt, met = coupled(X, shift, rng.uniform(size=N))
         # only the shift direction may differ
         assert np.array_equal(Xt[:, 1:], X[:, 1:])
         assert np.array_equal(Xt[met], (X + shift)[met])
@@ -96,10 +96,12 @@ class TestMaximalCoupling:
         N = 60_000
 
         def run(ma, mb, seed):
+            # with shift = ma - mb, X~ - shift ~ N(mb - ma, I) meets X where X~ = X + shift
             rng = derive_rng(seed)
-            G = rng.standard_normal((N, 2))
-            Y, met = reflection_couple_batch(G, np.tile(mb - ma, (N, 1)), rng.uniform(size=N))
-            return ma + G, ma + Y, met
+            X = rng.standard_normal((N, 2))
+            shift = np.tile(ma - mb, (N, 1))
+            Xt, met = coupled(X, shift, rng.uniform(size=N))
+            return ma + X, ma + Xt - shift, met
 
         X1, Y1, met1 = run(m, mp, 6)
         X2, Y2, met2 = run(Q @ m, Q @ mp, 7)
@@ -114,7 +116,7 @@ class TestMaximalCoupling:
 
 
 def coupling_rows(seed, count, d, scale):
-    """count rows G ~ N(0, I_d), shifts of size about `scale` (every third zero), uniforms."""
+    """count rows X ~ N(0, I_d), shifts of size about `scale` (every third zero), uniforms."""
     rng = np.random.default_rng(seed)
     shift = scale * rng.standard_normal((count, d))
     shift[::3] = 0.0
@@ -122,40 +124,37 @@ def coupling_rows(seed, count, d, scale):
 
 
 class TestOneScalarPerRow:
-    """Y = G + c mu and X~ = X + c shift, one scalar c per row."""
+    """X~ = X + c shift, one scalar c per row."""
 
     @settings(max_examples=40, deadline=None)
     @given(d=st.integers(1, 40), count=st.integers(1, 48), scale=st.floats(0.0, 3.0),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_batch_of_one_equals_its_row(self, d, count, scale, seed):
-        G, shift, uniforms = coupling_rows(seed, count, d, scale)
-        for kernel in (reflection_couple_batch, couple_to_shift):
-            out, met = kernel(G, shift, uniforms)
-            for i in range(count):
-                alone, alone_met = kernel(G[i:i + 1], shift[i:i + 1], uniforms[i:i + 1])
-                assert np.array_equal(alone[0], out[i]) and alone_met[0] == met[i]
+        X, shift, uniforms = coupling_rows(seed, count, d, scale)
+        c, met = couple_to_shift(X, shift, uniforms)
+        for i in range(count):
+            alone, alone_met = couple_to_shift(X[i:i + 1], shift[i:i + 1], uniforms[i:i + 1])
+            assert alone[0] == c[i] and alone_met[0] == met[i]
 
     @settings(max_examples=40, deadline=None)
     @given(d=st.integers(1, 40), count=st.integers(1, 48), scale=st.floats(0.0, 3.0),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_met_rows_are_exactly_shifted(self, d, count, scale, seed):
         X, shift, uniforms = coupling_rows(seed, count, d, scale)
-        Xt, met = couple_to_shift(X, shift, uniforms)
+        Xt, met = coupled(X, shift, uniforms)
         assert met[::3].all()
         assert np.array_equal(Xt[met], (X + shift)[met])
 
     @pytest.mark.parametrize("d", [1, 3, 22, 37])
-    def test_matches_the_reflection_through_the_bisecting_hyperplane(self, d):
-        # reference: e = mu/|mu|, s = <G, e>, Y = G + (|mu| - 2 s) e off the met rows
-        G, shift, uniforms = coupling_rows(d, 2000, d, 0.7)
-        Y, met = reflection_couple_batch(G, shift, uniforms)
+    def test_matches_the_reflection_through_the_orthogonal_hyperplane(self, d):
+        # reference: e = shift/|shift|, s = <X, e>, X~ = X - 2 s e off the met rows
+        X, shift, uniforms = coupling_rows(d, 2000, d, 0.7)
+        Xt, met = coupled(X, shift, uniforms)
         delta = np.linalg.norm(shift, axis=1)
         e = shift / np.where(delta > 0, delta, 1.0)[:, None]
-        s = np.sum(G * e, axis=1)
-        assert np.array_equal(met, (np.log(uniforms) <= s * delta - 0.5 * delta ** 2) | (delta == 0))
-        ref = np.where(met[:, None], G, G + (delta - 2.0 * s)[:, None] * e)
-        assert np.allclose(Y, ref, rtol=0.0, atol=1e-13 * (1.0 + np.max(np.abs(ref))))
-        Xt, met_t = couple_to_shift(G, shift, uniforms)
-        Z, met_z = reflection_couple_batch(G, -shift, uniforms)
-        assert np.array_equal(met_t, met_z)
-        assert np.allclose(Xt, Z + shift, rtol=0.0, atol=1e-13 * (1.0 + np.max(np.abs(Xt))))
+        s = np.sum(X * e, axis=1)
+        assert np.array_equal(met, (np.log(uniforms) <= -s * delta - 0.5 * delta ** 2)
+                              | (delta == 0))
+        assert not met.all()
+        ref = np.where(met[:, None], X + shift, X - 2.0 * s[:, None] * e)
+        assert np.allclose(Xt, ref, rtol=0.0, atol=1e-13 * (1.0 + np.max(np.abs(ref))))

@@ -20,6 +20,7 @@ from carnot_coupling.girsanov import (
     horizontal_direction,
     inequality_suite,
     log_density,
+    reverse_poincare_constant,
     semigroup_transfer_check,
     vertical_direction,
     _weak_log_sobolev_rhs,
@@ -29,6 +30,7 @@ from carnot_coupling.groups import (
     HeisenbergPoint,
     SkewMatrix,
     heis_to_carnot,
+    zeta,
 )
 from carnot_coupling.legendre import endpoint_packed
 from carnot_coupling.mc import MCEstimate, derive_rng, run_vector_estimator, split_seed
@@ -167,6 +169,24 @@ class TestDensity:
             2.0 / T ** 2 + 2.0 / (3 * T)
         )
         assert entropy_bound_constant(g, gt, T) == pytest.approx(expect, rel=1e-13)
+
+    def test_reverse_poincare_constant_matches_its_explicit_formula(self):
+        def explicit(g, h, T):
+            n = g.n
+            hx2 = float(np.sum(h.x ** 2))
+            vert = zeta(g, CarnotElement(g.x + h.x, g.z + h.z)).hs_norm() ** 2
+            c = (6.0 * math.sqrt(2.0 * n) + 4.0 * math.sqrt(2.0) / math.sqrt(n)) ** 2
+            return hx2 / T + c * (vert / T ** 2 + 2.0 * (n - 1) * hx2 / (3.0 * T))
+
+        rng = derive_rng(16)
+        for _ in range(200):
+            n = int(rng.integers(2, 6))
+            p = n * (n - 1) // 2
+            g, h = (CarnotElement(rng.uniform(-2, 2, n), SkewMatrix(n, rng.uniform(-2, 2, p)))
+                    for _ in range(2))
+            T = float(np.exp(rng.uniform(np.log(0.25), np.log(64.0))))
+            assert reverse_poincare_constant(g, h, T) == pytest.approx(explicit(g, h, T),
+                                                                       rel=1e-14)
 
 
 class TestTransfer:
