@@ -32,6 +32,10 @@ need rank 2.  Records are written as CSV (fixed column order) or JSON
 (canonical schema, with the parsed flags as `config`); identical config +
 seed produce byte-identical artifacts.
 
+`girsanov`, `bismut` and `inequalities` reject a --K whose coefficient
+array for one batch of 16384 rows, 16384 x (3K + 2) x n float64 values,
+exceeds 256 MiB (K = 340 is the largest on `heisenberg`).
+
 Exit codes: 0 every record passed, 1 some check failed, 2 a configuration
 error (found before any sampling where the flags alone show it), 3 a
 numerically singular Gram system (no artifact is written).
@@ -313,9 +317,22 @@ def cmd_sylvester(args) -> int:
     return _emit(args, records)
 
 
+# bytes that one batch's coefficient array may take; a larger --K exits 2 unsampled
+MAX_BATCH_BYTES = 1 << 28
+
+
 def _support_count(args, n: int) -> int:
-    """--K, or the default 2n+1 when it is not given (an explicit 0 is kept and rejected)."""
-    return default_support_count(n) if args.K is None else args.K
+    """--K, or the default 2n+1 when it is not given (an explicit 0 is kept and rejected).
+
+    A K whose coefficient array for one batch, mc.BATCH_SIZE x (3K + 2) x n
+    float64 values, exceeds MAX_BATCH_BYTES is rejected before any sampling.
+    """
+    K = default_support_count(n) if args.K is None else args.K
+    need = mc.BATCH_SIZE * (3 * K + 2) * n * 8
+    if need > MAX_BATCH_BYTES:
+        raise ValueError(f"--K {K} needs {need / 2 ** 20:.0f} MiB of coefficients per batch, "
+                         f"over the budget of {MAX_BATCH_BYTES >> 20} MiB")
+    return K
 
 
 def cmd_girsanov(args) -> int:

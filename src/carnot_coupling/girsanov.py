@@ -25,8 +25,16 @@ variate: every column is regressed on R in the same pass, with an in-sample
 coefficient and its standard error on N - 2 degrees of freedom.
 
 Differentiating the same construction in the direction h = (h_x, h_z) gives
-the integration-by-parts weight -sum_k <xi_{3k}, u_k(h)> for d_g P_T f(h),
-from which the reverse Poincare and weak log-Sobolev checks follow.
+the integration-by-parts weight W = -<omega, u(h)> for d_g P_T f(h) =
+E[f(X_T) W], from which the reverse Poincare and weak log-Sobolev checks
+follow.  Its estimator is antithetic on one draw: the reflection of xi_0
+across the hyperplane orthogonal to h_x together with xi_{3k} -> -xi_{3k}
+(k = 1..K) preserves the law of xi, leaves u(h) unchanged, since u reads
+neither of them, and flips W.  So (f(X_T) - f(X_T^refl)) W / 2 has the mean
+of f(X_T) W, with X_T^refl driven by the reflected xi; it is derived from
+X_T and the probes of the shift solve, with no second area.  The part of f
+that the reflection does not move cancels row by row: a constant f, or an f
+of x alone along a vertical h, gives exactly zero.
 
 All estimators evaluate the Legendre-truncated semigroup (coefficients up to
 index 3K+1 unless a longer path is requested): every identity and inequality
@@ -44,8 +52,8 @@ import numpy as np
 
 from .catalog import TestFunction
 from .coupling import _mismatch, _probes, default_support_count
-from .groups import CarnotElement, SkewMatrix, odot, zeta
-from .legendre import endpoint_packed
+from .groups import CarnotElement, SkewMatrix, odot, odot_packed, triu_pairs, zeta
+from .legendre import alpha_ladder, endpoint_packed
 from .mc import (
     ComparisonReport,
     MCEstimate,
@@ -84,17 +92,25 @@ def build_shift(g: CarnotElement, gt: CarnotElement, T: float, K: int,
     Returns u0 (n,), the shift of index 0, collinear with x - x~, and blocks
     (B, K, n), whose row k-1 shifts index 3k.  Needs K >= n + 2 and L >= 3K+2.
     """
+    u0, blocks, _ = _shift_and_probes(g, gt, T, K, xi)
+    return u0, blocks
+
+
+def _shift_and_probes(g: CarnotElement, gt: CarnotElement, T: float, K: int,
+                      xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`build_shift`'s (u0, blocks) and the probe columns V = T p (B, n, K) it solved with."""
     if K < g.n + 2:
         raise ValueError("need K >= n + 2 modified blocks")
     if xi.shape[-2] < 3 * K + 2:
         raise ValueError("xi must supply indices up to 3K+1")
-    u, cond = tsylvester_batch(T * _probes(xi, K), _mismatch(g, gt, T, xi))
+    probes = T * _probes(xi, K)
+    u, cond = tsylvester_batch(probes, _mismatch(g, gt, T, xi))
     bad = cond > COND_LIMIT
     if bad.any():
         # measure-zero event; fail loudly rather than use an ill-conditioned solve
         raise SingularGramError(f"{int(bad.sum())} singular Gram draws, reseed the run")
     u0 = (np.asarray(g.x, float) - np.asarray(gt.x, float)) / math.sqrt(T)
-    return u0, np.swapaxes(u, 1, 2)
+    return u0, np.swapaxes(u, 1, 2), probes
 
 
 def _shift_pairing(u0: np.ndarray, blocks: np.ndarray,
@@ -231,15 +247,80 @@ def _direction_pair(g: CarnotElement, h: CarnotElement) -> CarnotElement:
     return CarnotElement(g.x + h.x, g.z + h.z)
 
 
+def _reflection_axis(g: CarnotElement, gt: CarnotElement) -> np.ndarray:
+    """Unit vector e along x - x~, the axis that xi_0 is reflected on; 0 when x = x~."""
+    d = np.asarray(g.x, float) - np.asarray(gt.x, float)
+    norm = float(np.linalg.norm(d))
+    return d / norm if norm > 0 else np.zeros_like(d)
+
+
+def _reflected_endpoint(x: np.ndarray, xT: np.ndarray, zT: np.ndarray, xi: np.ndarray,
+                        probes: np.ndarray, e: np.ndarray,
+                        T: float) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint from x driven by the reflected xi, derived from the endpoint (xT, zT).
+
+    The reflection maps xi_0 to xi_0 - 2 s e, s = <xi_0, e>, and xi_{3k} to
+    -xi_{3k} for k = 1..K.  Only the terms of the endpoint that read those
+    indices change:
+
+        x_T^refl = x_T - 2 sqrt(T) s e,
+        z_T^refl = z_T - sqrt(T) s (x odot e) - 2 T alpha_0 s (e odot xi_1)
+                   - 2 sum_k xi_{3k} odot V_k,
+
+    with V_k = T p_k the probe columns (B, n, K) of the shift solve, since the
+    two area terms at index 3k sum to T xi_{3k} odot p_k.  That is O(K n^2)
+    per row, with no second area.  Every step is row-wise, so a batch of one
+    equals its row.
+    """
+    n = xi.shape[-1]
+    K = probes.shape[-1]
+    iu, ju = triu_pairs(n)
+    sqrtT = math.sqrt(T)
+    se = np.sum(xi[:, 0] * e, axis=1)[:, None] * e
+    mt = probes @ xi[:, 3:3 * K + 1:3]  # sum_k V_k xi_{3k}^t, (B, n, n)
+    dz = sqrtT * odot_packed(x, se, iu, ju)
+    dz += 2.0 * T * alpha_ladder(1)[0] * odot_packed(se, xi[:, 1], iu, ju)
+    dz += 2.0 * (mt[:, ju, iu] - mt[:, iu, ju])
+    return xT - 2.0 * sqrtT * se, zT - dz
+
+
+def _antithetic_gradient(f: TestFunction, g: CarnotElement, gth: CarnotElement, T: float,
+                         K: int, xi: np.ndarray,
+                         starts: list[CarnotElement]) -> tuple[np.ndarray, np.ndarray,
+                                                               np.ndarray]:
+    """f at the endpoints from each start, the antithetic gradient column and |u|^2.
+
+    starts[0] is g; every start shares one endpoint call and one area.  The
+    gradient column is (f(X) - f(X^refl)) W / 2, with W = -<omega, u> the
+    integration-by-parts weight of the shift from g to gth and X^refl the
+    endpoint from g driven by the reflected xi (`_reflected_endpoint`).
+    """
+    u0, blocks, probes = _shift_and_probes(g, gth, T, K, xi)
+    dot, u_sq = _shift_pairing(u0, blocks, xi)
+    x = np.stack([s.x for s in starts])[:, None]
+    z = np.stack([s.z.upper for s in starts])[:, None]
+    xT, zT = endpoint_packed(x, z, xi, T)
+    xr, zr = _reflected_endpoint(g.x, xT[0], zT[0], xi, probes, _reflection_axis(g, gth), T)
+    vals = f(np.concatenate([xT, xr[None]]), np.concatenate([zT, zr[None]]))
+    return vals[:-1], 0.5 * (vals[0] - vals[-1]) * -dot, u_sq
+
+
 def bismut_gradient(
     f: TestFunction, g: CarnotElement, h: CarnotElement, T: float, K: int,
     N: int, seed: int, workers: int = 1, k_path: int | None = None,
 ) -> MCEstimate:
-    """Integration-by-parts estimator of d_g P_T f(h).
+    """Integration-by-parts estimator of d_g P_T f(h), antithetic in one draw.
 
-    The weight is -sum_{k} <xi_{3k}, u_k(h)> with the shift built from the
-    direction matrix of the displacement h (linear in h); h = 0 gives
-    exactly zero.
+    The weight is W = -<omega, u(h)>, with u(h) the shift from g to g + h
+    (linear in h): d_g P_T f(h) = E[f(X_T) W].  Each row returns
+    (f(X_T) - f(X_T^refl)) W / 2, where X_T^refl is driven by the same xi with
+    xi_0 reflected across the hyperplane orthogonal to h_x and every xi_{3k}
+    negated.  The reflection preserves the law of xi, and u(h) reads neither
+    the component of xi_0 along h_x nor any xi_{3k}, so it leaves u unchanged
+    and flips W: f(X^refl) (-W) has the law of f(X) W, and the mean is
+    unbiased.  X^refl is derived from X_T (`_reflected_endpoint`), with no
+    second draw, area or solve.  h = 0 gives exactly zero; so do a constant
+    f, and an f of x alone along a vertical h, whose rows are all zero.
     """
     if h.n != g.n:
         raise ValueError("dimension mismatch")
@@ -248,9 +329,7 @@ def bismut_gradient(
 
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         xi = rng.standard_normal((count, L, g.n))
-        u0, blocks = build_shift(g, gth, T, K, xi)
-        weight = -_shift_pairing(u0, blocks, xi)[0]
-        return f(*endpoint_packed(g.x, g.z.upper, xi, T)) * weight
+        return _antithetic_gradient(f, g, gth, T, K, xi, [g])[1]
 
     return run_vector_estimator(sampler, N, seed, workers)[0]
 
@@ -342,7 +421,9 @@ def inequality_suite(
     infimum they are omitted and the report lists only the checks that ran.
     Every check reads one pass over one stream.  With log-based checks, each
     row evaluates the endpoints from g and from g~ with one shared area, so
-    ln f(X^g~) of the log-Harnack check shares the draws of E[f].
+    ln f(X^g~) of the log-Harnack check shares the draws of E[f].  The
+    gradient d_g P_T f(h) is the antithetic column of `bismut_gradient`, on
+    the same draws.
     """
     n = g.n
     K = default_support_count(n) if K is None else K
@@ -352,16 +433,11 @@ def inequality_suite(
     extra_q = [p / (p - 1.0) for p in p_values]
     positive = f.min_value > 0
     starts = [g, gt] if positive else [g]
-    x = np.stack([s.x for s in starts])[:, None]
-    z = np.stack([s.z.upper for s in starts])[:, None]
 
     def base_sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         xi = rng.standard_normal((count, L, n))
-        vals, *tilde = f(*endpoint_packed(x, z, xi, T))
-        u0, blocks = build_shift(g, gth, T, K, xi)
-        dot, u_sq = _shift_pairing(u0, blocks, xi)
-        weight = -dot
-        cols = [vals, vals ** 2, vals * weight, vals * u_sq]
+        (vals, *tilde), grad_col, u_sq = _antithetic_gradient(f, g, gth, T, K, xi, starts)
+        cols = [vals, vals ** 2, grad_col, vals * u_sq]
         for p, q in zip(p_values, extra_q):
             cols.extend([np.abs(vals) ** p, u_sq ** (q / 2.0)])
         if positive:

@@ -178,6 +178,33 @@ class TestDeclaredFlags:
         assert "need K >= n + 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["girsanov", *HEIS],
+        ["bismut", "--g", "0,0,0", "--h", "1,0,0"],
+        ["inequalities", *HEIS, "--h", "1,0,0"],
+    ])
+    def test_oversized_K_rejected_before_any_allocation(self, argv, monkeypatch, tmp_path,
+                                                        capsys):
+        # 10^7 blocks would ask for a 7.15 TiB coefficient array in the first batch
+        for name in ("girsanov_normalization_check", "semigroup_transfer_check",
+                     "bismut_gradient", "finite_diff_gradient", "inequality_suite",
+                     "gradient_sup_spotcheck"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("sampled"))
+        out = tmp_path / "res.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--K", "10000000", "--N", "100", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "over the budget of 256 MiB" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("group, largest", [("heisenberg", 340), ("carnot-3", 226)])
+    def test_K_budget_is_one_batch_of_coefficients(self, group, largest):
+        n = cli._parse_group(group)
+        assert mc.BATCH_SIZE * (3 * largest + 2) * n * 8 <= cli.MAX_BATCH_BYTES
+        assert cli._support_count(argparse.Namespace(K=largest), n) == largest
+        with pytest.raises(ValueError, match="over the budget"):
+            cli._support_count(argparse.Namespace(K=largest + 1), n)
+
     @pytest.mark.parametrize("m", ["0", "4"])
     def test_too_few_probe_columns_rejected_before_the_residual_pass(self, m, monkeypatch,
                                                                    tmp_path, capsys):

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carnot_coupling import girsanov
 from carnot_coupling.catalog import CATALOG
@@ -264,11 +266,12 @@ class TestBismut:
         est = bismut_gradient(CATALOG["sin-perturbation"], g, h, 1.0, 5, 2000, seed=16)
         assert est.mean == 0.0 and est.stderr == 0.0
 
-    def test_constant_function_zero_mean(self):
+    def test_constant_function_exactly_zero(self):
+        # f(X) - f(X^refl) = 0 on every row
         g = heis_to_carnot(HeisenbergPoint(0, 0, 0))
         h = horizontal_direction(g, 0)
         est = bismut_gradient(CATALOG["constant"], g, h, 1.0, 5, 100_000, seed=17)
-        assert abs(est.mean) <= 3 * est.stderr
+        assert est.mean == 0.0 and est.stderr == 0.0
 
     def test_weight_linear_in_direction(self):
         g = heis_to_carnot(HeisenbergPoint(0.2, 0.1, 0.0))
@@ -290,6 +293,130 @@ class TestBismut:
         se = math.hypot(bg.stderr, fd.stderr)
         assert abs(bg.mean - fd.mean) <= 3 * se + 1e-3 * (1 + abs(fd.mean))
         assert abs(bg.mean) > 5 * bg.stderr  # the gradient is genuinely nonzero here
+
+
+def _direction(g, kind, i, p, scale):
+    """A direction at g: horizontal (scaled e_i), vertical (unit pair p) or both."""
+    hor = horizontal_direction(g, i)
+    hor = CarnotElement(scale * hor.x, hor.z.scaled(scale))
+    ver = vertical_direction(g.n, p)
+    if kind == "horizontal":
+        return hor
+    if kind == "vertical":
+        return ver
+    return CarnotElement(hor.x, hor.z + ver.z)
+
+
+def _reflected(xi, e, K):
+    """xi with xi_0 reflected across the hyperplane orthogonal to e and each xi_{3k} negated."""
+    out = xi.copy()
+    out[:, 0] -= 2.0 * np.sum(xi[:, 0] * e, axis=1)[:, None] * e
+    out[:, 3:3 * K + 1:3] *= -1.0
+    return out
+
+
+class TestReflection:
+    """The antithetic map of the Bismut estimator, against an explicitly reflected xi.
+
+    Directions from `horizontal_direction` have an axis-aligned h_x, so the
+    reflection of xi_0 negates one coordinate and every identity below holds
+    bit for bit; the derived endpoint differs from the recomputed one by
+    rounding only.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_reflection_keeps_the_shift_and_flips_the_weight(self, n, seed, data):
+        K = data.draw(st.integers(n + 2, n + 5), label="K")
+        kind = data.draw(st.sampled_from(["horizontal", "vertical", "mixed"]), label="kind")
+        extra = data.draw(st.integers(0, 6), label="extra path terms")
+        rng = derive_rng(seed)
+        p = n * (n - 1) // 2
+        g = CarnotElement(rng.uniform(-1, 1, n), SkewMatrix(n, rng.uniform(-1, 1, p)))
+        h = _direction(g, kind, int(rng.integers(n)), int(rng.integers(p)),
+                       float(rng.uniform(0.1, 2.0)))
+        gth = girsanov._direction_pair(g, h)
+        T = float(rng.uniform(0.25, 16.0))
+        xi = rng.standard_normal((24, 3 * K + 2 + extra, n))
+        e = girsanov._reflection_axis(g, gth)
+        assert not e.any() if kind == "vertical" else np.sum(e * e) == 1.0
+        xr = _reflected(xi, e, K)
+
+        u0, blocks, probes = girsanov._shift_and_probes(g, gth, T, K, xi)
+        u0r, blocksr = build_shift(g, gth, T, K, xr)
+        assert np.array_equal(u0, u0r) and np.array_equal(blocks, blocksr)
+        # W = -<omega, u> flips exactly
+        assert np.array_equal(girsanov._shift_pairing(u0r, blocksr, xr)[0],
+                              -girsanov._shift_pairing(u0, blocks, xi)[0])
+
+        xT, zT = endpoint_packed(g.x, g.z.upper, xi, T)
+        derived = girsanov._reflected_endpoint(g.x, xT, zT, xi, probes, e, T)
+        for a, b in zip(derived, endpoint_packed(g.x, g.z.upper, xr, T)):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["horizontal", "vertical", "mixed"])
+    def test_gradient_column_of_a_batch_of_one_equals_its_row(self, n, kind):
+        rng = derive_rng(33, n)
+        p = n * (n - 1) // 2
+        g, gt = (CarnotElement(rng.uniform(-1, 1, n), SkewMatrix(n, rng.uniform(-1, 1, p)))
+                 for _ in range(2))
+        gth = girsanov._direction_pair(g, _direction(g, kind, n - 1, p - 1, 0.5))
+        K = n + 2
+        xi = rng.standard_normal((40, 3 * K + 9, n))
+        f = CATALOG["sin-perturbation"]
+        vals, grad, u_sq = girsanov._antithetic_gradient(f, g, gth, 4.0, K, xi, [g, gt])
+        for i in range(40):
+            one = girsanov._antithetic_gradient(f, g, gth, 4.0, K, xi[i:i + 1], [g, gt])
+            assert np.array_equal(one[0], vals[:, i:i + 1])
+            assert np.array_equal(one[1], grad[i:i + 1])
+            assert np.array_equal(one[2], u_sq[i:i + 1])
+
+
+class TestExactGradients:
+    """Bismut estimates against closed forms for test functions of x alone.
+
+    X_T = x + sqrt(T) xi_0 exactly, so P_T f(g) depends on x alone:
+    2 + sin(x_1) e^{-T/2} for sin-perturbation and exp(-x_1^2/(1+2T))/sqrt(1+2T)
+    for coordinate-bump.  Along h the gradient is h_x . grad_x of these, and
+    along a vertical h it is exactly 0.
+    """
+
+    EXACT_GRAD_X1 = {
+        "sin-perturbation": lambda x1, T: math.cos(x1) * math.exp(-T / 2.0),
+        "coordinate-bump": lambda x1, T: (-2.0 * x1 / (1.0 + 2.0 * T)
+                                          * math.exp(-x1 ** 2 / (1.0 + 2.0 * T))
+                                          / math.sqrt(1.0 + 2.0 * T)),
+    }
+
+    @staticmethod
+    def _point(n, seed):
+        rng = derive_rng(34, seed)
+        p = n * (n - 1) // 2
+        return CarnotElement(rng.uniform(-1, 1, n), SkewMatrix(n, rng.uniform(-1, 1, p)))
+
+    @pytest.mark.parametrize("fname", sorted(EXACT_GRAD_X1))
+    @pytest.mark.parametrize("n, i, T", [(2, 0, 1.0), (2, 1, 4.0), (3, 0, 4.0), (3, 2, 1.0)])
+    def test_horizontal_gradient_matches_the_closed_form(self, fname, n, i, T):
+        g = self._point(n, 10 * n + i)
+        est = bismut_gradient(CATALOG[fname], g, horizontal_direction(g, i), T,
+                              default_support_count(n), 200_000, seed=40 + 10 * n + i)
+        exact = self.EXACT_GRAD_X1[fname](g.x[0], T) if i == 0 else 0.0
+        if i == 0:
+            assert abs(est.mean - exact) <= 3.0 * est.stderr
+            assert abs(est.mean) > 10.0 * est.stderr
+        else:
+            # f reads x_1 only and the reflection moves x_{i+1} only: every row is 0
+            assert est.mean == 0.0 and est.stderr == 0.0
+
+    @pytest.mark.parametrize("fname", sorted(EXACT_GRAD_X1))
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_vertical_gradient_is_exactly_zero(self, fname, n):
+        g = self._point(n, n)
+        for pair in range(n * (n - 1) // 2):
+            est = bismut_gradient(CATALOG[fname], g, vertical_direction(n, pair), 1.0,
+                                  default_support_count(n), 5000, seed=50 + pair)
+            assert est.mean == 0.0 and est.stderr == 0.0
 
 
 class TestFiniteDifference:
@@ -383,6 +510,8 @@ class TestInequalities:
         g = heis_to_carnot(HeisenbergPoint(0.3, -0.2, 0.1))
         checks = gradient_sup_spotcheck(CATALOG["coordinate-bump"], [g], 1.0, 30_000, seed=27)
         assert all(c.passed for c in checks)
+        # coordinate-bump reads x alone, so its vertical gradient is exactly 0
+        assert (checks[0].vertical_norm, checks[0].vertical_sigma) == (0.0, 0.0)
         assert checks[0].horizontal_bound == pytest.approx(
             2 * (1 + 5 * math.sqrt(28) / (math.pi * math.sqrt(math.pi)))
             / math.sqrt(2 * math.pi), rel=1e-12
