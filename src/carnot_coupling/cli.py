@@ -32,9 +32,14 @@ need rank 2.  Records are written as CSV (fixed column order) or JSON
 (canonical schema, with the parsed flags as `config`); identical config +
 seed produce byte-identical artifacts.
 
-`girsanov`, `bismut` and `inequalities` reject a --K whose coefficient
-array for one batch of 16384 rows, 16384 x (3K + 2) x n float64 values,
-exceeds 256 MiB (K = 340 is the largest on `heisenberg`).
+Every sampling subcommand exits 2 before any sampling when the float64
+arrays it holds at once exceed 256 MiB.  That is min(workers, batches)
+batches of min(N, 16384) rows, each row holding its coefficient array,
+(3K + 2) x n values (257 x n for `marginals`; `couple` adds each horizon's
+mismatch and shift, `sylvester` its probe and solution matrices), plus the N
+endpoints that `marginals` keeps for its KS test and the residual instances
+of `sylvester`.  K = 340 is the largest on `heisenberg` with one worker, and
+K = 170 with two.
 
 Exit codes: 0 every record passed, 1 some check failed, 2 a configuration
 error (found before any sampling where the flags alone show it), 3 a
@@ -124,6 +129,26 @@ def _point_str(g: CarnotElement) -> str:
     return ",".join(repr(float(v)) for v in [*g.x, *g.z.upper])
 
 
+# bytes of float64 arrays a subcommand may hold at once; a run that needs more exits 2 unsampled
+MAX_BATCH_BYTES = 1 << 28
+
+
+def _check_memory(args, what: str, row_values: int, kept_values: int = 0) -> None:
+    """Reject a run whose arrays held at once exceed MAX_BATCH_BYTES, before any sampling.
+
+    Each batch holds row_values float64 values on each of its min(N,
+    mc.BATCH_SIZE) rows, and min(workers, batches) batches run at once;
+    kept_values are held beside them for the whole run.
+    """
+    batches = -(-args.N // mc.BATCH_SIZE)
+    rows = min(args.workers, batches) * min(args.N, mc.BATCH_SIZE)
+    need = 8 * (rows * row_values + kept_values)
+    if need > MAX_BATCH_BYTES:
+        raise ValueError(f"{what} needs {need / 2 ** 20:.0f} MiB of arrays at once with "
+                         f"--workers {args.workers}, over the budget of "
+                         f"{MAX_BATCH_BYTES >> 20} MiB")
+
+
 def _emit(args, records: list[Record]) -> int:
     """Write the artifact; exit code 0 when every record passed, else 1."""
     if args.format == "json":
@@ -189,6 +214,9 @@ def cmd_couple(args) -> int:
     record = _recorder(args, g=_point_str(g), gt=_point_str(gt), K=K)
     # rejects a variant the group lacks before any sampling
     bounds = [tv_bound(g, gt, T, variant).total for T in args.T]
+    pairs = g.n * (g.n - 1) // 2
+    _check_memory(args, f"{args.group} at {len(args.T)} horizons",
+                  (3 * K + 2) * g.n + len(args.T) * (pairs + K * g.n))
     ests = failure_probability(g, gt, args.T, args.N, args.seed, args.workers, K=K)
     records = [
         record("endpoint coupling failure vs total-variation bound", f"couple:{variant}",
@@ -241,6 +269,9 @@ def cmd_marginals(args) -> int:
     g = _parse_point(args.g, args.group)
     T = args.T
     k_path = truncation_index(1.0 / 32.0, T)
+    # the KS test keeps all N endpoints (x, and z's first entry)
+    _check_memory(args, f"--N {args.N} on {args.group}", (k_path + 1) * g.n,
+                  args.N * (g.n + 1))
     record = _recorder(args, g=_point_str(g), T=T, K=k_path)
     records = []
 
@@ -286,10 +317,13 @@ def cmd_sylvester(args) -> int:
     m = default_support_count(n) if args.m is None else args.m
     if m < n + 2:
         raise ValueError(f"--m must be at least n + 2 = {n + 2} on {args.group}")
+    count = min(args.N, 20000)
+    # the residual pass keeps v, u, w and the residual of `count` instances
+    _check_memory(args, f"--m {m} on {args.group}", 2 * n * m + n * n,
+                  count * (2 * n * m + 2 * n * n))
     record = _recorder(args, K=m)
     records = []
     rng = derive_rng(args.seed, 3)
-    count = min(args.N, 20000)
     v = rng.standard_normal((count, n, m))
     w_packed = rng.standard_normal((count, n * (n - 1) // 2))
     u, cond = lemma_solution_batch(v, w_packed)
@@ -317,21 +351,14 @@ def cmd_sylvester(args) -> int:
     return _emit(args, records)
 
 
-# bytes that one batch's coefficient array may take; a larger --K exits 2 unsampled
-MAX_BATCH_BYTES = 1 << 28
-
-
 def _support_count(args, n: int) -> int:
     """--K, or the default 2n+1 when it is not given (an explicit 0 is kept and rejected).
 
-    A K whose coefficient array for one batch, mc.BATCH_SIZE x (3K + 2) x n
-    float64 values, exceeds MAX_BATCH_BYTES is rejected before any sampling.
+    A K whose coefficient arrays, (3K + 2) x n float64 values a row, do not
+    fit `_check_memory`'s budget is rejected before any sampling.
     """
     K = default_support_count(n) if args.K is None else args.K
-    need = mc.BATCH_SIZE * (3 * K + 2) * n * 8
-    if need > MAX_BATCH_BYTES:
-        raise ValueError(f"--K {K} needs {need / 2 ** 20:.0f} MiB of coefficients per batch, "
-                         f"over the budget of {MAX_BATCH_BYTES >> 20} MiB")
+    _check_memory(args, f"--K {K}", (3 * K + 2) * n)
     return K
 
 
@@ -393,15 +420,16 @@ def cmd_inequalities(args) -> int:
     h = _parse_point(args.h, args.group)
     T = args.T
     f = get_function(args.function)
-    record = _recorder(args, g=_point_str(g), T=T, K=_support_count(args, g.n))
-    suite = inequality_suite(f, g, gt, h, T, args.N, args.seed, K=args.K, workers=args.workers)
+    K = _support_count(args, g.n)
+    record = _recorder(args, g=_point_str(g), T=T, K=K)
+    suite = inequality_suite(f, g, gt, h, T, args.N, args.seed, K=K, workers=args.workers)
     records = [record(
         f"semigroup inequality: {c.name}", f"inequalities:{c.name}",
         estimate=c.lhs, stderr=c.sigma, bound=c.rhs, passed=c.passed,
         gt=_point_str(gt), h=_point_str(h),
     ) for c in suite.checks]
     spots = gradient_sup_spotcheck(f, [g], T, max(args.N // 10, 2), split_seed(args.seed, 40),
-                                   args.workers, K=args.K)
+                                   args.workers, K=K)
     for sc in spots:
         records += [
             record("sup-norm horizontal gradient bound at a sample point",

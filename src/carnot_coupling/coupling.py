@@ -13,11 +13,11 @@ the shift solve is almost surely invertible.
 The index-0 shift is (x - x~)/sqrt(T).  The index-3k shifts u_k must produce
 the skew endpoint mismatch w (`_mismatch`): sum_k (u_k V_k^t - V_k u_k^t) =
 w, with V_k = T p_k and p_k the k-th probe (`_probes`), built from the
-neighbouring indices 3k-1 and 3k+1.  The coupling and the Girsanov shift in
-`girsanov` both take the least-norm solution `tsylvester_batch` of that
-equation; with one probe it is the right-angle turn of the probe scaled to
-match the area.  The streams are coefficient arrays xi (B, L, n) and w stays
-packed, (B, n(n-1)/2), up to the solve; a single run is a batch of one.
+neighbouring indices 3k-1 and 3k+1.  One kernel, `shift_batch`, solves it for
+the coupling and for every Girsanov weight in `girsanov`, by the least-norm
+`tsylvester_batch`; with one probe that is the right-angle turn of the probe
+scaled to match the area.  The streams are coefficient arrays xi (B, L, n)
+and w stays packed, (B, n(n-1)/2), up to the solve; a run is a batch of one.
 
 Conditionally on everything the shifts depend on, the modified coordinates
 form a standard Gaussian vector, which is coupled jointly with its shifted
@@ -32,13 +32,12 @@ verified through the finite sum over modified indices and their neighbours,
 which no truncation can touch.
 
 `failure_probability` takes a grid of horizons and makes one pass over the
-draws for all of them.  Per batch the draw, the index-0 direction, the stack
-of modified coordinates, the probes p_k and one factorization of their Gram
-matrix are shared: V = T p scales the Gram matrix by T^2, so the condition
-number, and with it the resample flag, does not depend on T, and the
-least-norm shift is u(p, w_T)/T.  Only the mismatch w_T, that solve and the
-reflection coupling are repeated per horizon.  Each horizon's estimate is the
-one a grid of that horizon alone gives, bit for bit.
+draws for all of them.  Per batch the draw, the stack of modified
+coordinates, the probes p_k and one factorization of their Gram matrix are
+shared: V = T p scales the Gram matrix by T^2, so the condition number, and
+with it the resample flag, does not depend on T, and the least-norm shift is
+u(p, w_T)/T.  Each horizon's estimate is the one a grid of that horizon
+alone gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -68,6 +67,8 @@ __all__ = [
     "CouplingDiagnostics",
     "CouplingOutcome",
     "BoundReport",
+    "Shift",
+    "shift_batch",
     "couple_heisenberg",
     "couple_carnot",
     "default_support_count",
@@ -82,28 +83,19 @@ _MAX_RESAMPLE = 8
 
 @dataclass(frozen=True)
 class CouplingDiagnostics:
-    """Per-run diagnostics: mismatch matrix, condition number, resample count.
+    """Per-run diagnostics: the exact finite-sum endpoint gaps (`_gaps`)."""
 
-    cond is that of the shift solve (`tsylvester_batch`): the condition number
-    of W -> W G + G W on skew matrices, G the Gram matrix of the probe columns;
-    it is 1 on the Heisenberg group and for every rank-2 run.
-    """
-
-    w: SkewMatrix
-    cond: float
-    resampled: int
     horizontal_gap: float
     vertical_gap: float
 
 
 @dataclass(frozen=True)
 class CouplingOutcome:
-    """Both endpoints, success flag and the applied coefficient shifts."""
+    """Both endpoints and the success flag of one coupling run."""
 
     endpoint: CarnotElement
     endpoint_tilde: CarnotElement
     success: bool
-    shifts: list
     diagnostics: CouplingDiagnostics
 
 
@@ -163,15 +155,43 @@ def _probes(xi: np.ndarray, K: int) -> np.ndarray:
     return P
 
 
+class Shift(NamedTuple):
+    """The shift from g to g~ at S horizons for the B rows of one draw (`shift_batch`)."""
+
+    axis: np.ndarray    # (n,), (x - x~)/|x - x~|, zero when x = x~
+    size0: np.ndarray   # (S,), |x - x~|/sqrt(T), the index-0 shift along the axis
+    u0: np.ndarray      # (S, n), the index-0 shift (x - x~)/sqrt(T)
+    blocks: np.ndarray  # (S, B, K, n), row k-1 shifts index 3k
+    probes: np.ndarray  # (B, n, K), horizon-free: V = T p at horizon T
+    cond: np.ndarray    # (B,), of the solve, horizon-free; rows past COND_LIMIT are NaN
+
+
+def shift_batch(gc: CarnotElement, gct: CarnotElement, Ts, xi: np.ndarray, K: int) -> Shift:
+    """The K-block shift from gc to gct at each horizon of Ts, for rows xi (B, L >= 3K+2, n).
+
+    One solve serves every horizon.  `blocks` is a transposed view of the
+    solve's (S, B, n, K) output; the row sums in `girsanov` round in that order.
+    """
+    Ts = np.asarray(Ts, dtype=float)
+    for T in Ts:
+        _check_horizon(T)
+    d = np.asarray(gc.x, dtype=float) - np.asarray(gct.x, dtype=float)
+    dnorm = float(np.linalg.norm(d))
+    axis = d / dnorm if dnorm > 0 else np.zeros_like(d)
+    p = _probes(xi, K)
+    u, cond = tsylvester_batch(p, np.stack([_mismatch(gc, gct, T, xi) for T in Ts]))
+    u /= Ts[:, None, None, None]
+    sqrtT = np.sqrt(Ts)
+    return Shift(axis, dnorm / sqrtT, d / sqrtT[:, None], np.swapaxes(u, -1, -2), p, cond)
+
+
 class _GridBatch(NamedTuple):
     """One batch of B coupling runs over a grid of S horizons, sharing one draw."""
 
     xi: np.ndarray       # (B, 3K+2, n), the first stream
-    u0: np.ndarray       # (S, n), the index-0 shift (x - x~)/sqrt(T)
-    u: np.ndarray        # (S, B, n, K), the index-3k shifts u_k = u(p, w_T)/T
+    shift: Shift         # at every horizon of the grid, without the probes
     c: np.ndarray        # (S, B), the coupled stream is xi + c shift on the modified indices
     met: np.ndarray      # (S, B), never true on a bad row
-    cond: np.ndarray     # (B,), horizon-free
     bad: np.ndarray      # (B,), cond past COND_LIMIT (infinite for a zero probe)
 
 
@@ -179,46 +199,36 @@ def _couple_batch(gc: CarnotElement, gct: CarnotElement, Ts, rng: np.random.Gene
                   count: int, K: int) -> _GridBatch:
     """Vectorized K-block coupling runs at every horizon of the grid Ts, from one draw.
 
-    The draw, the index-0 direction, the modified-coordinate stack, the
-    probes P and the factorization of P P^t are horizon-free and done once.
-    Per horizon T only the mismatch w_T, the least-norm shift u(T P, w_T) =
-    u(P, w_T)/T (the least-norm map is linear in w and scales as 1/T in the
-    probes) and the reflection coupling are repeated.
+    The draw, the modified-coordinate stack (xi_0 along the displacement axis,
+    then every xi_{3k}) and the shift (`shift_batch`) are built once; only the
+    reflection coupling is repeated per horizon.
     """
     n = gc.n
-    d = np.asarray(gc.x, dtype=float) - np.asarray(gct.x, dtype=float)
-    dnorm = float(np.linalg.norm(d))
-    f1 = d / dnorm if dnorm > 0 else np.eye(n)[0]
-
     xi = rng.standard_normal((count, 3 * K + 2, n))
     uniforms = rng.uniform(size=count)
-
-    Ts = np.asarray(Ts, dtype=float)
-    w = np.stack([_mismatch(gc, gct, T, xi) for T in Ts])
-    u, cond = tsylvester_batch(_probes(xi, K), w)
-    u /= Ts[:, None, None, None]
-    bad = cond > COND_LIMIT
-    shift0 = dnorm / np.sqrt(Ts)
+    # the coupling reads no probes: freed here, their memory serves the loop below
+    sh = shift_batch(gc, gct, Ts, xi, K)._replace(probes=None)
+    bad = sh.cond > COND_LIMIT
 
     stack = np.concatenate(
-        [(xi[:, 0] @ f1)[:, None], xi[:, 3:3 * K + 1:3].reshape(count, K * n)], axis=1
+        [(xi[:, 0] @ sh.axis)[:, None], xi[:, 3:3 * K + 1:3].reshape(count, K * n)], axis=1
     )
-    c = np.empty((len(Ts), count))
-    met = np.empty((len(Ts), count), dtype=bool)
-    for s in range(len(Ts)):
-        blocks = np.swapaxes(u[s], 1, 2).reshape(count, K * n)
-        shift = np.concatenate([np.full((count, 1), shift0[s]), blocks], axis=1)
+    c = np.empty((len(sh.size0), count))
+    met = np.empty((len(sh.size0), count), dtype=bool)
+    for s, size0 in enumerate(sh.size0):
+        shift = np.concatenate([np.full((count, 1), size0),
+                                sh.blocks[s].reshape(count, K * n)], axis=1)
         c[s], met[s] = couple_to_shift(stack, shift, uniforms)
-    return _GridBatch(xi, d / np.sqrt(Ts)[:, None], u, c, met & ~bad, cond, bad)
+    return _GridBatch(xi, sh, c, met & ~bad, bad)
 
 
 def _second_stream(batch: _GridBatch, s: int) -> np.ndarray:
     """The coupled stream xi~ of horizon s: xi plus c times the shift on the modified indices."""
-    K = batch.u.shape[-1]
+    K = batch.shift.blocks.shape[-2]
     c = batch.c[s]
     xi_t = batch.xi.copy()
-    xi_t[:, 0] += c[:, None] * batch.u0[s]
-    xi_t[:, 3:3 * K + 1:3] += c[:, None, None] * np.swapaxes(batch.u[s], 1, 2)
+    xi_t[:, 0] += c[:, None] * batch.shift.u0[s]
+    xi_t[:, 3:3 * K + 1:3] += c[:, None, None] * batch.shift.blocks[s]
     return xi_t
 
 
@@ -230,10 +240,6 @@ def _gaps(gc: CarnotElement, gct: CarnotElement, T: float,
     h_gap = np.max(np.abs(xT - xTt), axis=-1)
     v_gap = np.sqrt(2.0 * np.sum((zT - zTt) ** 2, axis=-1))
     return h_gap, v_gap
-
-
-def _with_tail(stream: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    return np.concatenate([stream, tail], axis=0)
 
 
 def _couple_once(gc: CarnotElement, gct: CarnotElement, T: float,
@@ -252,15 +258,12 @@ def _couple_once(gc: CarnotElement, gct: CarnotElement, T: float,
     xi, xi_t = xi[0], xi_t[0]
     k_path = max(truncation_index(DEFAULT_TAIL_TOL, T), xi.shape[0])
     tail = rng.standard_normal((max(0, k_path + 1 - xi.shape[0]), gc.n))
-    xT, zT = endpoint_packed(gc.x, gc.z.upper, _with_tail(xi, tail), T)
-    xTt, zTt = endpoint_packed(gct.x, gct.z.upper, _with_tail(xi_t, tail), T)
-    shifts = [(k, xi_t[k] - xi[k]) for k in range(0, 3 * K + 1, 3)]
-    w = _mismatch(gc, gct, T, batch.xi)[0]
-    diag = CouplingDiagnostics(SkewMatrix(gc.n, w), float(batch.cond[0]),
-                               resampled, float(h_gap[0]), float(v_gap[0]))
+    xT, zT = endpoint_packed(gc.x, gc.z.upper, np.concatenate([xi, tail]), T)
+    xTt, zTt = endpoint_packed(gct.x, gct.z.upper, np.concatenate([xi_t, tail]), T)
+    diag = CouplingDiagnostics(float(h_gap[0]), float(v_gap[0]))
     ep = CarnotElement(xT, SkewMatrix(gc.n, zT))
     ept = CarnotElement(xTt, SkewMatrix(gc.n, zTt))
-    return CouplingOutcome(ep, ept, bool(batch.met[0, 0]), shifts, diag)
+    return CouplingOutcome(ep, ept, bool(batch.met[0, 0]), diag)
 
 
 def couple_heisenberg(g: HeisenbergPoint, gt: HeisenbergPoint, T: float,
@@ -270,14 +273,12 @@ def couple_heisenberg(g: HeisenbergPoint, gt: HeisenbergPoint, T: float,
     Kept only because the benchmark harness calls it; it is `_couple_once` on
     the rank-2 embeddings with K = 1.
     """
-    _check_horizon(T)
     return _couple_once(heis_to_carnot(g), heis_to_carnot(gt), T, rng, K=1)
 
 
 def couple_carnot(g: CarnotElement, gt: CarnotElement, T: float,
                   rng: np.random.Generator) -> CouplingOutcome:
     """One coupling run on the rank-n group (modified indices {0, 3, ..., 3(2n+1)})."""
-    _check_horizon(T)
     K = default_support_count(g.n)
     _check_pair(g, gt, K)
     return _couple_once(g, gt, T, rng, K)

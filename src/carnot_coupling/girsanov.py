@@ -5,13 +5,13 @@ For a trajectory driven by coefficients xi under P, an almost-sure endpoint
 coupling with the trajectory from another start point g~ is obtained by
 shifting finitely many coefficients: indices {0} union {3k : 1 <= k <= K}.
 The shifted index-0 coefficient moves by (x - x~)/sqrt(T) along the
-displacement direction; the index-3k shifts are the least-norm solution
-(`tsylvester_batch`) of the skew mismatch equation of the K-block coupling
-in `coupling`, with its mismatch and probes.  It is never longer, row by
-row, than the paper's particular solution, so the closed-form bounds on
-E|u|^2 still hold.  The shift u reads only coefficients outside its own
-support plus the components of xi_0 orthogonal to x - x~, which is what
-makes the Gaussian change of density
+displacement direction; the index-3k shifts are the least-norm solution of
+the skew mismatch equation of the K-block coupling, from the coupling's own
+kernel `coupling.shift_batch`, so weight and coupling share one shift bit
+for bit.  It is never longer, row by row, than the paper's particular
+solution, so the closed-form bounds on E|u|^2 still hold.  The shift u reads
+only coefficients outside its own support plus the components of xi_0
+orthogonal to x - x~, which is what makes the Gaussian change of density
 
     R(u) = exp(-<omega, u> - |u|^2 / 2)
 
@@ -32,9 +32,9 @@ across the hyperplane orthogonal to h_x together with xi_{3k} -> -xi_{3k}
 (k = 1..K) preserves the law of xi, leaves u(h) unchanged, since u reads
 neither of them, and flips W.  So (f(X_T) - f(X_T^refl)) W / 2 has the mean
 of f(X_T) W, with X_T^refl driven by the reflected xi; it is derived from
-X_T and the probes of the shift solve, with no second area.  The part of f
-that the reflection does not move cancels row by row: a constant f, or an f
-of x alone along a vertical h, gives exactly zero.
+X_T and the probes of the shift solve, with no second area or solve.  The
+part of f that the reflection does not move cancels row by row: a constant
+f, or an f of x alone along a vertical h, gives exactly zero.
 
 All estimators evaluate the Legendre-truncated semigroup (coefficients up to
 index 3K+1 unless a longer path is requested): every identity and inequality
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import TestFunction
-from .coupling import _mismatch, _probes, default_support_count
+from .coupling import Shift, default_support_count, shift_batch
 from .groups import CarnotElement, SkewMatrix, odot, odot_packed, triu_pairs, zeta
 from .legendre import alpha_ladder, endpoint_packed
 from .mc import (
@@ -62,6 +62,7 @@ from .mc import (
     two_sample_compare,
 )
 from .special_constants import carnot_constants, gaussian_abs_moment, heisenberg_constants
+# tsylvester_batch is not called here; the benchmark's tracer patches this name
 from .sylvester import COND_LIMIT, SingularGramError, tsylvester_batch
 
 __all__ = [
@@ -90,27 +91,26 @@ def build_shift(g: CarnotElement, gt: CarnotElement, T: float, K: int,
     """Shift coupling the endpoints driven by xi (B, L, n) from g to those from gt.
 
     Returns u0 (n,), the shift of index 0, collinear with x - x~, and blocks
-    (B, K, n), whose row k-1 shifts index 3k.  Needs K >= n + 2 and L >= 3K+2.
+    (B, K, n), whose row k-1 shifts index 3k: `coupling.shift_batch` at the one
+    horizon T.  Needs K >= n + 2, L >= 3K+2 and a positive finite T.
     """
-    u0, blocks, _ = _shift_and_probes(g, gt, T, K, xi)
-    return u0, blocks
+    sh = _checked_shift(g, gt, T, K, xi)
+    return sh.u0[0], sh.blocks[0]
 
 
-def _shift_and_probes(g: CarnotElement, gt: CarnotElement, T: float, K: int,
-                      xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`build_shift`'s (u0, blocks) and the probe columns V = T p (B, n, K) it solved with."""
+def _checked_shift(g: CarnotElement, gt: CarnotElement, T: float, K: int,
+                   xi: np.ndarray) -> Shift:
+    """`shift_batch` at the one horizon T; raises on too few blocks or a singular row."""
     if K < g.n + 2:
         raise ValueError("need K >= n + 2 modified blocks")
     if xi.shape[-2] < 3 * K + 2:
         raise ValueError("xi must supply indices up to 3K+1")
-    probes = T * _probes(xi, K)
-    u, cond = tsylvester_batch(probes, _mismatch(g, gt, T, xi))
-    bad = cond > COND_LIMIT
+    sh = shift_batch(g, gt, [T], xi, K)
+    bad = sh.cond > COND_LIMIT
     if bad.any():
         # measure-zero event; fail loudly rather than use an ill-conditioned solve
         raise SingularGramError(f"{int(bad.sum())} singular Gram draws, reseed the run")
-    u0 = (np.asarray(g.x, float) - np.asarray(gt.x, float)) / math.sqrt(T)
-    return u0, np.swapaxes(u, 1, 2), probes
+    return sh
 
 
 def _shift_pairing(u0: np.ndarray, blocks: np.ndarray,
@@ -247,13 +247,6 @@ def _direction_pair(g: CarnotElement, h: CarnotElement) -> CarnotElement:
     return CarnotElement(g.x + h.x, g.z + h.z)
 
 
-def _reflection_axis(g: CarnotElement, gt: CarnotElement) -> np.ndarray:
-    """Unit vector e along x - x~, the axis that xi_0 is reflected on; 0 when x = x~."""
-    d = np.asarray(g.x, float) - np.asarray(gt.x, float)
-    norm = float(np.linalg.norm(d))
-    return d / norm if norm > 0 else np.zeros_like(d)
-
-
 def _reflected_endpoint(x: np.ndarray, xT: np.ndarray, zT: np.ndarray, xi: np.ndarray,
                         probes: np.ndarray, e: np.ndarray,
                         T: float) -> tuple[np.ndarray, np.ndarray]:
@@ -295,12 +288,12 @@ def _antithetic_gradient(f: TestFunction, g: CarnotElement, gth: CarnotElement, 
     integration-by-parts weight of the shift from g to gth and X^refl the
     endpoint from g driven by the reflected xi (`_reflected_endpoint`).
     """
-    u0, blocks, probes = _shift_and_probes(g, gth, T, K, xi)
-    dot, u_sq = _shift_pairing(u0, blocks, xi)
+    sh = _checked_shift(g, gth, T, K, xi)
+    dot, u_sq = _shift_pairing(sh.u0[0], sh.blocks[0], xi)
     x = np.stack([s.x for s in starts])[:, None]
     z = np.stack([s.z.upper for s in starts])[:, None]
     xT, zT = endpoint_packed(x, z, xi, T)
-    xr, zr = _reflected_endpoint(g.x, xT[0], zT[0], xi, probes, _reflection_axis(g, gth), T)
+    xr, zr = _reflected_endpoint(g.x, xT[0], zT[0], xi, T * sh.probes, sh.axis, T)
     vals = f(np.concatenate([xT, xr[None]]), np.concatenate([zT, zr[None]]))
     return vals[:-1], 0.5 * (vals[0] - vals[-1]) * -dot, u_sq
 

@@ -21,6 +21,12 @@ from carnot_coupling.mc import split_seed
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
+# every name through which a cli handler samples or allocates per-instance arrays
+SAMPLERS = ("failure_probability", "girsanov_normalization_check", "semigroup_transfer_check",
+            "bismut_gradient", "finite_diff_gradient", "inequality_suite",
+            "gradient_sup_spotcheck", "lemma_solution_batch", "wishart_inv_trace_mc",
+            "u_moment_check", "run_vector_estimator", "derive_rng", "_streamed_endpoints")
+
 # the flags each subcommand's handler reads, and no others
 FLAGS = {
     "constants": "seed out format",
@@ -186,9 +192,7 @@ class TestDeclaredFlags:
     def test_oversized_K_rejected_before_any_allocation(self, argv, monkeypatch, tmp_path,
                                                         capsys):
         # 10^7 blocks would ask for a 7.15 TiB coefficient array in the first batch
-        for name in ("girsanov_normalization_check", "semigroup_transfer_check",
-                     "bismut_gradient", "finite_diff_gradient", "inequality_suite",
-                     "gradient_sup_spotcheck"):
+        for name in SAMPLERS:
             monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("sampled"))
         out = tmp_path / "res.csv"
         with pytest.raises(SystemExit) as exc:
@@ -197,13 +201,54 @@ class TestDeclaredFlags:
         assert "over the budget of 256 MiB" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("group, largest", [("heisenberg", 340), ("carnot-3", 226)])
-    def test_K_budget_is_one_batch_of_coefficients(self, group, largest):
+    @pytest.mark.parametrize("group, workers, largest", [
+        ("heisenberg", 1, 340), ("carnot-3", 1, 226), ("heisenberg", 2, 170), ("carnot-3", 2, 113),
+    ])
+    def test_K_budget_is_one_batch_of_coefficients(self, group, workers, largest):
+        # every worker holds one batch of coefficients at once
         n = cli._parse_group(group)
-        assert mc.BATCH_SIZE * (3 * largest + 2) * n * 8 <= cli.MAX_BATCH_BYTES
-        assert cli._support_count(argparse.Namespace(K=largest), n) == largest
+        assert workers * mc.BATCH_SIZE * (3 * largest + 2) * n * 8 <= cli.MAX_BATCH_BYTES
+        args = lambda K: argparse.Namespace(K=K, N=4 * mc.BATCH_SIZE, workers=workers)
+        assert cli._support_count(args(largest), n) == largest
         with pytest.raises(ValueError, match="over the budget"):
-            cli._support_count(argparse.Namespace(K=largest + 1), n)
+            cli._support_count(args(largest + 1), n)
+
+    def test_K_budget_counts_only_the_batches_that_run(self):
+        # one batch of N rows runs alone, whatever --workers says
+        args = argparse.Namespace(K=340, N=mc.BATCH_SIZE, workers=2)
+        assert cli._support_count(args, 2) == 340
+        args = argparse.Namespace(K=4 * 340, N=mc.BATCH_SIZE // 4, workers=1)
+        assert cli._support_count(args, 2) == 4 * 340
+
+    def test_inequalities_samples_the_validated_K(self, monkeypatch, tmp_path):
+        seen = []
+        monkeypatch.setattr(cli, "inequality_suite",
+                            lambda *a, K, **k: seen.append(K) or girsanov.InequalityReport([]))
+        monkeypatch.setattr(cli, "gradient_sup_spotcheck", lambda *a, K, **k: seen.append(K) or [])
+        main(["inequalities", *HEIS, "--h", "1,0,0", "--N", "100",
+              "--out", str(tmp_path / "res.csv")])
+        assert seen == [5, 5]  # the default 2n+1, not the unset flag
+
+    @pytest.mark.parametrize("argv", [
+        ["sylvester", "--group", "carnot-3000", "--N", "100"],
+        ["sylvester", "--group", "heisenberg", "--m", "100000000", "--N", "100"],
+        ["marginals", "--g", "0,0,0", "--N", "2000000000"],
+        ["marginals", "--g", "0,0,0", "--N", "100000", "--workers", "4"],
+        ["bismut", "--g", "0,0,0", "--h", "1,0,0", "--K", "171", "--N", "65536",
+         "--workers", "2"],
+        ["couple", "--group", "carnot-40", "--g", ",".join(["0"] * 820),
+         "--gt", ",".join(["0"] * 820)],
+    ])
+    def test_oversized_run_rejected_before_any_sampling(self, argv, monkeypatch, tmp_path,
+                                                       capsys):
+        for name in SAMPLERS:
+            monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("sampled"))
+        out = tmp_path / "res.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "over the budget of 256 MiB" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("m", ["0", "4"])
     def test_too_few_probe_columns_rejected_before_the_residual_pass(self, m, monkeypatch,

@@ -46,38 +46,53 @@ def coords(g):
     return (*g.x, *g.z.upper)
 
 
+def _modified_indices(monkeypatch, run):
+    """Coefficient indices where the coupled stream of the single run `run()` moved.
+
+    Spies on `_couple_batch`, which every single run goes through, and reads
+    the coupled stream back with `_second_stream`.
+    """
+    batches = []
+    monkeypatch.setattr(coupling, "_couple_batch",
+                        lambda *a: batches.append(_couple_batch(*a)) or batches[-1])
+    out = run()
+    b = batches[-1]
+    moved = np.flatnonzero(np.any(_second_stream(b, 0) != b.xi, axis=(0, 2)))
+    return out, moved.tolist()
+
+
 def _one_horizon(gc, gct, T, rng, count, K):
     """(xi, xi_t, met, w, cond, bad) of a one-horizon grid batch of the K-block coupling."""
     b = _couple_batch(gc, gct, [T], rng, count, K)
-    return b.xi, _second_stream(b, 0), b.met[0], _mismatch(gc, gct, T, b.xi), b.cond, b.bad
+    return b.xi, _second_stream(b, 0), b.met[0], _mismatch(gc, gct, T, b.xi), b.shift.cond, b.bad
 
 
 class TestSingleRuns:
-    def test_same_start_always_meets(self):
+    def test_same_start_always_meets(self, monkeypatch):
         rng = derive_rng(0)
         g = HeisenbergPoint(0.5, -1.0, 0.25)
         for _ in range(20):
-            out = couple_heisenberg(g, g, 2.0, rng)
+            out, moved = _modified_indices(monkeypatch, lambda: couple_heisenberg(g, g, 2.0, rng))
             assert out.success
-            assert all(np.allclose(v, 0.0) for _, v in out.shifts)
+            assert moved == []  # every shift is exactly zero
             assert coords(out.endpoint) == coords(out.endpoint_tilde)
 
-    def test_heisenberg_modified_indices(self):
-        out = couple_heisenberg(HeisenbergPoint(0, 0, 0), HeisenbergPoint(1, 0, 1),
-                                4.0, derive_rng(1))
-        assert [k for k, _ in out.shifts] == [0, 3]
+    def test_heisenberg_modified_indices(self, monkeypatch):
+        _, moved = _modified_indices(monkeypatch, lambda: couple_heisenberg(
+            HeisenbergPoint(0, 0, 0), HeisenbergPoint(1, 0, 1), 4.0, derive_rng(1)))
+        assert moved == [0, 3]
 
-    def test_carnot_modified_indices_rank3(self):
+    def test_carnot_modified_indices_rank3(self, monkeypatch):
         g = CarnotElement.identity(3)
         gt = CarnotElement(np.array([1.0, 0, 0]), SkewMatrix.zero(3))
-        out = couple_carnot(g, gt, 4.0, derive_rng(2))
-        assert [k for k, _ in out.shifts] == [0, 3, 6, 9, 12, 15, 18, 21]
+        _, moved = _modified_indices(monkeypatch, lambda: couple_carnot(g, gt, 4.0, derive_rng(2)))
+        assert moved == [0, 3, 6, 9, 12, 15, 18, 21]
 
-    def test_carnot_rank2_uses_six_blocks(self):
+    def test_carnot_rank2_uses_six_blocks(self, monkeypatch):
         g = CarnotElement.identity(2)
         gt = CarnotElement(np.array([0.5, 0.0]), SkewMatrix(2, np.array([0.3])))
-        out = couple_carnot(g, gt, 9.0, derive_rng(12))
-        assert [k for k, _ in out.shifts] == [0, 3, 6, 9, 12, 15]
+        _, moved = _modified_indices(monkeypatch, lambda: couple_carnot(g, gt, 9.0, derive_rng(12)))
+        assert moved == [0, 3, 6, 9, 12, 15]
         est = failure_probability(g, gt, [9.0], 20_000, seed=13)[0]
         bound = tv_bound(g, gt, 9.0, "carnot-n").total
         assert est.mean <= bound + 3 * est.stderr
@@ -212,6 +227,24 @@ class TestShiftSystem:
             _, blocks = build_shift(g, gt, T, K_girsanov, xi)
             assert np.max(_mismatch_residual(g, gt, T, xi, blocks)) <= 1e-10
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_coupling_and_girsanov_shifts_are_the_same_bits(self, n):
+        # one solve serves both, so they agree at every horizon, not only where
+        # T is a power of two and u(T p, w) = u(p, w)/T holds in floating point
+        rng = derive_rng(12, n)
+        for K in (n + 2, 2 * n + 1):
+            g, gt, _ = _random_pair(rng, n)
+            seed = int(rng.integers(2 ** 32))
+            for T in (1.0, 9.0, 25.0, 100.0):
+                batch = _couple_batch(g, gt, [T], derive_rng(seed), 64, K)
+                assert not batch.bad.any()
+                u0, blocks = build_shift(g, gt, T, K, batch.xi)
+                assert np.array_equal(u0, batch.shift.u0[0])
+                assert np.array_equal(blocks, batch.shift.blocks[0])
+                for i in range(0, 64, 9):
+                    u0_i, blocks_i = build_shift(g, gt, T, K, batch.xi[i:i + 1])
+                    assert np.array_equal(u0_i, u0)
+                    assert np.array_equal(blocks_i, blocks[i:i + 1])
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1), data=st.data())

@@ -1,5 +1,7 @@
-"""Every name in a module's __all__ exists, and the package imports cleanly."""
+"""Every name in a module's __all__ exists, the package imports cleanly, and
+no module imports another module's private names."""
 
+import ast
 import os
 import pkgutil
 import subprocess
@@ -26,3 +28,15 @@ def test_package_imports_in_a_fresh_interpreter():
 def test_star_import_finds_every_name(name):
     # a stale __all__ entry makes the star import raise AttributeError
     exec(f"from carnot_coupling.{name} import *", {})
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a private name is a module's own business; a shared one belongs in __all__
+    found = []
+    for path in sorted((SRC / "carnot_coupling").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                if private:
+                    found.append(f"{path.stem} <- {node.module}.{', '.join(private)}")
+    assert found == []

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from carnot_coupling import girsanov
 from carnot_coupling.catalog import CATALOG
+from carnot_coupling.coupling import shift_batch
 from carnot_coupling.girsanov import (
     bismut_gradient,
     build_shift,
@@ -338,11 +339,12 @@ class TestReflection:
         gth = girsanov._direction_pair(g, h)
         T = float(rng.uniform(0.25, 16.0))
         xi = rng.standard_normal((24, 3 * K + 2 + extra, n))
-        e = girsanov._reflection_axis(g, gth)
+        sh = shift_batch(g, gth, [T], xi, K)
+        e = sh.axis
         assert not e.any() if kind == "vertical" else np.sum(e * e) == 1.0
         xr = _reflected(xi, e, K)
 
-        u0, blocks, probes = girsanov._shift_and_probes(g, gth, T, K, xi)
+        u0, blocks = build_shift(g, gth, T, K, xi)
         u0r, blocksr = build_shift(g, gth, T, K, xr)
         assert np.array_equal(u0, u0r) and np.array_equal(blocks, blocksr)
         # W = -<omega, u> flips exactly
@@ -350,7 +352,7 @@ class TestReflection:
                               -girsanov._shift_pairing(u0, blocks, xi)[0])
 
         xT, zT = endpoint_packed(g.x, g.z.upper, xi, T)
-        derived = girsanov._reflected_endpoint(g.x, xT, zT, xi, probes, e, T)
+        derived = girsanov._reflected_endpoint(g.x, xT, zT, xi, T * sh.probes, e, T)
         for a, b in zip(derived, endpoint_packed(g.x, g.z.upper, xr, T)):
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
@@ -519,18 +521,29 @@ class TestInequalities:
 
 
 class TestSupportCount:
-    def test_every_estimator_rejects_too_few_blocks(self):
+    @staticmethod
+    def _calls(T, K):
         g, gt = hpair((0, 0, 0), (0, 0, 1))
         h = horizontal_direction(g, 0)
         f = CATALOG["gaussian-bump"]
-        calls = [
-            lambda: girsanov_normalization_check(g, gt, 4.0, 1, 100, 1),
-            lambda: semigroup_transfer_check(f, g, gt, 4.0, 1, 100, 1),
-            lambda: bismut_gradient(f, g, h, 4.0, 1, 100, 1),
-            lambda: inequality_suite(f, g, gt, h, 4.0, 100, 1, K=1),
+        return [
+            lambda: girsanov_normalization_check(g, gt, T, K, 100, 1),
+            lambda: semigroup_transfer_check(f, g, gt, T, K, 100, 1),
+            lambda: bismut_gradient(f, g, h, T, K, 100, 1),
+            lambda: inequality_suite(f, g, gt, h, T, 100, 1, K=K),
         ]
-        for call in calls:
+
+    def test_every_estimator_rejects_too_few_blocks(self):
+        for call in self._calls(4.0, 1):
             with pytest.raises(ValueError, match=r"K >= n \+ 2") as exc:
+                call()
+            assert not isinstance(exc.value, SingularGramError)
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+    def test_every_estimator_rejects_a_bad_horizon(self, T):
+        # neither a singular Gram system nor a math domain error: the horizon is named
+        for call in self._calls(T, 8):
+            with pytest.raises(ValueError, match=f"horizon must be positive and finite, got {T}") as exc:
                 call()
             assert not isinstance(exc.value, SingularGramError)
 
