@@ -35,11 +35,12 @@ seed produce byte-identical artifacts.
 Every sampling subcommand exits 2 before any sampling when the float64
 arrays it holds at once exceed 256 MiB.  That is min(workers, batches)
 batches of min(N, 16384) rows, each row holding its coefficient array,
-(3K + 2) x n values (257 x n for `marginals`; `couple` adds each horizon's
-mismatch and shift, `sylvester` its probe and solution matrices), plus the N
-endpoints that `marginals` keeps for its KS test and the residual instances
-of `sylvester`.  K = 340 is the largest on `heisenberg` with one worker, and
-K = 170 with two.
+(3K + 2) x n values (257 x n for `marginals`; `couple` adds its probes, each
+horizon's mismatch and shift, and the peak working set of the shift solve,
+which grows like n^4, `coupling.batch_row_values`; `sylvester` adds its
+probe and solution matrices), plus the N endpoints that `marginals` keeps
+for its KS test and the residual instances of `sylvester`.  K = 340 is the
+largest on `heisenberg` with one worker, and K = 170 with two.
 
 Exit codes: 0 every record passed, 1 some check failed, 2 a configuration
 error (found before any sampling where the flags alone show it), 3 a
@@ -62,7 +63,7 @@ import scipy.stats
 
 from . import mc
 from .catalog import CATALOG, get_function
-from .coupling import default_support_count, failure_probability, tv_bound
+from .coupling import batch_row_values, default_support_count, failure_probability, tv_bound
 from .girsanov import (
     bismut_gradient,
     finite_diff_gradient,
@@ -214,9 +215,8 @@ def cmd_couple(args) -> int:
     record = _recorder(args, g=_point_str(g), gt=_point_str(gt), K=K)
     # rejects a variant the group lacks before any sampling
     bounds = [tv_bound(g, gt, T, variant).total for T in args.T]
-    pairs = g.n * (g.n - 1) // 2
     _check_memory(args, f"{args.group} at {len(args.T)} horizons",
-                  (3 * K + 2) * g.n + len(args.T) * (pairs + K * g.n))
+                  batch_row_values(g.n, K, len(args.T)))
     ests = failure_probability(g, gt, args.T, args.N, args.seed, args.workers, K=K)
     records = [
         record("endpoint coupling failure vs total-variation bound", f"couple:{variant}",

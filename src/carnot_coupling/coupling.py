@@ -16,8 +16,10 @@ w, with V_k = T p_k and p_k the k-th probe (`_probes`), built from the
 neighbouring indices 3k-1 and 3k+1.  One kernel, `shift_batch`, solves it for
 the coupling and for every Girsanov weight in `girsanov`, by the least-norm
 `tsylvester_batch`; with one probe that is the right-angle turn of the probe
-scaled to match the area.  The streams are coefficient arrays xi (B, L, n)
-and w stays packed, (B, n(n-1)/2), up to the solve; a run is a batch of one.
+scaled to match the area.  `mirrored_shift` adds the shift at -xi to the
+same solve, as one more right-hand side, for the antithetic transfer check.
+The streams are coefficient arrays xi (B, L, n) and w stays packed,
+(B, n(n-1)/2), up to the solve; a run is a batch of one.
 
 Conditionally on everything the shifts depend on, the modified coordinates
 form a standard Gaussian vector, which is coupled jointly with its shifted
@@ -61,7 +63,7 @@ from .groups import (
 from .legendre import alpha_ladder, endpoint_packed, truncation_index
 from .mc import MCEstimate, run_vector_estimator
 from .special_constants import carnot_constants, heisenberg_constants
-from .sylvester import COND_LIMIT, SingularGramError, tsylvester_batch
+from .sylvester import COND_LIMIT, SingularGramError, tsylvester_batch, tsylvester_row_values
 
 __all__ = [
     "CouplingDiagnostics",
@@ -69,9 +71,11 @@ __all__ = [
     "BoundReport",
     "Shift",
     "shift_batch",
+    "mirrored_shift",
     "couple_heisenberg",
     "couple_carnot",
     "default_support_count",
+    "batch_row_values",
     "failure_probability",
     "tv_bound",
     "DEFAULT_TAIL_TOL",
@@ -117,6 +121,21 @@ def default_support_count(n: int) -> int:
     return 2 * n + 1
 
 
+def batch_row_values(n: int, K: int, S: int) -> int:
+    """Float64 values per row that one `failure_probability` batch over S horizons holds at once.
+
+    An upper bound, from the arrays `_couple_batch` makes.  The draw, (3K + 2)
+    n coefficients and a uniform, the probes, n K, and the S packed mismatches
+    are held through the solve.  Beside them is the larger of the solve's own
+    working set (`tsylvester_row_values`) and, after it, the coupling's: the
+    S K n shift blocks, the modified-coordinate stack, one horizon's shift
+    and the copy of its blocks, 1 + K n each, and a few per-row scalars.
+    """
+    held = (3 * K + 2) * n + 1 + n * K + S * n * (n - 1) // 2
+    coupling = S * K * n + 3 * (1 + K * n) + 2 * S + 8
+    return held + max(tsylvester_row_values(n, K, S), coupling)
+
+
 def _check_horizon(T: float) -> None:
     if not 0 < T < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {T}")
@@ -134,12 +153,17 @@ def _check_pair(g: CarnotElement, gt: CarnotElement, K: int) -> None:
 
 def _mismatch(gc: CarnotElement, gct: CarnotElement, T: float, xi: np.ndarray) -> np.ndarray:
     """Packed skew endpoint mismatch w (B, n(n-1)/2) at horizon T for rows xi (B, L, n)."""
+    return -zeta(gc, gct).upper + _odd_mismatch(gc, gct, T, xi)
+
+
+def _odd_mismatch(gc: CarnotElement, gct: CarnotElement, T: float, xi: np.ndarray) -> np.ndarray:
+    """The part of `_mismatch` that is linear in xi; the rest, -zeta, does not read xi."""
     iu, ju = triu_pairs(gc.n)
     sqrtT = math.sqrt(T)
     a0 = alpha_ladder(1)[0]
     d = np.asarray(gc.x, dtype=float) - np.asarray(gct.x, dtype=float)
     hat = (sqrtT / 2.0) * xi[:, 0] - sqrtT * a0 * xi[:, 1]
-    return -zeta(gc, gct).upper + odot_packed(np.broadcast_to(d, hat.shape), hat, iu, ju)
+    return odot_packed(np.broadcast_to(d, hat.shape), hat, iu, ju)
 
 
 def _probes(xi: np.ndarray, K: int) -> np.ndarray:
@@ -172,6 +196,25 @@ def shift_batch(gc: CarnotElement, gct: CarnotElement, Ts, xi: np.ndarray, K: in
     One solve serves every horizon.  `blocks` is a transposed view of the
     solve's (S, B, n, K) output; the row sums in `girsanov` round in that order.
     """
+    return _shift(gc, gct, Ts, xi, K, mirror=False)
+
+
+def mirrored_shift(gc: CarnotElement, gct: CarnotElement, Ts, xi: np.ndarray,
+                   K: int) -> Shift:
+    """`shift_batch` at xi and at -xi, from one solve: entries 2s and 2s + 1 are horizon s.
+
+    Entry 2s is `shift_batch` at xi bit for bit, and entry 2s + 1 equals
+    `shift_batch` at -xi bit for bit, with no copy of -xi: the probes are odd
+    in xi, p(-xi) = -p, so the Gram matrix and its factorization do not
+    change, and u(-p, w) = -u(p, w); the mismatch at -xi is -zeta - o for the
+    part o that is linear in xi.  So the mirrored shift is one more
+    right-hand side against p, divided by -T.  `probes` are those at xi.
+    """
+    return _shift(gc, gct, Ts, xi, K, mirror=True)
+
+
+def _shift(gc: CarnotElement, gct: CarnotElement, Ts, xi: np.ndarray, K: int,
+           mirror: bool) -> Shift:
     Ts = np.asarray(Ts, dtype=float)
     for T in Ts:
         _check_horizon(T)
@@ -179,10 +222,24 @@ def shift_batch(gc: CarnotElement, gct: CarnotElement, Ts, xi: np.ndarray, K: in
     dnorm = float(np.linalg.norm(d))
     axis = d / dnorm if dnorm > 0 else np.zeros_like(d)
     p = _probes(xi, K)
-    u, cond = tsylvester_batch(p, np.stack([_mismatch(gc, gct, T, xi) for T in Ts]))
-    u /= Ts[:, None, None, None]
-    sqrtT = np.sqrt(Ts)
+    u, cond = tsylvester_batch(p, _mismatches(gc, gct, Ts, xi, mirror))
+    scale = np.stack([Ts, -Ts], axis=1).ravel() if mirror else Ts
+    u /= scale[:, None, None, None]
+    sqrtT = np.sqrt(np.abs(scale))
     return Shift(axis, dnorm / sqrtT, d / sqrtT[:, None], np.swapaxes(u, -1, -2), p, cond)
+
+
+def _mismatches(gc: CarnotElement, gct: CarnotElement, Ts: np.ndarray, xi: np.ndarray,
+                mirror: bool) -> np.ndarray:
+    """`_mismatch` (S, B, n(n-1)/2) at each horizon, followed with `mirror` by its value at -xi."""
+    even = -zeta(gc, gct).upper
+    rhs = []
+    for T in Ts:
+        odd = _odd_mismatch(gc, gct, T, xi)
+        rhs.append(even + odd)
+        if mirror:
+            rhs.append(even - odd)
+    return np.stack(rhs)
 
 
 class _GridBatch(NamedTuple):

@@ -47,6 +47,7 @@ from .mc import MCEstimate, run_vector_estimator
 __all__ = [
     "SingularGramError",
     "tsylvester_batch",
+    "tsylvester_row_values",
     "lemma_solution_batch",
     "wishart_inv_trace_mc",
     "UMomentReport",
@@ -207,6 +208,33 @@ def _skew_solve(g: dict, n: int, w: list) -> list:
                 acc = acc - low[k, i] * x[k]
         x[i] = acc / low[i, i]
     return x
+
+
+def tsylvester_row_values(n: int, m: int, S: int) -> int:
+    """Float64 values per row that `tsylvester_batch` holds at once, at most, beside its inputs.
+
+    For v (B, n, m) and S stacked right-hand sides.  n = 2 holds the trace,
+    cond and a few mask and index temporaries, and per right-hand side the
+    solution and a negated entry of w.  For n >= 3 it is the largest of four stages, each
+    with the Gram columns, n(n+1)/2, alive: their computation, from an
+    (n, m, B) copy of v; the Jacobi sweep, on a scaled copy of them, about ten
+    temporaries and the P = n(n-1)/2 eigenvalue sums; the factorization of
+    `_skew_solve`; and u = W v, with the substitution columns, their stacked
+    copy, the dense W and u.  The factorization holds the operator entries
+    that are not Gram columns (its P diagonal entries and one -G_il for each
+    triple i < j < l), the Cholesky factor (the lower triangle less the
+    C(n-1, 3) entries that stay zero through the elimination), the S P
+    substitution columns, a few temporaries per right-hand side, and a dozen
+    more for the headers of those many arrays.
+    """
+    if n == 2:
+        return 6 + S * (2 * m + 1)
+    gram = n * (n + 1) // 2
+    pairs = n * (n - 1) // 2
+    operator = pairs + math.comb(n, 3)
+    factor = pairs * (pairs + 1) // 2 - math.comb(n - 1, 3)
+    return gram + max(n * m, gram + 10 + pairs, operator + factor + S * (pairs + 4) + 12,
+                      2 * S * pairs + S * n * n + S * n * m)
 
 
 def lemma_solution_batch(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,12 +10,13 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from carnot_coupling import cli, coupling, girsanov, mc, special_constants
 from carnot_coupling.catalog import CATALOG
 from carnot_coupling.cli import COLUMNS, _recorder, build_parser, main
-from carnot_coupling.groups import HeisenbergPoint, heis_to_carnot
+from carnot_coupling.groups import CarnotElement, HeisenbergPoint, SkewMatrix, heis_to_carnot
 from carnot_coupling.legendre import truncation_index
 from carnot_coupling.mc import split_seed
 
@@ -249,6 +250,41 @@ class TestDeclaredFlags:
         assert exc.value.code == 2
         assert "over the budget of 256 MiB" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("n", [4, 8, 10])
+    def test_couple_count_bounds_the_traced_peak_of_a_batch(self, n):
+        # one failure_probability batch over two horizons, as `couple` counts it
+        rows, K, pairs = 4096, 2 * n + 1, n * (n - 1) // 2
+        g = CarnotElement(np.zeros(n), SkewMatrix(n, np.zeros(pairs)))
+        gt = CarnotElement(np.full(n, 0.3), SkewMatrix(n, np.eye(1, pairs)[0]))
+        coupling.failure_probability(g, gt, [1.0, 25.0], 64, 1)  # first-call caches, untraced
+        tracemalloc.start()
+        try:
+            coupling.failure_probability(g, gt, [1.0, 25.0], rows, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 8 * rows * coupling.batch_row_values(n, K, 2) >= peak
+
+    @pytest.mark.parametrize("n, refused", [(9, False), (10, True)])
+    def test_rank_10_couple_batch_rejected_before_any_sampling(self, n, refused, monkeypatch,
+                                                               tmp_path, capsys):
+        # a 16384-row rank-10 batch over two horizons peaks near 290 MB: counted so, it is refused
+        sampled = []
+        monkeypatch.setattr(cli, "failure_probability",
+                            lambda g, gt, Ts, *a, **k: sampled.append(Ts) or [
+                                mc.MCEstimate(0.0, 0.0, 2, 0) for _ in Ts])
+        point = ",".join(["0"] * (n + n * (n - 1) // 2))
+        argv = ["couple", "--group", f"carnot-{n}", "--g", point, "--gt", point,
+                "--T", "1,25", "--N", "16384", "--out", str(tmp_path / "res.csv")]
+        if refused:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "over the budget of 256 MiB" in capsys.readouterr().err
+            assert sampled == []
+        else:
+            assert main(argv) == 0 and len(sampled) == 1
 
     @pytest.mark.parametrize("m", ["0", "4"])
     def test_too_few_probe_columns_rejected_before_the_residual_pass(self, m, monkeypatch,

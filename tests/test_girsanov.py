@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carnot_coupling import girsanov
+from carnot_coupling import catalog, girsanov
 from carnot_coupling.catalog import CATALOG
-from carnot_coupling.coupling import shift_batch
+from carnot_coupling.coupling import mirrored_shift, shift_batch
 from carnot_coupling.girsanov import (
     bismut_gradient,
     build_shift,
@@ -210,10 +210,13 @@ class TestTransfer:
         rep = semigroup_transfer_check(f, g, gt, 1.0, K, N, seed)
         assert rep.comparison.passed
 
-        # R = 1 on every row, so beta = 0 and the weighted side is the plain mean of f
+        # R = 1 on every row, so beta = 0 and the weighted side is the plain mean of
+        # f, mirrored like the transfer: the mean at xi and at -xi on each row
         def plain_sampler(rng, count):
             xi = rng.standard_normal((count, 3 * K + 2, 2))
-            return np.stack([f(*endpoint_packed(g.x, g.z.upper, xi, 1.0)), np.ones(count)], axis=1)
+            mirrored = 0.5 * (f(*endpoint_packed(g.x, g.z.upper, xi, 1.0))
+                              + f(*endpoint_packed(g.x, g.z.upper, -xi, 1.0)))
+            return np.stack([mirrored, np.ones(count)], axis=1)
 
         plain = run_vector_estimator(plain_sampler, N, split_seed(seed, 1))[0]
         assert rep.weighted.mean == plain.mean
@@ -226,6 +229,43 @@ class TestTransfer:
         g, gt = hpair((0, 0, 0), (0.5, 0, 0.2))
         rep = semigroup_transfer_check(CATALOG["gaussian-bump"], g, gt, 4.0, 5, 200_000, seed=15)
         assert rep.comparison.passed
+
+    @pytest.mark.parametrize("fname", ["sin-perturbation", "coordinate-bump"])
+    def test_x_only_function_across_a_vertical_displacement(self, fname):
+        # R(-xi) = R(xi) and f(X^g) = f(X^g~) on every row; for sin-perturbation the
+        # pair mean of f is 2 up to rounding, so the control variate fits both sides
+        # exactly and sigma is rounding noise.  Criterion 7's run of that line: its
+        # margin is 4.4e-16 over a sigma of 0, inside the rounding allowance.  Both
+        # take criterion 7's seed rule for that pair
+        g, gt = hpair((0, 0, 0), (0, 0, 1))
+        seed = split_seed(20240901, 700 + list(CATALOG).index(fname))
+        rep = semigroup_transfer_check(CATALOG[fname], g, gt, 100.0, 8, 1_000_000, seed)
+        assert rep.comparison.passed
+        if fname == "sin-perturbation":
+            assert rep.comparison.sigma <= 1e-15
+            assert 0.0 < abs(rep.comparison.margin) <= 1e-14
+
+    def test_rounding_allowance_is_at_most_1e_12_of_the_larger_side(self):
+        # delta = allowance (|weighted| + |direct|) <= 2 allowance max(|weighted|, |direct|)
+        assert 0.0 < 2.0 * girsanov._TRANSFER_ROUNDING <= 1e-12
+
+    def test_a_five_percent_error_in_the_quadratic_term_fails_the_sin_pair(self, monkeypatch):
+        # log R = -<omega, u> - 1.05 |u|^2 / 2 on the sin-perturbation pair at T = 16:
+        # the girsanov checks of that pair must fail.  The transfer comparison alone
+        # does not see it: R - 1 as a control variate absorbs an error in the scale of R
+        g, gt = hpair((0, 0, 0), (0.3, 0.2, 0.05))
+        f, T, K, N = CATALOG["sin-perturbation"], 16.0, 8, 1 << 18
+
+        def checks():
+            rep = girsanov_normalization_check(g, gt, T, K, N, 0)
+            tr = semigroup_transfer_check(f, g, gt, T, K, N, 0)
+            return [rep.normalization.passed, rep.entropy_identity.passed, tr.comparison.passed]
+
+        assert all(checks())
+        pairing = girsanov._shift_pairing
+        monkeypatch.setattr(girsanov, "_shift_pairing",
+                            lambda *a: (lambda dot, norm2: (dot, 1.05 * norm2))(*pairing(*a)))
+        assert not all(checks())
 
     COVERAGE_PAIRS = [
         (0, (0, 0, 0), (0.3, 0.2, 0.05), 16.0),
@@ -294,6 +334,93 @@ class TestBismut:
         se = math.hypot(bg.stderr, fd.stderr)
         assert abs(bg.mean - fd.mean) <= 3 * se + 1e-3 * (1 + abs(fd.mean))
         assert abs(bg.mean) > 5 * bg.stderr  # the gradient is genuinely nonzero here
+
+
+def _pair(n, kind, seed):
+    """A random start g at rank n and g~ displaced from it vertically, horizontally or both."""
+    rng = derive_rng(35, seed)
+    p = n * (n - 1) // 2
+    g = CarnotElement(rng.uniform(-1, 1, n), SkewMatrix(n, rng.uniform(-1, 1, p)))
+    dx = np.zeros(n) if kind == "vertical" else rng.uniform(-1, 1, n)
+    dz = np.zeros(p) if kind == "horizontal" else rng.uniform(-1, 1, p)
+    return g, CarnotElement(g.x + dx, g.z + SkewMatrix(n, dz))
+
+
+def _selecting(index):
+    """A test function that is 1 on the stacked endpoints `index` and 0 on the others."""
+    def fn(x, zp):
+        out = np.zeros(x.shape[:-1])
+        out[index] = 1.0
+        return out
+    return catalog.TestFunction("select", fn, 1.0, 0.0)
+
+
+class TestMirror:
+    """The transfer's rows at -xi, against a direct evaluation with -xi."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["vertical", "horizontal", "mixed"])
+    def test_mirrored_blocks_are_the_shift_at_minus_xi(self, n, kind):
+        g, gt = _pair(n, kind, n)
+        for K in (n + 2, 2 * n + 1):
+            for T in (0.3, 4.0, 9.0, 100.0):
+                xi = derive_rng(36, 100 * n + K).standard_normal((64, 3 * K + 5, n))
+                sh, plain = mirrored_shift(g, gt, [T], xi, K), shift_batch(g, gt, [T], xi, K)
+                assert np.array_equal(sh.blocks[0], plain.blocks[0])
+                assert np.array_equal(sh.probes, plain.probes)
+                u0, blocks = build_shift(g, gt, T, K, -xi)
+                assert np.array_equal(sh.u0[1], u0) and np.array_equal(sh.blocks[1], blocks)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["vertical", "horizontal", "mixed"])
+    def test_mirrored_weights_and_endpoints_are_a_direct_evaluation_at_minus_xi(self, n, kind):
+        g, gt = _pair(n, kind, 10 + n)
+        K, T = n + 3, 4.0
+        xi = derive_rng(37, n).standard_normal((64, 3 * K + 2, n))
+        w = girsanov._mirrored_weights(g, gt, T, K, xi)
+        for row, x in zip(w, (xi, -xi)):
+            assert np.array_equal(row, np.exp(log_density(*build_shift(g, gt, T, K, x), x)))
+        seen = []
+
+        def capture(x, zp):
+            seen.append((x.copy(), zp.copy()))
+            return np.ones(x.shape[:-1])
+
+        girsanov._transfer_columns(catalog.TestFunction("capture", capture, 1.0, 1.0),
+                                   g, gt, T, K, xi)
+        (xT, zT), = seen
+        for i, (start, x) in enumerate([(g, xi), (gt, xi), (g, -xi), (gt, -xi)]):
+            direct = endpoint_packed(start.x, start.z.upper, x, T)
+            assert np.array_equal(xT[i], direct[0]) and np.array_equal(zT[i], direct[1])
+        # a function that reads only the endpoint from g at -xi weighs it by R(-xi) alone
+        cols = girsanov._transfer_columns(_selecting(2), g, gt, T, K, xi)
+        assert np.array_equal(2.0 * cols[:, 0], w[1])
+        assert np.array_equal(cols[:, 3], 0.5 * (w[0] + w[1]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_vertical_pair_keeps_the_weight_under_the_mirror(self, n):
+        # x = x~ makes the mismatch even in xi and the mirrored shift -u: R(-xi) = R(xi)
+        g, gt = _pair(n, "vertical", 20 + n)
+        K = n + 3
+        xi = derive_rng(38, n).standard_normal((256, 3 * K + 2, n))
+        w = girsanov._mirrored_weights(g, gt, 9.0, K, xi)
+        assert np.array_equal(w[0], w[1]) and np.all(w[0] != 1.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["vertical", "horizontal", "mixed"]),
+           fname=st.sampled_from(sorted(CATALOG)))
+    def test_transfer_columns_of_a_batch_of_one_equal_its_row(self, n, seed, kind, fname):
+        g, gt = _pair(n, kind, seed)
+        rng = derive_rng(seed)
+        K = n + int(rng.integers(2, 5))
+        T = float(rng.uniform(0.25, 25.0))
+        xi = rng.standard_normal((12, 3 * K + 2 + int(rng.integers(0, 4)), n))
+        cols = girsanov._transfer_columns(CATALOG[fname], g, gt, T, K, xi)
+        for i in range(12):
+            assert np.array_equal(
+                girsanov._transfer_columns(CATALOG[fname], g, gt, T, K, xi[i:i + 1]),
+                cols[i:i + 1])
 
 
 def _direction(g, kind, i, p, scale):

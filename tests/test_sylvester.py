@@ -1,6 +1,7 @@
 """The two T-Sylvester solutions (least-norm and the lemma's) and Wishart moment diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from carnot_coupling.groups import HeisenbergPoint, SkewMatrix, heis_to_carnot, 
 from carnot_coupling.legendre import alpha
 from carnot_coupling.mc import derive_rng
 from carnot_coupling.sylvester import (
+    tsylvester_row_values,
     COND_LIMIT,
     lemma_solution_batch,
     tsylvester_batch,
@@ -397,3 +399,43 @@ class TestWishartMoments:
     def test_u_moment_precondition(self):
         with pytest.raises(ValueError):
             u_moment_check(4, 5, 100, seed=0)
+
+
+class TestRowValues:
+    """`tsylvester_row_values`, the per-row working set the CLI's memory budget counts."""
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_closed_forms_match_a_symbolic_elimination(self, n):
+        # the operator's structure and the Cholesky fill of `_skew_solve`, replayed on sets
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        entries, allocated = set(), 0
+        for a, (k, l) in enumerate(pairs):
+            entries.add((a, a))
+            allocated += 1
+            for b, (i, j) in enumerate(pairs[:a]):
+                if i == k or j == k or j == l:
+                    entries.add((a, b))
+                    allocated += j == k  # -G_il; the other two reuse a Gram column
+        low = set()
+        for j in range(len(pairs)):
+            for i in range(j, len(pairs)):
+                if (i, j) in entries or any((i, k) in low and (j, k) in low for k in range(j)):
+                    low.add((i, j))
+        P = len(pairs)
+        assert allocated == P + math.comb(n, 3)
+        assert len(low) == P * (P + 1) // 2 - math.comb(n - 1, 3)
+
+    @pytest.mark.parametrize("n, S", [(2, 1), (2, 3), (3, 2), (5, 1), (8, 2), (8, 3)])
+    def test_bounds_the_traced_peak(self, n, S):
+        rows, m = 8192, 2 * n + 1
+        rng = derive_rng(60, n)
+        v = rng.standard_normal((rows, n, m))
+        w = rng.standard_normal((S, rows, n * (n - 1) // 2))
+        tsylvester_batch(v[:8], w[:, :8])  # first-call caches, untraced
+        tracemalloc.start()
+        try:
+            tsylvester_batch(v, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 8 * rows * tsylvester_row_values(n, m, S) >= peak
