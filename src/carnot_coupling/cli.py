@@ -362,6 +362,17 @@ def _support_count(args, n: int) -> int:
     return K
 
 
+def _warn_few_weights(check: str, ess_fraction: float) -> None:
+    """Warn on stderr when a check's weights have a Kish ESS fraction below 0.01.
+
+    On stderr only: the artifact stays byte-identical.
+    """
+    if ess_fraction < 0.01:
+        print(f"carnot-coupling: warning: {check} weights have a Kish ESS fraction of "
+              f"{ess_fraction:.2e} < 0.01; few samples carry the weighted estimate",
+              file=sys.stderr)
+
+
 def cmd_girsanov(args) -> int:
     g = _parse_point(args.g, args.group)
     gt = _parse_point(args.gt, args.group)
@@ -380,13 +391,10 @@ def cmd_girsanov(args) -> int:
                estimate=rep.mean_half_norm_sq.mean, stderr=rep.mean_half_norm_sq.stderr,
                bound=rep.entropy_bound, passed=rep.entropy_bounded),
     ]
+    _warn_few_weights("girsanov:normalization", rep.ess_fraction)
     f = get_function(args.function)
     tr = semigroup_transfer_check(f, g, gt, T, K, args.N, split_seed(args.seed, 9), args.workers)
-    if tr.ess_fraction < 0.01:
-        # on stderr only: the artifact stays byte-identical
-        print(f"carnot-coupling: warning: girsanov:transfer-{f.name} weights have a Kish "
-              f"ESS fraction of {tr.ess_fraction:.2e} < 0.01; few samples carry the "
-              f"weighted estimate", file=sys.stderr)
+    _warn_few_weights(f"girsanov:transfer-{f.name}", tr.ess_fraction)
     records.append(record(
         "semigroup transfer: weighted estimate from g matches the one from gt, same draws",
         f"girsanov:transfer-{f.name}", estimate=tr.weighted.mean, stderr=tr.comparison.sigma,

@@ -17,7 +17,8 @@ neighbouring indices 3k-1 and 3k+1.  One kernel, `shift_batch`, solves it for
 the coupling and for every Girsanov weight in `girsanov`, by the least-norm
 `tsylvester_batch`; with one probe that is the right-angle turn of the probe
 scaled to match the area.  `mirrored_shift` adds the shift at -xi to the
-same solve, as one more right-hand side, for the antithetic transfer check.
+same solve, as one more right-hand side, for the antithetic transfer check
+and gradient estimator.
 The streams are coefficient arrays xi (B, L, n) and w stays packed,
 (B, n(n-1)/2), up to the solve; a run is a batch of one.
 

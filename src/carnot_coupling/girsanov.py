@@ -31,14 +31,19 @@ coefficient and its standard error on N - 2 degrees of freedom.
 Differentiating the same construction in the direction h = (h_x, h_z) gives
 the integration-by-parts weight W = -<omega, u(h)> for d_g P_T f(h) =
 E[f(X_T) W], from which the reverse Poincare and weak log-Sobolev checks
-follow.  Its estimator is antithetic on one draw: the reflection of xi_0
-across the hyperplane orthogonal to h_x together with xi_{3k} -> -xi_{3k}
-(k = 1..K) preserves the law of xi, leaves u(h) unchanged, since u reads
-neither of them, and flips W.  So (f(X_T) - f(X_T^refl)) W / 2 has the mean
-of f(X_T) W, with X_T^refl driven by the reflected xi; it is derived from
-X_T and the probes of the shift solve, with no second area or solve.  The
-part of f that the reflection does not move cancels row by row: a constant
-f, or an f of x alone along a vertical h, gives exactly zero.
+follow.  Its estimator is antithetic on one draw, twice: the reflection of
+xi_0 across the hyperplane orthogonal to h_x together with xi_{3k} ->
+-xi_{3k} (k = 1..K) preserves the law of xi, leaves u(h) unchanged, since u
+reads neither of them, and flips W.  So (f(X_T) - f(X_T^refl)) W / 2 has the
+mean of f(X_T) W, with X_T^refl driven by the reflected xi; it is derived
+from X_T and the probes of the shift solve, with no second area or solve.
+Each row returns the mean of that column at xi and at -xi, as the transfer
+check does: the shift at -xi is the second right-hand side of the one solve
+and the endpoints at -xi come from the same area.  The part of f that the
+reflection does not move cancels row by row: a constant f, or an f of x
+alone along a vertical h, gives exactly zero.  The central finite
+difference that checks it is mirrored the same way, its four start points
+(g +- eps h at xi and at -xi) against one area.
 
 All estimators evaluate the Legendre-truncated semigroup (coefficients up to
 index 3K+1 unless a longer path is requested): every identity and inequality
@@ -146,9 +151,22 @@ def _path_len(K: int, k_path: int | None) -> int:
     return base if k_path is None else max(base, k_path + 1)
 
 
+def _kish_fraction(weight: MCEstimate) -> float:
+    """Kish effective sample size over N of weights with this plain estimate, in (0, 1].
+
+    (sum R)^2 / (N sum R^2), from sum R = N mean and sum R^2 = C_RR + N mean^2,
+    with C_RR = (N - 1) N stderr^2; near 1/N a few weights carry the estimate.
+    """
+    mean_sq = weight.mean ** 2
+    return mean_sq / (mean_sq + (weight.n - 1) * weight.stderr ** 2)
+
+
 @dataclass(frozen=True)
 class GirsanovReport:
-    """Normalization and entropy diagnostics of the weight R(u)."""
+    """Normalization and entropy diagnostics of the weight R(u).
+
+    `ess_fraction` is the Kish effective sample size of R over N.
+    """
 
     mean_R: MCEstimate
     entropy_gap: MCEstimate        # R ln R - |u|^2/2, zero in expectation
@@ -158,6 +176,7 @@ class GirsanovReport:
     normalization: ComparisonReport
     entropy_identity: ComparisonReport
     entropy_bounded: bool
+    ess_fraction: float
 
 
 def entropy_bound_constant(gc: CarnotElement, gct: CarnotElement, T: float) -> float:
@@ -196,6 +215,7 @@ def girsanov_normalization_check(
         normalization=two_sample_compare(mean_R, 1.0),
         entropy_identity=two_sample_compare(gap, 0.0),
         entropy_bounded=half.mean <= bound + 3.0 * half.stderr,
+        ess_fraction=_kish_fraction(mean_R),
     )
 
 
@@ -205,8 +225,7 @@ class TransferReport:
 
     Each side is the mean over rows of a pair mean at xi and -xi.
     `ess_fraction` is the Kish effective sample size of the pair-mean weights
-    (R(xi) + R(-xi))/2 over N, (sum R)^2 / (N sum R^2); near 1/N a few
-    weights carry the estimate.
+    (R(xi) + R(-xi))/2 over N.
     """
 
     weighted: MCEstimate
@@ -292,16 +311,13 @@ def semigroup_transfer_check(
 
     weighted, direct, diff, weight = run_vector_estimator(
         sampler, N, split_seed(seed, 1), workers, control_mean=1.0)
-    # sum R = n mean and sum R^2 = C_RR + n mean^2, with C_RR = (n - 1) n stderr^2
-    mean_sq = weight.mean ** 2
-    ess = mean_sq / (mean_sq + (weight.n - 1) * weight.stderr ** 2)
     # the margin is the difference of the two sides, not the difference column's
     # mean, which the control variate may fit down to rounding noise
     margin = weighted.mean - direct.mean
     delta = _TRANSFER_ROUNDING * (abs(weighted.mean) + abs(direct.mean))
     comparison = ComparisonReport(weighted.mean, direct.mean, margin, diff.stderr,
                                   abs(margin) <= 3.0 * diff.stderr + delta)
-    return TransferReport(weighted, direct, comparison, ess)
+    return TransferReport(weighted, direct, comparison, _kish_fraction(weight))
 
 
 def _direction_pair(g: CarnotElement, h: CarnotElement) -> CarnotElement:
@@ -311,7 +327,7 @@ def _direction_pair(g: CarnotElement, h: CarnotElement) -> CarnotElement:
 def _reflected_endpoint(x: np.ndarray, xT: np.ndarray, zT: np.ndarray, xi: np.ndarray,
                         probes: np.ndarray, e: np.ndarray,
                         T: float) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint from x driven by the reflected xi, derived from the endpoint (xT, zT).
+    """Endpoints from x driven by the reflected xi, derived from their endpoints (xT, zT).
 
     The reflection maps xi_0 to xi_0 - 2 s e, s = <xi_0, e>, and xi_{3k} to
     -xi_{3k} for k = 1..K.  Only the terms of the endpoint that read those
@@ -323,8 +339,10 @@ def _reflected_endpoint(x: np.ndarray, xT: np.ndarray, zT: np.ndarray, xi: np.nd
 
     with V_k = T p_k the probe columns (B, n, K) of the shift solve, since the
     two area terms at index 3k sum to T xi_{3k} odot p_k.  That is O(K n^2)
-    per row, with no second area.  Every step is row-wise, so a batch of one
-    equals its row.
+    per row, with no second area.  x is one start (n,) with endpoints
+    (B, ...), or S starts stacked as (S, 1, n) with endpoints (S, B, ...);
+    the terms that do not read x are computed once for all of them.  Every
+    step is row-wise, so a batch of one equals its row.
     """
     n = xi.shape[-1]
     K = probes.shape[-1]
@@ -342,21 +360,36 @@ def _antithetic_gradient(f: TestFunction, g: CarnotElement, gth: CarnotElement, 
                          K: int, xi: np.ndarray,
                          starts: list[CarnotElement]) -> tuple[np.ndarray, np.ndarray,
                                                                np.ndarray]:
-    """f at the endpoints from each start, the antithetic gradient column and |u|^2.
+    """f at the endpoints from each start, the antithetic gradient column and |u|^2, at xi.
 
     starts[0] is g; every start shares one endpoint call and one area.  The
-    gradient column is (f(X) - f(X^refl)) W / 2, with W = -<omega, u> the
-    integration-by-parts weight of the shift from g to gth and X^refl the
-    endpoint from g driven by the reflected xi (`_reflected_endpoint`).
+    gradient column is the mean at xi and at -xi of (f(X) - f(X^refl)) W / 2,
+    with W = -<omega, u> the integration-by-parts weight of the shift from g
+    to gth and X^refl the endpoint from g driven by the reflected xi
+    (`_reflected_endpoint`).  -xi needs no copy: the mirrored shift u' is one
+    more right-hand side of the one solve (`mirrored_shift`), so W(-xi) =
+    <xi, u'>; the endpoint from (x, z) at -xi is the endpoint from (-x, z) at
+    xi with x_T negated, one more start against the same area; and its
+    reflection is `_reflected_endpoint` from -x on that endpoint, with the same
+    probes and axis, x_T negated after.  Each piece at -xi equals a direct
+    evaluation at -xi bit for bit, and every step is row-wise: a batch of one
+    equals its row.
     """
-    sh = _checked_shift(g, gth, T, K, xi)
+    sh = _checked_shift(g, gth, T, K, xi, mirrored_shift)
     dot, u_sq = _shift_pairing(sh.u0[0], sh.blocks[0], xi)
-    x = np.stack([s.x for s in starts])[:, None]
-    z = np.stack([s.z.upper for s in starts])[:, None]
+    dot_mirror = _shift_pairing(sh.u0[1], sh.blocks[1], xi)[0]
+    S = len(starts)
+    x = np.stack([s.x for s in starts] + [-g.x])[:, None]
+    z = np.stack([s.z.upper for s in starts] + [g.z.upper])[:, None]
     xT, zT = endpoint_packed(x, z, xi, T)
-    xr, zr = _reflected_endpoint(g.x, xT[0], zT[0], xi, T * sh.probes, sh.axis, T)
-    vals = f(np.concatenate([xT, xr[None]]), np.concatenate([zT, zr[None]]))
-    return vals[:-1], 0.5 * (vals[0] - vals[-1]) * -dot, u_sq
+    pair = [0, S]  # g at xi, and (-x, z), whose endpoint at xi is g's at -xi with x_T negated
+    xr, zr = _reflected_endpoint(x[pair], xT[pair], zT[pair], xi, T * sh.probes, sh.axis, T)
+    xT[S] *= -1.0
+    xr[1] *= -1.0
+    vals = f(np.concatenate([xT, xr]), np.concatenate([zT, zr]))
+    grad = 0.5 * (vals[0] - vals[S + 1]) * -dot
+    grad_mirror = 0.5 * (vals[S] - vals[S + 2]) * dot_mirror
+    return vals[:S], 0.5 * (grad + grad_mirror), u_sq
 
 
 def bismut_gradient(
@@ -366,15 +399,16 @@ def bismut_gradient(
     """Integration-by-parts estimator of d_g P_T f(h), antithetic in one draw.
 
     The weight is W = -<omega, u(h)>, with u(h) the shift from g to g + h
-    (linear in h): d_g P_T f(h) = E[f(X_T) W].  Each row returns
-    (f(X_T) - f(X_T^refl)) W / 2, where X_T^refl is driven by the same xi with
-    xi_0 reflected across the hyperplane orthogonal to h_x and every xi_{3k}
-    negated.  The reflection preserves the law of xi, and u(h) reads neither
-    the component of xi_0 along h_x nor any xi_{3k}, so it leaves u unchanged
-    and flips W: f(X^refl) (-W) has the law of f(X) W, and the mean is
-    unbiased.  X^refl is derived from X_T (`_reflected_endpoint`), with no
-    second draw, area or solve.  h = 0 gives exactly zero; so do a constant
-    f, and an f of x alone along a vertical h, whose rows are all zero.
+    (linear in h): d_g P_T f(h) = E[f(X_T) W].  Two antithetic maps preserve
+    the law of xi.  The reflection of xi_0 across the hyperplane orthogonal to
+    h_x together with the negation of every xi_{3k} leaves u(h) unchanged,
+    since u reads neither, and flips W: f(X^refl) (-W) has the law of f(X) W,
+    so (f(X_T) - f(X_T^refl)) W / 2 is unbiased.  The mirror xi -> -xi
+    commutes with it, and each row returns the mean of that column at xi and
+    at -xi (`_antithetic_gradient`): one draw, one area and one solve, whose
+    second right-hand side is the shift at -xi.  h = 0 gives exactly zero; so
+    do a constant f, and an f of x alone along a vertical h, whose rows are
+    all zero.
     """
     if h.n != g.n:
         raise ValueError("dimension mismatch")
@@ -388,6 +422,26 @@ def bismut_gradient(
     return run_vector_estimator(sampler, N, seed, workers)[0]
 
 
+def _finite_diff_column(f: TestFunction, g: CarnotElement, h: CarnotElement, T: float,
+                        eps: float, xi: np.ndarray) -> np.ndarray:
+    """Mean at xi and at -xi of (f(X^{g + eps h}) - f(X^{g - eps h})) / (2 eps), (B,).
+
+    The four endpoints, from g +- eps h at xi and at -xi, come from one
+    endpoint call and one area: the endpoint from (x, z) at -xi is the
+    endpoint from (-x, z) at xi with x_T negated.  Each equals a direct
+    evaluation bit for bit, and every step is row-wise.
+    """
+    g_plus = CarnotElement(g.x + eps * h.x, g.z + h.z.scaled(eps))
+    g_minus = CarnotElement(g.x - eps * h.x, g.z + h.z.scaled(-eps))
+    x = np.stack([g_plus.x, g_minus.x])
+    z = np.stack([g_plus.z.upper, g_minus.z.upper])
+    xT, zT = endpoint_packed(np.concatenate([x, -x])[:, None],
+                             np.concatenate([z, z])[:, None], xi, T)
+    xT[2:] *= -1.0
+    fp, fm, fp_mirror, fm_mirror = f(xT, zT)
+    return ((fp - fm) + (fp_mirror - fm_mirror)) / (4.0 * eps)
+
+
 def finite_diff_gradient(
     f: TestFunction, g: CarnotElement, h: CarnotElement, T: float, eps: float,
     N: int, seed: int, workers: int = 1, K: int | None = None,
@@ -396,22 +450,19 @@ def finite_diff_gradient(
     """Central-difference oracle (P_T f(g + eps h) - P_T f(g - eps h)) / (2 eps).
 
     Shares the coefficient streams across the two evaluations (common random
-    numbers), so both start points share one area per batch; pass the same
+    numbers), antithetic in one draw: each row is the mean of the difference
+    at xi and at -xi, so all four start points (g +- eps h and their x-negated
+    copies) share one area per batch (`_finite_diff_column`).  Pass the same
     K / k_path as the integration-by-parts run so both differentiate the same
     truncated semigroup.
     """
     if eps <= 0:
         raise ValueError("step must be positive")
     L = _path_len(K if K is not None else default_support_count(g.n), k_path)
-    g_plus = CarnotElement(g.x + eps * h.x, g.z + h.z.scaled(eps))
-    g_minus = CarnotElement(g.x - eps * h.x, g.z + h.z.scaled(-eps))
-    x = np.stack([g_plus.x, g_minus.x])[:, None]
-    z = np.stack([g_plus.z.upper, g_minus.z.upper])[:, None]
 
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         xi = rng.standard_normal((count, L, g.n))
-        fp, fm = f(*endpoint_packed(x, z, xi, T))
-        return (fp - fm) / (2.0 * eps)
+        return _finite_diff_column(f, g, h, T, eps, xi)
 
     return run_vector_estimator(sampler, N, seed, workers)[0]
 
@@ -476,8 +527,9 @@ def inequality_suite(
     Every check reads one pass over one stream.  With log-based checks, each
     row evaluates the endpoints from g and from g~ with one shared area, so
     ln f(X^g~) of the log-Harnack check shares the draws of E[f].  The
-    gradient d_g P_T f(h) is the antithetic column of `bismut_gradient`, on
-    the same draws.
+    gradient d_g P_T f(h) is the antithetic column of `bismut_gradient`, the
+    mean at xi and at -xi, on the same draws; every other column reads xi
+    alone.
     """
     n = g.n
     K = default_support_count(n) if K is None else K

@@ -440,19 +440,32 @@ class TestArtifacts:
     @pytest.mark.parametrize("gt, T, warned", [("0,0,4", "1", True), ("0,0,1", "100", False)])
     def test_girsanov_warns_on_stderr_when_few_weights_carry_the_transfer(self, gt, T, warned,
                                                                          tmp_path, capsys):
-        # |zeta| = 4 at T = 1 makes the shift long on every draw: the Kish fraction sits
-        # near 1/N (5.0e-4 here); at T = 100 and |zeta| = 1 it is above 0.99
+        # |zeta| = 4 at T = 1 makes the shift long on every draw: the Kish fraction of R
+        # and of the transfer's pair-mean weights sits near 1/N (5.0e-4 here); at T = 100
+        # and |zeta| = 1 both are above 0.99
         out = tmp_path / "res.json"
         run_cli(["girsanov", "--g", "0,0,0", "--gt", gt, "--T", T, "--N", "2000",
                  "--seed", "16", "--format", "json", "--out", str(out)])
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == int(warned)
+        assert len(err) == 2 * int(warned)
         if warned:
-            assert "girsanov:transfer-gaussian-bump" in err[0] and "ESS fraction" in err[0]
+            for line, check in zip(err, ["girsanov:normalization",
+                                         "girsanov:transfer-gaussian-bump"]):
+                assert line.startswith(f"carnot-coupling: warning: {check} weights have a "
+                                       "Kish ESS fraction of ")
         records = json.loads(out.read_text())["records"]
         assert [r["check"] for r in records] == [
             "girsanov:normalization", "girsanov:entropy-identity", "girsanov:entropy-bound",
             "girsanov:transfer-gaussian-bump"]
+
+    def test_girsanov_artifact_is_unchanged_by_the_warnings(self, tmp_path, monkeypatch):
+        # the warnings go to stderr only: warned or not, the artifact has the same bytes
+        argv = ["girsanov", "--g", "0,0,0", "--gt", "0,0,4", "--T", "1", "--N", "2000",
+                "--seed", "16", "--format", "json"]
+        run_cli(argv + ["--out", str(tmp_path / "warned.json")])
+        monkeypatch.setattr(cli, "_warn_few_weights", lambda check, ess: None)
+        run_cli(argv + ["--out", str(tmp_path / "silent.json")])
+        assert (tmp_path / "warned.json").read_bytes() == (tmp_path / "silent.json").read_bytes()
 
     def test_record_fields_are_keyword_only(self):
         args = build_parser().parse_args(["constants"])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carnot_coupling import catalog, girsanov
+from carnot_coupling import catalog, coupling, girsanov, mc
 from carnot_coupling.catalog import CATALOG
 from carnot_coupling.coupling import mirrored_shift, shift_batch
 from carnot_coupling.girsanov import (
@@ -164,6 +164,17 @@ class TestDensity:
         rep = girsanov_normalization_check(g, gt, 16.0, 8, 200_000, seed=12)
         assert rep.normalization.passed
         assert rep.entropy_identity.passed
+
+    @pytest.mark.parametrize("gt, T, light", [((0, 0, 1), 100.0, True), ((0, 0, 4), 1.0, False)])
+    def test_ess_fraction_is_the_kish_fraction_of_R(self, gt, T, light):
+        # one batch: the weights are R on the rows of derive_rng(seed, 0)
+        g, gt = hpair((0, 0, 0), gt)
+        K, N, seed = 5, 2000, 16
+        rep = girsanov_normalization_check(g, gt, T, K, N, seed)
+        xi = derive_rng(seed, 0).standard_normal((N, 3 * K + 2, 2))
+        w = np.exp(log_density(*build_shift(g, gt, T, K, xi), xi))
+        assert rep.ess_fraction == pytest.approx(w.sum() ** 2 / (N * np.sum(w * w)), rel=1e-9)
+        assert rep.ess_fraction > 0.99 if light else rep.ess_fraction < 0.01
 
     def test_entropy_bound_constant_value(self):
         g, gt = hpair((0, 0, 0), (1, 0, 1))
@@ -500,6 +511,168 @@ class TestReflection:
             assert np.array_equal(one[0], vals[:, i:i + 1])
             assert np.array_equal(one[1], grad[i:i + 1])
             assert np.array_equal(one[2], u_sq[i:i + 1])
+
+
+def _capture():
+    """A test function that records every endpoint stack it is called on, and its record."""
+    seen = []
+
+    def fn(x, zp):
+        seen.append((x.copy(), zp.copy()))
+        return np.ones(x.shape[:-1])
+    return catalog.TestFunction("capture", fn, 1.0, 1.0), seen
+
+
+class TestGradientMirror:
+    """Both gradient estimators at -xi, against the same estimators run on -xi.
+
+    Each row is the mean of a column at xi and at -xi, so a run on -xi must
+    give the same bits wherever every piece at -xi equals its direct
+    evaluation.
+    """
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["horizontal", "vertical", "mixed"])
+    def test_bismut_pieces_at_minus_xi_are_the_run_on_minus_xi(self, n, kind):
+        g, gt = _pair(n, "mixed", 40 + n)
+        h = _direction(g, kind, n - 1, 0, 0.7)
+        gth = girsanov._direction_pair(g, h)
+        K, T = n + 3, 2.5
+        xi = derive_rng(41, n).standard_normal((48, 3 * K + 6, n))
+        f, seen = _capture()
+        # stacked as the starts g, gt, then g at -xi, X^refl at xi and at -xi
+        girsanov._antithetic_gradient(f, g, gth, T, K, xi, [g, gt])
+        girsanov._antithetic_gradient(f, g, gth, T, K, -xi, [g, gt])
+        (x_plus, z_plus), (x_minus, z_minus) = seen
+        for a, b in ((2, 0), (0, 2), (4, 3), (3, 4)):
+            assert np.array_equal(x_plus[a], x_minus[b]) and np.array_equal(z_plus[a], z_minus[b])
+        direct = endpoint_packed(g.x, g.z.upper, -xi, T)
+        assert np.array_equal(x_plus[2], direct[0]) and np.array_equal(z_plus[2], direct[1])
+        sh = shift_batch(g, gth, [T], -xi, K)
+        refl = girsanov._reflected_endpoint(g.x, *direct, -xi, T * sh.probes, sh.axis, T)
+        assert np.array_equal(x_plus[4], refl[0]) and np.array_equal(z_plus[4], refl[1])
+        # a function that reads only the endpoint from g at -xi gives W(-xi) / 4
+        w_minus = -girsanov._shift_pairing(*build_shift(g, gth, T, K, -xi), -xi)[0]
+        grad = girsanov._antithetic_gradient(_selecting(1), g, gth, T, K, xi, [g])[1]
+        assert np.array_equal(grad, 0.25 * w_minus)
+        assert np.array_equal(
+            grad, girsanov._antithetic_gradient(_selecting(0), g, gth, T, K, -xi, [g])[1])
+        for fname in sorted(CATALOG):
+            cols = [girsanov._antithetic_gradient(CATALOG[fname], g, gth, T, K, x, [g])[1]
+                    for x in (xi, -xi)]
+            assert np.array_equal(*cols)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["horizontal", "vertical", "mixed"])
+    def test_finite_difference_column_at_minus_xi_is_the_run_on_minus_xi(self, n, kind):
+        g, _ = _pair(n, "mixed", 50 + n)
+        h = _direction(g, kind, 0, n - 2, 1.3)
+        eps, T = 1e-3, 2.5
+        xi = derive_rng(42, n).standard_normal((48, 3 * (2 * n + 1) + 2, n))
+        f, seen = _capture()
+        girsanov._finite_diff_column(f, g, h, T, eps, xi)
+        (xT, zT), = seen
+        starts = [CarnotElement(g.x + eps * h.x, g.z + h.z.scaled(eps)),
+                  CarnotElement(g.x - eps * h.x, g.z + h.z.scaled(-eps))]
+        for i, (start, x) in enumerate([(s, sign * xi) for sign in (1, -1) for s in starts]):
+            direct = endpoint_packed(start.x, start.z.upper, x, T)
+            assert np.array_equal(xT[i], direct[0]) and np.array_equal(zT[i], direct[1])
+        for fname in sorted(CATALOG):
+            cols = [girsanov._finite_diff_column(CATALOG[fname], g, h, T, eps, x)
+                    for x in (xi, -xi)]
+            assert np.array_equal(*cols)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["horizontal", "vertical", "mixed"]),
+           fname=st.sampled_from(sorted(CATALOG)))
+    def test_a_batch_of_one_equals_its_row(self, n, seed, kind, fname):
+        rng = derive_rng(43, seed)
+        g, gt = _pair(n, "mixed", seed)
+        h = _direction(g, kind, int(rng.integers(n)), int(rng.integers(n * (n - 1) // 2)),
+                       float(rng.uniform(0.1, 2.0)))
+        gth = girsanov._direction_pair(g, h)
+        K = n + int(rng.integers(2, 5))
+        T = float(rng.uniform(0.25, 16.0))
+        xi = rng.standard_normal((10, 3 * K + 2 + int(rng.integers(0, 6)), n))
+        f = CATALOG[fname]
+        vals, grad, u_sq = girsanov._antithetic_gradient(f, g, gth, T, K, xi, [g, gt])
+        fd = girsanov._finite_diff_column(f, g, h, T, 1e-3, xi)
+        for i in range(10):
+            one = girsanov._antithetic_gradient(f, g, gth, T, K, xi[i:i + 1], [g, gt])
+            assert np.array_equal(one[0], vals[:, i:i + 1])
+            assert np.array_equal(one[1], grad[i:i + 1]) and np.array_equal(one[2], u_sq[i:i + 1])
+            assert np.array_equal(girsanov._finite_diff_column(f, g, h, T, 1e-3, xi[i:i + 1]),
+                                  fd[i:i + 1])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("fname, kind", [
+        ("constant", "horizontal"), ("constant", "vertical"), ("constant", "mixed"),
+        ("coordinate-bump", "vertical"), ("sin-perturbation", "vertical")])
+    def test_unmoved_functions_give_exactly_zero(self, n, fname, kind):
+        # a constant f, or an f of x alone along a vertical h, is zero on every row
+        g, _ = _pair(n, "mixed", 60 + n)
+        h = _direction(g, kind, 0, 0, 1.0)
+        K = default_support_count(n)
+        for est in (bismut_gradient(CATALOG[fname], g, h, 2.0, K, 3000, seed=61),
+                    finite_diff_gradient(CATALOG[fname], g, h, 2.0, 1e-3, 3000, seed=62, K=K)):
+            assert est.mean == 0.0 and est.stderr == 0.0
+
+
+class TestGradientCost:
+    """One batch of either gradient estimator: one draw, one area and one f call."""
+
+    @staticmethod
+    def _counted(monkeypatch, run, count, L, n):
+        calls = {"solve": 0, "endpoint": 0, "f": 0, "normals": 0, "draws": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        class CountingRng:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def standard_normal(self, size):
+                calls["draws"] += 1
+                out = self._rng.standard_normal(size)
+                calls["normals"] += out.size
+                return out
+
+        monkeypatch.setattr(coupling, "tsylvester_batch",
+                            counting("solve", coupling.tsylvester_batch))
+        monkeypatch.setattr(girsanov, "endpoint_packed",
+                            counting("endpoint", girsanov.endpoint_packed))
+        real_rng = mc.derive_rng
+        monkeypatch.setattr(mc, "derive_rng", lambda *a: CountingRng(real_rng(*a)))
+        f = CATALOG["gaussian-bump"]
+        run(catalog.TestFunction(f.name, counting("f", f.fn), f.sup, f.min_value))
+        assert (calls["draws"], calls["normals"]) == (1, count * L * n)
+        return calls
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bismut_batch_makes_one_solve_one_endpoint_and_one_f_call(self, monkeypatch, n):
+        g, _ = _pair(n, "mixed", 70 + n)
+        h = _direction(g, "mixed", 0, 0, 0.5)
+        K, k_path, count = n + 4, 40, 1000
+        calls = self._counted(
+            monkeypatch, lambda f: bismut_gradient(f, g, h, 1.0, K, count, 71, k_path=k_path),
+            count, k_path + 1, n)
+        assert (calls["solve"], calls["endpoint"], calls["f"]) == (1, 1, 1)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_finite_difference_batch_makes_one_endpoint_and_one_f_call(self, monkeypatch, n):
+        g, _ = _pair(n, "mixed", 72 + n)
+        h = _direction(g, "mixed", 0, 0, 0.5)
+        K, k_path, count = n + 4, 40, 1000
+        calls = self._counted(
+            monkeypatch,
+            lambda f: finite_diff_gradient(f, g, h, 1.0, 1e-3, count, 73, K=K, k_path=k_path),
+            count, k_path + 1, n)
+        assert (calls["solve"], calls["endpoint"], calls["f"]) == (0, 1, 1)
 
 
 class TestExactGradients:
