@@ -28,7 +28,9 @@ group picks the block count K of the coupling that `couple` samples and
 records: K = 1 (the two-index coupling) on `heisenberg`, K = 2n+1 on
 `carnot-N`.  --variant picks only the closed-form bound (default
 proof-stage on `heisenberg`, carnot-n otherwise); its Heisenberg variants
-need rank 2.  Records are written as CSV (fixed column order) or JSON
+need rank 2, and improved-remark2, whose refined constants do not cover the
+K = 1 coupling, takes `carnot-2` (K = 5): on `heisenberg` it exits 2.
+Records are written as CSV (fixed column order) or JSON
 (canonical schema, with the parsed flags as `config`); identical config +
 seed produce byte-identical artifacts.
 
@@ -211,6 +213,9 @@ def cmd_couple(args) -> int:
     # the group picks the sampler; the variant picks only the bound
     heisenberg = args.group == "heisenberg"
     variant = args.variant or ("proof-stage" if heisenberg else "carnot-n")
+    if heisenberg and variant == "improved-remark2":
+        raise ValueError("improved-remark2 does not bound the K = 1 coupling that heisenberg "
+                         "samples; use --group carnot-2, which samples K = 5")
     K = 1 if heisenberg else default_support_count(g.n)
     record = _recorder(args, g=_point_str(g), gt=_point_str(gt), K=K)
     # rejects a variant the group lacks before any sampling

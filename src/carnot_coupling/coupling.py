@@ -11,36 +11,37 @@ Heisenberg constants.  K must be at least n - 1, the fewest probes for which
 the shift solve is almost surely invertible.
 
 The index-0 shift is (x - x~)/sqrt(T).  The index-3k shifts u_k must produce
-the skew endpoint mismatch w (`_mismatch`): sum_k (u_k V_k^t - V_k u_k^t) =
+the skew endpoint mismatch w (`_mismatches`): sum_k (u_k V_k^t - V_k u_k^t) =
 w, with V_k = T p_k and p_k the k-th probe (`_probes`), built from the
 neighbouring indices 3k-1 and 3k+1.  One kernel, `shift_batch`, solves it for
 the coupling and for every Girsanov weight in `girsanov`, by the least-norm
 `tsylvester_batch`; with one probe that is the right-angle turn of the probe
-scaled to match the area.  `mirrored_shift` adds the shift at -xi to the
-same solve, as one more right-hand side, for the antithetic transfer check
-and gradient estimator.
+scaled to match the area.  It also pairs each shift u with the draw
+(`shift_pairing`): the two row sums of log R(u) = -<omega, u> - |u|^2/2,
+which the coupling's accept test and every Girsanov weight read.
+`mirrored_shift` adds the shift at -xi to the same solve, as one more
+right-hand side, for the antithetic transfer check and gradient estimator.
 The streams are coefficient arrays xi (B, L, n) and w stays packed,
 (B, n(n-1)/2), up to the solve; a run is a batch of one.
 
 Conditionally on everything the shifts depend on, the modified coordinates
 form a standard Gaussian vector, which is coupled jointly with its shifted
-copy by one reflection-maximal coupling (`couple_to_shift`).  It moves each
-row by one scalar multiple c of its shift, so a batch keeps c and the shift,
-and only `_second_stream` builds the coupled stream.  The joint coupling
-meets at least as often as the per-block couplings used to derive the
-closed-form bounds, and the least-norm shift is never longer than the
-particular solution those bounds assume, so they remain valid Monte Carlo
+copy by one reflection-maximal coupling (`couple_to_shift`), which accepts
+on log U <= log R(u).  It moves each row by one scalar multiple c of its
+shift, so a batch keeps c and the shift, and only `_second_stream` builds the
+coupled stream.  The joint coupling meets at least as often as the per-block
+couplings used to derive the closed-form bounds, and the least-norm shift is
+never longer than the particular solution those bounds assume, so they remain valid Monte Carlo
 targets.  On success the endpoint difference vanishes identically; it is
 verified through the finite sum over modified indices and their neighbours,
 which no truncation can touch.
 
 `failure_probability` takes a grid of horizons and makes one pass over the
-draws for all of them.  Per batch the draw, the stack of modified
-coordinates, the probes p_k and one factorization of their Gram matrix are
-shared: V = T p scales the Gram matrix by T^2, so the condition number, and
-with it the resample flag, does not depend on T, and the least-norm shift is
-u(p, w_T)/T.  Each horizon's estimate is the one a grid of that horizon
-alone gives, bit for bit.
+draws for all of them.  Per batch the draw, the probes p_k and one
+factorization of their Gram matrix are shared: V = T p scales the Gram
+matrix by T^2, so the condition number, and with it the singular flag, does
+not depend on T, and the least-norm shift is u(p, w_T)/T.  Each horizon's
+estimate is the one a grid of that horizon alone gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -73,6 +74,8 @@ __all__ = [
     "Shift",
     "shift_batch",
     "mirrored_shift",
+    "shift_pairing",
+    "check_horizon",
     "couple_heisenberg",
     "couple_carnot",
     "default_support_count",
@@ -83,7 +86,6 @@ __all__ = [
 ]
 
 DEFAULT_TAIL_TOL = 1.0 / 32.0  # reported-endpoint tail control; K_path = 256
-_MAX_RESAMPLE = 8
 
 
 @dataclass(frozen=True)
@@ -128,16 +130,18 @@ def batch_row_values(n: int, K: int, S: int) -> int:
     An upper bound, from the arrays `_couple_batch` makes.  The draw, (3K + 2)
     n coefficients and a uniform, the probes, n K, and the S packed mismatches
     are held through the solve.  Beside them is the larger of the solve's own
-    working set (`tsylvester_row_values`) and, after it, the coupling's: the
-    S K n shift blocks, the modified-coordinate stack, one horizon's shift
-    and the copy of its blocks, 1 + K n each, and a few per-row scalars.
+    working set (`tsylvester_row_values`) and, after it, the pairing's: the
+    S K n shift blocks, the temporaries of one horizon's `shift_pairing`,
+    at most two arrays of K n values, and a few per-row scalars (the pairing,
+    c and met of every horizon).
     """
     held = (3 * K + 2) * n + 1 + n * K + S * n * (n - 1) // 2
-    coupling = S * K * n + 3 * (1 + K * n) + 2 * S + 8
+    coupling = S * K * n + 2 * K * n + n + 4 * S + 8
     return held + max(tsylvester_row_values(n, K, S), coupling)
 
 
-def _check_horizon(T: float) -> None:
+def check_horizon(T: float) -> None:
+    """Reject a horizon that is not positive and finite."""
     if not 0 < T < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {T}")
 
@@ -152,13 +156,8 @@ def _check_pair(g: CarnotElement, gt: CarnotElement, K: int) -> None:
         raise ValueError(f"the coupling needs K >= n - 1 = {g.n - 1} blocks, got K = {K}")
 
 
-def _mismatch(gc: CarnotElement, gct: CarnotElement, T: float, xi: np.ndarray) -> np.ndarray:
-    """Packed skew endpoint mismatch w (B, n(n-1)/2) at horizon T for rows xi (B, L, n)."""
-    return -zeta(gc, gct).upper + _odd_mismatch(gc, gct, T, xi)
-
-
 def _odd_mismatch(gc: CarnotElement, gct: CarnotElement, T: float, xi: np.ndarray) -> np.ndarray:
-    """The part of `_mismatch` that is linear in xi; the rest, -zeta, does not read xi."""
+    """The part of the mismatch (`_mismatches`) linear in xi; the rest, -zeta, reads no xi."""
     iu, ju = triu_pairs(gc.n)
     sqrtT = math.sqrt(T)
     a0 = alpha_ladder(1)[0]
@@ -171,7 +170,7 @@ def _probes(xi: np.ndarray, K: int) -> np.ndarray:
     """Probes p_k (B, n, K), k = 1..K, from the indices 3k-1 and 3k+1 of rows xi (B, L, n).
 
     Needs L >= 3K+2.  At horizon T the index-3k shifts u_k solve
-    sum_k (u_k V_k^t - V_k u_k^t) = w with V_k = T p_k and w the `_mismatch` at T.
+    sum_k (u_k V_k^t - V_k u_k^t) = w with V_k = T p_k and w the mismatch at T.
     """
     a = alpha_ladder(3 * K + 1)
     P = np.empty(xi.shape[:1] + (xi.shape[-1], K))
@@ -181,12 +180,18 @@ def _probes(xi: np.ndarray, K: int) -> np.ndarray:
 
 
 class Shift(NamedTuple):
-    """The shift from g to g~ at S horizons for the B rows of one draw (`shift_batch`)."""
+    """The shift from g to g~ at S horizons for the B rows of one draw (`shift_batch`).
+
+    `dot` and `norm2` pair each entry with the draw xi (`shift_pairing`), so
+    log R(u) = -dot - norm2/2.  A mirrored entry (`mirrored_shift`) is the
+    shift at -xi, but its `dot` is taken against xi: there log R(-xi) = +dot - norm2/2.
+    """
 
     axis: np.ndarray    # (n,), (x - x~)/|x - x~|, zero when x = x~
-    size0: np.ndarray   # (S,), |x - x~|/sqrt(T), the index-0 shift along the axis
     u0: np.ndarray      # (S, n), the index-0 shift (x - x~)/sqrt(T)
     blocks: np.ndarray  # (S, B, K, n), row k-1 shifts index 3k
+    dot: np.ndarray     # (S, B), <xi, u> over the shift support
+    norm2: np.ndarray   # (S, B), |u|^2
     probes: np.ndarray  # (B, n, K), horizon-free: V = T p at horizon T
     cond: np.ndarray    # (B,), of the solve, horizon-free; rows past COND_LIMIT are NaN
 
@@ -195,7 +200,7 @@ def shift_batch(gc: CarnotElement, gct: CarnotElement, Ts, xi: np.ndarray, K: in
     """The K-block shift from gc to gct at each horizon of Ts, for rows xi (B, L >= 3K+2, n).
 
     One solve serves every horizon.  `blocks` is a transposed view of the
-    solve's (S, B, n, K) output; the row sums in `girsanov` round in that order.
+    solve's (S, B, n, K) output, and `shift_pairing` sums its rows in that order.
     """
     return _shift(gc, gct, Ts, xi, K, mirror=False)
 
@@ -218,7 +223,7 @@ def _shift(gc: CarnotElement, gct: CarnotElement, Ts, xi: np.ndarray, K: int,
            mirror: bool) -> Shift:
     Ts = np.asarray(Ts, dtype=float)
     for T in Ts:
-        _check_horizon(T)
+        check_horizon(T)
     d = np.asarray(gc.x, dtype=float) - np.asarray(gct.x, dtype=float)
     dnorm = float(np.linalg.norm(d))
     axis = d / dnorm if dnorm > 0 else np.zeros_like(d)
@@ -226,13 +231,29 @@ def _shift(gc: CarnotElement, gct: CarnotElement, Ts, xi: np.ndarray, K: int,
     u, cond = tsylvester_batch(p, _mismatches(gc, gct, Ts, xi, mirror))
     scale = np.stack([Ts, -Ts], axis=1).ravel() if mirror else Ts
     u /= scale[:, None, None, None]
-    sqrtT = np.sqrt(np.abs(scale))
-    return Shift(axis, dnorm / sqrtT, d / sqrtT[:, None], np.swapaxes(u, -1, -2), p, cond)
+    u0 = d / np.sqrt(np.abs(scale))[:, None]
+    blocks = np.swapaxes(u, -1, -2)
+    pairing = [shift_pairing(u0_s, blocks_s, xi) for u0_s, blocks_s in zip(u0, blocks)]
+    return Shift(axis, u0, blocks, *map(np.stack, zip(*pairing)), p, cond)
+
+
+def shift_pairing(u0: np.ndarray, blocks: np.ndarray,
+                  xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise <omega, u> over the shift support and |u|^2.
+
+    Every term is a row-wise product sum (no BLAS dot, which rounds a single
+    row differently from a batch), so a batch of one equals its batched row.
+    """
+    K = blocks.shape[1]
+    mods = xi[:, 3:3 * K + 1:3, :]
+    dot = np.sum(xi[:, 0] * u0, axis=1) + np.einsum("bkn,bkn->b", mods, blocks)
+    norm2 = float(u0 @ u0) + np.einsum("bkn,bkn->b", blocks, blocks)
+    return dot, norm2
 
 
 def _mismatches(gc: CarnotElement, gct: CarnotElement, Ts: np.ndarray, xi: np.ndarray,
                 mirror: bool) -> np.ndarray:
-    """`_mismatch` (S, B, n(n-1)/2) at each horizon, followed with `mirror` by its value at -xi."""
+    """Packed skew endpoint mismatch w (S, B, n(n-1)/2) at each horizon; `mirror` adds w(-xi)."""
     even = -zeta(gc, gct).upper
     rhs = []
     for T in Ts:
@@ -257,26 +278,16 @@ def _couple_batch(gc: CarnotElement, gct: CarnotElement, Ts, rng: np.random.Gene
                   count: int, K: int) -> _GridBatch:
     """Vectorized K-block coupling runs at every horizon of the grid Ts, from one draw.
 
-    The draw, the modified-coordinate stack (xi_0 along the displacement axis,
-    then every xi_{3k}) and the shift (`shift_batch`) are built once; only the
-    reflection coupling is repeated per horizon.
+    The draw and the shift (`shift_batch`) are built once; only the reflection
+    coupling, on the shift's pairing, is repeated per horizon.
     """
-    n = gc.n
-    xi = rng.standard_normal((count, 3 * K + 2, n))
+    xi = rng.standard_normal((count, 3 * K + 2, gc.n))
     uniforms = rng.uniform(size=count)
-    # the coupling reads no probes: freed here, their memory serves the loop below
+    # the coupling reads no probes: the batch does not keep them
     sh = shift_batch(gc, gct, Ts, xi, K)._replace(probes=None)
     bad = sh.cond > COND_LIMIT
-
-    stack = np.concatenate(
-        [(xi[:, 0] @ sh.axis)[:, None], xi[:, 3:3 * K + 1:3].reshape(count, K * n)], axis=1
-    )
-    c = np.empty((len(sh.size0), count))
-    met = np.empty((len(sh.size0), count), dtype=bool)
-    for s, size0 in enumerate(sh.size0):
-        shift = np.concatenate([np.full((count, 1), size0),
-                                sh.blocks[s].reshape(count, K * n)], axis=1)
-        c[s], met[s] = couple_to_shift(stack, shift, uniforms)
+    coupled = [couple_to_shift(dot, norm2, uniforms) for dot, norm2 in zip(sh.dot, sh.norm2)]
+    c, met = map(np.stack, zip(*coupled))
     return _GridBatch(xi, sh, c, met & ~bad, bad)
 
 
@@ -302,15 +313,10 @@ def _gaps(gc: CarnotElement, gct: CarnotElement, T: float,
 
 def _couple_once(gc: CarnotElement, gct: CarnotElement, T: float,
                  rng: np.random.Generator, K: int) -> CouplingOutcome:
-    """One K-block coupling run, resampling the rare degenerate or singular draw."""
-    resampled = 0
-    while True:
-        batch = _couple_batch(gc, gct, [T], rng, 1, K)
-        if not batch.bad[0]:
-            break
-        resampled += 1
-        if resampled > _MAX_RESAMPLE:
-            raise SingularGramError("singular probe system persisted across resamples")
+    """One K-block coupling run, a batch of one plus a rendered tail; a singular draw raises."""
+    batch = _couple_batch(gc, gct, [T], rng, 1, K)
+    if batch.bad[0]:
+        raise SingularGramError("singular Gram draw, reseed the run")
     xi, xi_t = batch.xi, _second_stream(batch, 0)
     h_gap, v_gap = _gaps(gc, gct, T, xi, xi_t)
     xi, xi_t = xi[0], xi_t[0]
@@ -359,7 +365,7 @@ def failure_probability(g: CarnotElement, gt: CarnotElement, Ts, N: int, seed: i
     if not Ts:
         raise ValueError("need a nonempty grid of horizons")
     for T in Ts:
-        _check_horizon(T)
+        check_horizon(T)
     if K is None:
         K = default_support_count(g.n)
     _check_pair(g, gt, K)
@@ -370,7 +376,7 @@ def failure_probability(g: CarnotElement, gt: CarnotElement, Ts, N: int, seed: i
 
     *fail, singular = run_vector_estimator(sampler, N, seed, workers)
     if singular.mean > 0:
-        raise SingularGramError("singular resample events occurred; seed a rerun")
+        raise SingularGramError("singular Gram draws occurred; reseed the run")
     return fail
 
 
@@ -380,7 +386,7 @@ def tv_bound(g: CarnotElement, gt: CarnotElement, T: float, variant: str) -> Bou
     The Heisenberg variants ("proof-stage", "improved-remark2") need rank-2
     points; "carnot-n" takes any rank.
     """
-    _check_horizon(T)
+    check_horizon(T)
     if variant in ("proof-stage", "improved-remark2"):
         if g.n != 2:
             raise ValueError(f"Heisenberg variants need rank-2 points, got rank {g.n}")

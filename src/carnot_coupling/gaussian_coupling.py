@@ -12,7 +12,9 @@ exactly what the endpoint couplings need.
 The kernel `couple_to_shift` moves each row along its own shift only, so a
 row's coupled vector is the row plus one scalar multiple of the shift, and
 the kernel returns that scalar.  The scalar and the accept test need just
-two row sums, |shift|^2 and <X, shift>; no (B, d) array is made.
+two row sums, <X, shift> and |shift|^2, and the kernel takes only those, so
+the caller computes them once for the coupling and the Girsanov weights alike
+(`coupling.shift_pairing`).
 """
 
 from __future__ import annotations
@@ -35,23 +37,20 @@ def gaussian_tv(delta: float) -> float:
 
 
 def couple_to_shift(
-    X: np.ndarray, target_shift: np.ndarray, uniforms: np.ndarray
+    x_dot_shift: np.ndarray, shift_sq: np.ndarray, uniforms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Given rows X ~ N(0, I_d), couple them with X~ ~ N(0, I_d) maximizing P(X~ = X + shift).
+    """Couple rows X ~ N(0, I_d) with X~ ~ N(0, I_d), maximizing P(X~ = X + shift).
 
-    Returns (c, met), one scalar c per row with X~ = X + c shift.  X~ is Z +
-    shift, Z the maximal coupling of X with N(-shift, I_d): a row meets when
-    log(uniform) <= log(phi(X + shift)/phi(X)) = -<X, shift> - |shift|^2/2,
-    and surely when the shift is zero.  c is 1 on a met row, so that X~
-    equals X + shift exactly, and otherwise -2<X, shift>/|shift|^2, the
-    reflection of X through the hyperplane orthogonal to the shift.
+    Takes two row sums, x_dot_shift = <X, shift> and shift_sq = |shift|^2,
+    and returns (c, met), one scalar c per row with X~ = X + c shift.  X~ is
+    Z + shift, Z the maximal coupling of X with N(-shift, I_d): a row meets
+    when log(uniform) <= log(phi(X + shift)/phi(X)) = -<X, shift> -
+    |shift|^2/2, and surely when the shift is zero.  c is 1 on a met row, so
+    that X~ equals X + shift exactly, and otherwise -2<X, shift>/|shift|^2,
+    the reflection of X through the hyperplane orthogonal to the shift.
     `uniforms` supplies the accept/reject randomness, one value per row.
     """
-    X = np.asarray(X, dtype=float)
-    target_shift = np.asarray(target_shift, dtype=float)
-    mu2 = np.einsum("...d,...d->...", target_shift, target_shift)
-    x_mu = np.einsum("...d,...d->...", X, target_shift)
-    met = (np.log(uniforms) <= -x_mu - 0.5 * mu2) | (mu2 == 0.0)
+    met = (np.log(uniforms) <= -x_dot_shift - 0.5 * shift_sq) | (shift_sq == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.where(met, 1.0, -2.0 * x_mu / mu2)
+        c = np.where(met, 1.0, -2.0 * x_dot_shift / shift_sq)
     return c, met

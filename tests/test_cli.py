@@ -176,6 +176,22 @@ class TestDeclaredFlags:
     @pytest.mark.parametrize("argv", [
         ["girsanov", *HEIS],
         ["bismut", "--g", "0,0,0", "--h", "1,0,0"],
+        ["inequalities", *HEIS, "--h", "1,0,0"],
+    ])
+    def test_too_few_blocks_exit_2_before_any_draw(self, argv, monkeypatch, tmp_path, capsys):
+        # K = 3 passes the memory check, and on rank 2 the shift solve would accept it
+        draws = []
+        monkeypatch.setattr(mc, "derive_rng", lambda *a: draws.append(a))
+        out = tmp_path / "res.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--K", "3", "--N", "100", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "need K >= n + 2" in capsys.readouterr().err
+        assert draws == [] and not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["girsanov", *HEIS],
+        ["bismut", "--g", "0,0,0", "--h", "1,0,0"],
     ])
     def test_zero_K_is_rejected_not_replaced_by_the_default(self, argv, tmp_path, capsys):
         out = tmp_path / "res.json"
@@ -297,6 +313,20 @@ class TestDeclaredFlags:
         assert "--m must be at least n + 2 = 5" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_improved_variant_on_the_heisenberg_sampler_rejected_unsampled(self, monkeypatch,
+                                                                          tmp_path, capsys):
+        # the refined constants do not cover the K = 1 coupling; carnot-2 samples K = 5
+        draws = []
+        monkeypatch.setattr(mc, "derive_rng", lambda *a: draws.append(a))
+        monkeypatch.setattr(cli, "failure_probability", lambda *a, **k: pytest.fail("sampled"))
+        out = tmp_path / "res.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["couple", *HEIS, "--T", "25,100", "--variant", "improved-remark2",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--group carnot-2" in capsys.readouterr().err
+        assert draws == [] and not out.exists()
+
     def test_heisenberg_variant_on_a_carnot_group_rejected_unsampled(self, monkeypatch):
         monkeypatch.setattr(cli, "failure_probability", lambda *a: pytest.fail("sampled"))
         with pytest.raises(SystemExit) as exc:
@@ -378,7 +408,7 @@ class TestArtifacts:
             rows += out.read_text().splitlines()[1:]
         assert grid.read_text().splitlines()[1:] == rows
 
-    @pytest.mark.parametrize("variant", ["proof-stage", "improved-remark2", "carnot-n"])
+    @pytest.mark.parametrize("variant", ["proof-stage", "carnot-n"])
     def test_heisenberg_record_is_the_one_block_estimate(self, variant, tmp_path):
         out = tmp_path / "res.json"
         run_cli(["couple", "--group", "heisenberg", "--g", "0.3,-0.2,0.1", "--gt", "0.5,0,0.6",
@@ -421,6 +451,14 @@ class TestArtifacts:
         est, = coupling.failure_probability(g, gt, [25.0], 3000, 18)
         assert (rec["estimate"], rec["stderr"]) == (est.mean, est.stderr)
         assert rec["bound"] == coupling.tv_bound(g, gt, 25.0, "proof-stage").total
+
+    def test_improved_variant_samples_carnot_2(self, tmp_path):
+        out = tmp_path / "res.json"
+        code = run_cli(["couple", "--group", "carnot-2", "--g", "0,0,0", "--gt", "0,0,1",
+                        "--T", "25", "--N", "3000", "--seed", "18",
+                        "--variant", "improved-remark2", "--format", "json", "--out", str(out)])
+        rec, = json.loads(out.read_text())["records"]
+        assert (code, rec["K"], rec["check"]) == (0, 5, "couple:improved-remark2")
 
     def test_json_schema_and_config_roundtrip(self, tmp_path):
         out = tmp_path / "res.json"
@@ -544,14 +582,17 @@ class TestArtifacts:
         run_cli(["constants", "--out", str(out)])
         assert out.read_text().splitlines()[0] == ",".join(COLUMNS)
 
-    def test_exit_one_on_failed_check(self, tmp_path):
-        # the refined-scheme constants are not a valid target for this sampler's
-        # failure rate at short horizons, which makes a deterministic failing record
+    def test_exit_one_on_failed_check(self, monkeypatch, tmp_path):
+        # a zero bound fails a record whose failure estimate is several stderrs above 0
+        monkeypatch.setattr(cli, "tv_bound",
+                            lambda g, gt, T, variant: coupling.BoundReport(0.0, 0.0, 0.0, variant))
+        out = tmp_path / "fail.csv"
         code = run_cli(["couple", "--group", "heisenberg", "--g", "0,0,0",
                         "--gt", "0,0,1", "--T", "25", "--N", "40000", "--seed", "14",
-                        "--variant", "improved-remark2",
-                        "--out", str(tmp_path / "fail.csv")])
+                        "--out", str(out)])
         assert code == 1
+        header, row = out.read_text().splitlines()
+        assert row.endswith(",False")
 
     def test_sylvester_subcommand(self, tmp_path):
         out = tmp_path / "syl.csv"

@@ -15,13 +15,16 @@ from carnot_coupling.coupling import (
     _second_stream,
     couple_carnot,
     couple_heisenberg,
-    _mismatch,
+    _mismatches,
     _probes,
     default_support_count,
     failure_probability,
+    mirrored_shift,
+    shift_batch,
+    shift_pairing,
     tv_bound,
 )
-from carnot_coupling.girsanov import build_shift
+from carnot_coupling.girsanov import build_shift, log_density
 from carnot_coupling.groups import (
     CarnotElement,
     HeisenbergPoint,
@@ -59,6 +62,11 @@ def _modified_indices(monkeypatch, run):
     b = batches[-1]
     moved = np.flatnonzero(np.any(_second_stream(b, 0) != b.xi, axis=(0, 2)))
     return out, moved.tolist()
+
+
+def _mismatch(gc, gct, T, xi):
+    """The packed endpoint mismatch w (B, n(n-1)/2) at the one horizon T."""
+    return _mismatches(gc, gct, [T], xi, mirror=False)[0]
 
 
 def _one_horizon(gc, gct, T, rng, count, K):
@@ -241,6 +249,10 @@ class TestShiftSystem:
                 u0, blocks = build_shift(g, gt, T, K, batch.xi)
                 assert np.array_equal(u0, batch.shift.u0[0])
                 assert np.array_equal(blocks, batch.shift.blocks[0])
+                # the coupling accepts on the log-density the weights read
+                sh = batch.shift
+                assert np.array_equal(-sh.dot[0] - 0.5 * sh.norm2[0],
+                                      log_density(u0, blocks, batch.xi))
                 for i in range(0, 64, 9):
                     u0_i, blocks_i = build_shift(g, gt, T, K, batch.xi[i:i + 1])
                     assert np.array_equal(u0_i, u0)
@@ -263,6 +275,54 @@ class TestShiftSystem:
         assert ok.mean() > 0.9
         norm2 = np.sum(u[ok] ** 2, axis=(1, 2))
         assert np.all(np.sum(u2[ok] ** 2, axis=(1, 2)) <= norm2 * (1 + 1e-12))
+
+
+class TestOnePairing:
+    """The coupling's accept test and the Girsanov weights read one pairing of the shift."""
+
+    @pytest.mark.parametrize("n, K", [(2, 1), (2, 5), (3, 2), (3, 7), (4, 3), (4, 9)])
+    def test_met_is_the_accept_test_on_log_R(self, n, K):
+        # met = (log U <= -dot - norm2/2) | (norm2 == 0) on every row that is not singular
+        rng = derive_rng(15, n)
+        pairs = [_random_pair(rng, n)[:2] for _ in range(3)]
+        pairs.append((pairs[0][0], pairs[0][0]))  # a zero shift meets on every row
+        for i, (g, gt) in enumerate(pairs):
+            batch = _couple_batch(g, gt, [1.0, 25.0], derive_rng(16, i), 3000, K)
+            replay = derive_rng(16, i)
+            replay.standard_normal(batch.xi.shape)
+            log_u = np.log(replay.uniform(size=3000))
+            sh = batch.shift
+            accept = (log_u <= -sh.dot - 0.5 * sh.norm2) | (sh.norm2 == 0.0)
+            assert np.array_equal(batch.met, accept & ~batch.bad)
+            assert batch.met.any()
+            assert batch.met.all() if i == 3 else not batch.met.all()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_pairing_is_that_of_each_entry_with_the_draw(self, n):
+        # mirrored entries too: their dot is taken against xi, not -xi
+        g, gt, T = _random_pair(derive_rng(17, n), n)
+        K = n + 3
+        xi = derive_rng(18, n).standard_normal((200, 3 * K + 4, n))
+        for kernel in (shift_batch, mirrored_shift):
+            sh = kernel(g, gt, [T, 2.0 * T], xi, K)
+            assert sh.dot.shape == sh.norm2.shape == (len(sh.u0), 200)
+            for s in range(len(sh.u0)):
+                dot, norm2 = shift_pairing(sh.u0[s], sh.blocks[s], xi)
+                assert np.array_equal(sh.dot[s], dot) and np.array_equal(sh.norm2[s], norm2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 5), K=st.integers(1, 9), count=st.integers(1, 24),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_shift_pairing_of_a_batch_of_one_equals_its_row(self, n, K, count, seed):
+        rng = derive_rng(seed)
+        xi = rng.standard_normal((count, 3 * K + 2 + int(rng.integers(0, 4)), n))
+        u0 = rng.standard_normal(n)
+        # a transposed view, as the solve hands the blocks over
+        blocks = np.swapaxes(rng.standard_normal((count, n, K)), -1, -2)
+        dot, norm2 = shift_pairing(u0, blocks, xi)
+        for i in range(count):
+            one = shift_pairing(u0, blocks[i:i + 1], xi[i:i + 1])
+            assert one[0][0] == dot[i] and one[1][0] == norm2[i]
 
 
 class TestFailureProbability:

@@ -12,9 +12,14 @@ from carnot_coupling.gaussian_coupling import couple_to_shift, gaussian_tv
 from carnot_coupling.mc import derive_rng, ks_test
 
 
+def row_sums(X, shift):
+    """<X, shift> and |shift|^2 per row, the two sums `couple_to_shift` reads."""
+    return np.einsum("bd,bd->b", X, shift), np.einsum("bd,bd->b", shift, shift)
+
+
 def coupled(X, shift, uniforms):
     """(X~, met) with X~ = X + c shift, from the scalars c of `couple_to_shift`."""
-    c, met = couple_to_shift(X, shift, uniforms)
+    c, met = couple_to_shift(*row_sums(X, shift), uniforms)
     return X + c[:, None] * shift, met
 
 
@@ -42,7 +47,7 @@ class TestMaximalCoupling:
     def test_zero_shift_always_meets(self):
         rng = derive_rng(1)
         X = rng.standard_normal((50, 2))
-        c, met = couple_to_shift(X, np.zeros((50, 2)), rng.uniform(size=50))
+        c, met = couple_to_shift(*row_sums(X, np.zeros((50, 2))), rng.uniform(size=50))
         assert met.all() and np.array_equal(c, np.ones(50))
 
     def test_met_iff_exactly_shifted(self):
@@ -59,7 +64,7 @@ class TestMaximalCoupling:
         N, delta = 100_000, 1.0
         X = rng.standard_normal((N, 2))
         shift = np.tile([delta, 0.0], (N, 1))
-        _, met = couple_to_shift(X, shift, rng.uniform(size=N))
+        _, met = couple_to_shift(*row_sums(X, shift), rng.uniform(size=N))
         fail = 1.0 - met.mean()
         target = gaussian_tv(delta)
         se = math.sqrt(target * (1 - target) / N)
@@ -131,9 +136,10 @@ class TestOneScalarPerRow:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_batch_of_one_equals_its_row(self, d, count, scale, seed):
         X, shift, uniforms = coupling_rows(seed, count, d, scale)
-        c, met = couple_to_shift(X, shift, uniforms)
+        dot, sq = row_sums(X, shift)
+        c, met = couple_to_shift(dot, sq, uniforms)
         for i in range(count):
-            alone, alone_met = couple_to_shift(X[i:i + 1], shift[i:i + 1], uniforms[i:i + 1])
+            alone, alone_met = couple_to_shift(dot[i:i + 1], sq[i:i + 1], uniforms[i:i + 1])
             assert alone[0] == c[i] and alone_met[0] == met[i]
 
     @settings(max_examples=40, deadline=None)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from carnot_coupling import catalog, coupling, girsanov, mc
 from carnot_coupling.catalog import CATALOG
-from carnot_coupling.coupling import mirrored_shift, shift_batch
+from carnot_coupling.coupling import mirrored_shift, shift_batch, shift_pairing
 from carnot_coupling.girsanov import (
     bismut_gradient,
     build_shift,
@@ -72,7 +72,7 @@ class TestBuildShift:
         T = 9.0
         xi = batch(2, 16, 5)
         u0, blocks = build_shift(g, gt, T, 5, xi)
-        _, norm2 = girsanov._shift_pairing(u0, blocks, xi)
+        _, norm2 = shift_pairing(u0, blocks, xi)
         dx2 = (0.7 ** 2 + 0.2 ** 2)
         for row, b in zip(norm2, blocks):
             explicit = dx2 / T + sum(float(bk @ bk) for bk in b)
@@ -273,10 +273,11 @@ class TestTransfer:
             return [rep.normalization.passed, rep.entropy_identity.passed, tr.comparison.passed]
 
         assert all(checks())
-        pairing = girsanov._shift_pairing
-        monkeypatch.setattr(girsanov, "_shift_pairing",
+        pairing = coupling.shift_pairing
+        monkeypatch.setattr(coupling, "shift_pairing",
                             lambda *a: (lambda dot, norm2: (dot, 1.05 * norm2))(*pairing(*a)))
-        assert not all(checks())
+        normalization, entropy, _ = checks()
+        assert not normalization and not entropy
 
     COVERAGE_PAIRS = [
         (0, (0, 0, 0), (0.3, 0.2, 0.05), 16.0),
@@ -357,6 +358,12 @@ def _pair(n, kind, seed):
     return g, CarnotElement(g.x + dx, g.z + SkewMatrix(n, dz))
 
 
+def mirrored_weights(g, gt, T, K, xi):
+    """R at xi and at -xi, (2, B), from the pairing of one `mirrored_shift` call."""
+    sh = mirrored_shift(g, gt, [T], xi, K)
+    return np.exp(np.stack([-sh.dot[0], sh.dot[1]]) - 0.5 * sh.norm2)
+
+
 def _selecting(index):
     """A test function that is 1 on the stacked endpoints `index` and 0 on the others."""
     def fn(x, zp):
@@ -381,6 +388,11 @@ class TestMirror:
                 assert np.array_equal(sh.probes, plain.probes)
                 u0, blocks = build_shift(g, gt, T, K, -xi)
                 assert np.array_equal(sh.u0[1], u0) and np.array_equal(sh.blocks[1], blocks)
+                # entry 1 is paired with xi, so log R(-xi) = +dot - norm2/2
+                assert np.array_equal(sh.dot[1] - 0.5 * sh.norm2[1],
+                                      log_density(u0, blocks, -xi))
+                assert np.array_equal(-sh.dot[0] - 0.5 * sh.norm2[0],
+                                      log_density(*build_shift(g, gt, T, K, xi), xi))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("kind", ["vertical", "horizontal", "mixed"])
@@ -388,7 +400,7 @@ class TestMirror:
         g, gt = _pair(n, kind, 10 + n)
         K, T = n + 3, 4.0
         xi = derive_rng(37, n).standard_normal((64, 3 * K + 2, n))
-        w = girsanov._mirrored_weights(g, gt, T, K, xi)
+        w = mirrored_weights(g, gt, T, K, xi)
         for row, x in zip(w, (xi, -xi)):
             assert np.array_equal(row, np.exp(log_density(*build_shift(g, gt, T, K, x), x)))
         seen = []
@@ -414,7 +426,7 @@ class TestMirror:
         g, gt = _pair(n, "vertical", 20 + n)
         K = n + 3
         xi = derive_rng(38, n).standard_normal((256, 3 * K + 2, n))
-        w = girsanov._mirrored_weights(g, gt, 9.0, K, xi)
+        w = mirrored_weights(g, gt, 9.0, K, xi)
         assert np.array_equal(w[0], w[1]) and np.all(w[0] != 1.0)
 
     @settings(max_examples=30, deadline=None)
@@ -486,8 +498,8 @@ class TestReflection:
         u0r, blocksr = build_shift(g, gth, T, K, xr)
         assert np.array_equal(u0, u0r) and np.array_equal(blocks, blocksr)
         # W = -<omega, u> flips exactly
-        assert np.array_equal(girsanov._shift_pairing(u0r, blocksr, xr)[0],
-                              -girsanov._shift_pairing(u0, blocks, xi)[0])
+        assert np.array_equal(shift_pairing(u0r, blocksr, xr)[0],
+                              -shift_pairing(u0, blocks, xi)[0])
 
         xT, zT = endpoint_packed(g.x, g.z.upper, xi, T)
         derived = girsanov._reflected_endpoint(g.x, xT, zT, xi, T * sh.probes, e, T)
@@ -552,7 +564,7 @@ class TestGradientMirror:
         refl = girsanov._reflected_endpoint(g.x, *direct, -xi, T * sh.probes, sh.axis, T)
         assert np.array_equal(x_plus[4], refl[0]) and np.array_equal(z_plus[4], refl[1])
         # a function that reads only the endpoint from g at -xi gives W(-xi) / 4
-        w_minus = -girsanov._shift_pairing(*build_shift(g, gth, T, K, -xi), -xi)[0]
+        w_minus = -shift_pairing(*build_shift(g, gth, T, K, -xi), -xi)[0]
         grad = girsanov._antithetic_gradient(_selecting(1), g, gth, T, K, xi, [g])[1]
         assert np.array_equal(grad, 0.25 * w_minus)
         assert np.array_equal(
@@ -833,19 +845,35 @@ class TestSupportCount:
             lambda: inequality_suite(f, g, gt, h, T, 100, 1, K=K),
         ]
 
-    def test_every_estimator_rejects_too_few_blocks(self):
-        for call in self._calls(4.0, 1):
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """Every `mc.derive_rng` call, which each batch's draw starts with."""
+        calls = []
+        derive = mc.derive_rng
+        monkeypatch.setattr(mc, "derive_rng", lambda *a: calls.append(a) or derive(*a))
+        return calls
+
+    def test_every_estimator_rejects_too_few_blocks(self, draws):
+        # K = 3 on rank 2 would draw and solve: rejected at entry all the same
+        for call in self._calls(4.0, 1) + self._calls(4.0, 3):
             with pytest.raises(ValueError, match=r"K >= n \+ 2") as exc:
                 call()
             assert not isinstance(exc.value, SingularGramError)
+        assert draws == []
 
     @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
-    def test_every_estimator_rejects_a_bad_horizon(self, T):
+    def test_every_estimator_rejects_a_bad_horizon(self, T, draws):
         # neither a singular Gram system nor a math domain error: the horizon is named
         for call in self._calls(T, 8):
             with pytest.raises(ValueError, match=f"horizon must be positive and finite, got {T}") as exc:
                 call()
             assert not isinstance(exc.value, SingularGramError)
+        assert draws == []
+
+    def test_the_spy_sees_the_draws_of_a_valid_call(self, draws):
+        for call in self._calls(4.0, 4):
+            call()
+        assert len(draws) >= 4
 
 
 class TestSpotCheckSeeds:
