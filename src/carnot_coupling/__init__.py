@@ -22,6 +22,7 @@ from .sylvester import (
 from .coupling import (
     BoundReport,
     CouplingOutcome,
+    FailureEstimate,
     couple_carnot,
     couple_heisenberg,
     failure_probability,

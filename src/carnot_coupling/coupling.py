@@ -36,12 +36,19 @@ targets.  On success the endpoint difference vanishes identically; it is
 verified through the finite sum over modified indices and their neighbours,
 which no truncation can touch.
 
-`failure_probability` takes a grid of horizons and makes one pass over the
-draws for all of them.  Per batch the draw, the probes p_k and one
-factorization of their Gram matrix are shared: V = T p scales the Gram
-matrix by T^2, so the condition number, and with it the singular flag, does
-not depend on T, and the least-norm shift is u(p, w_T)/T.  Each horizon's
-estimate is the one a grid of that horizon alone gives, bit for bit.
+Given everything the shift reads, the coupling is maximal for the one
+coordinate it moves, so a row fails with probability exactly
+erf(|u|/(2 sqrt 2)) (`gaussian_tv`), read from `Shift.norm2`.  By the tower
+property its mean is the failure probability, and averaging it in place of
+the failure indicator (Rao-Blackwellization) never raises the variance.
+
+`failure_probability` returns both means from the same rows.  It takes a
+grid of horizons and makes one pass over the draws for all of them.  Per
+batch the draw, the probes p_k and one factorization of their Gram matrix
+are shared: V = T p scales the Gram matrix by T^2, so the condition number,
+and with it the singular flag, does not depend on T, and the least-norm
+shift is u(p, w_T)/T.  Each horizon's estimate is the one a grid of that
+horizon alone gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian_coupling import couple_to_shift
+from .gaussian_coupling import couple_to_shift, gaussian_tv
 from .groups import (
     CarnotElement,
     HeisenbergPoint,
@@ -71,6 +78,7 @@ __all__ = [
     "CouplingDiagnostics",
     "CouplingOutcome",
     "BoundReport",
+    "FailureEstimate",
     "Shift",
     "shift_batch",
     "mirrored_shift",
@@ -116,6 +124,13 @@ class BoundReport:
     variant: str
 
 
+class FailureEstimate(NamedTuple):
+    """Two unbiased estimates of the failure probability at one horizon, from the same rows."""
+
+    indicator: MCEstimate    # the fraction of rows that failed to meet
+    conditional: MCEstimate  # the mean of each row's failure probability given its shift
+
+
 def default_support_count(n: int) -> int:
     """Default block count K = 2n+1 of the coupling and of the Girsanov weights.
 
@@ -132,11 +147,12 @@ def batch_row_values(n: int, K: int, S: int) -> int:
     are held through the solve.  Beside them is the larger of the solve's own
     working set (`tsylvester_row_values`) and, after it, the pairing's: the
     S K n shift blocks, the temporaries of one horizon's `shift_pairing`,
-    at most two arrays of K n values, and a few per-row scalars (the pairing,
-    c and met of every horizon).
+    at most two arrays of K n values, a few per-row scalars (the pairing, c
+    and met of every horizon), and the statistics columns: three arrays of S
+    values at once while the conditional column is taken from `norm2`.
     """
     held = (3 * K + 2) * n + 1 + n * K + S * n * (n - 1) // 2
-    coupling = S * K * n + 2 * K * n + n + 4 * S + 8
+    coupling = S * K * n + 2 * K * n + n + 7 * S + 8
     return held + max(tsylvester_row_values(n, K, S), coupling)
 
 
@@ -349,17 +365,20 @@ def couple_carnot(g: CarnotElement, gt: CarnotElement, T: float,
 
 
 def failure_probability(g: CarnotElement, gt: CarnotElement, Ts, N: int, seed: int,
-                        workers: int = 1, K: int | None = None) -> list[MCEstimate]:
-    """Fraction of K-block coupling runs that fail to meet at each horizon of Ts, with its stderr.
+                        workers: int = 1, K: int | None = None) -> list[FailureEstimate]:
+    """Failure probability of the K-block coupling at each horizon of Ts, two ways.
 
     K defaults to `default_support_count(n)`; K = 1 is the two-index coupling.
-    K < n - 1 is rejected before any sampling.  Returns one estimate per
-    entry of Ts, from one pass over the draws: the horizons share every batch
-    (common random numbers), and each estimate equals that of a one-horizon
-    grid bit for bit.  Each upper-bounds the total-variation distance between
-    the two endpoint laws at its horizon.  Singular events (a zero probe or a
-    Gram row past COND_LIMIT) are measure-zero; any one of them raises
-    SingularGramError.
+    K < n - 1 is rejected before any sampling.  Returns one `FailureEstimate`
+    per entry of Ts, from one pass over the draws: the horizons share every
+    batch (common random numbers), and each estimate equals that of a
+    one-horizon grid bit for bit.  Its `indicator` is the fraction of runs
+    that fail to meet; its `conditional` averages erf(|u|/(2 sqrt 2)), the
+    probability that a run fails given its shift u, which has the same mean
+    and a smaller variance.  Each upper-bounds the total-variation distance
+    between the two endpoint laws at its horizon.  Singular events (a zero
+    probe or a Gram row past COND_LIMIT) are measure-zero; a batch with any
+    one of them raises SingularGramError.
     """
     Ts = [float(T) for T in Ts]
     if not Ts:
@@ -372,12 +391,14 @@ def failure_probability(g: CarnotElement, gt: CarnotElement, Ts, N: int, seed: i
 
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         batch = _couple_batch(g, gt, Ts, rng, count, K)
-        return np.column_stack([(~batch.met).T, batch.bad]).astype(float)
+        if batch.bad.any():
+            raise SingularGramError(f"{int(batch.bad.sum())} singular Gram draws, "
+                                    "reseed the run")
+        # columns: the failure indicator at each horizon, then the conditional probability
+        return np.vstack([~batch.met, gaussian_tv(np.sqrt(batch.shift.norm2))]).T
 
-    *fail, singular = run_vector_estimator(sampler, N, seed, workers)
-    if singular.mean > 0:
-        raise SingularGramError("singular Gram draws occurred; reseed the run")
-    return fail
+    ests = run_vector_estimator(sampler, N, seed, workers)
+    return [FailureEstimate(*pair) for pair in zip(ests[:len(Ts)], ests[len(Ts):])]
 
 
 def tv_bound(g: CarnotElement, gt: CarnotElement, T: float, variant: str) -> BoundReport:

@@ -5,9 +5,9 @@ e = (m' - m)/|m' - m| accepts Y = X with probability
 min(1, phi(s - delta)/phi(s)) (s the signed coordinate of X - m along e,
 delta = |m' - m|) and otherwise reflects X through the hyperplane bisecting
 m and m'.  It is maximal: P(X != Y) equals the total-variation distance
-2 Phi(delta/2) - 1, which never exceeds delta / sqrt(2 pi).  The d - 1
-coordinates orthogonal to e are shared identically between X and Y, which is
-exactly what the endpoint couplings need.
+2 Phi(delta/2) - 1 (`gaussian_tv`), which never exceeds delta / sqrt(2 pi).
+The d - 1 coordinates orthogonal to e are shared identically between X and
+Y, which is exactly what the endpoint couplings need.
 
 The kernel `couple_to_shift` moves each row along its own shift only, so a
 row's coupled vector is the row plus one scalar multiple of the shift, and
@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.special
 
 __all__ = [
     "gaussian_tv",
@@ -29,11 +30,12 @@ __all__ = [
 ]
 
 
-def gaussian_tv(delta: float) -> float:
-    """Exact meeting-failure probability 2 Phi(delta/2) - 1 = erf(delta/(2 sqrt 2))."""
-    if delta < 0:
+def gaussian_tv(delta: float | np.ndarray) -> float | np.ndarray:
+    """Exact meeting-failure probability 2 Phi(delta/2) - 1 = erf(delta/(2 sqrt 2)), elementwise."""
+    delta = np.asarray(delta, dtype=float)
+    if np.any(delta < 0):
         raise ValueError("shift norm must be nonnegative")
-    return math.erf(delta / (2.0 * math.sqrt(2.0)))
+    return scipy.special.erf(delta / (2.0 * math.sqrt(2.0)))
 
 
 def couple_to_shift(

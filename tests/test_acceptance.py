@@ -51,6 +51,7 @@ from carnot_coupling.special_constants import (
     s_h_laplace,
 )
 from carnot_coupling.sylvester import lemma_solution_batch, wishart_inv_trace_mc
+from coupling_checks import failure_given_shift_gap
 
 SEED = 20240901
 
@@ -119,16 +120,29 @@ def test_criterion_01_exact_meeting():
                f"{worst_h:.2e} <= 1e-12, max vertical gap {worst_v:.2e} <= 1e-9", ok)
 
 
+# the grids of the failure bounds: criteria 2 and 3, and criterion 13
+BOUND_HORIZONS = (1.0, 25.0, 100.0)
+HEIS_BOUND_POINTS = (HeisenbergPoint(1, 0, 0), HeisenbergPoint(0, 0, 1))
+
+
+def unit_displacements(n):
+    """The identity of rank n, and its horizontal and vertical unit displacements."""
+    vert_packed = np.zeros(n * (n - 1) // 2)
+    vert_packed[0] = 1.0
+    horiz = CarnotElement(np.eye(n)[0], SkewMatrix.zero(n))
+    vert = CarnotElement(np.zeros(n), SkewMatrix(n, vert_packed))
+    return CarnotElement.identity(n), (horiz, vert)
+
+
 def test_criterion_02_heisenberg_bound():
     origin = heis_to_carnot(HeisenbergPoint(0, 0, 0))
     ok = True
     lines = []
-    horizons = (1.0, 25.0, 100.0)
-    for point in (HeisenbergPoint(1, 0, 0), HeisenbergPoint(0, 0, 1)):
+    for point in HEIS_BOUND_POINTS:
         gt = heis_to_carnot(point)
-        ests = failure_probability(origin, gt, horizons, 100_000, split_seed(SEED, 20),
+        ests = failure_probability(origin, gt, BOUND_HORIZONS, 100_000, split_seed(SEED, 20),
                                    K=1)
-        for T, est in zip(horizons, ests):
+        for T, est in zip(BOUND_HORIZONS, (e.indicator for e in ests)):
             bound = tv_bound(origin, gt, T, "proof-stage").total
             good = est.mean <= bound + 3 * est.stderr
             ok &= good
@@ -141,16 +155,11 @@ def test_criterion_03_carnot_bound():
     ok = True
     lines = []
     for n in (3, 4):
-        p = n * (n - 1) // 2
-        origin = CarnotElement.identity(n)
-        horiz = CarnotElement(np.eye(n)[0], SkewMatrix.zero(n))
-        vert_packed = np.zeros(p)
-        vert_packed[0] = 1.0
-        vert = CarnotElement(np.zeros(n), SkewMatrix(n, vert_packed))
-        for gt in (horiz, vert):
-            horizons = (1.0, 25.0, 100.0)
-            ests = failure_probability(origin, gt, horizons, 10_000, split_seed(SEED, 30 + n))
-            for T, est in zip(horizons, ests):
+        origin, displacements = unit_displacements(n)
+        for gt in displacements:
+            ests = failure_probability(origin, gt, BOUND_HORIZONS, 10_000,
+                                       split_seed(SEED, 30 + n))
+            for T, est in zip(BOUND_HORIZONS, (e.indicator for e in ests)):
                 bound = tv_bound(origin, gt, T, "carnot-n").total
                 good = est.mean <= bound + 3 * est.stderr
                 ok &= good
@@ -389,20 +398,20 @@ def test_criterion_11_dilation_invariance():
     notes = []
     H = lambda *a: heis_to_carnot(HeisenbergPoint(*a))
     g, gt, T = H(0, 0, 0), H(0.8, 0.1, 0.5), 9.0
-    base = failure_probability(g, gt, [T], 100_000, split_seed(SEED, 110), K=1)[0]
+    base = failure_probability(g, gt, [T], 100_000, split_seed(SEED, 110), K=1)[0].indicator
     for lam in (0.5, 2.0):
         scaled = failure_probability(dilate(lam, g), dilate(lam, gt), [lam * lam * T],
-                                     100_000, split_seed(SEED, 111), K=1)[0]
+                                     100_000, split_seed(SEED, 111), K=1)[0].indicator
         se = math.hypot(base.stderr, scaled.stderr)
         good = abs(base.mean - scaled.mean) <= 3 * se
         ok &= good
         notes.append(f"H lam={lam:g}: {scaled.mean:.4f} vs {base.mean:.4f}")
     g3 = CarnotElement.identity(3)
     gt3 = CarnotElement(np.array([0.6, 0, 0]), SkewMatrix(3, np.array([0.4, 0, 0])))
-    base3 = failure_probability(g3, gt3, [4.0], 40_000, split_seed(SEED, 112))[0]
+    base3 = failure_probability(g3, gt3, [4.0], 40_000, split_seed(SEED, 112))[0].indicator
     for lam in (0.5, 2.0):
         scaled = failure_probability(dilate(lam, g3), dilate(lam, gt3), [lam * lam * 4.0],
-                                     40_000, split_seed(SEED, 113))[0]
+                                     40_000, split_seed(SEED, 113))[0].indicator
         se = math.hypot(base3.stderr, scaled.stderr)
         good = abs(base3.mean - scaled.mean) <= 3 * se
         ok &= good
@@ -433,3 +442,25 @@ def test_criterion_12_reproducibility(tmp_path):
     doc = json.loads((tmp_path / "a1").read_text())
     ok &= any(r["check"] == "constant:heis_C2_improved" for r in doc["records"])
     _report(12, "CLI artifacts byte-identical under fixed (config, seed, workers)", ok)
+
+
+def test_criterion_13_maximal_given_shift():
+    # given its shift u, a maximal coupling fails with probability
+    # erf(|u|/(2 sqrt 2)), the column `couple` averages: on the grids of
+    # criteria 2 and 3, at their N, 1{fail} - erf(|u|/(2 sqrt 2)) has mean 0
+    origin = heis_to_carnot(HeisenbergPoint(0, 0, 0))
+    pairs = [(f"H{p.as_tuple()}", origin, heis_to_carnot(p), 100_000, 1)
+             for p in HEIS_BOUND_POINTS]
+    for n in (3, 4):
+        g, displacements = unit_displacements(n)
+        pairs += [(f"n={n} {kind}", g, gt, 10_000, None)
+                  for kind, gt in zip(("horizontal", "vertical"), displacements)]
+    ok = True
+    lines = []
+    for i, (label, g, gt, N, K) in enumerate(pairs):
+        gaps = failure_given_shift_gap(g, gt, BOUND_HORIZONS, N, split_seed(SEED, 130 + i), K)
+        for T, gap in zip(BOUND_HORIZONS, gaps):
+            ok &= abs(gap.mean) <= 3 * gap.stderr
+            lines.append(f"{label}@T={T:g}: z={gap.mean / gap.stderr:+.2f}")
+    _report(13, "the coupling fails with probability erf(|u|/(2 sqrt 2)) given its shift u, "
+                "within 3 sigma [" + "; ".join(lines) + "]", ok)

@@ -289,7 +289,8 @@ class TestDeclaredFlags:
         sampled = []
         monkeypatch.setattr(cli, "failure_probability",
                             lambda g, gt, Ts, *a, **k: sampled.append(Ts) or [
-                                mc.MCEstimate(0.0, 0.0, 2, 0) for _ in Ts])
+                                coupling.FailureEstimate(*[mc.MCEstimate(0.0, 0.0, 2, 0)] * 2)
+                                for _ in Ts])
         point = ",".join(["0"] * (n + n * (n - 1) // 2))
         argv = ["couple", "--group", f"carnot-{n}", "--g", point, "--gt", point,
                 "--T", "1,25", "--N", "16384", "--out", str(tmp_path / "res.csv")]
@@ -418,7 +419,7 @@ class TestArtifacts:
         g, gt = (heis_to_carnot(HeisenbergPoint(*p)) for p in ((0.3, -0.2, 0.1), (0.5, 0, 0.6)))
         for K, same in ((1, True), (None, False)):
             ests = coupling.failure_probability(g, gt, [1.0, 25.0], 3000, 17, 2, K=K)
-            assert (got == [(e.mean, e.stderr) for e in ests]) == same
+            assert (got == [(e.conditional.mean, e.conditional.stderr) for e in ests]) == same
 
     @pytest.mark.parametrize("group, gt, K", [("heisenberg", "0,0,1", 1),
                                               ("carnot-3", "0,0,0,1,0,0", 7)])
@@ -448,7 +449,7 @@ class TestArtifacts:
         assert code == 0
         rec, = json.loads(out.read_text())["records"]
         g, gt = heis_to_carnot(HeisenbergPoint(0, 0, 0)), heis_to_carnot(HeisenbergPoint(0, 0, 1))
-        est, = coupling.failure_probability(g, gt, [25.0], 3000, 18)
+        est = coupling.failure_probability(g, gt, [25.0], 3000, 18)[0].conditional
         assert (rec["estimate"], rec["stderr"]) == (est.mean, est.stderr)
         assert rec["bound"] == coupling.tv_bound(g, gt, 25.0, "proof-stage").total
 

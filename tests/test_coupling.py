@@ -24,6 +24,7 @@ from carnot_coupling.coupling import (
     shift_pairing,
     tv_bound,
 )
+from carnot_coupling.gaussian_coupling import couple_to_shift
 from carnot_coupling.girsanov import build_shift, log_density
 from carnot_coupling.groups import (
     CarnotElement,
@@ -38,6 +39,7 @@ from carnot_coupling.legendre import alpha, endpoint_packed
 from carnot_coupling.mc import derive_rng, ks_test
 from carnot_coupling.special_constants import heisenberg_constants
 from carnot_coupling.sylvester import COND_LIMIT, SingularGramError, tsylvester_batch
+from coupling_checks import failure_given_shift_gap
 
 
 def H(*a):
@@ -101,7 +103,7 @@ class TestSingleRuns:
         gt = CarnotElement(np.array([0.5, 0.0]), SkewMatrix(2, np.array([0.3])))
         _, moved = _modified_indices(monkeypatch, lambda: couple_carnot(g, gt, 9.0, derive_rng(12)))
         assert moved == [0, 3, 6, 9, 12, 15]
-        est = failure_probability(g, gt, [9.0], 20_000, seed=13)[0]
+        est = failure_probability(g, gt, [9.0], 20_000, seed=13)[0].indicator
         bound = tv_bound(g, gt, 9.0, "carnot-n").total
         assert est.mean <= bound + 3 * est.stderr
 
@@ -336,41 +338,77 @@ class TestFailureProbability:
             couple_carnot(g, gt, 4.0, derive_rng(3))
 
     def test_same_start_zero(self):
-        est = failure_probability(H(1, 2, 3), H(1, 2, 3), [4.0], 2000, seed=0,
-                                  K=1)[0]
-        assert est.mean == 0.0
+        est, = failure_probability(H(1, 2, 3), H(1, 2, 3), [4.0], 2000, seed=0, K=1)
+        assert est.indicator.mean == est.conditional.mean == 0.0
 
     def test_deterministic(self):
         g, gt = H(0, 0, 0), H(1, 0, 1)
         a = failure_probability(g, gt, [25.0], 20_000, seed=3, K=1)[0]
         b = failure_probability(g, gt, [25.0], 20_000, seed=3, K=1)[0]
-        assert a.mean == b.mean and a.stderr == b.stderr
+        assert a == b
 
     def test_bound_domination_heisenberg(self):
         g, gt = H(0, 0, 0), H(1, 0, 1)
         for T in (4.0, 25.0):
-            est = failure_probability(g, gt, [T], 30_000, seed=4, K=1)[0]
+            est = failure_probability(g, gt, [T], 30_000, seed=4, K=1)[0].indicator
             bound = tv_bound(g, gt, T, "proof-stage").total
             assert est.mean <= bound + 3 * est.stderr
 
     def test_bound_domination_carnot(self):
         g = CarnotElement.identity(3)
         gt = CarnotElement(np.array([1.0, 0, 0]), SkewMatrix(3, np.array([1.0, 0, 0])))
-        est = failure_probability(g, gt, [25.0], 10_000, seed=5)[0]
+        est = failure_probability(g, gt, [25.0], 10_000, seed=5)[0].indicator
         bound = tv_bound(g, gt, 25.0, "carnot-n").total
         assert est.mean <= bound + 3 * est.stderr
+
+    @pytest.mark.parametrize("K", [1, 5])
+    def test_no_estimate_falls_below_the_exact_tv(self, K):
+        # for a vertical displacement zeta on H the TV distance is
+        # P(|A_T| < |zeta|/2) = (4/pi) arctan(exp(pi |zeta|/(2T))) - 1 (Levy's
+        # area law), 0.0100 at T = 100; no coupling fails less often
+        Ts = [25.0, 100.0]
+        for T, est in zip(Ts, failure_probability(H(0, 0, 0), H(0, 0, 1), Ts, 100_000,
+                                                  seed=8, K=K)):
+            tv = 4.0 / math.pi * math.atan(math.exp(math.pi / (2.0 * T))) - 1.0
+            for e in est:
+                assert e.mean >= tv - 3 * e.stderr
+
+    def test_conditional_column_has_the_indicator_mean_and_less_variance(self):
+        g, gt = H(0, 0, 0), H(1, 0, 1)
+        for est in failure_probability(g, gt, [4.0, 25.0], 40_000, seed=10, K=1):
+            se = math.hypot(est.indicator.stderr, est.conditional.stderr)
+            assert abs(est.indicator.mean - est.conditional.mean) <= 3 * se
+            assert est.conditional.stderr < est.indicator.stderr
 
     def test_dilation_invariance(self):
         g, gt = H(0, 0, 0), H(0.8, 0.1, 0.5)
         T = 9.0
-        base = failure_probability(g, gt, [T], 40_000, seed=6, K=1)[0]
+        base = failure_probability(g, gt, [T], 40_000, seed=6, K=1)[0].indicator
         for lam in (0.5, 2.0):
             scaled = failure_probability(
                 dilate(lam, g), dilate(lam, gt), [lam * lam * T], 40_000, seed=7, K=1
-            )[0]
+            )[0].indicator
             se = math.hypot(base.stderr, scaled.stderr)
             assert abs(base.mean - scaled.mean) <= 3 * se
 
+
+class TestMaximalGivenShift:
+    """The check of acceptance criterion 13: the paired column 1{fail} - erf(|u|/(2 sqrt 2))."""
+
+    Ts = [25.0, 100.0]
+
+    def _z(self):
+        gaps = failure_given_shift_gap(H(0, 0, 0), H(0, 0, 1), self.Ts, 100_000, seed=11, K=1)
+        return [gap.mean / gap.stderr for gap in gaps]
+
+    def test_passes_on_the_coupling(self):
+        assert all(abs(z) <= 3 for z in self._z())
+
+    def test_fails_on_a_coupling_that_meets_too_often(self, monkeypatch):
+        # accept on log U <= log R + 0.05: log(U e^-0.05) <= log R
+        monkeypatch.setattr(coupling, "couple_to_shift",
+                            lambda dot, norm2, u: couple_to_shift(dot, norm2, u * math.exp(-0.05)))
+        assert all(z < -3 for z in self._z())
 
 
 class TestCouplingChoice:

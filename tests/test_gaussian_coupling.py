@@ -41,6 +41,14 @@ class TestGaussianTV:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             gaussian_tv(-0.1)
+        with pytest.raises(ValueError):
+            gaussian_tv(np.array([0.5, -0.1]))
+
+    def test_array_is_elementwise(self):
+        d = np.array([[0.0, 0.1, 1.0], [2.0, 5.0, 50.0]])
+        assert np.array_equal(gaussian_tv(d), [[gaussian_tv(x) for x in row] for row in d])
+        assert np.allclose(gaussian_tv(d), 2 * scipy.stats.norm.cdf(d / 2) - 1,
+                           rtol=1e-14, atol=0)
 
 
 class TestMaximalCoupling:

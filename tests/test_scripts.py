@@ -49,5 +49,7 @@ def test_tv_decay_grid_writes_every_row(tmp_path):
         gt = CarnotElement(np.array([x1, x2]), SkewMatrix(2, np.array([z])))
         ests = failure_probability(origin, gt, [float(r["T"]) for r in got], 2000, 20240901,
                                    K=1)
-        assert [(float(r["failure"]), float(r["stderr"])) for r in got] == [
-            (e.mean, e.stderr) for e in ests]
+        columns = ("failure", "stderr", "conditional", "conditional_stderr")
+        assert [tuple(float(r[c]) for c in columns) for r in got] == [
+            (e.indicator.mean, e.indicator.stderr, e.conditional.mean, e.conditional.stderr)
+            for e in ests]
