@@ -19,8 +19,9 @@ the coupling and for every Girsanov weight in `girsanov`, by the least-norm
 scaled to match the area.  It also pairs each shift u with the draw
 (`shift_pairing`): the two row sums of log R(u) = -<omega, u> - |u|^2/2,
 which the coupling's accept test and every Girsanov weight read.
-`mirrored_shift` adds the shift at -xi to the same solve, as one more
-right-hand side, for the antithetic transfer check and gradient estimator.
+Its `orbit` adds the shift at -xi, or at each point of the sign orbit xi,
+-xi, D xi, -D xi ((D xi)_k = (-1)^k xi_k), to the same solve as more
+right-hand sides, for the antithetic transfer check and gradient estimators.
 The streams are coefficient arrays xi (B, L, n) and w stays packed,
 (B, n(n-1)/2), up to the solve; a run is a batch of one.
 
@@ -69,7 +70,7 @@ from .groups import (
     triu_pairs,
     zeta,
 )
-from .legendre import alpha_ladder, endpoint_packed, truncation_index
+from .legendre import ORBIT_FLIP, ORBIT_MIRROR, alpha_ladder, endpoint_packed, truncation_index
 from .mc import MCEstimate, run_vector_estimator
 from .special_constants import carnot_constants, heisenberg_constants
 from .sylvester import COND_LIMIT, SingularGramError, tsylvester_batch, tsylvester_row_values
@@ -81,7 +82,6 @@ __all__ = [
     "FailureEstimate",
     "Shift",
     "shift_batch",
-    "mirrored_shift",
     "shift_pairing",
     "check_horizon",
     "couple_heisenberg",
@@ -172,13 +172,19 @@ def _check_pair(g: CarnotElement, gt: CarnotElement, K: int) -> None:
         raise ValueError(f"the coupling needs K >= n - 1 = {g.n - 1} blocks, got K = {K}")
 
 
-def _odd_mismatch(gc: CarnotElement, gct: CarnotElement, T: float, xi: np.ndarray) -> np.ndarray:
-    """The part of the mismatch (`_mismatches`) linear in xi; the rest, -zeta, reads no xi."""
+def _odd_mismatch(gc: CarnotElement, gct: CarnotElement, T: float, xi: np.ndarray,
+                  flip: bool = False) -> np.ndarray:
+    """The part of the mismatch (`_mismatches`) linear in xi; the rest, -zeta, reads no xi.
+
+    `flip` gives it at D xi, which keeps xi_0 and negates xi_1.
+    """
     iu, ju = triu_pairs(gc.n)
     sqrtT = math.sqrt(T)
     a0 = alpha_ladder(1)[0]
     d = np.asarray(gc.x, dtype=float) - np.asarray(gct.x, dtype=float)
-    hat = (sqrtT / 2.0) * xi[:, 0] - sqrtT * a0 * xi[:, 1]
+    head = (sqrtT / 2.0) * xi[:, 0]
+    step = sqrtT * a0 * xi[:, 1]
+    hat = head + step if flip else head - step
     return odot_packed(np.broadcast_to(d, hat.shape), hat, iu, ju)
 
 
@@ -199,8 +205,8 @@ class Shift(NamedTuple):
     """The shift from g to g~ at S horizons for the B rows of one draw (`shift_batch`).
 
     `dot` and `norm2` pair each entry with the draw xi (`shift_pairing`), so
-    log R(u) = -dot - norm2/2.  A mirrored entry (`mirrored_shift`) is the
-    shift at -xi, but its `dot` is taken against xi: there log R(-xi) = +dot - norm2/2.
+    log R(u) = -dot - norm2/2.  With a sign orbit, an entry at -xi or -D xi
+    has its `dot` taken against xi or D xi: there log R = +dot - norm2/2.
     """
 
     axis: np.ndarray    # (n,), (x - x~)/|x - x~|, zero when x = x~
@@ -208,35 +214,32 @@ class Shift(NamedTuple):
     blocks: np.ndarray  # (S, B, K, n), row k-1 shifts index 3k
     dot: np.ndarray     # (S, B), <xi, u> over the shift support
     norm2: np.ndarray   # (S, B), |u|^2
+    # over a sign orbit of O points, entry O s + o of the four above is horizon s at point o
     probes: np.ndarray  # (B, n, K), horizon-free: V = T p at horizon T
     cond: np.ndarray    # (B,), of the solve, horizon-free; rows past COND_LIMIT are NaN
 
 
-def shift_batch(gc: CarnotElement, gct: CarnotElement, Ts, xi: np.ndarray, K: int) -> Shift:
+def shift_batch(gc: CarnotElement, gct: CarnotElement, Ts, xi: np.ndarray, K: int,
+                orbit: int = 1) -> Shift:
     """The K-block shift from gc to gct at each horizon of Ts, for rows xi (B, L >= 3K+2, n).
 
     One solve serves every horizon.  `blocks` is a transposed view of the
     solve's (S, B, n, K) output, and `shift_pairing` sums its rows in that order.
+
+    `orbit` = 2 or 4 adds the shift at the other points of the sign orbit xi,
+    -xi, D xi, -D xi, with (D xi)_k = (-1)^k xi_k, to the same solve: entry
+    `orbit` s + o is horizon s at point o.  Each equals `shift_batch` on a copy
+    of its point bit for bit, and none needs that copy.  The probes are odd in
+    xi, p(-xi) = -p, and D multiplies p_k by (-1)^{k+1}, the parity of its
+    indices 3k -+ 1.  So the Gram matrix and its factorization are those of p,
+    u(-p, w) = -u(p, w), and column k of u(D p, w) is (-1)^{k+1} times that of
+    u(p, w).  The mismatch at -xi is -zeta - o, for its part o linear in xi,
+    and at D xi it is the mismatch with xi_1 negated (`_odd_mismatch`).  So
+    each point is one more right-hand side against p, divided by T or -T, with
+    the columns signed at D xi.  `probes` are those at xi.
     """
-    return _shift(gc, gct, Ts, xi, K, mirror=False)
-
-
-def mirrored_shift(gc: CarnotElement, gct: CarnotElement, Ts, xi: np.ndarray,
-                   K: int) -> Shift:
-    """`shift_batch` at xi and at -xi, from one solve: entries 2s and 2s + 1 are horizon s.
-
-    Entry 2s is `shift_batch` at xi bit for bit, and entry 2s + 1 equals
-    `shift_batch` at -xi bit for bit, with no copy of -xi: the probes are odd
-    in xi, p(-xi) = -p, so the Gram matrix and its factorization do not
-    change, and u(-p, w) = -u(p, w); the mismatch at -xi is -zeta - o for the
-    part o that is linear in xi.  So the mirrored shift is one more
-    right-hand side against p, divided by -T.  `probes` are those at xi.
-    """
-    return _shift(gc, gct, Ts, xi, K, mirror=True)
-
-
-def _shift(gc: CarnotElement, gct: CarnotElement, Ts, xi: np.ndarray, K: int,
-           mirror: bool) -> Shift:
+    if orbit not in (1, 2, 4):
+        raise ValueError(f"the sign orbit has 1, 2 or 4 points, got {orbit}")
     Ts = np.asarray(Ts, dtype=float)
     for T in Ts:
         check_horizon(T)
@@ -244,39 +247,49 @@ def _shift(gc: CarnotElement, gct: CarnotElement, Ts, xi: np.ndarray, K: int,
     dnorm = float(np.linalg.norm(d))
     axis = d / dnorm if dnorm > 0 else np.zeros_like(d)
     p = _probes(xi, K)
-    u, cond = tsylvester_batch(p, _mismatches(gc, gct, Ts, xi, mirror))
-    scale = np.stack([Ts, -Ts], axis=1).ravel() if mirror else Ts
+    u, cond = tsylvester_batch(p, _mismatches(gc, gct, Ts, xi, orbit))
+    scale = np.outer(Ts, ORBIT_MIRROR[:orbit]).ravel()
     u /= scale[:, None, None, None]
     u0 = d / np.sqrt(np.abs(scale))[:, None]
     blocks = np.swapaxes(u, -1, -2)
-    pairing = [shift_pairing(u0_s, blocks_s, xi) for u0_s, blocks_s in zip(u0, blocks)]
+    flip = np.tile(ORBIT_FLIP[:orbit], len(Ts))
+    pairing = [shift_pairing(u0_s, blocks_s, xi, flip_s)
+               for u0_s, blocks_s, flip_s in zip(u0, blocks, flip)]
+    # the pairing at D xi reads the columns before their signs
+    u[flip, ..., 1::2] *= -1.0
     return Shift(axis, u0, blocks, *map(np.stack, zip(*pairing)), p, cond)
 
 
-def shift_pairing(u0: np.ndarray, blocks: np.ndarray,
-                  xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def shift_pairing(u0: np.ndarray, blocks: np.ndarray, xi: np.ndarray,
+                  flip: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise <omega, u> over the shift support and |u|^2.
 
-    Every term is a row-wise product sum (no BLAS dot, which rounds a single
-    row differently from a batch), so a batch of one equals its batched row.
+    With `flip`, blocks are the shift at D xi before its column signs
+    (-1)^{k+1}, and the pairing is the one with D xi: D negates every term
+    <xi_{3k}, u_k>, so it is <xi_0, u_0> - sum_k <xi_{3k}, u_k>.  Every term is
+    a row-wise product sum (no BLAS dot, which rounds a single row differently
+    from a batch), so a batch of one equals its batched row.
     """
     K = blocks.shape[1]
     mods = xi[:, 3:3 * K + 1:3, :]
-    dot = np.sum(xi[:, 0] * u0, axis=1) + np.einsum("bkn,bkn->b", mods, blocks)
+    head = np.sum(xi[:, 0] * u0, axis=1)
+    tail = np.einsum("bkn,bkn->b", mods, blocks)
+    dot = head - tail if flip else head + tail
     norm2 = float(u0 @ u0) + np.einsum("bkn,bkn->b", blocks, blocks)
     return dot, norm2
 
 
 def _mismatches(gc: CarnotElement, gct: CarnotElement, Ts: np.ndarray, xi: np.ndarray,
-                mirror: bool) -> np.ndarray:
-    """Packed skew endpoint mismatch w (S, B, n(n-1)/2) at each horizon; `mirror` adds w(-xi)."""
+                orbit: int) -> np.ndarray:
+    """Packed skew endpoint mismatch w (O S, B, n(n-1)/2) at each horizon and orbit point."""
     even = -zeta(gc, gct).upper
     rhs = []
     for T in Ts:
-        odd = _odd_mismatch(gc, gct, T, xi)
-        rhs.append(even + odd)
-        if mirror:
-            rhs.append(even - odd)
+        for flip in ORBIT_FLIP[:orbit:2]:
+            odd = _odd_mismatch(gc, gct, T, xi, flip)
+            rhs.append(even + odd)
+            if orbit > 1:
+                rhs.append(even - odd)
     return np.stack(rhs)
 
 

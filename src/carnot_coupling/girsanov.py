@@ -23,8 +23,9 @@ of xi, and each row returns the mean at xi and at -xi of every column, so
 it costs one draw per row and tests the paired difference f(X^g) R -
 f(X^g~) against its own standard error.  Everything at -xi comes from the
 same draw: the area is even in xi, so the endpoints from g and from g~ at
-both signs share one area; the probes are odd in xi, so the mirrored shift
-is one more right-hand side of the same solve (`coupling.mirrored_shift`).
+both signs share one area (`legendre.endpoint_packed` over the orbit xi,
+-xi); the probes are odd in xi, so the mirrored shift is one more
+right-hand side of the same solve (`coupling.shift_batch` over that orbit).
 Because E[R] = 1 is known exactly, R - 1 is a control variate: every column
 is regressed on the pair mean of R in the same pass, with an in-sample
 coefficient and its standard error on N - 2 degrees of freedom.
@@ -32,19 +33,23 @@ coefficient and its standard error on N - 2 degrees of freedom.
 Differentiating the same construction in the direction h = (h_x, h_z) gives
 the integration-by-parts weight W = -<omega, u(h)> for d_g P_T f(h) =
 E[f(X_T) W], from which the reverse Poincare and weak log-Sobolev checks
-follow.  Its estimator is antithetic on one draw, twice: the reflection of
-xi_0 across the hyperplane orthogonal to h_x together with xi_{3k} ->
--xi_{3k} (k = 1..K) preserves the law of xi, leaves u(h) unchanged, since u
-reads neither of them, and flips W.  So (f(X_T) - f(X_T^refl)) W / 2 has the
-mean of f(X_T) W, with X_T^refl driven by the reflected xi; it is derived
-from X_T and the probes of the shift solve, with no second area or solve.
-Each row returns the mean of that column at xi and at -xi, as the transfer
-check does: the shift at -xi is the second right-hand side of the one solve
-and the endpoints at -xi come from the same area.  The part of f that the
-reflection does not move cancels row by row: a constant f, or an f of x
-alone along a vertical h, gives exactly zero.  The central finite
-difference that checks it is mirrored the same way, its four start points
-(g +- eps h at xi and at -xi) against one area.
+follow.  Its estimator is antithetic on one draw, three times over: the
+reflection of xi_0 across the hyperplane orthogonal to h_x together with
+xi_{3k} -> -xi_{3k} (k = 1..K) preserves the law of xi, leaves u(h)
+unchanged, since u reads neither of them, and flips W.  So (f(X_T) -
+f(X_T^refl)) W / 2 has the mean of f(X_T) W, with X_T^refl driven by the
+reflected xi; it is derived from X_T and the probes of the shift solve,
+with no second area or solve.  Each row returns the mean of that column
+over the sign orbit xi, -xi, D xi, -D xi, where D xi_k = (-1)^k xi_k.  D
+keeps the law of xi and xi_0 and negates the area A_T = T sum_k alpha_k
+(xi_k odot xi_{k+1}) exactly, so the orbit costs no second draw: the shifts
+at the other three points are three more right-hand sides of the one solve
+(D only changes the signs of the probe columns, so their Gram matrix is the
+same), and the endpoints at all four come from one area.  The part of f
+that the reflection does not move cancels row by row: a constant f, or an f
+of x alone along a vertical h, gives exactly zero.  The central finite
+difference that checks it is averaged over the same orbit, its eight
+endpoints (g +- eps h at the four points) against one area.
 
 All estimators evaluate the Legendre-truncated semigroup (coefficients up to
 index 3K+1 unless a longer path is requested): every identity and inequality
@@ -61,10 +66,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import TestFunction
-from .coupling import (Shift, check_horizon, default_support_count, mirrored_shift,
-                       shift_batch, shift_pairing)
+from .coupling import Shift, check_horizon, default_support_count, shift_batch, shift_pairing
 from .groups import CarnotElement, SkewMatrix, odot, odot_packed, triu_pairs, zeta
-from .legendre import alpha_ladder, endpoint_packed
+from .legendre import ORBIT_FLIP, ORBIT_MIRROR, alpha_ladder, endpoint_packed
 from .mc import (
     BATCH_SIZE,
     ComparisonReport,
@@ -121,9 +125,9 @@ def _check_weights(n: int, T: float, K: int) -> None:
 
 
 def _checked_shift(g: CarnotElement, gt: CarnotElement, T: float, K: int,
-                   xi: np.ndarray, kernel=shift_batch) -> Shift:
-    """`shift_batch` (or `mirrored_shift`) at the one horizon T; raises on a singular row."""
-    sh = kernel(g, gt, [T], xi, K)
+                   xi: np.ndarray, orbit: int = 1) -> Shift:
+    """`shift_batch` at the one horizon T over `orbit` points; raises on a singular row."""
+    sh = shift_batch(g, gt, [T], xi, K, orbit)
     bad = sh.cond > COND_LIMIT
     if bad.any():
         # measure-zero event; fail loudly rather than use an ill-conditioned solve
@@ -132,13 +136,13 @@ def _checked_shift(g: CarnotElement, gt: CarnotElement, T: float, K: int,
 
 
 def _checked_pairing(g: CarnotElement, gt: CarnotElement, T: float, K: int, xi: np.ndarray,
-                     kernel=shift_batch) -> tuple[np.ndarray, np.ndarray]:
+                     orbit: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """`dot` and `norm2` (S, B) of `_checked_shift`; the rest of it is freed on return.
 
     Held through the endpoints, the solve raised a 16384-row rank-2 transfer
     batch's traced peak from 15.4 to 22.0 MiB.
     """
-    sh = _checked_shift(g, gt, T, K, xi, kernel)
+    sh = _checked_shift(g, gt, T, K, xi, orbit)
     return sh.dot, sh.norm2
 
 
@@ -253,20 +257,17 @@ def _transfer_columns(f: TestFunction, g: CarnotElement, gt: CarnotElement, T: f
     """Pair means at xi and -xi of f(X^g) R, f(X^g~), their difference and R; (B, 4).
 
     -xi has the law of xi and needs no copy: R(-xi) = exp(dot - norm2/2) from
-    the mirrored entry of one `mirrored_shift` call, and the endpoint from
-    (x, z) at -xi is the endpoint from (-x, z) at xi with x_T negated, since
-    (x, z) -> (-x, z) is a group automorphism and the area is even in xi.  So
-    all four endpoints share one area, each equals a direct evaluation at -xi
-    bit for bit, and every step is row-wise: a batch of one equals its row.
+    the mirrored entry of one `shift_batch` call over the orbit xi, -xi, and
+    the four endpoints, from g and g~ at both signs, come from one
+    `endpoint_packed` call over that orbit, with one area.  Each equals a
+    direct evaluation at -xi bit for bit, and every step is row-wise: a batch
+    of one equals its row.
     """
-    dot, norm2 = _checked_pairing(g, gt, T, K, xi, mirrored_shift)
-    w = np.exp(np.array([[-1.0], [1.0]]) * dot - 0.5 * norm2)
-    x = np.stack([g.x, gt.x])
-    z = np.stack([g.z.upper, gt.z.upper])
-    xT, zT = endpoint_packed(np.concatenate([x, -x])[:, None],
-                             np.concatenate([z, z])[:, None], xi, T)
-    xT[2:] *= -1.0
-    fg, fgt, fg_mirror, fgt_mirror = f(xT, zT)
+    dot, norm2 = _checked_pairing(g, gt, T, K, xi, orbit=2)
+    w = np.exp(-ORBIT_MIRROR[:2, None] * dot - 0.5 * norm2)
+    x = np.stack([g.x, gt.x])[:, None]
+    z = np.stack([g.z.upper, gt.z.upper])[:, None]
+    (fg, fgt), (fg_mirror, fgt_mirror) = f(*endpoint_packed(x, z, xi, T, orbit=2))
     weighted = 0.5 * (fg * w[0] + fg_mirror * w[1])
     direct = 0.5 * (fgt + fgt_mirror)
     return np.stack([weighted, direct, weighted - direct, 0.5 * (w[0] + w[1])], axis=1)
@@ -315,33 +316,40 @@ def _direction_pair(g: CarnotElement, h: CarnotElement) -> CarnotElement:
 def _reflected_endpoint(x: np.ndarray, xT: np.ndarray, zT: np.ndarray, xi: np.ndarray,
                         probes: np.ndarray, e: np.ndarray,
                         T: float) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoints from x driven by the reflected xi, derived from their endpoints (xT, zT).
+    """Endpoints from x driven by reflected orbit points, derived from their endpoints.
 
-    The reflection maps xi_0 to xi_0 - 2 s e, s = <xi_0, e>, and xi_{3k} to
-    -xi_{3k} for k = 1..K.  Only the terms of the endpoint that read those
-    indices change:
+    xT (O, B, n) and zT (O, B, n(n-1)/2) are the endpoints from the one start
+    x (n,) at the first O points of the sign orbit of xi (`endpoint_packed`);
+    O = 1 is xi alone.  The reflection maps xi_0 to xi_0 - 2 s e, s = <xi_0,
+    e>, and xi_{3k} to -xi_{3k} for k = 1..K.  Only the terms of the endpoint
+    that read those indices change:
 
         x_T^refl = x_T - 2 sqrt(T) s e,
-        z_T^refl = z_T - sqrt(T) s (x odot e) - 2 T alpha_0 s (e odot xi_1)
-                   - 2 sum_k xi_{3k} odot V_k,
+        z_T^refl = z_T - sqrt(T) s (x odot e)
+                   - (2 T alpha_0 s (e odot xi_1) + 2 sum_k xi_{3k} odot V_k),
 
-    with V_k = T p_k the probe columns (B, n, K) of the shift solve, since the
-    two area terms at index 3k sum to T xi_{3k} odot p_k.  That is O(K n^2)
-    per row, with no second area.  x is one start (n,) with endpoints
-    (B, ...), or S starts stacked as (S, 1, n) with endpoints (S, B, ...);
-    the terms that do not read x are computed once for all of them.  Every
-    step is row-wise, so a batch of one equals its row.
+    with V_k = T p_k the probe columns (B, n, K) of the shift solve at xi,
+    since the two area terms at index 3k sum to T xi_{3k} odot p_k.  That is
+    O(K n^2) per row, with no second area.  The mirror -xi negates s, so the
+    first two terms change sign there; D keeps xi_0 and negates xi_1 and
+    every xi_{3k} odot p_k, so the last term, which does not read x, changes
+    sign at D xi.  Each reflected point then equals a direct evaluation on a
+    copy of that point bit for bit, and every step is row-wise, so a batch of
+    one equals its row.
     """
+    O = xT.shape[0]
     n = xi.shape[-1]
     K = probes.shape[-1]
     iu, ju = triu_pairs(n)
     sqrtT = math.sqrt(T)
     se = np.sum(xi[:, 0] * e, axis=1)[:, None] * e
     mt = probes @ xi[:, 3:3 * K + 1:3]  # sum_k V_k xi_{3k}^t, (B, n, n)
-    dz = sqrtT * odot_packed(x, se, iu, ju)
-    dz += 2.0 * T * alpha_ladder(1)[0] * odot_packed(se, xi[:, 1], iu, ju)
-    dz += 2.0 * (mt[:, ju, iu] - mt[:, iu, ju])
-    return xT - 2.0 * sqrtT * se, zT - dz
+    x_term = sqrtT * odot_packed(x, se, iu, ju)
+    free = 2.0 * T * alpha_ladder(1)[0] * odot_packed(se, xi[:, 1], iu, ju)
+    free += 2.0 * (mt[:, ju, iu] - mt[:, iu, ju])
+    mirror = ORBIT_MIRROR[:O, None, None]
+    flip = np.where(ORBIT_FLIP[:O], -1.0, 1.0)[:, None, None]
+    return xT - mirror * (2.0 * sqrtT * se), zT - (mirror * x_term + flip * free)
 
 
 def _antithetic_gradient(f: TestFunction, g: CarnotElement, gth: CarnotElement, T: float,
@@ -351,32 +359,30 @@ def _antithetic_gradient(f: TestFunction, g: CarnotElement, gth: CarnotElement, 
     """f at the endpoints from each start, the antithetic gradient column and |u|^2, at xi.
 
     starts[0] is g; every start shares one endpoint call and one area.  The
-    gradient column is the mean at xi and at -xi of (f(X) - f(X^refl)) W / 2,
-    with W = -<omega, u> the integration-by-parts weight of the shift from g
-    to gth and X^refl the endpoint from g driven by the reflected xi
-    (`_reflected_endpoint`).  -xi needs no copy: the mirrored shift u' is one
-    more right-hand side of the one solve (`mirrored_shift`), so W(-xi) =
-    <xi, u'>; the endpoint from (x, z) at -xi is the endpoint from (-x, z) at
-    xi with x_T negated, one more start against the same area; and its
-    reflection is `_reflected_endpoint` from -x on that endpoint, with the same
-    probes and axis, x_T negated after.  Each piece at -xi equals a direct
-    evaluation at -xi bit for bit, and every step is row-wise: a batch of one
-    equals its row.
+    gradient column is the mean over the sign orbit xi, -xi, D xi, -D xi of
+    (f(X) - f(X^refl)) W / 2, with W = -<omega, u> the integration-by-parts
+    weight of the shift from g to gth and X^refl the endpoint from g driven by
+    the reflected point (`_reflected_endpoint`).  No point but xi is copied:
+    the shift at each is one more right-hand side of the one solve
+    (`shift_batch` over the orbit), whose mirrored entries pair against xi
+    and D xi, so W = +dot there; the endpoints at all four come from one
+    `endpoint_packed` call and one area; and their reflections from one
+    `_reflected_endpoint` call with the probes at xi.  It is the mean of the
+    two-point (xi, -xi) columns at xi and at D xi.  Each piece at each point
+    equals a direct evaluation on a copy of that point bit for bit, and every
+    step is row-wise: a batch of one equals its row.
     """
-    sh = _checked_shift(g, gth, T, K, xi, mirrored_shift)
-    dot, dot_mirror = sh.dot
+    sh = _checked_shift(g, gth, T, K, xi, orbit=4)
     S = len(starts)
-    x = np.stack([s.x for s in starts] + [-g.x])[:, None]
-    z = np.stack([s.z.upper for s in starts] + [g.z.upper])[:, None]
-    xT, zT = endpoint_packed(x, z, xi, T)
-    pair = [0, S]  # g at xi, and (-x, z), whose endpoint at xi is g's at -xi with x_T negated
-    xr, zr = _reflected_endpoint(x[pair], xT[pair], zT[pair], xi, T * sh.probes, sh.axis, T)
-    xT[S] *= -1.0
-    xr[1] *= -1.0
-    vals = f(np.concatenate([xT, xr]), np.concatenate([zT, zr]))
-    grad = 0.5 * (vals[0] - vals[S + 1]) * -dot
-    grad_mirror = 0.5 * (vals[S] - vals[S + 2]) * dot_mirror
-    return vals[:S], 0.5 * (grad + grad_mirror), sh.norm2[0]
+    x = np.stack([s.x for s in starts])[:, None]
+    z = np.stack([s.z.upper for s in starts])[:, None]
+    xT, zT = endpoint_packed(x, z, xi, T, orbit=4)
+    xr, zr = _reflected_endpoint(g.x, xT[:, 0], zT[:, 0], xi, T * sh.probes, sh.axis, T)
+    vals = f(np.concatenate([xT.reshape(4 * S, *xr.shape[1:]), xr]),
+             np.concatenate([zT.reshape(4 * S, *zr.shape[1:]), zr]))
+    grads = 0.5 * (vals[:4 * S:S] - vals[4 * S:]) * (-ORBIT_MIRROR[:, None] * sh.dot)
+    pairs = 0.5 * (grads[0::2] + grads[1::2])
+    return vals[:S], 0.5 * (pairs[0] + pairs[1]), sh.norm2[0]
 
 
 def bismut_gradient(
@@ -386,16 +392,17 @@ def bismut_gradient(
     """Integration-by-parts estimator of d_g P_T f(h), antithetic in one draw.
 
     The weight is W = -<omega, u(h)>, with u(h) the shift from g to g + h
-    (linear in h): d_g P_T f(h) = E[f(X_T) W].  Two antithetic maps preserve
+    (linear in h): d_g P_T f(h) = E[f(X_T) W].  Three antithetic maps preserve
     the law of xi.  The reflection of xi_0 across the hyperplane orthogonal to
     h_x together with the negation of every xi_{3k} leaves u(h) unchanged,
     since u reads neither, and flips W: f(X^refl) (-W) has the law of f(X) W,
-    so (f(X_T) - f(X_T^refl)) W / 2 is unbiased.  The mirror xi -> -xi
-    commutes with it, and each row returns the mean of that column at xi and
-    at -xi (`_antithetic_gradient`): one draw, one area and one solve, whose
-    second right-hand side is the shift at -xi.  h = 0 gives exactly zero; so
-    do a constant f, and an f of x alone along a vertical h, whose rows are
-    all zero.
+    so (f(X_T) - f(X_T^refl)) W / 2 is unbiased.  The mirror xi -> -xi and the
+    sign flip D, xi_k -> (-1)^k xi_k, which keeps xi_0 and negates the area,
+    commute with it, and each row returns the mean of that column over the
+    four points xi, -xi, D xi and -D xi (`_antithetic_gradient`): one draw,
+    one area and one solve, whose other three right-hand sides are the shifts
+    at -xi, D xi and -D xi.  h = 0 gives exactly zero; so do a constant f,
+    and an f of x alone along a vertical h, whose rows are all zero.
     """
     if h.n != g.n:
         raise ValueError("dimension mismatch")
@@ -412,22 +419,21 @@ def bismut_gradient(
 
 def _finite_diff_column(f: TestFunction, g: CarnotElement, h: CarnotElement, T: float,
                         eps: float, xi: np.ndarray) -> np.ndarray:
-    """Mean at xi and at -xi of (f(X^{g + eps h}) - f(X^{g - eps h})) / (2 eps), (B,).
+    """Mean over the sign orbit of (f(X^{g + eps h}) - f(X^{g - eps h})) / (2 eps), (B,).
 
-    The four endpoints, from g +- eps h at xi and at -xi, come from one
-    endpoint call and one area: the endpoint from (x, z) at -xi is the
-    endpoint from (-x, z) at xi with x_T negated.  Each equals a direct
-    evaluation bit for bit, and every step is row-wise.
+    The eight endpoints, from g +- eps h at xi, -xi, D xi and -D xi, come
+    from one `endpoint_packed` call and one area, and each equals a direct
+    evaluation bit for bit.  The column is the mean of the two-point (xi,
+    -xi) columns at xi and at D xi, and every step is row-wise.
     """
     g_plus = CarnotElement(g.x + eps * h.x, g.z + h.z.scaled(eps))
     g_minus = CarnotElement(g.x - eps * h.x, g.z + h.z.scaled(-eps))
-    x = np.stack([g_plus.x, g_minus.x])
-    z = np.stack([g_plus.z.upper, g_minus.z.upper])
-    xT, zT = endpoint_packed(np.concatenate([x, -x])[:, None],
-                             np.concatenate([z, z])[:, None], xi, T)
-    xT[2:] *= -1.0
-    fp, fm, fp_mirror, fm_mirror = f(xT, zT)
-    return ((fp - fm) + (fp_mirror - fm_mirror)) / (4.0 * eps)
+    x = np.stack([g_plus.x, g_minus.x])[:, None]
+    z = np.stack([g_plus.z.upper, g_minus.z.upper])[:, None]
+    vals = f(*endpoint_packed(x, z, xi, T, orbit=4))
+    diff = vals[:, 0] - vals[:, 1]
+    pairs = (diff[0::2] + diff[1::2]) / (4.0 * eps)
+    return 0.5 * (pairs[0] + pairs[1])
 
 
 def finite_diff_gradient(
@@ -439,8 +445,8 @@ def finite_diff_gradient(
 
     Shares the coefficient streams across the two evaluations (common random
     numbers), antithetic in one draw: each row is the mean of the difference
-    at xi and at -xi, so all four start points (g +- eps h and their x-negated
-    copies) share one area per batch (`_finite_diff_column`).  Pass the same
+    over the sign orbit xi, -xi, D xi and -D xi, so the eight endpoints share
+    one area per batch (`_finite_diff_column`).  Pass the same
     K / k_path as the integration-by-parts run so both differentiate the same
     truncated semigroup.
     """
@@ -516,8 +522,8 @@ def inequality_suite(
     row evaluates the endpoints from g and from g~ with one shared area, so
     ln f(X^g~) of the log-Harnack check shares the draws of E[f].  The
     gradient d_g P_T f(h) is the antithetic column of `bismut_gradient`, the
-    mean at xi and at -xi, on the same draws; every other column reads xi
-    alone.
+    mean over the sign orbit of xi, on the same draws; every other column
+    reads xi alone.
     """
     n = g.n
     K = default_support_count(n) if K is None else K

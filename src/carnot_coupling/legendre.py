@@ -15,6 +15,9 @@ components at time T collapse to the bilinear series
     alpha_k = 1 / (2 sqrt((2k+1)(2k+3))),
 
 which is what makes this basis the natural driver for endpoint couplings.
+The sign flip D: xi_k -> (-1)^k xi_k keeps the law of xi and xi_0 and
+negates A_T exactly, and -xi keeps A_T, so one area serves the endpoints at
+the four points xi, -xi, D xi, -D xi (`endpoint_packed` with `orbit`).
 The series is evaluated as one matrix product per path,
 M = xi[:-1]^t diag(alpha) xi[1:], whose skew part T (M - M^t) is the area.
 An Euler-Maruyama discretization of the area SDE is kept alongside as an
@@ -122,8 +125,14 @@ def levy_area_packed(xi: np.ndarray, T: float, iu: np.ndarray, ju: np.ndarray) -
     return T * (m[..., iu, ju] - m[..., ju, iu])
 
 
+# The sign orbit xi, -xi, D xi, -D xi of `endpoint_packed`, in that order: the
+# sign of each point, and whether D applies to it.
+ORBIT_MIRROR = np.array([1.0, -1.0, 1.0, -1.0])
+ORBIT_FLIP = np.array([False, False, True, True])
+
+
 def endpoint_packed(
-    x: np.ndarray, z_packed: np.ndarray, xi: np.ndarray, T: float,
+    x: np.ndarray, z_packed: np.ndarray, xi: np.ndarray, T: float, orbit: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint (X_T, z_T) in packed vertical coordinates, batched over xi.
 
@@ -134,13 +143,33 @@ def endpoint_packed(
     batch of one.  One start is x (n,), z (n(n-1)/2,); S starts stacked as
     x (S, 1, n), z (S, 1, n(n-1)/2) against xi (B, L, n) share one area and
     give (S, B, ...) endpoints.
+
+    `orbit` = 2 or 4 adds a leading axis: the endpoints at the first `orbit`
+    points of the sign orbit xi, -xi, D xi, -D xi, with (D xi)_k = (-1)^k xi_k,
+    all from the one area of xi.  Both maps keep the law of xi.  The area A is
+    even in xi and odd under D, which keeps xi_0, so with l = z + (sqrt(T)/2)
+    (x odot xi_0) the endpoint at D xi is (X_T, l - A).  The endpoint from
+    (x, z) at -xi is the endpoint from (-x, z) at xi with X_T negated, since
+    (x, z) -> (-x, z) is a group automorphism.  Each equals a direct
+    evaluation on a copy of its point bit for bit.
     """
+    if orbit not in (1, 2, 4):
+        raise ValueError(f"the sign orbit has 1, 2 or 4 points, got {orbit}")
     iu, ju = triu_pairs(xi.shape[-1])
     sqrtT = math.sqrt(T)
-    xT = x + sqrtT * xi[..., 0, :]
-    zT = z_packed + 0.5 * sqrtT * odot_packed(x, xi[..., 0, :], iu, ju)
-    zT = zT + levy_area_packed(xi, T, iu, ju)
-    return xT, zT
+    xi0 = xi[..., 0, :]
+    starts = (x,) if orbit == 1 else (x, -x)
+    xT = [s + sqrtT * xi0 for s in starts]
+    lead = [z_packed + 0.5 * sqrtT * odot_packed(s, xi0, iu, ju) for s in starts]
+    area = levy_area_packed(xi, T, iu, ju)
+    if orbit == 1:
+        return xT[0], lead[0] + area
+    xT[1] = -xT[1]
+    zT = [l + area for l in lead]
+    if orbit == 4:
+        xT += xT
+        zT += [l - area for l in lead]
+    return np.stack(xT), np.stack(zT)
 
 
 # Euler increments drawn per RNG call: bounds the (steps, count, n) draw in memory

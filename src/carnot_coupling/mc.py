@@ -7,13 +7,15 @@ statistics are merged in batch order with the pairwise (Chan) update, which
 keeps results bit-identical for a fixed (seed, N, workers) triple and avoids
 cancellation at large N.
 
-Each batch carries (n, mean, C), with C the d x d co-moment matrix of the
-sampler's d columns, C_jk = sum_i (x_ij - mean_j)(x_ik - mean_k), merged as
-C = C_a + C_b + delta delta^t n_a n_b / n (Chan, Golub & LeVeque, 1983).  Its
-diagonal is each column's M2, computed and merged by the expressions of a
-per-column M2 accumulator, so every plain estimate is bit-identical to what
-that accumulator gives; the off-diagonal entries serve the control-variate
-estimator of `run_vector_estimator`.
+Each batch carries (n, mean, C), with C the co-moments of the sampler's d
+columns that an estimate reads, C_jk = sum_i (x_ij - mean_j)(x_ik - mean_k),
+merged as C_jk = C_a,jk + C_b,jk + delta_j delta_k n_a n_b / n (Chan, Golub &
+LeVeque, 1983).  Column 0 of C (d, 1) is each column's M2, C_jj, computed
+and merged by the expressions of a per-column M2 accumulator, so every plain
+estimate is bit-identical to what that accumulator gives.  The
+control-variate estimator of `run_vector_estimator` also reads column 1 of C
+(d, 2), each column's co-moment C_jc with the last one, c = d - 1; every
+entry is the one the full d x d matrix holds, bit for bit.
 """
 
 from __future__ import annotations
@@ -81,17 +83,19 @@ class ComparisonReport:
 
 
 def _combine(stats_a, stats_b):
-    """Merge (n, mean, C) co-moment accumulators; C is (d, d)."""
+    """Merge (n, mean, C) co-moment accumulators; C is (d, 1) or (d, 2)."""
     na, ma, ca = stats_a
     nb, mb, cb = stats_b
     n = na + nb
     delta = mb - ma
     mean = ma + delta * (nb / n)
-    com = ca + cb + np.multiply.outer(delta, delta) * (na * nb / n)
+    partners = np.stack([delta, np.full_like(delta, delta[-1])], axis=1)[:, :ca.shape[1]]
+    com = ca + cb + (delta[:, None] * partners) * (na * nb / n)
     return n, mean, com
 
 
-def _batch_stats(sampler, seed, batch_index, count):
+def _batch_stats(sampler, seed, batch_index, count, control=False):
+    """(n, mean, C) of one batch; `control` adds column 1 of C, the co-moments with the last."""
     rng = derive_rng(seed, batch_index)
     vals = np.asarray(sampler(rng, count), dtype=float)
     if vals.shape[0] != count:
@@ -108,22 +112,26 @@ def _batch_stats(sampler, seed, batch_index, count):
     cols = np.ascontiguousarray(vals.T)
     mean = np.array([np.cumsum(c)[-1] for c in cols]) / count
     dev = cols - mean[:, None]
-    com = np.empty((cols.shape[0],) * 2)
-    for j, k in zip(*np.triu_indices(cols.shape[0])):
-        com[j, k] = com[k, j] = np.cumsum(dev[j] * dev[k])[-1]
+    com = np.empty((cols.shape[0], 2 if control else 1))
+    com[:, 0] = [np.cumsum(dj * dj)[-1] for dj in dev]
+    if control:
+        com[:-1, 1] = [np.cumsum(dj * dev[-1])[-1] for dj in dev[:-1]]
+        com[-1, 1] = com[-1, 0]
     return count, mean, com
 
 
-def _stream_stats(sampler, N, seed, workers):
+def _stream_stats(sampler, N, seed, workers, control=False):
     n_batches = (N + BATCH_SIZE - 1) // BATCH_SIZE
     sizes = [min(BATCH_SIZE, N - b * BATCH_SIZE) for b in range(n_batches)]
+
+    def batch(b):
+        return _batch_stats(sampler, seed, b, sizes[b], control)
+
     if workers > 1 and n_batches > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda b: _batch_stats(sampler, seed, b, sizes[b]), range(n_batches))
-            )
+            results = list(pool.map(batch, range(n_batches)))
     else:
-        results = [_batch_stats(sampler, seed, b, sizes[b]) for b in range(n_batches)]
+        results = [batch(b) for b in range(n_batches)]
     acc = results[0]
     for nxt in results[1:]:
         acc = _combine(acc, nxt)
@@ -154,8 +162,8 @@ def run_vector_estimator(
     """
     if N < 2:
         raise ValueError("need at least two samples")
-    n, mean, com = _stream_stats(sampler, N, seed, workers)
-    m2 = np.diagonal(com)
+    n, mean, com = _stream_stats(sampler, N, seed, workers, control_mean is not None)
+    m2 = com[:, 0]
     se = np.sqrt(m2 / (n - 1) / n)
     plain = [MCEstimate(float(mean[j]), float(se[j]), n, seed) for j in range(mean.shape[0])]
     if control_mean is None:
@@ -165,8 +173,8 @@ def run_vector_estimator(
         raise ValueError("a control variate needs the sampler to return at least two columns")
     if n < 3:
         raise ValueError("a control variate needs at least three samples")
-    c_jc = com[:c, c]
-    beta = c_jc / com[c, c] if com[c, c] > 0 else np.zeros(c)
+    c_jc = com[:c, 1]
+    beta = c_jc / m2[c] if m2[c] > 0 else np.zeros(c)
     adjusted = mean[:c] - beta * (mean[c] - control_mean)
     se_adj = np.sqrt(np.maximum(m2[:c] - beta * c_jc, 0.0) / ((n - 2) * n))
     return [MCEstimate(float(adjusted[j]), float(se_adj[j]), n, seed) for j in range(c)] + plain[c:]

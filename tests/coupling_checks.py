@@ -23,3 +23,9 @@ def failure_given_shift_gap(g, gt, Ts, N, seed, K=None):
         return (~batch.met - gaussian_tv(np.sqrt(batch.shift.norm2))).T
 
     return run_vector_estimator(sampler, N, seed)
+
+
+def sign_orbit(xi):
+    """Explicit copies of the four points xi, -xi, D xi, -D xi, with (D xi)_k = (-1)^k xi_k."""
+    dxi = xi * (-1.0) ** np.arange(xi.shape[-2])[:, None]
+    return [xi.copy(), -xi, dxi, -dxi]

@@ -19,7 +19,6 @@ from carnot_coupling.coupling import (
     _probes,
     default_support_count,
     failure_probability,
-    mirrored_shift,
     shift_batch,
     shift_pairing,
     tv_bound,
@@ -39,7 +38,7 @@ from carnot_coupling.legendre import alpha, endpoint_packed
 from carnot_coupling.mc import derive_rng, ks_test
 from carnot_coupling.special_constants import heisenberg_constants
 from carnot_coupling.sylvester import COND_LIMIT, SingularGramError, tsylvester_batch
-from coupling_checks import failure_given_shift_gap
+from coupling_checks import failure_given_shift_gap, sign_orbit
 
 
 def H(*a):
@@ -68,7 +67,7 @@ def _modified_indices(monkeypatch, run):
 
 def _mismatch(gc, gct, T, xi):
     """The packed endpoint mismatch w (B, n(n-1)/2) at the one horizon T."""
-    return _mismatches(gc, gct, [T], xi, mirror=False)[0]
+    return _mismatches(gc, gct, [T], xi, orbit=1)[0]
 
 
 def _one_horizon(gc, gct, T, rng, count, K):
@@ -301,15 +300,16 @@ class TestOnePairing:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_pairing_is_that_of_each_entry_with_the_draw(self, n):
-        # mirrored entries too: their dot is taken against xi, not -xi
+        # orbit entries too: at -xi the dot is taken against xi, at +-D xi against D xi
         g, gt, T = _random_pair(derive_rng(17, n), n)
         K = n + 3
         xi = derive_rng(18, n).standard_normal((200, 3 * K + 4, n))
-        for kernel in (shift_batch, mirrored_shift):
-            sh = kernel(g, gt, [T, 2.0 * T], xi, K)
-            assert sh.dot.shape == sh.norm2.shape == (len(sh.u0), 200)
+        against = sign_orbit(xi)[0::2]
+        for orbit in (1, 2, 4):
+            sh = shift_batch(g, gt, [T, 2.0 * T], xi, K, orbit)
+            assert sh.dot.shape == sh.norm2.shape == (2 * orbit, 200)
             for s in range(len(sh.u0)):
-                dot, norm2 = shift_pairing(sh.u0[s], sh.blocks[s], xi)
+                dot, norm2 = shift_pairing(sh.u0[s], sh.blocks[s], against[s % orbit // 2])
                 assert np.array_equal(sh.dot[s], dot) and np.array_equal(sh.norm2[s], norm2)
 
     @settings(max_examples=40, deadline=None)
@@ -325,6 +325,53 @@ class TestOnePairing:
         for i in range(count):
             one = shift_pairing(u0, blocks[i:i + 1], xi[i:i + 1])
             assert one[0][0] == dot[i] and one[1][0] == norm2[i]
+
+
+class TestSignOrbit:
+    """`shift_batch` over the sign orbit xi, -xi, D xi, -D xi, against runs on explicit copies."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_each_orbit_entry_is_the_shift_at_its_point(self, n):
+        g, gt, T = _random_pair(derive_rng(19, n), n)
+        Ts = [T, 0.3, 100.0]
+        for K in (n - 1 if n > 2 else 1, n + 2, 2 * n + 1):
+            xi = derive_rng(20, 10 * n + K).standard_normal((64, 3 * K + 5, n))
+            sh = shift_batch(g, gt, Ts, xi, K, orbit=4)
+            assert sh.u0.shape == (12, n) and sh.blocks.shape == (12, 64, K, n)
+            for o, point in enumerate(sign_orbit(xi)):
+                direct = shift_batch(g, gt, Ts, point, K)
+                assert np.array_equal(sh.cond, direct.cond)
+                assert np.array_equal(sh.u0[o::4], direct.u0)
+                assert np.array_equal(sh.blocks[o::4], direct.blocks)
+                assert np.array_equal(sh.norm2[o::4], direct.norm2)
+                # a mirrored entry is paired with the unmirrored point: its dot is negated
+                assert np.array_equal(sh.dot[o::4], (-1.0) ** o * direct.dot)
+            for orbit in (1, 2):
+                part = shift_batch(g, gt, Ts, xi, K, orbit)
+                # u0, blocks, dot and norm2: the first `orbit` entries of each horizon
+                for a, b in zip(part[1:5], sh[1:5]):
+                    head = b.reshape(3, 4, *b.shape[1:])[:, :orbit]
+                    assert np.array_equal(a, head.reshape(a.shape))
+                assert np.array_equal(part.probes, sh.probes)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 4), count=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+    def test_a_batch_of_one_equals_its_row(self, n, count, seed):
+        rng = derive_rng(21, seed)
+        g, gt, T = _random_pair(rng, n)
+        K = n + int(rng.integers(0, 4))
+        xi = rng.standard_normal((count, 3 * K + 2 + int(rng.integers(0, 4)), n))
+        sh = shift_batch(g, gt, [T, 2.0 * T], xi, K, orbit=4)
+        for i in range(count):
+            one = shift_batch(g, gt, [T, 2.0 * T], xi[i:i + 1], K, orbit=4)
+            assert np.array_equal(one.blocks, sh.blocks[:, i:i + 1])
+            assert np.array_equal(one.dot, sh.dot[:, i:i + 1])
+            assert np.array_equal(one.norm2, sh.norm2[:, i:i + 1])
+
+    def test_orbit_of_three_points_rejected(self):
+        g, gt, T = _random_pair(derive_rng(22), 2)
+        with pytest.raises(ValueError, match="orbit"):
+            shift_batch(g, gt, [T], np.zeros((1, 8, 2)), 2, orbit=3)
 
 
 class TestFailureProbability:

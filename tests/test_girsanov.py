@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from carnot_coupling import catalog, coupling, girsanov, mc
 from carnot_coupling.catalog import CATALOG
-from carnot_coupling.coupling import mirrored_shift, shift_batch, shift_pairing
+from carnot_coupling.coupling import shift_batch, shift_pairing
 from carnot_coupling.girsanov import (
     bismut_gradient,
     build_shift,
@@ -38,6 +38,7 @@ from carnot_coupling.groups import (
 from carnot_coupling.legendre import endpoint_packed
 from carnot_coupling.mc import MCEstimate, derive_rng, run_vector_estimator, split_seed
 from carnot_coupling.sylvester import SingularGramError
+from coupling_checks import sign_orbit
 
 
 def hpair(a, b):
@@ -359,8 +360,8 @@ def _pair(n, kind, seed):
 
 
 def mirrored_weights(g, gt, T, K, xi):
-    """R at xi and at -xi, (2, B), from the pairing of one `mirrored_shift` call."""
-    sh = mirrored_shift(g, gt, [T], xi, K)
+    """R at xi and at -xi, (2, B), from the pairing of one `shift_batch` call over both."""
+    sh = shift_batch(g, gt, [T], xi, K, orbit=2)
     return np.exp(np.stack([-sh.dot[0], sh.dot[1]]) - 0.5 * sh.norm2)
 
 
@@ -378,21 +379,20 @@ class TestMirror:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("kind", ["vertical", "horizontal", "mixed"])
-    def test_mirrored_blocks_are_the_shift_at_minus_xi(self, n, kind):
+    def test_orbit_blocks_are_the_shift_at_each_point(self, n, kind):
         g, gt = _pair(n, kind, n)
         for K in (n + 2, 2 * n + 1):
             for T in (0.3, 4.0, 9.0, 100.0):
                 xi = derive_rng(36, 100 * n + K).standard_normal((64, 3 * K + 5, n))
-                sh, plain = mirrored_shift(g, gt, [T], xi, K), shift_batch(g, gt, [T], xi, K)
+                sh, plain = shift_batch(g, gt, [T], xi, K, orbit=4), shift_batch(g, gt, [T], xi, K)
                 assert np.array_equal(sh.blocks[0], plain.blocks[0])
                 assert np.array_equal(sh.probes, plain.probes)
-                u0, blocks = build_shift(g, gt, T, K, -xi)
-                assert np.array_equal(sh.u0[1], u0) and np.array_equal(sh.blocks[1], blocks)
-                # entry 1 is paired with xi, so log R(-xi) = +dot - norm2/2
-                assert np.array_equal(sh.dot[1] - 0.5 * sh.norm2[1],
-                                      log_density(u0, blocks, -xi))
-                assert np.array_equal(-sh.dot[0] - 0.5 * sh.norm2[0],
-                                      log_density(*build_shift(g, gt, T, K, xi), xi))
+                for o, point in enumerate(sign_orbit(xi)):
+                    u0, blocks = build_shift(g, gt, T, K, point)
+                    assert np.array_equal(sh.u0[o], u0) and np.array_equal(sh.blocks[o], blocks)
+                    # entries 1 and 3 are paired with xi and D xi: log R = +dot - norm2/2
+                    assert np.array_equal(-(-1.0) ** o * sh.dot[o] - 0.5 * sh.norm2[o],
+                                          log_density(u0, blocks, point))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("kind", ["vertical", "horizontal", "mixed"])
@@ -412,11 +412,12 @@ class TestMirror:
         girsanov._transfer_columns(catalog.TestFunction("capture", capture, 1.0, 1.0),
                                    g, gt, T, K, xi)
         (xT, zT), = seen
-        for i, (start, x) in enumerate([(g, xi), (gt, xi), (g, -xi), (gt, -xi)]):
-            direct = endpoint_packed(start.x, start.z.upper, x, T)
-            assert np.array_equal(xT[i], direct[0]) and np.array_equal(zT[i], direct[1])
+        for o, point in enumerate([xi, -xi]):
+            for s, start in enumerate([g, gt]):
+                direct = endpoint_packed(start.x, start.z.upper, point, T)
+                assert np.array_equal(xT[o, s], direct[0]) and np.array_equal(zT[o, s], direct[1])
         # a function that reads only the endpoint from g at -xi weighs it by R(-xi) alone
-        cols = girsanov._transfer_columns(_selecting(2), g, gt, T, K, xi)
+        cols = girsanov._transfer_columns(_selecting((1, 0)), g, gt, T, K, xi)
         assert np.array_equal(2.0 * cols[:, 0], w[1])
         assert np.array_equal(cols[:, 3], 0.5 * (w[0] + w[1]))
 
@@ -447,7 +448,9 @@ class TestMirror:
 
 
 def _direction(g, kind, i, p, scale):
-    """A direction at g: horizontal (scaled e_i), vertical (unit pair p) or both."""
+    """A direction at g: horizontal (scaled e_i), vertical (unit pair p), both, or zero."""
+    if kind == "zero":
+        return CarnotElement(np.zeros(g.n), SkewMatrix.zero(g.n))
     hor = horizontal_direction(g, i)
     hor = CarnotElement(scale * hor.x, hor.z.scaled(scale))
     ver = vertical_direction(g.n, p)
@@ -502,9 +505,9 @@ class TestReflection:
                               -shift_pairing(u0, blocks, xi)[0])
 
         xT, zT = endpoint_packed(g.x, g.z.upper, xi, T)
-        derived = girsanov._reflected_endpoint(g.x, xT, zT, xi, T * sh.probes, e, T)
+        derived = girsanov._reflected_endpoint(g.x, xT[None], zT[None], xi, T * sh.probes, e, T)
         for a, b in zip(derived, endpoint_packed(g.x, g.z.upper, xr, T)):
-            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+            assert np.max(np.abs(a[0] - b)) <= 1e-12 * np.max(np.abs(b))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("kind", ["horizontal", "vertical", "mixed"])
@@ -535,64 +538,102 @@ def _capture():
     return catalog.TestFunction("capture", fn, 1.0, 1.0), seen
 
 
-class TestGradientMirror:
-    """Both gradient estimators at -xi, against the same estimators run on -xi.
+def mirrored_bismut_column(f, g, gth, T, K, xi):
+    """The Bismut column over xi and -xi alone, (B,), from the orbit pieces at those two points."""
+    sh = shift_batch(g, gth, [T], xi, K, orbit=2)
+    xT, zT = endpoint_packed(g.x, g.z.upper, xi, T, orbit=2)
+    xr, zr = girsanov._reflected_endpoint(g.x, xT, zT, xi, T * sh.probes, sh.axis, T)
+    grads = 0.5 * (f(xT, zT) - f(xr, zr)) * np.stack([-sh.dot[0], sh.dot[1]])
+    return 0.5 * (grads[0] + grads[1])
 
-    Each row is the mean of a column at xi and at -xi, so a run on -xi must
-    give the same bits wherever every piece at -xi equals its direct
-    evaluation.
+
+def mirrored_fd_column(f, g, h, T, eps, xi):
+    """The central-difference column over xi and -xi alone, (B,)."""
+    fp, fm = (f(*endpoint_packed(s.x, s.z.upper, xi, T, orbit=2)) for s in (
+        CarnotElement(g.x + eps * h.x, g.z + h.z.scaled(eps)),
+        CarnotElement(g.x - eps * h.x, g.z + h.z.scaled(-eps))))
+    return ((fp[0] - fm[0]) + (fp[1] - fm[1])) / (4.0 * eps)
+
+
+class TestGradientMirror:
+    """Both gradient estimators over the sign orbit xi, -xi, D xi, -D xi.
+
+    Each row is the mean of a column over the four points, so a run on any of
+    them must give the same bits wherever every piece at each point equals
+    its direct evaluation.
     """
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("kind", ["horizontal", "vertical", "mixed"])
-    def test_bismut_pieces_at_minus_xi_are_the_run_on_minus_xi(self, n, kind):
+    def test_bismut_pieces_at_each_orbit_point_are_direct_evaluations(self, n, kind):
         g, gt = _pair(n, "mixed", 40 + n)
         h = _direction(g, kind, n - 1, 0, 0.7)
         gth = girsanov._direction_pair(g, h)
         K, T = n + 3, 2.5
         xi = derive_rng(41, n).standard_normal((48, 3 * K + 6, n))
+        points = sign_orbit(xi)
         f, seen = _capture()
-        # stacked as the starts g, gt, then g at -xi, X^refl at xi and at -xi
+        # stacked as the starts g, gt at xi, -xi, D xi and -D xi, then X^refl at each
         girsanov._antithetic_gradient(f, g, gth, T, K, xi, [g, gt])
-        girsanov._antithetic_gradient(f, g, gth, T, K, -xi, [g, gt])
-        (x_plus, z_plus), (x_minus, z_minus) = seen
-        for a, b in ((2, 0), (0, 2), (4, 3), (3, 4)):
-            assert np.array_equal(x_plus[a], x_minus[b]) and np.array_equal(z_plus[a], z_minus[b])
-        direct = endpoint_packed(g.x, g.z.upper, -xi, T)
-        assert np.array_equal(x_plus[2], direct[0]) and np.array_equal(z_plus[2], direct[1])
-        sh = shift_batch(g, gth, [T], -xi, K)
-        refl = girsanov._reflected_endpoint(g.x, *direct, -xi, T * sh.probes, sh.axis, T)
-        assert np.array_equal(x_plus[4], refl[0]) and np.array_equal(z_plus[4], refl[1])
-        # a function that reads only the endpoint from g at -xi gives W(-xi) / 4
-        w_minus = -shift_pairing(*build_shift(g, gth, T, K, -xi), -xi)[0]
-        grad = girsanov._antithetic_gradient(_selecting(1), g, gth, T, K, xi, [g])[1]
-        assert np.array_equal(grad, 0.25 * w_minus)
-        assert np.array_equal(
-            grad, girsanov._antithetic_gradient(_selecting(0), g, gth, T, K, -xi, [g])[1])
+        (xs, zs), = seen
+        for o, point in enumerate(points):
+            for s, start in enumerate([g, gt]):
+                direct = endpoint_packed(start.x, start.z.upper, point, T)
+                assert np.array_equal(xs[2 * o + s], direct[0])
+                assert np.array_equal(zs[2 * o + s], direct[1])
+            xT, zT = endpoint_packed(g.x, g.z.upper, point, T)
+            sh = shift_batch(g, gth, [T], point, K)
+            xr, zr = girsanov._reflected_endpoint(g.x, xT[None], zT[None], point,
+                                                  T * sh.probes, sh.axis, T)
+            assert np.array_equal(xs[8 + o], xr[0]) and np.array_equal(zs[8 + o], zr[0])
+            # a function that reads only the endpoint from g at this point gives W there / 8
+            w = -shift_pairing(*build_shift(g, gth, T, K, point), point)[0]
+            grad = girsanov._antithetic_gradient(_selecting(2 * o), g, gth, T, K, xi, [g, gt])[1]
+            assert np.array_equal(grad, 0.125 * w)
         for fname in sorted(CATALOG):
             cols = [girsanov._antithetic_gradient(CATALOG[fname], g, gth, T, K, x, [g])[1]
-                    for x in (xi, -xi)]
-            assert np.array_equal(*cols)
+                    for x in points]
+            assert all(np.array_equal(cols[0], c) for c in cols[1:])
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("kind", ["horizontal", "vertical", "mixed"])
-    def test_finite_difference_column_at_minus_xi_is_the_run_on_minus_xi(self, n, kind):
+    def test_finite_difference_endpoints_at_each_orbit_point_are_direct_evaluations(self, n,
+                                                                                    kind):
         g, _ = _pair(n, "mixed", 50 + n)
         h = _direction(g, kind, 0, n - 2, 1.3)
         eps, T = 1e-3, 2.5
         xi = derive_rng(42, n).standard_normal((48, 3 * (2 * n + 1) + 2, n))
+        points = sign_orbit(xi)
         f, seen = _capture()
         girsanov._finite_diff_column(f, g, h, T, eps, xi)
         (xT, zT), = seen
         starts = [CarnotElement(g.x + eps * h.x, g.z + h.z.scaled(eps)),
                   CarnotElement(g.x - eps * h.x, g.z + h.z.scaled(-eps))]
-        for i, (start, x) in enumerate([(s, sign * xi) for sign in (1, -1) for s in starts]):
-            direct = endpoint_packed(start.x, start.z.upper, x, T)
-            assert np.array_equal(xT[i], direct[0]) and np.array_equal(zT[i], direct[1])
+        for o, point in enumerate(points):
+            for s, start in enumerate(starts):
+                direct = endpoint_packed(start.x, start.z.upper, point, T)
+                assert np.array_equal(xT[o, s], direct[0]) and np.array_equal(zT[o, s], direct[1])
         for fname in sorted(CATALOG):
-            cols = [girsanov._finite_diff_column(CATALOG[fname], g, h, T, eps, x)
-                    for x in (xi, -xi)]
-            assert np.array_equal(*cols)
+            cols = [girsanov._finite_diff_column(CATALOG[fname], g, h, T, eps, x) for x in points]
+            assert all(np.array_equal(cols[0], c) for c in cols[1:])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["horizontal", "vertical", "mixed"])
+    def test_columns_are_the_mean_of_the_mirrored_columns_at_xi_and_d_xi(self, n, kind):
+        g, gt = _pair(n, "mixed", 45 + n)
+        h = _direction(g, kind, 0, n - 2, 0.9)
+        gth = girsanov._direction_pair(g, h)
+        K, T, eps = n + 3, 2.5, 1e-3
+        xi = derive_rng(46, n).standard_normal((48, 3 * K + 6, n))
+        dxi = sign_orbit(xi)[2]
+        for fname in sorted(CATALOG):
+            f = CATALOG[fname]
+            bismut = girsanov._antithetic_gradient(f, g, gth, T, K, xi, [g, gt])[1]
+            assert np.array_equal(bismut, 0.5 * (mirrored_bismut_column(f, g, gth, T, K, xi)
+                                                 + mirrored_bismut_column(f, g, gth, T, K, dxi)))
+            fd = girsanov._finite_diff_column(f, g, h, T, eps, xi)
+            assert np.array_equal(fd, 0.5 * (mirrored_fd_column(f, g, h, T, eps, xi)
+                                             + mirrored_fd_column(f, g, h, T, eps, dxi)))
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),
@@ -620,9 +661,10 @@ class TestGradientMirror:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("fname, kind", [
         ("constant", "horizontal"), ("constant", "vertical"), ("constant", "mixed"),
-        ("coordinate-bump", "vertical"), ("sin-perturbation", "vertical")])
+        ("coordinate-bump", "vertical"), ("sin-perturbation", "vertical"),
+        ("gaussian-bump", "zero"), ("sin-perturbation", "zero")])
     def test_unmoved_functions_give_exactly_zero(self, n, fname, kind):
-        # a constant f, or an f of x alone along a vertical h, is zero on every row
+        # h = 0, a constant f, or an f of x alone along a vertical h, is zero on every row
         g, _ = _pair(n, "mixed", 60 + n)
         h = _direction(g, kind, 0, 0, 1.0)
         K = default_support_count(n)

@@ -28,6 +28,7 @@ from carnot_coupling.legendre import (
     truncation_index,
 )
 from carnot_coupling.mc import BATCH_SIZE, derive_rng
+from coupling_checks import sign_orbit
 
 
 class TestAlpha:
@@ -264,6 +265,43 @@ class TestCarnotEndpoint:
         for i in range(count):
             xTi, zTi = endpoint_packed(x, z, xi[i:i + 1], T)
             assert np.array_equal(xTi[0], xT[i]) and np.array_equal(zTi[0], zT[i])
+
+
+class TestSignOrbit:
+    """`endpoint_packed` over the sign orbit xi, -xi, D xi, -D xi, against explicit copies."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_each_orbit_point_is_a_direct_evaluation(self, n):
+        rng = derive_rng(106, n)
+        p = n * (n - 1) // 2
+        x, z = rng.uniform(-2, 2, (3, 1, n)), rng.uniform(-2, 2, (3, 1, p))
+        xi = rng.standard_normal((50, 3 * n + 9, n))
+        for T in (0.3, 4.0, 100.0):
+            xT, zT = endpoint_packed(x, z, xi, T, orbit=4)
+            assert xT.shape == (4, 3, 50, n) and zT.shape == (4, 3, 50, p)
+            for o, point in enumerate(sign_orbit(xi)):
+                direct = endpoint_packed(x, z, point, T)
+                assert np.array_equal(xT[o], direct[0]) and np.array_equal(zT[o], direct[1])
+            for orbit in (1, 2):
+                part = endpoint_packed(x, z, xi, T, orbit)
+                head = (xT[0], zT[0]) if orbit == 1 else (xT[:2], zT[:2])
+                assert all(np.array_equal(a, b) for a, b in zip(part, head))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 5), L=st.integers(2, 40), count=st.integers(1, 12),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_one_start_batch_of_one_equals_its_row(self, n, L, count, seed):
+        rng = np.random.default_rng(seed)
+        x, z = rng.standard_normal(n), rng.standard_normal(n * (n - 1) // 2)
+        xi = rng.standard_normal((count, L, n))
+        xT, zT = endpoint_packed(x, z, xi, 2.5, orbit=4)
+        for i in range(count):
+            xTi, zTi = endpoint_packed(x, z, xi[i:i + 1], 2.5, orbit=4)
+            assert np.array_equal(xTi, xT[:, i:i + 1]) and np.array_equal(zTi, zT[:, i:i + 1])
+
+    def test_orbit_of_three_points_rejected(self):
+        with pytest.raises(ValueError, match="orbit"):
+            endpoint_packed(np.zeros(2), np.zeros(1), np.zeros((1, 4, 2)), 1.0, orbit=3)
 
 
 class TestSdeOracle:

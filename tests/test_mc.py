@@ -127,18 +127,42 @@ def correlated_columns(rng, count):
     return np.stack([x, 0.5 * x + y, np.exp(x), np.full(count, 3.0)], axis=1)
 
 
+def control_last(rng, count):
+    """`correlated_columns` reversed: the constant column first, x last as the control."""
+    return correlated_columns(rng, count)[:, ::-1]
+
+
 class TestCoMoments:
     @pytest.mark.parametrize("N", [1024, 3 * 1024 - 5, 5 * 1024 - 100])  # 1, 3 and 5 batches
     def test_diagonal_is_the_per_column_m2_and_the_rest_the_covariance(self, N, monkeypatch):
+        # column 0 is each column's M2, column 1 (with a control) its co-moment with the last
         monkeypatch.setattr(mc, "BATCH_SIZE", 1024)
-        n, mean, com = mc._stream_stats(correlated_columns, N, 31, 1)
-        (ref_n, ref_mean, ref_m2), rows = _reference_m2_stream(correlated_columns, N, 31)
-        assert n == ref_n and np.array_equal(mean, ref_mean)
-        assert np.array_equal(np.diagonal(com), ref_m2)
-        assert np.array_equal(com, com.T)
-        cov = np.cov(rows[:, :3], rowvar=False) * (N - 1)
-        assert np.allclose(com[:3, :3], cov, rtol=1e-12, atol=0.0)
-        assert np.all(com[3] == 0.0)  # the constant column
+        (ref_n, ref_mean, ref_m2), rows = _reference_m2_stream(control_last, N, 31)
+        plain = mc._stream_stats(control_last, N, 31, 1)
+        n, mean, com = mc._stream_stats(control_last, N, 31, 1, control=True)
+        assert n == plain[0] == ref_n and np.array_equal(mean, ref_mean)
+        assert np.array_equal(plain[1], ref_mean)
+        assert com.shape == (4, 2) and plain[2].shape == (4, 1)
+        assert np.array_equal(com[:, 0], ref_m2) and np.array_equal(plain[2][:, 0], ref_m2)
+        cov = np.cov(rows, rowvar=False) * (N - 1)
+        assert np.allclose(com[1:, 1], cov[1:, 3], rtol=1e-12, atol=0.0)
+        assert com[0, 1] == 0.0 and com[3, 1] == com[3, 0]  # the constant column, the control
+
+
+def _full_batch_stats(sampler, seed, batch_index, count):
+    """The batch statistics with every co-moment, d x d, as `mc` computed them before."""
+    vals = np.asarray(sampler(derive_rng(seed, batch_index), count), dtype=float)
+    if vals.ndim == 1 or vals.shape[1] == 1:
+        vals = vals.reshape(count, 1)
+        mean = vals.mean(axis=0)
+        return count, mean, ((vals - mean) ** 2).sum(axis=0)[:, None]
+    cols = np.ascontiguousarray(vals.T)
+    mean = np.array([np.cumsum(c)[-1] for c in cols]) / count
+    dev = cols - mean[:, None]
+    com = np.empty((cols.shape[0],) * 2)
+    for j, k in zip(*np.triu_indices(cols.shape[0])):
+        com[j, k] = com[k, j] = np.cumsum(dev[j] * dev[k])[-1]
+    return count, mean, com
 
 
 def _reference_batch_stats(vals):
@@ -170,9 +194,63 @@ class TestBatchStats:
         samples = [vals[:, 0], vals] if d == 1 else [vals]
         ref_n, ref_mean, ref_com = _reference_batch_stats(vals)
         for out in samples:
-            n, mean, com = mc._batch_stats(lambda rng, c: out, seed, 0, count)
-            assert n == ref_n
-            assert np.array_equal(mean, ref_mean) and np.array_equal(com, ref_com)
+            sampler = lambda rng, c: out  # noqa: E731
+            full = _full_batch_stats(sampler, seed, 0, count)
+            assert full[0] == ref_n
+            assert np.array_equal(full[1], ref_mean) and np.array_equal(full[2], ref_com)
+            for control in (False, True):
+                n, mean, com = mc._batch_stats(sampler, seed, 0, count, control)
+                assert n == ref_n and np.array_equal(mean, ref_mean)
+                # the diagonal, and with a control and d > 1 the last column, of the full matrix
+                assert np.array_equal(com[:, 0], np.diagonal(ref_com))
+                assert com.shape[1] == (2 if control and d > 1 else 1)
+                if com.shape[1] == 2:
+                    assert np.array_equal(com[:, 1], ref_com[:, -1])
+
+
+def _full_matrix_estimates(sampler, N, seed, control_mean):
+    """(means, stderrs) of `run_vector_estimator` from the full d x d co-moment matrix."""
+    acc = None
+    for b, start in enumerate(range(0, N, mc.BATCH_SIZE)):
+        nxt = _full_batch_stats(sampler, seed, b, min(mc.BATCH_SIZE, N - start))
+        if acc is None:
+            acc = nxt
+            continue
+        (na, ma, ca), (nb, mb, cb) = acc, nxt
+        delta = mb - ma
+        acc = (na + nb, ma + delta * (nb / (na + nb)),
+               ca + cb + np.multiply.outer(delta, delta) * (na * nb / (na + nb)))
+    n, mean, com = acc
+    m2 = np.diagonal(com)
+    se = np.sqrt(m2 / (n - 1) / n)
+    if control_mean is None:
+        return mean, se
+    c = mean.shape[0] - 1
+    c_jc = com[:c, c]
+    beta = c_jc / com[c, c] if com[c, c] > 0 else np.zeros(c)
+    adjusted = mean[:c] - beta * (mean[c] - control_mean)
+    se_adj = np.sqrt(np.maximum(m2[:c] - beta * c_jc, 0.0) / ((n - 2) * n))
+    return np.append(adjusted, mean[c]), np.append(se_adj, se[c])
+
+
+class TestReadComoments:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("control_mean", [None, 0.5])
+    def test_estimates_equal_those_of_the_full_matrix(self, d, control_mean, monkeypatch):
+        # three batches, columns correlated with the last; d = 1 takes no control
+        monkeypatch.setattr(mc, "BATCH_SIZE", 1024)
+
+        def sampler(rng, count):
+            z = rng.standard_normal((count, d))
+            return z + 0.7 * z[:, -1:] * np.arange(1, d + 1) + np.arange(d)
+
+        if control_mean is not None and d == 1:
+            with pytest.raises(ValueError):
+                run_vector_estimator(sampler, 3000, 44, control_mean=control_mean)
+            return
+        ests = run_vector_estimator(sampler, 3000, 44, control_mean=control_mean)
+        mean, se = _full_matrix_estimates(sampler, 3000, 44, control_mean)
+        assert [e.mean for e in ests] == list(mean) and [e.stderr for e in ests] == list(se)
 
 
 class TestControlVariate:

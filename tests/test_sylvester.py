@@ -322,7 +322,7 @@ class TestLeastNorm:
             gt = heis_to_carnot(HeisenbergPoint(*rng.uniform(-2, 2, 3)))
             T = float(np.exp(rng.uniform(np.log(0.25), np.log(64.0))))
             xi = rng.standard_normal((2000, 5, 2))
-            w, P = _mismatches(g, gt, [T], xi, mirror=False)[0], _probes(xi, 1)
+            w, P = _mismatches(g, gt, [T], xi, orbit=1)[0], _probes(xi, 1)
             u, _ = tsylvester_batch(T * P, w)
             expected = rotation(w, P / scale, [scale], T)
             err = np.linalg.norm(u[:, :, 0] - expected, axis=1)
