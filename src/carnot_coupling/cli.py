@@ -4,7 +4,7 @@ Each subcommand takes exactly these flags and rejects any other:
 
 constants     --seed --out --format
 couple        --group --g --gt --T --N --seed --workers --out --format --variant
-marginals     --group --g --T --N --seed --workers --out --format --steps
+marginals     --group --g --T --N --seed --workers --out --format
 sylvester     --group --N --seed --workers --out --format --m
 girsanov      --group --g --gt --T --N --seed --K --workers --out --format --function
 bismut        --group --g --h --T --N --seed --K --workers --out --format --eps --function
@@ -18,7 +18,7 @@ estimate is the mean over runs of erf(|u|/(2 sqrt 2)), the probability that
 a run fails to meet given its shift u: the coupling is reflection-maximal
 given the shift, so this mean is the failure probability, unbiased, with
 less variance than the fraction of runs that fail.  --N is at least 2,
---workers and --steps at least 1, --eps positive.  `sylvester` checks its
+--workers at least 1, --eps positive.  `sylvester` checks its
 solver residual on min(N, 20000) instances and reports that count in the N
 column.
 
@@ -41,11 +41,13 @@ seed produce byte-identical artifacts.
 Every sampling subcommand exits 2 before any sampling when the float64
 arrays it holds at once exceed 256 MiB.  That is min(workers, batches)
 batches of min(N, 16384) rows, each row holding its coefficient array,
-(3K + 2) x n values (257 x n for `marginals`; `couple` adds its probes, each
-horizon's mismatch and shift, and the peak working set of the shift solve,
-which grows like n^4, `coupling.batch_row_values`; `sylvester` adds its
-probe and solution matrices), plus the N endpoints that `marginals` keeps
-for its KS test and the residual instances of `sylvester`.  K = 340 is the
+(3K + 2) x n values (`marginals` holds 2 x 257 x n + 3n^2: its 257 x n
+coefficients, the weighted copy the area series makes of them and the n x n
+product; `couple` adds its probes, each horizon's mismatch and shift, and
+the peak working set of the shift solve, which grows like n^4,
+`coupling.batch_row_values`; `sylvester` adds its probe and solution
+matrices), plus the N endpoints that `marginals` keeps for its KS test and
+the residual instances of `sylvester`.  K = 340 is the
 largest on `heisenberg` with one worker, and K = 170 with two.
 
 Exit codes: 0 every record passed, 1 some check failed, 2 a configuration
@@ -79,7 +81,7 @@ from .girsanov import (
     semigroup_transfer_check,
 )
 from .groups import CarnotElement, SkewMatrix, unpack_skew
-from .legendre import endpoint_packed, sde_oracle_batch, truncation_index
+from .legendre import endpoint_moments, endpoint_packed, truncation_index
 from .mc import bound_check, derive_rng, ks_test, run_vector_estimator, split_seed, two_sample_compare
 from .special_constants import constants_table
 from .sylvester import (SingularGramError, lemma_solution_batch, u_moment_check,
@@ -251,41 +253,34 @@ def _legendre_moment_sampler(g: CarnotElement, T: float, k_path: int):
     return sampler
 
 
-def _oracle_moment_sampler(g: CarnotElement, T: float, steps: int):
-    def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
-        return _moment_columns(*sde_oracle_batch(g, T, steps, count, rng))
-
-    return sampler
-
-
 def _streamed_endpoints(g: CarnotElement, T: float, k_path: int, N: int,
-                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Horizontal endpoints (N, n) and first vertical entries (N,) of N paths.
+                        rng: np.random.Generator) -> np.ndarray:
+    """Horizontal endpoints (N, n) of N paths.
 
     Draws in chunks of mc.BATCH_SIZE rows from one generator, so the samples
     equal a single draw of all N paths while only one chunk of coefficients
     is held at a time.
     """
-    xT, z0 = np.empty((N, g.n)), np.empty(N)
+    xT = np.empty((N, g.n))
     for start in range(0, N, mc.BATCH_SIZE):
         stop = min(start + mc.BATCH_SIZE, N)
         xi = rng.standard_normal((stop - start, k_path + 1, g.n))
-        xT[start:stop], zT = endpoint_packed(g.x, g.z.upper, xi, T)
-        z0[start:stop] = zT[:, 0]
-    return xT, z0
+        xT[start:stop] = endpoint_packed(g.x, g.z.upper, xi, T)[0]
+    return xT
 
 
 def cmd_marginals(args) -> int:
     g = _parse_point(args.g, args.group)
     T = args.T
     k_path = truncation_index(1.0 / 32.0, T)
-    # the KS test keeps all N endpoints (x, and z's first entry)
-    _check_memory(args, f"--N {args.N} on {args.group}", (k_path + 1) * g.n,
-                  args.N * (g.n + 1))
+    # a row holds its draw, the weighted copy that `levy_area_packed` makes of
+    # it, and the n x n product with its packed parts; the KS test keeps all N x
+    _check_memory(args, f"--N {args.N} on {args.group}",
+                  2 * (k_path + 1) * g.n + 3 * g.n ** 2, args.N * g.n)
     record = _recorder(args, g=_point_str(g), T=T, K=k_path)
     records = []
 
-    xT, z0 = _streamed_endpoints(g, T, k_path, args.N, derive_rng(args.seed, 101))
+    xT = _streamed_endpoints(g, T, k_path, args.N, derive_rng(args.seed, 101))
     for i in range(g.n):
         cdf = scipy.stats.norm(loc=float(g.x[i]), scale=math.sqrt(T)).cdf
         p = ks_test(xT[:, i], cdf)
@@ -293,31 +288,17 @@ def cmd_marginals(args) -> int:
             "endpoint horizontal coordinate is Gaussian with variance T",
             f"marginals:ks-x{i}", estimate=p, stderr=0.0, bound=0.01, passed=bool(p > 0.01),
         ))
-    # vertical entry variance at identity start: T^2/4 per pair
-    var = float(z0.var(ddof=1)) if float(np.max(np.abs(g.x))) == 0.0 else None
-    if var is not None:
-        target = T * T / 4.0
-        se = var * math.sqrt(2.0 / (args.N - 1)) * 2  # rough 4th-moment allowance
-        trunc = target / (2 * k_path + 1)
-        ok = abs(var - target) <= 3.0 * se + trunc
-        records.append(record(
-            "vertical entry variance equals T^2/4 at identity start",
-            "marginals:vertical-variance",
-            estimate=var, stderr=se, bound=target, passed=bool(ok),
-        ))
 
     names = ["x1^1", "x1^2", "x1^3", "x1^4", "z12^1", "z12^2", "z12^3", "z12^4"]
     leg = run_vector_estimator(_legendre_moment_sampler(g, T, k_path), args.N,
                                split_seed(args.seed, 7), args.workers)
-    orc = run_vector_estimator(_oracle_moment_sampler(g, T, args.steps),
-                               max(args.N // 4, 2), split_seed(args.seed, 8), args.workers)
-    for name, a, b in zip(names, leg, orc):
-        bias = (abs(a.mean) + abs(b.mean) + 1.0) * 4.0 / args.steps
-        rep = two_sample_compare(a, b, bias=bias)
+    exact = endpoint_moments(g.x, g.z.upper, T, k_path)
+    for name, est, target in zip(names, leg, exact):
+        rep = two_sample_compare(est, target)
         records.append(record(
-            "series endpoint moments match the SDE discretization oracle",
+            "series endpoint moments match their exact law",
             f"marginals:moment-{name}",
-            estimate=a.mean, stderr=rep.sigma, bound=b.mean, passed=rep.passed,
+            estimate=est.mean, stderr=rep.sigma, bound=rep.rhs, passed=rep.passed,
         ))
     return _emit(args, records)
 
@@ -495,7 +476,6 @@ _FLAGS = {
     "out": dict(default=None, help="output artifact path (default stdout)"),
     "format": dict(choices=["csv", "json"], default="csv"),
     "variant": dict(choices=["proof-stage", "improved-remark2", "carnot-n"], default=None),
-    "steps": dict(type=_at_least_one, default=512, help="SDE oracle steps"),
     "m": dict(type=int, default=None, help="number of probe columns (default 2n+1, at least n+2)"),
     "eps": dict(type=_positive, default=1e-3, help="finite-difference step"),
     "function": dict(default="gaussian-bump", choices=sorted(CATALOG)),
@@ -508,8 +488,8 @@ _SUBCOMMANDS = {
                "group g gt T N seed workers out format variant",
                {"T": dict(type=lambda text: [_positive(t) for t in text.split(",")], default=[1.0],
                           help="horizon, or comma list for a grid")}),
-    "marginals": (cmd_marginals, "endpoint-law checks (KS, variances, moments vs the SDE oracle)",
-                  "group g T N seed workers out format steps", {}),
+    "marginals": (cmd_marginals, "endpoint-law checks (KS, moments vs their exact law)",
+                  "group g T N seed workers out format", {}),
     "sylvester": (cmd_sylvester, "T-Sylvester residuals and Wishart moment identities",
                   "group N seed workers out format m", {}),
     "girsanov": (cmd_girsanov, "weight normalization, entropy identity, semigroup transfer",

@@ -20,8 +20,9 @@ negates A_T exactly, and -xi keeps A_T, so one area serves the endpoints at
 the four points xi, -xi, D xi, -D xi (`endpoint_packed` with `orbit`).
 The series is evaluated as one matrix product per path,
 M = xi[:-1]^t diag(alpha) xi[1:], whose skew part T (M - M^t) is the area.
-An Euler-Maruyama discretization of the area SDE is kept alongside as an
-independent distributional oracle.
+Each vertical endpoint entry is then a Gaussian quadratic form in xi, so its
+moments are known exactly for every truncation (`endpoint_moments`); as the
+truncation grows they tend to those of Levy's law of the area (1951).
 
 Paths cross this module's boundary only as coefficient arrays xi of shape
 (..., K+1, n), row k the R^n coefficient of int Q_k, and endpoints only in
@@ -35,7 +36,7 @@ import math
 
 import numpy as np
 
-from .groups import CarnotElement, odot_packed, triu_pairs
+from .groups import odot_packed, triu_pairs
 
 __all__ = [
     "alpha",
@@ -45,7 +46,7 @@ __all__ = [
     "integral_Q_table",
     "levy_area_packed",
     "endpoint_packed",
-    "sde_oracle_batch",
+    "endpoint_moments",
     "truncation_index",
 ]
 
@@ -172,36 +173,35 @@ def endpoint_packed(
     return np.stack(xT), np.stack(zT)
 
 
-# Euler increments drawn per RNG call: bounds the (steps, count, n) draw in memory
-_STEPS_PER_DRAW = 256
+def endpoint_moments(x: np.ndarray, z_packed: np.ndarray, T: float, kmax: int) -> np.ndarray:
+    """Exact raw moments 1 to 4 of X_T[0] and of z_T[0] from `endpoint_packed`.
 
-
-def sde_oracle_batch(
-    g: CarnotElement, T: float, steps: int, count: int, rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Euler-Maruyama endpoints (X_T, z_T packed) for `count` independent paths.
-
-    Left-point (Ito) quadrature of z_t = z + (1/2) int X odot dX; the swept-area
-    variance carries an O(1/steps) discretization deficit.  Used only as an
-    independent cross-check of the Legendre representation.
+    The series is truncated after kmax area terms (xi of kmax + 1 rows); the
+    order is that of `cli._moment_columns`: X_T[0]^1..4, then z_T[0]^1..4.
+    X_T[0] is N(x_0, T).  With a = xi[:, 0], b = xi[:, 1] and v = (a, b),
+    z_T[0] - z_0 = h^t v + v^t M v, where h puts (sqrt(T)/2) x_0 on b_0 and
+    -(sqrt(T)/2) x_1 on a_0, M = (T/2) [[0, J], [J^t, 0]], and J is skew
+    tridiagonal with J_{k,k+1} = alpha_k.  Its cumulants are
+    k_2 = 2 tr M^2 + |h|^2, k_3 = 8 tr M^3 + 6 h^t M h = 0 (M is bipartite and
+    J_00 = 0) and k_4 = 48 tr M^4 + 48 h^t M^2 h.  Since J J^t = J^t J is
+    pentadiagonal, with diagonal d_k = alpha_{k-1}^2 + alpha_k^2 and entries
+    -alpha_k alpha_{k+1} two off it, tr M^2 = T^2 sum alpha_k^2 and
+    tr M^4 = (T^4/8) (|d|^2 + 2 sum (alpha_k alpha_{k+1})^2).
     """
-    if steps < 1:
-        raise ValueError("need at least one step")
-    n = g.n
-    iu, ju = triu_pairs(n)
-    dt = T / steps
-    sq = math.sqrt(dt)
-    x = np.tile(np.asarray(g.x, dtype=float), (count, 1))
-    z = np.tile(np.asarray(g.z.upper, dtype=float), (count, 1))
-    done = 0
-    while done < steps:
-        blk = min(_STEPS_PER_DRAW, steps - done)
-        dB = rng.standard_normal((blk, count, n)) * sq
-        for j in range(blk):
-            z += 0.5 * odot_packed(x, dB[j], iu, ju)
-            x += dB[j]
-        done += blk
-    return x, z
+    a2 = alpha_ladder(kmax) ** 2
+    d = np.append(a2, 0.0) + np.insert(a2, 0, 0.0)
+    h2 = T * (x[0] ** 2 + x[1] ** 2) / 4.0
+    k2 = 2.0 * T * T * float(np.sum(a2)) + h2
+    tr4 = float(np.sum(d * d) + 2.0 * np.sum(a2[:-1] * a2[1:]))
+    k4 = 6.0 * T ** 4 * tr4 + 12.0 * T * T * h2 * d[0]
+    return np.concatenate([_raw_moments(float(x[0]), T, 0.0),
+                           _raw_moments(float(z_packed[0]), k2, k4)])
+
+
+def _raw_moments(mean: float, k2: float, k4: float) -> np.ndarray:
+    """Raw moments 1 to 4 of a symmetric law with the given mean and cumulants k2, k4."""
+    return np.array([mean, k2 + mean ** 2, 3.0 * k2 * mean + mean ** 3,
+                     k4 + 3.0 * k2 ** 2 + 6.0 * k2 * mean ** 2 + mean ** 4])
 
 
 def truncation_index(tol: float, T: float) -> int:

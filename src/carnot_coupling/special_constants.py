@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaln, zeta
 
-from .legendre import alpha_sq
+from .legendre import alpha_sq, pair_alpha_sq
 
 __all__ = [
     "heisenberg_constants",
@@ -172,9 +172,9 @@ def remark2_constant() -> float:
 
 
 def remark2_c2_head(count: int = 6) -> list[float]:
-    """Head of the squared coefficient ladder 1/(2(2k+1)(2k+5)), k not divisible by 3."""
+    """Head of the squared coefficient ladder `pair_alpha_sq`, k not divisible by 3."""
     ks = [k for k in range(1, 3 * count) if k % 3 != 0][:count]
-    return [1.0 / (2.0 * (2 * k + 1) * (2 * k + 5)) for k in ks]
+    return [pair_alpha_sq(k) for k in ks]
 
 
 def gaussian_abs_moment(q: float) -> float:

@@ -15,7 +15,7 @@ import scipy.stats
 from scipy.special import zeta
 
 from carnot_coupling.catalog import CATALOG
-from carnot_coupling.cli import _legendre_moment_sampler, _oracle_moment_sampler
+from carnot_coupling.cli import _legendre_moment_sampler
 from carnot_coupling.cli import main as cli_main
 from carnot_coupling.coupling import (
     _couple_batch,
@@ -42,8 +42,9 @@ from carnot_coupling.groups import (
     dilate,
     heis_to_carnot,
 )
-from carnot_coupling.legendre import endpoint_packed, truncation_index
-from carnot_coupling.mc import derive_rng, ks_test, run_vector_estimator, split_seed
+from carnot_coupling.legendre import endpoint_moments, endpoint_packed, truncation_index
+from carnot_coupling.mc import (derive_rng, ks_test, run_vector_estimator, split_seed,
+                               two_sample_compare)
 from carnot_coupling.special_constants import (
     constants_table,
     s_h_inverse_moment,
@@ -199,19 +200,15 @@ def test_criterion_04_marginal_laws():
     good = abs(var - target) <= 3 * se
     ok &= good
     notes.append(f"vert var {var:.4f} vs {target:.4f}")
-    # series endpoints vs the SDE oracle, orders 1..4, n in {2, 3}, 4096 steps
-    steps, N_leg, N_sde = 4096, 100_000, 25_000
+    # series endpoint moments, orders 1..4, n in {2, 3}, vs their exact law at 128 terms
     for n in (2, 3):
         gco = CarnotElement.identity(n)
-        leg = run_vector_estimator(_legendre_moment_sampler(gco, 1.0, 128), N_leg,
+        leg = run_vector_estimator(_legendre_moment_sampler(gco, 1.0, 128), 100_000,
                                    split_seed(SEED, 43 + n))
-        sde = run_vector_estimator(_oracle_moment_sampler(gco, 1.0, steps), N_sde,
-                                   split_seed(SEED, 45 + n))
-        for a, b in zip(leg, sde):
-            se = math.hypot(a.stderr, b.stderr)
-            bias = (abs(b.mean) + 1.0) * 4.0 / steps
-            ok &= abs(a.mean - b.mean) <= 3 * se + bias
-        notes.append(f"n={n} moments ok")
+        exact = endpoint_moments(gco.x, gco.z.upper, 1.0, 128)
+        reps = [two_sample_compare(a, b) for a, b in zip(leg, exact)]
+        ok &= all(r.passed for r in reps)
+        notes.append(f"n={n} moments max |z|={max(abs(r.margin) / r.sigma for r in reps):.2f}")
     _report(4, "endpoint laws: " + "; ".join(notes), ok)
 
 

@@ -32,7 +32,7 @@ SAMPLERS = ("failure_probability", "girsanov_normalization_check", "semigroup_tr
 FLAGS = {
     "constants": "seed out format",
     "couple": "group g gt T N seed workers out format variant",
-    "marginals": "group g T N seed workers out format steps",
+    "marginals": "group g T N seed workers out format",
     "sylvester": "group N seed workers out format m",
     "girsanov": "group g gt T N seed K workers out format function",
     "bismut": "group g h T N seed K workers out format eps function",
@@ -129,7 +129,7 @@ class TestDeclaredFlags:
     def test_each_subcommand_takes_exactly_the_flags_it_reads(self):
         sets = flag_sets(build_parser())
         assert sets == {name: set(flags.split()) for name, flags in FLAGS.items()}
-        assert sum(len(v) for v in sets.values()) == 64
+        assert sum(len(v) for v in sets.values()) == 63
 
     @pytest.mark.parametrize("argv", [
         ["constants", "--group", "carnot-3"],
@@ -152,7 +152,7 @@ class TestDeclaredFlags:
         ["girsanov", *HEIS, "--T", "nan"],
         ["couple", *HEIS, "--N", "1"],
         ["couple", *HEIS, "--workers", "0"],
-        ["marginals", "--g", "0,0,0", "--steps", "0"],
+        ["marginals", "--g", "0,0,0", "--steps", "512"],
         ["bismut", "--g", "0,0,0", "--h", "1,0,0", "--eps", "0"],
         ["bismut", "--g", "0,0,0"],
     ])
@@ -281,6 +281,33 @@ class TestDeclaredFlags:
         finally:
             tracemalloc.stop()
         assert 8 * rows * coupling.batch_row_values(n, K, 2) >= peak
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_marginals_count_bounds_the_traced_peak_of_a_batch(self, n, monkeypatch):
+        # the row count `marginals` checks, against one batch of its KS stream and of its moments
+        counted = []
+
+        def count(args, what, row_values, kept_values=0):
+            counted.append(row_values)
+            raise ValueError("counted")  # exit 2 before any sampling
+
+        monkeypatch.setattr(cli, "_check_memory", count)
+        point = ",".join(["0"] * (n + n * (n - 1) // 2))
+        with pytest.raises(SystemExit):
+            main(["marginals", "--group", f"carnot-{n}", "--g", point])
+        rows, k_path, g = 4096, truncation_index(1.0 / 32.0, 1.0), CarnotElement.identity(n)
+        sampler = cli._legendre_moment_sampler(g, 1.0, k_path)
+        mc._batch_stats(sampler, 1, 0, 64)  # first-call caches, untraced
+        tracemalloc.start()
+        try:
+            mc._batch_stats(sampler, 1, 0, rows)
+            moments = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            kept = cli._streamed_endpoints(g, 1.0, k_path, rows, mc.derive_rng(1)).nbytes
+            stream = tracemalloc.get_traced_memory()[1] - kept
+        finally:
+            tracemalloc.stop()
+        assert 8 * rows * counted[0] >= max(moments, stream)
 
     @pytest.mark.parametrize("n, refused", [(9, False), (10, True)])
     def test_rank_10_couple_batch_rejected_before_any_sampling(self, n, refused, monkeypatch,
@@ -559,8 +586,7 @@ class TestArtifacts:
         # a small batch keeps the test light; N spans eight full batches and a partial one
         N = 8 * 1024 + 100
         full = N * (truncation_index(1.0 / 32.0, 1.0) + 1) * 2 * 8  # all N paths at once
-        argv = ["marginals", "--g", "0,0,0", "--N", str(N), "--steps", "2", "--seed", "4",
-                "--format", "json"]
+        argv = ["marginals", "--g", "0,0,0", "--N", str(N), "--seed", "4", "--format", "json"]
         run_cli(argv + ["--out", str(tmp_path / "whole.json")])
         monkeypatch.setattr(mc, "BATCH_SIZE", 1024)
         tracemalloc.start()
@@ -571,12 +597,12 @@ class TestArtifacts:
             tracemalloc.stop()
         assert peak < full
 
-        def ks_and_variance(name):
+        def ks_records(name):
             records = json.loads((tmp_path / name).read_text())["records"]
             return [r for r in records if not r["check"].startswith("marginals:moment")]
 
-        # the KS and variance records do not depend on the chunk size
-        assert ks_and_variance("whole.json") == ks_and_variance("chunked.json")
+        # the KS records do not depend on the chunk size
+        assert ks_records("whole.json") == ks_records("chunked.json")
 
     def test_csv_has_fixed_header(self, tmp_path):
         out = tmp_path / "res.csv"

@@ -1,5 +1,5 @@
 """Path synthesis: coefficient ladder, orthogonality exactness, area series,
-and distributional agreement with the discretization oracle."""
+and the exact law of the endpoint."""
 
 import math
 import tracemalloc
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carnot_coupling.cli import _legendre_moment_sampler, _moment_columns
 from carnot_coupling.groups import (
     CarnotElement,
     SkewMatrix,
@@ -20,14 +21,14 @@ from carnot_coupling.legendre import (
     alpha,
     alpha_ladder,
     alpha_sq,
+    endpoint_moments,
     endpoint_packed,
     integral_Q_table,
     levy_area_packed,
     pair_alpha_sq,
-    sde_oracle_batch,
     truncation_index,
 )
-from carnot_coupling.mc import BATCH_SIZE, derive_rng
+from carnot_coupling.mc import BATCH_SIZE, derive_rng, ks_test, run_vector_estimator
 from coupling_checks import sign_orbit
 
 
@@ -304,39 +305,62 @@ class TestSignOrbit:
             endpoint_packed(np.zeros(2), np.zeros(1), np.zeros((1, 4, 2)), 1.0, orbit=3)
 
 
-class TestSdeOracle:
-    def test_single_run_shape(self):
-        x, z = sde_oracle_batch(CarnotElement.identity(3), 1.0, 32, 1, np.random.default_rng(0))
-        assert x.shape == (1, 3) and z.shape == (1, 3)
+class TestEndpointMoments:
+    START = np.array([0.7, -1.2, 0.4]), np.array([0.3, -0.5, 0.2]), 1.7  # rank 3, not the identity
 
-    def test_zero_steps_rejected(self):
-        with pytest.raises(ValueError):
-            sde_oracle_batch(CarnotElement.identity(2), 1.0, 0, 1, np.random.default_rng(0))
+    @pytest.mark.parametrize("L", [0, 1, 16, 256])
+    def test_second_moments_closed_form(self, L):
+        x, z, T = self.START
+        m = endpoint_moments(x, z, T, L)
+        # sum_{k < L} alpha_k^2 = (1/8) 2L/(2L+1)
+        var = T * (x[0] ** 2 + x[1] ** 2) / 4 + T * T / 4 * 2 * L / (2 * L + 1)
+        assert m[1] == pytest.approx(x[0] ** 2 + T, rel=1e-15)
+        assert m[5] == pytest.approx(z[0] ** 2 + var, rel=1e-14)
 
-    def test_horizontal_moments(self):
-        rng = derive_rng(103)
-        g = CarnotElement(np.array([1.0, -1.0]), SkewMatrix.zero(2))
-        T, N = 2.0, 20_000
-        x, _ = sde_oracle_batch(g, T, 256, N, rng)
-        for i in range(2):
-            assert abs(x[:, i].mean() - g.x[i]) <= 3 * math.sqrt(T / N)
-            var = x[:, i].var()
-            assert abs(var - T) <= 3 * var * math.sqrt(2.0 / N)
+    @pytest.mark.parametrize("L", [256, 2048])
+    def test_fourth_moment_tends_to_levy(self, L):
+        # Levy: E(z - z_0)^4 = 3|x|^4 T^2/16 + 5|x|^2 T^3/8 + 5 T^4/16 over the pair's x
+        for x, T in ((np.zeros(2), 1.0), (self.START[0][:2], self.START[2])):
+            r2 = float(x @ x)
+            levy = 3 * r2 ** 2 * T ** 2 / 16 + 5 * r2 * T ** 3 / 8 + 5 * T ** 4 / 16
+            gap = (levy - endpoint_moments(x, np.zeros(1), T, L)[7]) / levy
+            assert 0 < gap <= 1.0 / L
+
+    def test_monte_carlo_at_a_rank_3_start(self):
+        x, z, T = self.START
+        L = 16
+        sampler = _legendre_moment_sampler(CarnotElement(x, SkewMatrix(3, z)), T, L)
+        ests = run_vector_estimator(sampler, 200_000, seed=113)
+        for est, exact in zip(ests, endpoint_moments(x, z, T, L)):
+            assert abs(est.mean - exact) <= 3 * est.stderr
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_two_sample_moment_agreement(self, n):
-        rng1, rng2 = derive_rng(104, n), derive_rng(105, n)
+    def test_one_sample_moment_agreement(self, n):
+        rng = derive_rng(104, n)
         g = CarnotElement.identity(n)
-        T, N, steps = 1.0, 40_000, 512
-        xi = rng1.standard_normal((N, 129, n))
-        xT, zT = endpoint_packed(g.x, g.z.upper, xi, T)
-        ox, oz = sde_oracle_batch(g, T, steps, N, rng2)
-        for order in (1, 2, 3, 4):
-            for a, b in ((xT[:, 0] ** order, ox[:, 0] ** order),
-                         (zT[:, 0] ** order, oz[:, 0] ** order)):
-                se = math.hypot(a.std() / math.sqrt(N), b.std() / math.sqrt(N))
-                bias = (abs(b.mean()) + 1.0) * 4.0 / steps
-                assert abs(a.mean() - b.mean()) <= 3 * se + bias
+        T, N = 1.0, 40_000
+        xi = rng.standard_normal((N, 129, n))
+        cols = _moment_columns(*endpoint_packed(g.x, g.z.upper, xi, T))
+        for col, exact in zip(cols.T, endpoint_moments(g.x, g.z.upper, T, 128)):
+            assert abs(col.mean() - exact) <= 3 * col.std() / math.sqrt(N)
+
+
+class TestLevyLaw:
+    def test_identity_area_passes_ks_against_levy_cdf(self):
+        # 10^5 paths of 257 coefficient rows, streamed; the first 17 rows give the 16-term series
+        rng, N, T = derive_rng(114), 100_000, 2.0
+        z = {256: [], 16: []}
+        for start in range(0, N, BATCH_SIZE):
+            xi = rng.standard_normal((min(BATCH_SIZE, N - start), 257, 2))
+            for L, parts in z.items():
+                parts.append(endpoint_packed(np.zeros(2), np.zeros(1), xi[:, :L + 1], T)[1][:, 0])
+
+        def levy_cdf(a):
+            return 2.0 / math.pi * np.arctan(np.exp(math.pi * a / T))
+
+        assert ks_test(np.concatenate(z[256]), levy_cdf) > 0.01
+        # the test sees the truncation of a 16-term series
+        assert ks_test(np.concatenate(z[16]), levy_cdf) < 0.01
 
 
 class TestTruncationIndex:

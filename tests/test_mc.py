@@ -324,7 +324,7 @@ class TestEveryEstimator:
     def test_marginals_artifact_same_for_one_and_four_workers(self, monkeypatch, tmp_path):
         monkeypatch.setattr(mc, "BATCH_SIZE", 1024)
         argv = ["marginals", "--group", "carnot-3", "--g", "0,0,0,0,0,0", "--T", "1",
-                "--N", str(_N), "--steps", "64", "--seed", "10"]
+                "--N", str(_N), "--seed", "10"]
         outs = []
         for w in ("1", "4"):
             out = tmp_path / f"w{w}.csv"
