@@ -41,14 +41,16 @@ seed produce byte-identical artifacts.
 Every sampling subcommand exits 2 before any sampling when the float64
 arrays it holds at once exceed 256 MiB.  That is min(workers, batches)
 batches of min(N, 16384) rows, each row holding its coefficient array,
-(3K + 2) x n values (`marginals` holds 2 x 257 x n + 3n^2: its 257 x n
-coefficients, the weighted copy the area series makes of them and the n x n
-product; `couple` adds its probes, each horizon's mismatch and shift, and
-the peak working set of the shift solve, which grows like n^4,
+(3K + 2) x n values (`marginals` holds 26 values a row, its 8 moment
+columns and what its statistics make of them, plus one row tile of at most
+8 MiB of coefficients, with 2 x 257 x n + 3n^2 values a tile row: its
+257 x n coefficients, the weighted copy the area series makes of them and
+the n x n product; `couple` adds its probes, each horizon's mismatch and
+shift, and the peak working set of the shift solve, which grows like n^4,
 `coupling.batch_row_values`; `sylvester` adds its probe and solution
 matrices), plus the N endpoints that `marginals` keeps for its KS test and
-the residual instances of `sylvester`.  K = 340 is the
-largest on `heisenberg` with one worker, and K = 170 with two.
+the residual instances of `sylvester`.  K = 340 is the largest on
+`heisenberg` with one worker, and K = 170 with two.
 
 Exit codes: 0 every record passed, 1 some check failed, 2 a configuration
 error (found before any sampling where the flags alone show it), 3 a
@@ -246,37 +248,36 @@ def _moment_columns(xT: np.ndarray, zT: np.ndarray) -> np.ndarray:
 
 
 def _legendre_moment_sampler(g: CarnotElement, T: float, k_path: int):
-    def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
-        xi = rng.standard_normal((count, k_path + 1, g.n))
-        return _moment_columns(*endpoint_packed(g.x, g.z.upper, xi, T))
-
-    return sampler
+    return mc.tiled_sampler(lambda xi: _moment_columns(*endpoint_packed(g.x, g.z.upper, xi, T)),
+                            (k_path + 1, g.n))
 
 
 def _streamed_endpoints(g: CarnotElement, T: float, k_path: int, N: int,
                         rng: np.random.Generator) -> np.ndarray:
     """Horizontal endpoints (N, n) of N paths.
 
-    Draws in chunks of mc.BATCH_SIZE rows from one generator, so the samples
-    equal a single draw of all N paths while only one chunk of coefficients
-    is held at a time.
+    Drawn from one generator one row tile at a time (`mc.tiled_sampler`), so
+    the samples equal a single draw of all N paths while only one tile of
+    coefficients is held at a time.
     """
-    xT = np.empty((N, g.n))
-    for start in range(0, N, mc.BATCH_SIZE):
-        stop = min(start + mc.BATCH_SIZE, N)
-        xi = rng.standard_normal((stop - start, k_path + 1, g.n))
-        xT[start:stop] = endpoint_packed(g.x, g.z.upper, xi, T)[0]
-    return xT
+    return mc.tiled_sampler(lambda xi: endpoint_packed(g.x, g.z.upper, xi, T)[0],
+                            (k_path + 1, g.n))(rng, N)
 
 
 def cmd_marginals(args) -> int:
     g = _parse_point(args.g, args.group)
     T = args.T
     k_path = truncation_index(1.0 / 32.0, T)
-    # a row holds its draw, the weighted copy that `levy_area_packed` makes of
-    # it, and the n x n product with its packed parts; the KS test keeps all N x
-    _check_memory(args, f"--N {args.N} on {args.group}",
-                  2 * (k_path + 1) * g.n + 3 * g.n ** 2, args.N * g.n)
+    # a tile row holds its draw, the weighted copy that `levy_area_packed` makes
+    # of it, and the n x n product with its packed parts; a batch row holds its
+    # 8 moment columns, the two copies the statistics make of them and two
+    # running sums; the KS test keeps all N x.  One tile's values are spread
+    # over the rows of its batch.
+    coefficients = (k_path + 1) * g.n
+    rows = min(args.N, mc.BATCH_SIZE)
+    tile = min(rows, mc.tile_rows(coefficients)) * (2 * coefficients + 3 * g.n ** 2)
+    _check_memory(args, f"--N {args.N} on {args.group}", 3 * 8 + 2 + -(-tile // rows),
+                  args.N * g.n)
     record = _recorder(args, g=_point_str(g), T=T, K=k_path)
     records = []
 

@@ -45,11 +45,13 @@ the failure indicator (Rao-Blackwellization) never raises the variance.
 
 `failure_probability` returns both means from the same rows.  It takes a
 grid of horizons and makes one pass over the draws for all of them.  Per
-batch the draw, the probes p_k and one factorization of their Gram matrix
-are shared: V = T p scales the Gram matrix by T^2, so the condition number,
-and with it the singular flag, does not depend on T, and the least-norm
-shift is u(p, w_T)/T.  Each horizon's estimate is the one a grid of that
-horizon alone gives, bit for bit.
+batch the draw, and per row tile (`mc.map_tiles`) the probes p_k and one
+factorization of their Gram matrix, are shared: V = T p scales the Gram
+matrix by T^2, so the condition number, and with it the singular flag, does
+not depend on T, and the least-norm shift is u(p, w_T)/T.  A batch draws all
+its coefficients and then its uniforms, and evaluates them tile by tile.
+Each horizon's estimate is the one a grid of that horizon alone gives, bit
+for bit, whatever the tiling.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from .groups import (
     zeta,
 )
 from .legendre import ORBIT_FLIP, ORBIT_MIRROR, alpha_ladder, endpoint_packed, truncation_index
-from .mc import MCEstimate, run_vector_estimator
+from .mc import MCEstimate, map_tiles, run_vector_estimator
 from .special_constants import carnot_constants, heisenberg_constants
 from .sylvester import COND_LIMIT, SingularGramError, tsylvester_batch, tsylvester_row_values
 
@@ -303,15 +305,24 @@ class _GridBatch(NamedTuple):
     bad: np.ndarray      # (B,), cond past COND_LIMIT (infinite for a zero probe)
 
 
+def _draw(rng: np.random.Generator, count: int, n: int, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients xi (count, 3K+2, n) of a batch of coupling runs, then its uniforms."""
+    return rng.standard_normal((count, 3 * K + 2, n)), rng.uniform(size=count)
+
+
 def _couple_batch(gc: CarnotElement, gct: CarnotElement, Ts, rng: np.random.Generator,
                   count: int, K: int) -> _GridBatch:
-    """Vectorized K-block coupling runs at every horizon of the grid Ts, from one draw.
+    """Vectorized K-block coupling runs at every horizon of the grid Ts, from one draw."""
+    return _couple_rows(gc, gct, Ts, *_draw(rng, count, gc.n, K), K)
 
-    The draw and the shift (`shift_batch`) are built once; only the reflection
-    coupling, on the shift's pairing, is repeated per horizon.
+
+def _couple_rows(gc: CarnotElement, gct: CarnotElement, Ts, xi: np.ndarray,
+                 uniforms: np.ndarray, K: int) -> _GridBatch:
+    """The coupling runs of `_couple_batch` on the rows of a given draw; each row is its own.
+
+    The shift (`shift_batch`) is built once; only the reflection coupling, on
+    the shift's pairing, is repeated per horizon.
     """
-    xi = rng.standard_normal((count, 3 * K + 2, gc.n))
-    uniforms = rng.uniform(size=count)
     # the coupling reads no probes: the batch does not keep them
     sh = shift_batch(gc, gct, Ts, xi, K)._replace(probes=None)
     bad = sh.cond > COND_LIMIT
@@ -390,8 +401,9 @@ def failure_probability(g: CarnotElement, gt: CarnotElement, Ts, N: int, seed: i
     probability that a run fails given its shift u, which has the same mean
     and a smaller variance.  Each upper-bounds the total-variation distance
     between the two endpoint laws at its horizon.  Singular events (a zero
-    probe or a Gram row past COND_LIMIT) are measure-zero; a batch with any
-    one of them raises SingularGramError.
+    probe or a Gram row past COND_LIMIT) are measure-zero; the first row tile
+    with any one of them raises SingularGramError, which counts the singular
+    rows of that tile, before any statistics are taken.
     """
     Ts = [float(T) for T in Ts]
     if not Ts:
@@ -403,12 +415,18 @@ def failure_probability(g: CarnotElement, gt: CarnotElement, Ts, N: int, seed: i
     _check_pair(g, gt, K)
 
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
-        batch = _couple_batch(g, gt, Ts, rng, count, K)
-        if batch.bad.any():
-            raise SingularGramError(f"{int(batch.bad.sum())} singular Gram draws, "
-                                    "reseed the run")
-        # columns: the failure indicator at each horizon, then the conditional probability
-        return np.vstack([~batch.met, gaussian_tv(np.sqrt(batch.shift.norm2))]).T
+        # the uniforms follow the whole draw in the stream: only the evaluation is tiled
+        xi, uniforms = _draw(rng, count, g.n, K)
+
+        def columns(tile: slice) -> np.ndarray:
+            batch = _couple_rows(g, gt, Ts, xi[tile], uniforms[tile], K)
+            if batch.bad.any():
+                raise SingularGramError(f"{int(batch.bad.sum())} singular Gram draws in a tile "
+                                        f"of {batch.bad.size} rows, reseed the run")
+            # the failure indicator at each horizon, then the conditional probability
+            return np.vstack([~batch.met, gaussian_tv(np.sqrt(batch.shift.norm2))]).T
+
+        return map_tiles(columns, count, xi[0].size)
 
     ests = run_vector_estimator(sampler, N, seed, workers)
     return [FailureEstimate(*pair) for pair in zip(ests[:len(Ts)], ests[len(Ts):])]

@@ -55,7 +55,9 @@ All estimators evaluate the Legendre-truncated semigroup (coefficients up to
 index 3K+1 unless a longer path is requested): every identity and inequality
 implemented here holds exactly for the truncated process as well, because the
 derivations only use the Gaussian shift structure and the pathwise endpoint
-identity, both of which survive truncation beyond the shift support.
+identity, both of which survive truncation beyond the shift support.  Every
+estimator draws and evaluates each batch in row tiles (`mc.tiled_sampler`),
+and every step is row-wise, so no estimate depends on the tiling.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ from .mc import (
     MCEstimate,
     run_vector_estimator,
     split_seed,
+    tiled_sampler,
     two_sample_compare,
 )
 from .special_constants import carnot_constants, gaussian_abs_moment, heisenberg_constants
@@ -126,12 +129,17 @@ def _check_weights(n: int, T: float, K: int) -> None:
 
 def _checked_shift(g: CarnotElement, gt: CarnotElement, T: float, K: int,
                    xi: np.ndarray, orbit: int = 1) -> Shift:
-    """`shift_batch` at the one horizon T over `orbit` points; raises on a singular row."""
+    """`shift_batch` at the one horizon T over `orbit` points.
+
+    A singular row raises SingularGramError, which counts the singular rows of
+    xi, the row tile of an estimator's batch where they were found.
+    """
     sh = shift_batch(g, gt, [T], xi, K, orbit)
     bad = sh.cond > COND_LIMIT
     if bad.any():
         # measure-zero event; fail loudly rather than use an ill-conditioned solve
-        raise SingularGramError(f"{int(bad.sum())} singular Gram draws, reseed the run")
+        raise SingularGramError(f"{int(bad.sum())} singular Gram draws in a tile of "
+                                f"{bad.size} rows, reseed the run")
     return sh
 
 
@@ -201,8 +209,7 @@ def girsanov_normalization_check(
     """Check E[R] = 1 and the entropy identity E[R ln R] = E[|u|^2]/2 at 3 sigma."""
     _check_weights(g.n, T, K)
 
-    def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
-        xi = rng.standard_normal((count, 3 * K + 2, g.n))
+    def columns(xi: np.ndarray) -> np.ndarray:
         dot, norm2 = _checked_pairing(g, gt, T, K, xi)
         half_u2 = 0.5 * norm2[0]
         logw = -dot[0] - half_u2
@@ -210,6 +217,7 @@ def girsanov_normalization_check(
         rlnr = w * logw
         return np.stack([w, rlnr - half_u2, rlnr, half_u2], axis=1)
 
+    sampler = tiled_sampler(columns, (3 * K + 2, g.n))
     mean_R, gap, rlnr, half = run_vector_estimator(sampler, N, seed, workers)
     bound = entropy_bound_constant(g, gt, T)
     return GirsanovReport(
@@ -294,10 +302,7 @@ def semigroup_transfer_check(
     """
     _check_weights(g.n, T, K)
 
-    def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
-        xi = rng.standard_normal((count, 3 * K + 2, g.n))
-        return _transfer_columns(f, g, gt, T, K, xi)
-
+    sampler = tiled_sampler(lambda xi: _transfer_columns(f, g, gt, T, K, xi), (3 * K + 2, g.n))
     weighted, direct, diff, weight = run_vector_estimator(
         sampler, N, split_seed(seed, 1), workers, control_mean=1.0)
     # the margin is the difference of the two sides, not the difference column's
@@ -410,10 +415,8 @@ def bismut_gradient(
     L = _path_len(K, k_path)
     gth = _direction_pair(g, h)
 
-    def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
-        xi = rng.standard_normal((count, L, g.n))
-        return _antithetic_gradient(f, g, gth, T, K, xi, [g])[1]
-
+    sampler = tiled_sampler(lambda xi: _antithetic_gradient(f, g, gth, T, K, xi, [g])[1],
+                            (L, g.n))
     return run_vector_estimator(sampler, N, seed, workers)[0]
 
 
@@ -454,10 +457,7 @@ def finite_diff_gradient(
         raise ValueError("step must be positive")
     L = _path_len(K if K is not None else default_support_count(g.n), k_path)
 
-    def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
-        xi = rng.standard_normal((count, L, g.n))
-        return _finite_diff_column(f, g, h, T, eps, xi)
-
+    sampler = tiled_sampler(lambda xi: _finite_diff_column(f, g, h, T, eps, xi), (L, g.n))
     return run_vector_estimator(sampler, N, seed, workers)[0]
 
 
@@ -535,8 +535,7 @@ def inequality_suite(
     positive = f.min_value > 0
     starts = [g, gt] if positive else [g]
 
-    def base_sampler(rng: np.random.Generator, count: int) -> np.ndarray:
-        xi = rng.standard_normal((count, L, n))
+    def columns(xi: np.ndarray) -> np.ndarray:
         (vals, *tilde), grad_col, u_sq = _antithetic_gradient(f, g, gth, T, K, xi, starts)
         cols = [vals, vals ** 2, grad_col, vals * u_sq]
         for p, q in zip(p_values, extra_q):
@@ -545,7 +544,7 @@ def inequality_suite(
             cols.extend([vals * np.log(vals), np.log(tilde[0])])
         return np.stack(cols, axis=1)
 
-    base = run_vector_estimator(base_sampler, N, split_seed(seed, 3), workers)
+    base = run_vector_estimator(tiled_sampler(columns, (L, n)), N, split_seed(seed, 3), workers)
     mean_f, mean_f2, grad, f_usq = base[:4]
 
     if positive:

@@ -16,6 +16,18 @@ estimate is bit-identical to what that accumulator gives.  The
 control-variate estimator of `run_vector_estimator` also reads column 1 of C
 (d, 2), each column's co-moment C_jc with the last one, c = d - 1; every
 entry is the one the full d x d matrix holds, bit for bit.
+
+A batch is the unit of seeding, statistics and parallelism; a tile is the
+unit of compute inside it.  A sampler whose rows carry a coefficient array
+draws and evaluates its batch in row tiles of at most TILE_BYTES of
+coefficients (`tiled_sampler`, `map_tiles`), so the draw and every temporary
+of the same size exist one tile at a time, while the batch keeps its rows,
+its generator and its statistics.  Back-to-back `standard_normal` draws from
+one generator give the values of one draw of all rows, and every evaluation
+step is row-wise, so the output of a batch does not depend on its tiling,
+bit for bit.  Tiles are sized by bytes, not rows: rows run from a few dozen
+coefficients to a thousand, and a fixed row count would either pay the
+Python overhead of a call per few short rows or hold megabytes of long ones.
 """
 
 from __future__ import annotations
@@ -30,10 +42,14 @@ import scipy.stats
 
 __all__ = [
     "BATCH_SIZE",
+    "TILE_BYTES",
     "MCEstimate",
     "ComparisonReport",
     "derive_rng",
     "split_seed",
+    "tile_rows",
+    "map_tiles",
+    "tiled_sampler",
     "run_vector_estimator",
     "ks_test",
     "two_sample_compare",
@@ -41,6 +57,8 @@ __all__ = [
 ]
 
 BATCH_SIZE = 1 << 14
+# coefficient bytes a row tile holds at most; see the module docstring
+TILE_BYTES = 1 << 23
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -55,6 +73,48 @@ def derive_rng(seed: int, index: int = 0) -> np.random.Generator:
 def split_seed(seed: int, tag: int) -> int:
     """Derive a distinct 64-bit seed; independent estimators must not share one."""
     return (seed * _GOLDEN + tag * 0xD1B54A32D192ED03 + 1) & _MASK64
+
+
+def tile_rows(row_values: int) -> int:
+    """Most rows of a tile whose rows carry row_values float64 coefficients each."""
+    return max(1, TILE_BYTES // (8 * row_values))
+
+
+def map_tiles(fn: Callable[[slice], np.ndarray], count: int, row_values: int) -> np.ndarray:
+    """fn over the row tiles of a batch of `count` rows, its outputs stacked in row order.
+
+    The rows are split evenly into the fewest tiles of at most
+    `tile_rows(row_values)` rows, and fn(tile) gives the values of the rows
+    of that slice, one per leading index.  The tiles run in order, so fn may
+    draw from a generator.
+    """
+    tiles = -(-count // tile_rows(row_values))
+    edges = [count * t // tiles for t in range(tiles + 1)]
+    out = None
+    for start, stop in zip(edges, edges[1:]):
+        vals = np.asarray(fn(slice(start, stop)))
+        if out is None:
+            out = np.empty((count,) + vals.shape[1:], dtype=vals.dtype)
+        out[start:stop] = vals
+    return out
+
+
+def tiled_sampler(fn: Callable[[np.ndarray], np.ndarray],
+                  row_shape: tuple[int, ...]) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """Batch sampler of fn over standard normal rows xi (count, *row_shape), tile by tile.
+
+    Each tile is drawn from the batch's generator in turn and evaluated
+    (`map_tiles`), so one tile of xi is held at a time, and when fn is
+    row-wise the batch equals fn(rng.standard_normal((count, *row_shape)))
+    bit for bit.
+    """
+    row_values = math.prod(row_shape)
+
+    def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
+        return map_tiles(lambda t: fn(rng.standard_normal((t.stop - t.start, *row_shape))),
+                         count, row_values)
+
+    return sampler
 
 
 @dataclass(frozen=True)

@@ -250,7 +250,7 @@ class TestDeclaredFlags:
         ["sylvester", "--group", "carnot-3000", "--N", "100"],
         ["sylvester", "--group", "heisenberg", "--m", "100000000", "--N", "100"],
         ["marginals", "--g", "0,0,0", "--N", "2000000000"],
-        ["marginals", "--g", "0,0,0", "--N", "100000", "--workers", "4"],
+        ["marginals", "--g", "0,0,0", "--N", "1000000", "--workers", "16"],
         ["bismut", "--g", "0,0,0", "--h", "1,0,0", "--K", "171", "--N", "65536",
          "--workers", "2"],
         ["couple", "--group", "carnot-40", "--g", ",".join(["0"] * 820),
@@ -282,10 +282,12 @@ class TestDeclaredFlags:
             tracemalloc.stop()
         assert 8 * rows * coupling.batch_row_values(n, K, 2) >= peak
 
-    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_marginals_count_bounds_the_traced_peak_of_a_batch(self, n, monkeypatch):
-        # the row count `marginals` checks, against one batch of its KS stream and of its moments
+        # the row count `marginals` checks at N = rows, against one batch of its KS stream
+        # and of its moments
         counted = []
+        rows = 4096
 
         def count(args, what, row_values, kept_values=0):
             counted.append(row_values)
@@ -294,8 +296,8 @@ class TestDeclaredFlags:
         monkeypatch.setattr(cli, "_check_memory", count)
         point = ",".join(["0"] * (n + n * (n - 1) // 2))
         with pytest.raises(SystemExit):
-            main(["marginals", "--group", f"carnot-{n}", "--g", point])
-        rows, k_path, g = 4096, truncation_index(1.0 / 32.0, 1.0), CarnotElement.identity(n)
+            main(["marginals", "--group", f"carnot-{n}", "--g", point, "--N", str(rows)])
+        k_path, g = truncation_index(1.0 / 32.0, 1.0), CarnotElement.identity(n)
         sampler = cli._legendre_moment_sampler(g, 1.0, k_path)
         mc._batch_stats(sampler, 1, 0, 64)  # first-call caches, untraced
         tracemalloc.start()
@@ -308,6 +310,15 @@ class TestDeclaredFlags:
         finally:
             tracemalloc.stop()
         assert 8 * rows * counted[0] >= max(moments, stream)
+
+    def test_marginals_on_carnot_4_fits_the_budget_at_the_default_N(self, monkeypatch):
+        # one 16384-row batch holds one row tile of coefficients, not all of them
+        def sampled(*a):
+            raise RuntimeError("sampled")
+
+        monkeypatch.setattr(cli, "_streamed_endpoints", sampled)
+        with pytest.raises(RuntimeError, match="sampled"):
+            main(["marginals", "--group", "carnot-4", "--g", ",".join(["0"] * 10)])
 
     @pytest.mark.parametrize("n, refused", [(9, False), (10, True)])
     def test_rank_10_couple_batch_rejected_before_any_sampling(self, n, refused, monkeypatch,
@@ -582,27 +593,23 @@ class TestArtifacts:
             r = records[check]
             assert (r["estimate"], r["stderr"], r["bound"]) == (norm, sigma, bound)
 
-    def test_marginals_holds_one_batch_of_coefficients(self, monkeypatch, tmp_path):
-        # a small batch keeps the test light; N spans eight full batches and a partial one
+    def test_marginals_holds_one_tile_of_coefficients(self, monkeypatch, tmp_path):
+        # small tiles keep the test light; N spans eight full tiles and a partial one
         N = 8 * 1024 + 100
-        full = N * (truncation_index(1.0 / 32.0, 1.0) + 1) * 2 * 8  # all N paths at once
+        row = (truncation_index(1.0 / 32.0, 1.0) + 1) * 2 * 8
         argv = ["marginals", "--g", "0,0,0", "--N", str(N), "--seed", "4", "--format", "json"]
+        monkeypatch.setattr(mc, "TILE_BYTES", N * row)  # all N paths at once
         run_cli(argv + ["--out", str(tmp_path / "whole.json")])
-        monkeypatch.setattr(mc, "BATCH_SIZE", 1024)
+        monkeypatch.setattr(mc, "TILE_BYTES", 1024 * row)
         tracemalloc.start()
         try:
-            run_cli(argv + ["--out", str(tmp_path / "chunked.json")])
+            run_cli(argv + ["--out", str(tmp_path / "tiled.json")])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < full
-
-        def ks_records(name):
-            records = json.loads((tmp_path / name).read_text())["records"]
-            return [r for r in records if not r["check"].startswith("marginals:moment")]
-
-        # the KS records do not depend on the chunk size
-        assert ks_records("whole.json") == ks_records("chunked.json")
+        assert peak < N * row
+        # no record depends on the tile size
+        assert (tmp_path / "whole.json").read_bytes() == (tmp_path / "tiled.json").read_bytes()
 
     def test_csv_has_fixed_header(self, tmp_path):
         out = tmp_path / "res.csv"

@@ -3,6 +3,7 @@ transfer, integration by parts, and the inequality suite."""
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -727,6 +728,24 @@ class TestGradientCost:
             lambda f: finite_diff_gradient(f, g, h, 1.0, 1e-3, count, 73, K=K, k_path=k_path),
             count, k_path + 1, n)
         assert (calls["solve"], calls["endpoint"], calls["f"]) == (0, 1, 1)
+
+
+class TestTileMemory:
+    def test_long_path_bismut_batch_peaks_below_half_its_coefficients(self):
+        # one 16384-row rank-3 batch at k_path = 128 carries 48.4 MiB of coefficients;
+        # drawn and evaluated in row tiles it never holds them all
+        g, _ = _pair(3, "mixed", 74)
+        h = _direction(g, "mixed", 0, 0, 0.5)
+        run = lambda N: bismut_gradient(CATALOG["gaussian-bump"], g, h, 1.0, 12, N, 75,
+                                        k_path=128)
+        run(64)  # first-call caches, untraced
+        tracemalloc.start()
+        try:
+            run(mc.BATCH_SIZE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * mc.BATCH_SIZE * 129 * 3 / 2
 
 
 class TestExactGradients:

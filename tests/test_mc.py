@@ -8,9 +8,9 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carnot_coupling import cli, mc
+from carnot_coupling import cli, coupling, girsanov, mc
 from carnot_coupling.catalog import CATALOG
-from carnot_coupling.coupling import failure_probability
+from carnot_coupling.coupling import default_support_count, failure_probability
 from carnot_coupling.girsanov import (
     bismut_gradient,
     finite_diff_gradient,
@@ -28,7 +28,7 @@ from carnot_coupling.mc import (
     split_seed,
     two_sample_compare,
 )
-from carnot_coupling.sylvester import u_moment_check, wishart_inv_trace_mc
+from carnot_coupling.sylvester import SingularGramError, u_moment_check, wishart_inv_trace_mc
 
 
 def normal_sampler(rng, count):
@@ -331,6 +331,84 @@ class TestEveryEstimator:
             cli.main(argv + ["--workers", w, "--out", str(out)])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+# every row-tiled estimator, as a function of nothing, with the float64
+# coefficients a row of it carries; batches of _TILE_BATCH rows, so N spans
+# two full batches and a partial one
+_TILE_BATCH = 64
+_TILE_N = 2 * _TILE_BATCH + 5
+_TILE_K3 = default_support_count(3)
+TILED = {
+    "failure_probability-heisenberg": (10, lambda: failure_probability(
+        heis_to_carnot(HeisenbergPoint(0, 0, 0)), heis_to_carnot(HeisenbergPoint(1, 0, 1)),
+        [1.0, 25.0], _TILE_N, 1, K=1)),
+    "failure_probability-carnot-3": ((3 * _TILE_K3 + 2) * 3, lambda: failure_probability(
+        _G3, _G3T, [4.0, 25.0], _TILE_N, 2)),
+    "girsanov_normalization_check": (23 * 3, lambda: girsanov_normalization_check(
+        _G3, _G3T, 9.0, 7, _TILE_N, 3)),
+    "semigroup_transfer_check": (17 * 2, lambda: semigroup_transfer_check(
+        _SIN, _H, _HT, 4.0, 5, _TILE_N, 4)),
+    "bismut_gradient": (41 * 3, lambda: bismut_gradient(
+        _SIN, _G3, vertical_direction(3, 1), 4.0, 7, _TILE_N, 5, k_path=40)),
+    "finite_diff_gradient": (41 * 3, lambda: finite_diff_gradient(
+        _SIN, _G3, horizontal_direction(_G3, 0), 4.0, 1e-3, _TILE_N, 6, K=7, k_path=40)),
+    "inequality_suite": (17 * 2, lambda: inequality_suite(
+        CATALOG["gaussian-bump"], _H, _HT, horizontal_direction(_H, 0), 4.0, _TILE_N, 7,
+        p_values=(2.0,))),
+    "marginals-moments": (257 * 3, lambda: run_vector_estimator(
+        cli._legendre_moment_sampler(_G3, 1.0, 256), _TILE_N, 8)),
+    "marginals-ks-stream": (257 * 3, lambda: cli._streamed_endpoints(
+        _G3, 1.0, 256, _TILE_N, derive_rng(9)).tolist()),
+}
+
+
+class TestRowTiles:
+    @pytest.mark.parametrize("count, tiles", [(1, 1), (8, 1), (9, 2), (100, 13), (16384, 2048)])
+    def test_map_tiles_splits_rows_evenly_into_the_fewest_tiles(self, count, tiles, monkeypatch):
+        monkeypatch.setattr(mc, "TILE_BYTES", 8 * 3 * 8)  # 8 rows of 3 values
+        seen = []
+        out = mc.map_tiles(lambda t: seen.append(t) or np.arange(t.start, t.stop), count, 3)
+        sizes = [t.stop - t.start for t in seen]
+        assert len(seen) == tiles and max(sizes) <= 8 and max(sizes) - min(sizes) <= 1
+        assert out.tolist() == list(range(count))
+
+    def test_tile_rows_are_sized_by_bytes(self):
+        assert mc.tile_rows(129 * 3) == mc.TILE_BYTES // (8 * 129 * 3)
+        assert mc.tile_rows(mc.TILE_BYTES) == 1  # a row larger than a tile is a tile
+
+    @pytest.mark.parametrize("shape", [(8, 2), (129, 3)])
+    def test_chunked_draws_equal_one_draw(self, shape):
+        # the premise of the tiled draw: back-to-back draws continue one stream
+        whole = derive_rng(31, 2).standard_normal((1000, *shape))
+        for sizes in ([1000], [1] * 10 + [990], [7] * 142 + [6], [333, 333, 334]):
+            rng = derive_rng(31, 2)
+            chunks = np.concatenate([rng.standard_normal((k, *shape)) for k in sizes])
+            assert np.array_equal(chunks, whole)
+
+    @pytest.mark.parametrize("name", sorted(TILED))
+    def test_estimates_do_not_depend_on_the_tile(self, name, monkeypatch):
+        row_values, run = TILED[name]
+        monkeypatch.setattr(mc, "BATCH_SIZE", _TILE_BATCH)
+        results = []
+        for tile_bytes in (1, 7 * 8 * row_values, 1 << 40):  # 1 row, 7 rows, a whole batch
+            monkeypatch.setattr(mc, "TILE_BYTES", tile_bytes)
+            results.append(run())
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("module, run", [
+        (coupling, lambda: failure_probability(_G3, _G3T, [4.0, 25.0], 98, 1)),
+        (girsanov, lambda: bismut_gradient(_SIN, _G3, vertical_direction(3, 1), 4.0, 7, 98, 5)),
+    ])
+    def test_singular_row_raises_before_any_statistics(self, module, run, monkeypatch):
+        monkeypatch.setattr(module, "COND_LIMIT", 0.0)  # every Gram row counts as singular
+        monkeypatch.setattr(mc, "tile_rows", lambda row_values: 7)  # 14 tiles of 7 rows
+        done = []
+        batch_stats = mc._batch_stats
+        monkeypatch.setattr(mc, "_batch_stats", lambda *a: done.append(batch_stats(*a)))
+        with pytest.raises(SingularGramError, match="7 singular Gram draws in a tile of 7 rows"):
+            run()
+        assert done == []
 
 
 class TestStatisticalCalibration:
