@@ -30,12 +30,10 @@ from .coupling import (
 )
 from .girsanov import (
     bismut_gradient,
-    build_shift,
     finite_diff_gradient,
     girsanov_normalization_check,
     gradient_sup_spotcheck,
     inequality_suite,
-    log_density,
     semigroup_transfer_check,
 )
 from .mc import MCEstimate, ComparisonReport, derive_rng, ks_test

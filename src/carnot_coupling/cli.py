@@ -254,14 +254,15 @@ def _legendre_moment_sampler(g: CarnotElement, T: float, k_path: int):
 
 def _streamed_endpoints(g: CarnotElement, T: float, k_path: int, N: int,
                         rng: np.random.Generator) -> np.ndarray:
-    """Horizontal endpoints (N, n) of N paths.
+    """Horizontal endpoints x_T = x + sqrt(T) xi_0 (N, n) of N paths of k_path + 1 terms.
 
     Drawn from one generator one row tile at a time (`mc.tiled_sampler`), so
     the samples equal a single draw of all N paths while only one tile of
-    coefficients is held at a time.
+    coefficients is held at a time.  Only xi_0 is read, so no area is taken,
+    but whole paths are drawn: the samples are those of the full endpoint.
     """
-    return mc.tiled_sampler(lambda xi: endpoint_packed(g.x, g.z.upper, xi, T)[0],
-                            (k_path + 1, g.n))(rng, N)
+    sqrtT = math.sqrt(T)
+    return mc.tiled_sampler(lambda xi: g.x + sqrtT * xi[:, 0], (k_path + 1, g.n))(rng, N)
 
 
 def cmd_marginals(args) -> int:

@@ -16,9 +16,10 @@ w, with V_k = T p_k and p_k the k-th probe (`_probes`), built from the
 neighbouring indices 3k-1 and 3k+1.  One kernel, `shift_batch`, solves it for
 the coupling and for every Girsanov weight in `girsanov`, by the least-norm
 `tsylvester_batch`; with one probe that is the right-angle turn of the probe
-scaled to match the area.  It also pairs each shift u with the draw
-(`shift_pairing`): the two row sums of log R(u) = -<omega, u> - |u|^2/2,
-which the coupling's accept test and every Girsanov weight read.
+scaled to match the area.  A singular Gram row, a null event, makes it raise
+SingularGramError for its whole row tile.  It also pairs each shift u with
+the draw (`shift_pairing`): the two row sums of log R(u) = -<omega, u> -
+|u|^2/2, which the coupling's accept test and every Girsanov weight read.
 Its `orbit` adds the shift at -xi, or at each point of the sign orbit xi,
 -xi, D xi, -D xi ((D xi)_k = (-1)^k xi_k), to the same solve as more
 right-hand sides, for the antithetic transfer check and gradient estimators.
@@ -218,7 +219,7 @@ class Shift(NamedTuple):
     norm2: np.ndarray   # (S, B), |u|^2
     # over a sign orbit of O points, entry O s + o of the four above is horizon s at point o
     probes: np.ndarray  # (B, n, K), horizon-free: V = T p at horizon T
-    cond: np.ndarray    # (B,), of the solve, horizon-free; rows past COND_LIMIT are NaN
+    cond: np.ndarray    # (B,), of the solve, horizon-free; never past COND_LIMIT, or it raised
 
 
 def shift_batch(gc: CarnotElement, gct: CarnotElement, Ts, xi: np.ndarray, K: int,
@@ -227,6 +228,8 @@ def shift_batch(gc: CarnotElement, gct: CarnotElement, Ts, xi: np.ndarray, K: in
 
     One solve serves every horizon.  `blocks` is a transposed view of the
     solve's (S, B, n, K) output, and `shift_pairing` sums its rows in that order.
+    If any row's cond is past COND_LIMIT (or NaN), it raises SingularGramError,
+    whose message counts the singular rows among the B.
 
     `orbit` = 2 or 4 adds the shift at the other points of the sign orbit xi,
     -xi, D xi, -D xi, with (D xi)_k = (-1)^k xi_k, to the same solve: entry
@@ -250,6 +253,11 @@ def shift_batch(gc: CarnotElement, gct: CarnotElement, Ts, xi: np.ndarray, K: in
     axis = d / dnorm if dnorm > 0 else np.zeros_like(d)
     p = _probes(xi, K)
     u, cond = tsylvester_batch(p, _mismatches(gc, gct, Ts, xi, orbit))
+    bad = np.count_nonzero(~(cond <= COND_LIMIT))
+    if bad:
+        # measure-zero event; fail loudly rather than use an ill-conditioned solve
+        raise SingularGramError(f"{bad} singular Gram draws in a tile of {cond.size} rows, "
+                                "reseed the run")
     scale = np.outer(Ts, ORBIT_MIRROR[:orbit]).ravel()
     u /= scale[:, None, None, None]
     u0 = d / np.sqrt(np.abs(scale))[:, None]
@@ -301,8 +309,7 @@ class _GridBatch(NamedTuple):
     xi: np.ndarray       # (B, 3K+2, n), the first stream
     shift: Shift         # at every horizon of the grid, without the probes
     c: np.ndarray        # (S, B), the coupled stream is xi + c shift on the modified indices
-    met: np.ndarray      # (S, B), never true on a bad row
-    bad: np.ndarray      # (B,), cond past COND_LIMIT (infinite for a zero probe)
+    met: np.ndarray      # (S, B)
 
 
 def _draw(rng: np.random.Generator, count: int, n: int, K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -325,10 +332,8 @@ def _couple_rows(gc: CarnotElement, gct: CarnotElement, Ts, xi: np.ndarray,
     """
     # the coupling reads no probes: the batch does not keep them
     sh = shift_batch(gc, gct, Ts, xi, K)._replace(probes=None)
-    bad = sh.cond > COND_LIMIT
     coupled = [couple_to_shift(dot, norm2, uniforms) for dot, norm2 in zip(sh.dot, sh.norm2)]
-    c, met = map(np.stack, zip(*coupled))
-    return _GridBatch(xi, sh, c, met & ~bad, bad)
+    return _GridBatch(xi, sh, *map(np.stack, zip(*coupled)))
 
 
 def _second_stream(batch: _GridBatch, s: int) -> np.ndarray:
@@ -355,8 +360,6 @@ def _couple_once(gc: CarnotElement, gct: CarnotElement, T: float,
                  rng: np.random.Generator, K: int) -> CouplingOutcome:
     """One K-block coupling run, a batch of one plus a rendered tail; a singular draw raises."""
     batch = _couple_batch(gc, gct, [T], rng, 1, K)
-    if batch.bad[0]:
-        raise SingularGramError("singular Gram draw, reseed the run")
     xi, xi_t = batch.xi, _second_stream(batch, 0)
     h_gap, v_gap = _gaps(gc, gct, T, xi, xi_t)
     xi, xi_t = xi[0], xi_t[0]
@@ -420,9 +423,6 @@ def failure_probability(g: CarnotElement, gt: CarnotElement, Ts, N: int, seed: i
 
         def columns(tile: slice) -> np.ndarray:
             batch = _couple_rows(g, gt, Ts, xi[tile], uniforms[tile], K)
-            if batch.bad.any():
-                raise SingularGramError(f"{int(batch.bad.sum())} singular Gram draws in a tile "
-                                        f"of {batch.bad.size} rows, reseed the run")
             # the failure indicator at each horizon, then the conditional probability
             return np.vstack([~batch.met, gaussian_tv(np.sqrt(batch.shift.norm2))]).T
 

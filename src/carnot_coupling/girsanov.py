@@ -8,7 +8,8 @@ The shifted index-0 coefficient moves by (x - x~)/sqrt(T) along the
 displacement direction; the index-3k shifts are the least-norm solution of
 the skew mismatch equation of the K-block coupling, from the coupling's own
 kernel `coupling.shift_batch`, so weight and coupling share one shift and
-its pairing with the draw, `dot` and `norm2`, bit for bit.  It is never
+its pairing with the draw, `dot` and `norm2`, bit for bit; a row tile with a
+singular Gram row makes that kernel raise SingularGramError.  It is never
 longer, row by row, than the paper's particular solution, so the closed-form
 bounds on E|u|^2 still hold.  The shift u reads only coefficients outside its
 own support plus the components of xi_0 orthogonal to x - x~, which is what
@@ -68,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import TestFunction
-from .coupling import Shift, check_horizon, default_support_count, shift_batch, shift_pairing
+from .coupling import check_horizon, default_support_count, shift_batch
 from .groups import CarnotElement, SkewMatrix, odot, odot_packed, triu_pairs, zeta
 from .legendre import ORBIT_FLIP, ORBIT_MIRROR, alpha_ladder, endpoint_packed
 from .mc import (
@@ -82,11 +83,9 @@ from .mc import (
 )
 from .special_constants import carnot_constants, gaussian_abs_moment, heisenberg_constants
 # tsylvester_batch is not called here; the benchmark's tracer patches this name
-from .sylvester import COND_LIMIT, SingularGramError, tsylvester_batch
+from .sylvester import tsylvester_batch
 
 __all__ = [
-    "build_shift",
-    "log_density",
     "GirsanovReport",
     "girsanov_normalization_check",
     "TransferReport",
@@ -105,59 +104,11 @@ __all__ = [
 ]
 
 
-def build_shift(g: CarnotElement, gt: CarnotElement, T: float, K: int,
-                xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Shift coupling the endpoints driven by xi (B, L, n) from g to those from gt.
-
-    Returns u0 (n,), the shift of index 0, collinear with x - x~, and blocks
-    (B, K, n), whose row k-1 shifts index 3k: `coupling.shift_batch` at the one
-    horizon T.  Needs K >= n + 2, L >= 3K+2 and a positive finite T.
-    """
-    _check_weights(g.n, T, K)
-    if xi.shape[-2] < 3 * K + 2:
-        raise ValueError("xi must supply indices up to 3K+1")
-    sh = _checked_shift(g, gt, T, K, xi)
-    return sh.u0[0], sh.blocks[0]
-
-
 def _check_weights(n: int, T: float, K: int) -> None:
     """Reject too few blocks or a bad horizon; each estimator calls it before any draw."""
     if K < n + 2:
         raise ValueError("need K >= n + 2 modified blocks")
     check_horizon(T)
-
-
-def _checked_shift(g: CarnotElement, gt: CarnotElement, T: float, K: int,
-                   xi: np.ndarray, orbit: int = 1) -> Shift:
-    """`shift_batch` at the one horizon T over `orbit` points.
-
-    A singular row raises SingularGramError, which counts the singular rows of
-    xi, the row tile of an estimator's batch where they were found.
-    """
-    sh = shift_batch(g, gt, [T], xi, K, orbit)
-    bad = sh.cond > COND_LIMIT
-    if bad.any():
-        # measure-zero event; fail loudly rather than use an ill-conditioned solve
-        raise SingularGramError(f"{int(bad.sum())} singular Gram draws in a tile of "
-                                f"{bad.size} rows, reseed the run")
-    return sh
-
-
-def _checked_pairing(g: CarnotElement, gt: CarnotElement, T: float, K: int, xi: np.ndarray,
-                     orbit: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """`dot` and `norm2` (S, B) of `_checked_shift`; the rest of it is freed on return.
-
-    Held through the endpoints, the solve raised a 16384-row rank-2 transfer
-    batch's traced peak from 15.4 to 22.0 MiB.
-    """
-    sh = _checked_shift(g, gt, T, K, xi, orbit)
-    return sh.dot, sh.norm2
-
-
-def log_density(u0: np.ndarray, blocks: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Row-wise log R(u) = -<omega, u> - |u|^2/2 for the shift from build_shift."""
-    dot, norm2 = shift_pairing(u0, blocks, xi)
-    return -dot - 0.5 * norm2
 
 
 def _path_len(K: int, k_path: int | None) -> int:
@@ -210,7 +161,7 @@ def girsanov_normalization_check(
     _check_weights(g.n, T, K)
 
     def columns(xi: np.ndarray) -> np.ndarray:
-        dot, norm2 = _checked_pairing(g, gt, T, K, xi)
+        dot, norm2 = shift_batch(g, gt, [T], xi, K)[3:5]
         half_u2 = 0.5 * norm2[0]
         logw = -dot[0] - half_u2
         w = np.exp(logw)
@@ -271,7 +222,8 @@ def _transfer_columns(f: TestFunction, g: CarnotElement, gt: CarnotElement, T: f
     direct evaluation at -xi bit for bit, and every step is row-wise: a batch
     of one equals its row.
     """
-    dot, norm2 = _checked_pairing(g, gt, T, K, xi, orbit=2)
+    # keep only the pairing; holding the whole shift raised a batch's traced peak 15.4 -> 22.0 MiB
+    dot, norm2 = shift_batch(g, gt, [T], xi, K, orbit=2)[3:5]
     w = np.exp(-ORBIT_MIRROR[:2, None] * dot - 0.5 * norm2)
     x = np.stack([g.x, gt.x])[:, None]
     z = np.stack([g.z.upper, gt.z.upper])[:, None]
@@ -377,7 +329,7 @@ def _antithetic_gradient(f: TestFunction, g: CarnotElement, gth: CarnotElement, 
     equals a direct evaluation on a copy of that point bit for bit, and every
     step is row-wise: a batch of one equals its row.
     """
-    sh = _checked_shift(g, gth, T, K, xi, orbit=4)
+    sh = shift_batch(g, gth, [T], xi, K, orbit=4)
     S = len(starts)
     x = np.stack([s.x for s in starts])[:, None]
     z = np.stack([s.z.upper for s in starts])[:, None]
@@ -451,10 +403,14 @@ def finite_diff_gradient(
     over the sign orbit xi, -xi, D xi and -D xi, so the eight endpoints share
     one area per batch (`_finite_diff_column`).  Pass the same
     K / k_path as the integration-by-parts run so both differentiate the same
-    truncated semigroup.
+    truncated semigroup.  A direction of another rank, a bad horizon or a
+    step that is not positive and finite is rejected before any draw.
     """
-    if eps <= 0:
-        raise ValueError("step must be positive")
+    if h.n != g.n:
+        raise ValueError("dimension mismatch")
+    check_horizon(T)
+    if not 0 < eps < math.inf:
+        raise ValueError(f"step must be positive and finite, got {eps}")
     L = _path_len(K if K is not None else default_support_count(g.n), k_path)
 
     sampler = tiled_sampler(lambda xi: _finite_diff_column(f, g, h, T, eps, xi), (L, g.n))

@@ -74,8 +74,8 @@ def tsylvester_batch(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarr
     (lambda_1 + lambda_2), which is 1 for n = 2, and infinite where the
     operator is singular or v has a non-finite entry.  Rows whose cond
     exceeds COND_LIMIT are not solved: their u is NaN for every right-hand
-    side and callers raise SingularGramError on them.  Every other row equals
-    the solution of that row alone, bit for bit.
+    side, and `coupling.shift_batch` raises SingularGramError on them.
+    Every other row equals the solution of that row alone, bit for bit.
 
     n = 2 is the closed form u = w_01 (v_1, -v_0) / tr G.  For n >= 3 every
     step is elementwise on (B,) columns, with no LAPACK call per row: the

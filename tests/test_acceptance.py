@@ -109,7 +109,6 @@ def test_criterion_01_exact_meeting():
         n = 3 if cfg % 2 == 0 else 4
         g, gt, T = random_carnot_pair(rng, n)
         batch = _couple_batch(g, gt, [T], rng, 32, default_support_count(n))
-        assert not batch.bad.any()
         met = batch.met[0]
         h_gap, v_gap = _gaps(g, gt, T, batch.xi, _second_stream(batch, 0))
         if met.any():

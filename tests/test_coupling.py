@@ -24,7 +24,6 @@ from carnot_coupling.coupling import (
     tv_bound,
 )
 from carnot_coupling.gaussian_coupling import couple_to_shift
-from carnot_coupling.girsanov import build_shift, log_density
 from carnot_coupling.groups import (
     CarnotElement,
     HeisenbergPoint,
@@ -38,7 +37,7 @@ from carnot_coupling.legendre import alpha, endpoint_packed
 from carnot_coupling.mc import derive_rng, ks_test
 from carnot_coupling.special_constants import heisenberg_constants
 from carnot_coupling.sylvester import COND_LIMIT, SingularGramError, tsylvester_batch
-from coupling_checks import failure_given_shift_gap, sign_orbit
+from coupling_checks import failure_given_shift_gap, log_weight, one_shift, sign_orbit
 
 
 def H(*a):
@@ -71,9 +70,9 @@ def _mismatch(gc, gct, T, xi):
 
 
 def _one_horizon(gc, gct, T, rng, count, K):
-    """(xi, xi_t, met, w, cond, bad) of a one-horizon grid batch of the K-block coupling."""
+    """(xi, xi_t, met, w) of a one-horizon grid batch of the K-block coupling."""
     b = _couple_batch(gc, gct, [T], rng, count, K)
-    return b.xi, _second_stream(b, 0), b.met[0], _mismatch(gc, gct, T, b.xi), b.shift.cond, b.bad
+    return b.xi, _second_stream(b, 0), b.met[0], _mismatch(gc, gct, T, b.xi)
 
 
 class TestSingleRuns:
@@ -152,8 +151,8 @@ class TestCouplingConstraint:
         g = HeisenbergPoint(0, 0, 0)
         gt = HeisenbergPoint(0, 0, 1)
         T = 9.0
-        xi, xi_t, met, w, _, _ = _one_horizon(heis_to_carnot(g), heis_to_carnot(gt), T, rng,
-                                               4000, K=1)
+        xi, xi_t, met, w = _one_horizon(heis_to_carnot(g), heis_to_carnot(gt), T, rng,
+                                         4000, K=1)
         w = w[:, 0]
         scale = math.hypot(alpha(2), alpha(3))
         v = (alpha(3) * xi[:, 4] - alpha(2) * xi[:, 2]) / scale
@@ -163,7 +162,7 @@ class TestCouplingConstraint:
 
     def test_unmodified_indices_shared(self):
         rng = derive_rng(7)
-        xi, xi_t, met, _, _, _ = _one_horizon(
+        xi, xi_t, met, _ = _one_horizon(
             heis_to_carnot(HeisenbergPoint(0, 0, 0)), heis_to_carnot(HeisenbergPoint(1, 0, 1)),
             4.0, rng, 1000, K=1,
         )
@@ -175,8 +174,7 @@ class TestCouplingConstraint:
         g = CarnotElement.identity(4)
         gt = CarnotElement(np.array([0.5, 0, 0, 0]), SkewMatrix(4, np.array([0.3, 0, 0, 0, 0, 0.1])))
         T = 25.0
-        xi, xi_t, met, _, cond, sing = _one_horizon(g, gt, T, rng, 2000, K=9)
-        assert not sing.any()
+        xi, xi_t, met, _ = _one_horizon(g, gt, T, rng, 2000, K=9)
         h_gap, v_gap = _gaps(g, gt, T, xi, xi_t)
         assert np.max(h_gap[met]) <= 1e-12
         assert np.max(v_gap[met]) <= 1e-9
@@ -226,14 +224,14 @@ class TestShiftSystem:
         rng = derive_rng(11, n)
         for _ in range(5):
             g, gt, T = _random_pair(rng, n)
-            xi, xi_t, met, _, _, bad = _one_horizon(g, gt, T, rng, 2000, K)
-            assert not bad.any() and met.any()
+            xi, xi_t, met, _ = _one_horizon(g, gt, T, rng, 2000, K)
+            assert met.any()
             # on met rows the modified coordinates moved by exactly the shift
             shift = (xi_t - xi)[met][:, 3:3 * K + 1:3]
             assert np.max(_mismatch_residual(g, gt, T, xi[met], shift)) <= 1e-10
             K_girsanov = 2 * n + 2
             xi = rng.standard_normal((2000, 3 * K_girsanov + 2, n))
-            _, blocks = build_shift(g, gt, T, K_girsanov, xi)
+            _, blocks = one_shift(g, gt, T, K_girsanov, xi)
             assert np.max(_mismatch_residual(g, gt, T, xi, blocks)) <= 1e-10
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -246,16 +244,15 @@ class TestShiftSystem:
             seed = int(rng.integers(2 ** 32))
             for T in (1.0, 9.0, 25.0, 100.0):
                 batch = _couple_batch(g, gt, [T], derive_rng(seed), 64, K)
-                assert not batch.bad.any()
-                u0, blocks = build_shift(g, gt, T, K, batch.xi)
+                u0, blocks = one_shift(g, gt, T, K, batch.xi)
                 assert np.array_equal(u0, batch.shift.u0[0])
                 assert np.array_equal(blocks, batch.shift.blocks[0])
                 # the coupling accepts on the log-density the weights read
                 sh = batch.shift
                 assert np.array_equal(-sh.dot[0] - 0.5 * sh.norm2[0],
-                                      log_density(u0, blocks, batch.xi))
+                                      log_weight(u0, blocks, batch.xi))
                 for i in range(0, 64, 9):
-                    u0_i, blocks_i = build_shift(g, gt, T, K, batch.xi[i:i + 1])
+                    u0_i, blocks_i = one_shift(g, gt, T, K, batch.xi[i:i + 1])
                     assert np.array_equal(u0_i, u0)
                     assert np.array_equal(blocks_i, blocks[i:i + 1])
 
@@ -283,7 +280,7 @@ class TestOnePairing:
 
     @pytest.mark.parametrize("n, K", [(2, 1), (2, 5), (3, 2), (3, 7), (4, 3), (4, 9)])
     def test_met_is_the_accept_test_on_log_R(self, n, K):
-        # met = (log U <= -dot - norm2/2) | (norm2 == 0) on every row that is not singular
+        # met = (log U <= -dot - norm2/2) | (norm2 == 0) on every row
         rng = derive_rng(15, n)
         pairs = [_random_pair(rng, n)[:2] for _ in range(3)]
         pairs.append((pairs[0][0], pairs[0][0]))  # a zero shift meets on every row
@@ -294,7 +291,7 @@ class TestOnePairing:
             log_u = np.log(replay.uniform(size=3000))
             sh = batch.shift
             accept = (log_u <= -sh.dot - 0.5 * sh.norm2) | (sh.norm2 == 0.0)
-            assert np.array_equal(batch.met, accept & ~batch.bad)
+            assert np.array_equal(batch.met, accept)
             assert batch.met.any()
             assert batch.met.all() if i == 3 else not batch.met.all()
 
@@ -367,6 +364,19 @@ class TestSignOrbit:
             assert np.array_equal(one.blocks, sh.blocks[:, i:i + 1])
             assert np.array_equal(one.dot, sh.dot[:, i:i + 1])
             assert np.array_equal(one.norm2, sh.norm2[:, i:i + 1])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("orbit", [1, 2, 4])
+    def test_rows_with_zero_probes_raise_for_their_tile(self, n, orbit):
+        # all probe coefficients zero: a zero probe, whose Gram matrix is singular
+        g, gt, T = _random_pair(derive_rng(23, n), n)
+        K = n + 2
+        xi = derive_rng(24, n).standard_normal((9, 3 * K + 2, n))
+        xi[[1, 4], 2::3] = 0.0  # the indices 3k - 1
+        xi[[1, 4], 4::3] = 0.0  # the indices 3k + 1
+        with pytest.raises(SingularGramError, match="^2 singular Gram draws in a tile of 9 rows"):
+            shift_batch(g, gt, [T, 2.0 * T], xi, K, orbit)
+        shift_batch(g, gt, [T, 2.0 * T], np.delete(xi, [1, 4], axis=0), K, orbit)
 
     def test_orbit_of_three_points_rejected(self):
         g, gt, T = _random_pair(derive_rng(22), 2)
@@ -582,7 +592,7 @@ class TestMarginalPreservation:
         T = 4.0
         N = 30_000
         gc, gct = heis_to_carnot(g), heis_to_carnot(gt)
-        xi, xi_t, met, _, _, _ = _one_horizon(gc, gct, T, rng, N, K=1)
+        xi, xi_t, met, _ = _one_horizon(gc, gct, T, rng, N, K=1)
         xT, zT = endpoint_packed(gc.x, gc.z.upper, xi, T)
         xTt, zTt = endpoint_packed(gct.x, gct.z.upper, xi_t, T)
         for i in range(2):

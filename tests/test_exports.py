@@ -1,9 +1,12 @@
-"""Every name in a module's __all__ exists, the package imports cleanly, and
-no module imports another module's private names."""
+"""Every name in a module's __all__ exists, the package imports cleanly, no
+module imports another module's private names, and the README's module table
+names only public calls."""
 
 import ast
+import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +16,7 @@ import pytest
 import carnot_coupling
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = SRC.parent / "README.md"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(carnot_coupling.__path__)
                  if not m.name.startswith("_"))
 
@@ -39,4 +43,17 @@ def test_no_module_imports_a_private_name_of_another():
                 private = [a.name for a in node.names if a.name.startswith("_")]
                 if private:
                     found.append(f"{path.stem} <- {node.module}.{', '.join(private)}")
+    assert found == []
+
+
+def test_readme_module_table_names_only_exported_calls():
+    # a backticked call `name(` in a module's row must be in that module's __all__
+    rows = re.findall(r"^\| `carnot_coupling\.(\w+)` \|(.*)\|$",
+                      README.read_text(encoding="utf-8"), re.M)
+    assert len(rows) >= 8
+    found = []
+    for name, contents in rows:
+        public = getattr(importlib.import_module(f"carnot_coupling.{name}"), "__all__", ())
+        found += [f"{name}.{call}" for call in re.findall(r"`([A-Za-z_]\w{2,})\(", contents)
+                  if call not in public]
     assert found == []

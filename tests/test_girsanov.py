@@ -15,7 +15,6 @@ from carnot_coupling.catalog import CATALOG
 from carnot_coupling.coupling import shift_batch, shift_pairing
 from carnot_coupling.girsanov import (
     bismut_gradient,
-    build_shift,
     default_support_count,
     entropy_bound_constant,
     finite_diff_gradient,
@@ -23,7 +22,6 @@ from carnot_coupling.girsanov import (
     gradient_sup_spotcheck,
     horizontal_direction,
     inequality_suite,
-    log_density,
     reverse_poincare_constant,
     semigroup_transfer_check,
     vertical_direction,
@@ -39,7 +37,7 @@ from carnot_coupling.groups import (
 from carnot_coupling.legendre import endpoint_packed
 from carnot_coupling.mc import MCEstimate, derive_rng, run_vector_estimator, split_seed
 from carnot_coupling.sylvester import SingularGramError
-from coupling_checks import sign_orbit
+from coupling_checks import log_weight, one_shift, sign_orbit
 
 
 def hpair(a, b):
@@ -47,13 +45,13 @@ def hpair(a, b):
 
 
 def batch(seed, rows, K, n=2):
-    """Coefficients for `rows` paths through index 3K+1, all that build_shift reads."""
+    """Coefficients for `rows` paths through index 3K+1, all that the shift reads."""
     return derive_rng(seed).standard_normal((rows, 3 * K + 2, n))
 
 
 def shifted_endpoints_agree(g, gt, T, K, xi):
     """The shifted batch drives gt onto the endpoints driven by xi from g."""
-    u0, blocks = build_shift(g, gt, T, K, xi)
+    u0, blocks = one_shift(g, gt, T, K, xi)
     shifted = xi.copy()
     shifted[:, 0] += u0
     shifted[:, 3:3 * K + 1:3] += blocks
@@ -63,17 +61,17 @@ def shifted_endpoints_agree(g, gt, T, K, xi):
     assert np.max(np.abs(zT_gt - zT_g)) <= 1e-10
 
 
-class TestBuildShift:
+class TestOneHorizonShift:
     def test_zero_for_equal_points(self):
         g, gt = hpair((0.5, -1, 0.2), (0.5, -1, 0.2))
-        u0, blocks = build_shift(g, gt, 4.0, 5, batch(0, 16, 5))
+        u0, blocks = one_shift(g, gt, 4.0, 5, batch(0, 16, 5))
         assert not u0.any() and not blocks.any()
 
     def test_norm_decomposition(self):
         g, gt = hpair((0, 0, 0), (0.7, -0.2, 0.4))
         T = 9.0
         xi = batch(2, 16, 5)
-        u0, blocks = build_shift(g, gt, T, 5, xi)
+        u0, blocks = one_shift(g, gt, T, 5, xi)
         _, norm2 = shift_pairing(u0, blocks, xi)
         dx2 = (0.7 ** 2 + 0.2 ** 2)
         for row, b in zip(norm2, blocks):
@@ -82,21 +80,10 @@ class TestBuildShift:
 
     def test_index0_collinear_with_displacement(self):
         g, gt = hpair((0, 0, 0), (0.6, 0.8, 0.0))
-        u0, _ = build_shift(g, gt, 1.0, 5, batch(3, 16, 5))
+        u0, _ = one_shift(g, gt, 1.0, 5, batch(3, 16, 5))
         d = np.array([-0.6, -0.8])
         cross = u0[0] * d[1] - u0[1] * d[0]
         assert abs(cross) <= 1e-14
-
-    def test_small_support_rejected(self):
-        g, gt = hpair((0, 0, 0), (1, 0, 0))
-        with pytest.raises(ValueError):
-            build_shift(g, gt, 1.0, 3, batch(4, 16, 5))
-
-    def test_short_stream_rejected(self):
-        g, gt = hpair((0, 0, 0), (1, 0, 0))
-        xi = derive_rng(5).standard_normal((16, 9, 2))  # indices 0..8, K = 5 needs 0..16
-        with pytest.raises(ValueError):
-            build_shift(g, gt, 1.0, 5, xi)
 
     def test_shift_reads_only_allowed_coordinates(self):
         # changing the modified coordinates or the displacement component of
@@ -105,12 +92,12 @@ class TestBuildShift:
         T, K = 4.0, 5
         rng = derive_rng(6)
         xi = rng.standard_normal((3 * K + 2, 2))
-        u0a, blocksa = build_shift(g, gt, T, K, xi[None])
+        u0a, blocksa = one_shift(g, gt, T, K, xi[None])
         xi2 = xi.copy()
         xi2[0, 0] += 3.0  # displacement direction is e1 here
         for k in range(1, K + 1):
             xi2[3 * k] = rng.standard_normal(2)
-        u0b, blocksb = build_shift(g, gt, T, K, xi2[None])
+        u0b, blocksb = one_shift(g, gt, T, K, xi2[None])
         assert np.allclose(blocksa, blocksb, atol=1e-12)
         assert np.array_equal(u0a, u0b)
 
@@ -122,12 +109,12 @@ class TestBuildShift:
         gt = CarnotElement(rng.uniform(-1, 1, n), SkewMatrix(n, rng.uniform(-1, 1, p)))
         T, K = 4.0, 2 * n + 1
         xi = rng.standard_normal((40, 3 * K + 2, n))
-        u0, blocks = build_shift(g, gt, T, K, xi)
-        logw = log_density(u0, blocks, xi)
+        u0, blocks = one_shift(g, gt, T, K, xi)
+        logw = log_weight(u0, blocks, xi)
         for i in range(40):
-            u0_i, blocks_i = build_shift(g, gt, T, K, xi[i:i + 1])
+            u0_i, blocks_i = one_shift(g, gt, T, K, xi[i:i + 1])
             assert np.array_equal(u0_i, u0) and np.array_equal(blocks_i, blocks[i:i + 1])
-            assert np.array_equal(log_density(u0_i, blocks_i, xi[i:i + 1]), logw[i:i + 1])
+            assert np.array_equal(log_weight(u0_i, blocks_i, xi[i:i + 1]), logw[i:i + 1])
 
     def test_pathwise_endpoint_identity(self):
         # the shifted stream drives the process from gt onto the endpoint from g:
@@ -145,14 +132,14 @@ class TestDensity:
     def test_unit_weight_for_zero_shift(self):
         g, gt = hpair((1, 1, 1), (1, 1, 1))
         xi = batch(9, 16, 5)
-        u0, blocks = build_shift(g, gt, 1.0, 5, xi)
-        assert np.all(np.exp(log_density(u0, blocks, xi)) == 1.0)
+        u0, blocks = one_shift(g, gt, 1.0, 5, xi)
+        assert np.all(np.exp(log_weight(u0, blocks, xi)) == 1.0)
 
     def test_positive(self):
         g, gt = hpair((0, 0, 0), (0.5, 0, 0.2))
         xi = batch(10, 16, 5)
-        u0, blocks = build_shift(g, gt, 4.0, 5, xi)
-        assert np.all(np.exp(log_density(u0, blocks, xi)) > 0.0)
+        u0, blocks = one_shift(g, gt, 4.0, 5, xi)
+        assert np.all(np.exp(log_weight(u0, blocks, xi)) > 0.0)
 
     def test_normalization_and_entropy_identity(self):
         g, gt = hpair((0, 0, 0), (0, 0, 1))
@@ -174,7 +161,7 @@ class TestDensity:
         K, N, seed = 5, 2000, 16
         rep = girsanov_normalization_check(g, gt, T, K, N, seed)
         xi = derive_rng(seed, 0).standard_normal((N, 3 * K + 2, 2))
-        w = np.exp(log_density(*build_shift(g, gt, T, K, xi), xi))
+        w = np.exp(log_weight(*one_shift(g, gt, T, K, xi), xi))
         assert rep.ess_fraction == pytest.approx(w.sum() ** 2 / (N * np.sum(w * w)), rel=1e-9)
         assert rep.ess_fraction > 0.99 if light else rep.ess_fraction < 0.01
 
@@ -333,9 +320,9 @@ class TestBismut:
         h = CarnotElement(np.array([1.0, -0.5]), SkewMatrix(2, np.array([0.3])))
         T, K = 4.0, 5
         xi = derive_rng(18).standard_normal((1, 3 * K + 2, 2))
-        u0a, blka = build_shift(g, CarnotElement(g.x + h.x, g.z + h.z), T, K, xi)
+        u0a, blka = one_shift(g, CarnotElement(g.x + h.x, g.z + h.z), T, K, xi)
         h2 = CarnotElement(2 * h.x, h.z.scaled(2.0))
-        u0b, blkb = build_shift(g, CarnotElement(g.x + h2.x, g.z + h2.z), T, K, xi)
+        u0b, blkb = one_shift(g, CarnotElement(g.x + h2.x, g.z + h2.z), T, K, xi)
         assert np.allclose(2 * u0a, u0b, rtol=1e-12)
         assert np.allclose(2 * blka, blkb, rtol=1e-10)
 
@@ -389,11 +376,11 @@ class TestMirror:
                 assert np.array_equal(sh.blocks[0], plain.blocks[0])
                 assert np.array_equal(sh.probes, plain.probes)
                 for o, point in enumerate(sign_orbit(xi)):
-                    u0, blocks = build_shift(g, gt, T, K, point)
+                    u0, blocks = one_shift(g, gt, T, K, point)
                     assert np.array_equal(sh.u0[o], u0) and np.array_equal(sh.blocks[o], blocks)
                     # entries 1 and 3 are paired with xi and D xi: log R = +dot - norm2/2
                     assert np.array_equal(-(-1.0) ** o * sh.dot[o] - 0.5 * sh.norm2[o],
-                                          log_density(u0, blocks, point))
+                                          log_weight(u0, blocks, point))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("kind", ["vertical", "horizontal", "mixed"])
@@ -403,7 +390,7 @@ class TestMirror:
         xi = derive_rng(37, n).standard_normal((64, 3 * K + 2, n))
         w = mirrored_weights(g, gt, T, K, xi)
         for row, x in zip(w, (xi, -xi)):
-            assert np.array_equal(row, np.exp(log_density(*build_shift(g, gt, T, K, x), x)))
+            assert np.array_equal(row, np.exp(log_weight(*one_shift(g, gt, T, K, x), x)))
         seen = []
 
         def capture(x, zp):
@@ -498,8 +485,8 @@ class TestReflection:
         assert not e.any() if kind == "vertical" else np.sum(e * e) == 1.0
         xr = _reflected(xi, e, K)
 
-        u0, blocks = build_shift(g, gth, T, K, xi)
-        u0r, blocksr = build_shift(g, gth, T, K, xr)
+        u0, blocks = one_shift(g, gth, T, K, xi)
+        u0r, blocksr = one_shift(g, gth, T, K, xr)
         assert np.array_equal(u0, u0r) and np.array_equal(blocks, blocksr)
         # W = -<omega, u> flips exactly
         assert np.array_equal(shift_pairing(u0r, blocksr, xr)[0],
@@ -588,7 +575,7 @@ class TestGradientMirror:
                                                   T * sh.probes, sh.axis, T)
             assert np.array_equal(xs[8 + o], xr[0]) and np.array_equal(zs[8 + o], zr[0])
             # a function that reads only the endpoint from g at this point gives W there / 8
-            w = -shift_pairing(*build_shift(g, gth, T, K, point), point)[0]
+            w = -shift_pairing(*one_shift(g, gth, T, K, point), point)[0]
             grad = girsanov._antithetic_gradient(_selecting(2 * o), g, gth, T, K, xi, [g, gt])[1]
             assert np.array_equal(grad, 0.125 * w)
         for fname in sorted(CATALOG):
@@ -808,11 +795,25 @@ class TestFiniteDifference:
         est = finite_diff_gradient(CATALOG["coordinate-bump"], g, h, 1.0, 1e-3, 2000, seed=22)
         assert est.mean == 0.0 and est.stderr == 0.0
 
-    def test_invalid_step(self):
+    @pytest.mark.parametrize("T, eps, rank, match", [
+        (1.0, 0.0, 2, "step must be positive and finite, got 0.0"),
+        (1.0, -1e-3, 2, "step must be positive and finite"),
+        (1.0, math.inf, 2, "step must be positive and finite, got inf"),
+        (1.0, math.nan, 2, "step must be positive and finite, got nan"),
+        (math.nan, 1e-3, 2, "horizon must be positive and finite, got nan"),
+        (math.inf, 1e-3, 2, "horizon must be positive and finite, got inf"),
+        (-1.0, 1e-3, 2, "horizon must be positive and finite, got -1.0"),
+        (1.0, 1e-3, 3, "dimension mismatch"),
+    ])
+    def test_invalid_input_rejected_before_any_draw(self, T, eps, rank, match, monkeypatch):
+        draws = []
+        derive = mc.derive_rng
+        monkeypatch.setattr(mc, "derive_rng", lambda *a: draws.append(a) or derive(*a))
         g = heis_to_carnot(HeisenbergPoint(0, 0, 0))
-        with pytest.raises(ValueError):
-            finite_diff_gradient(CATALOG["constant"], g, horizontal_direction(g, 0),
-                                 1.0, 0.0, 100, seed=23)
+        h = horizontal_direction(CarnotElement.identity(rank), 0)
+        with pytest.raises(ValueError, match=match):
+            finite_diff_gradient(CATALOG["constant"], g, h, T, eps, 100, seed=23)
+        assert draws == []
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("fname", sorted(CATALOG))
