@@ -40,17 +40,23 @@ seed produce byte-identical artifacts.
 
 Every sampling subcommand exits 2 before any sampling when the float64
 arrays it holds at once exceed 256 MiB.  That is min(workers, batches)
-batches of min(N, 16384) rows, each row holding its coefficient array,
-(3K + 2) x n values (`marginals` holds 26 values a row, its 8 moment
-columns and what its statistics make of them, plus one row tile of at most
-8 MiB of coefficients, with 2 x 257 x n + 3n^2 values a tile row: its
-257 x n coefficients, the weighted copy the area series makes of them and
-the n x n product; `couple` adds its probes, each horizon's mismatch and
-shift, and the peak working set of the shift solve, which grows like n^4,
-`coupling.batch_row_values`; `sylvester` adds its probe and solution
-matrices), plus the N endpoints that `marginals` keeps for its KS test and
-the residual instances of `sylvester`.  K = 340 is the largest on
-`heisenberg` with one worker, and K = 170 with two.
+batches of min(N, 16384) rows.  A `couple` batch holds every row's
+coefficient array, (3K + 2) x n values, with its probes, each horizon's
+mismatch and shift, and the peak working set of the shift solve, which
+grows like n^4 (`coupling.batch_row_values`); a `sylvester` batch holds
+its probe and solution matrices.  The other subcommands draw and evaluate a
+batch one row tile of at most 8 MiB of coefficients at a time, and a batch
+holds one tile's working set beside a few statistics values a row.
+`girsanov`, `bismut` and `inequalities` count their largest estimator, the
+sign-orbit gradient, whose tile row holds about four times its (3K + 2) x n
+coefficients (`_support_count`), so K is bounded only once a tile is a
+single row: K = 949331 is the largest on `heisenberg` with one worker, and
+K = 469982 with two.  `marginals` holds 26 values a row, its 8 moment
+columns and what its statistics make of them, and 2 x 257 x n + 3n^2
+values a tile row: its 257 x n coefficients, the weighted copy the area
+series makes of them and the n x n product.  Beside the batches are the N
+endpoints that `marginals` keeps for its KS test and the residual
+instances of `sylvester`.
 
 Exit codes: 0 every record passed, 1 some check failed, 2 a configuration
 error (found before any sampling where the flags alone show it), 3 a
@@ -69,7 +75,7 @@ import sys
 from typing import NamedTuple
 
 import numpy as np
-import scipy.stats
+import scipy.special
 
 from . import mc
 from .catalog import CATALOG, get_function
@@ -86,8 +92,10 @@ from .groups import CarnotElement, SkewMatrix, unpack_skew
 from .legendre import endpoint_moments, endpoint_packed, truncation_index
 from .mc import bound_check, derive_rng, ks_test, run_vector_estimator, split_seed, two_sample_compare
 from .special_constants import constants_table
-from .sylvester import (SingularGramError, lemma_solution_batch, u_moment_check,
-                        wishart_inv_trace_mc)
+from .sylvester import (SingularGramError, lemma_solution_batch, tsylvester_row_values,
+                        u_moment_check, wishart_inv_trace_mc)
+
+__all__ = ["main", "build_parser"]
 
 ENV_SEED = "CARNOT_COUPLING_SEED"
 
@@ -284,8 +292,8 @@ def cmd_marginals(args) -> int:
 
     xT = _streamed_endpoints(g, T, k_path, args.N, derive_rng(args.seed, 101))
     for i in range(g.n):
-        cdf = scipy.stats.norm(loc=float(g.x[i]), scale=math.sqrt(T)).cdf
-        p = ks_test(xT[:, i], cdf)
+        loc = float(g.x[i])
+        p = ks_test(xT[:, i], lambda x: scipy.special.ndtr((x - loc) / math.sqrt(T)))
         records.append(record(
             "endpoint horizontal coordinate is Gaussian with variance T",
             f"marginals:ks-x{i}", estimate=p, stderr=0.0, bound=0.01, passed=bool(p > 0.01),
@@ -347,11 +355,31 @@ def cmd_sylvester(args) -> int:
 def _support_count(args, n: int) -> int:
     """--K, or the default 2n+1 when it is not given (an explicit 0 is kept and rejected).
 
-    A K whose coefficient arrays, (3K + 2) x n float64 values a row, do not
-    fit `_check_memory`'s budget is rejected before any sampling.
+    A K whose batch does not fit `_check_memory`'s budget is rejected before
+    any sampling.  The count bounds every estimator of `girsanov`, from the
+    largest, the sign-orbit gradient on two starts (`inequalities`).  A batch
+    row holds at most 6 output columns and what its statistics make of them.
+    A row tile of at most `mc.tile_rows` rows holds, per row, its draw of
+    (3K + 2) x n coefficients and the n x K probes, and beside them the
+    larger of two stages: the shift solve of the four orbit points (their
+    packed mismatches and `tsylvester_row_values`, or after it the 4 n K
+    solution and a sign-flipped copy of a quarter of it), and the endpoints
+    (those 4 n K shift values, the scaled probes, the weighted copy of the
+    draw that the area series makes, the n x n product, and 40 values per
+    horizontal and packed vertical coordinate for the endpoints from both
+    starts at the four points, their reflections, the test function and the
+    output columns).  Each tile also holds the 3K + 2 term alpha ladder and
+    its copy per coordinate.  One tile's values are spread over the rows of
+    its batch.
     """
     K = default_support_count(n) if args.K is None else args.K
-    _check_memory(args, f"--K {K}", (3 * K + 2) * n)
+    coefficients, pairs = (3 * K + 2) * n, n * (n - 1) // 2
+    solve = 8 * pairs + max(tsylvester_row_values(n, K, 4), 5 * n * K + n)
+    endpoints = 6 * n * K + coefficients + n * n + 40 * (n + pairs)
+    rows = min(args.N, mc.BATCH_SIZE)
+    tile = (min(rows, mc.tile_rows(coefficients)) * (coefficients + n * K + max(solve, endpoints))
+            + (n + 1) * (3 * K + 2))
+    _check_memory(args, f"--K {K}", 3 * 6 + 2 + -(-tile // rows))
     return K
 
 

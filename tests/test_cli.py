@@ -219,12 +219,15 @@ class TestDeclaredFlags:
         assert not out.exists()
 
     @pytest.mark.parametrize("group, workers, largest", [
-        ("heisenberg", 1, 340), ("carnot-3", 1, 226), ("heisenberg", 2, 170), ("carnot-3", 2, 113),
+        ("heisenberg", 1, 949331), ("carnot-3", 1, 651499), ("heisenberg", 2, 469982),
+        ("carnot-3", 2, 322534),
     ])
-    def test_K_budget_is_one_batch_of_coefficients(self, group, workers, largest):
-        # every worker holds one batch of coefficients at once
+    def test_K_budget_is_one_row_tile_per_batch(self, group, workers, largest):
+        # every worker holds one row tile of its batch at once, so the budget binds only
+        # once a tile is a single row, whose draw alone fits the budget several times
         n = cli._parse_group(group)
-        assert workers * mc.BATCH_SIZE * (3 * largest + 2) * n * 8 <= cli.MAX_BATCH_BYTES
+        assert mc.tile_rows((3 * largest + 2) * n) == 1
+        assert 4 * workers * (3 * largest + 2) * n * 8 <= cli.MAX_BATCH_BYTES
         args = lambda K: argparse.Namespace(K=K, N=4 * mc.BATCH_SIZE, workers=workers)
         assert cli._support_count(args(largest), n) == largest
         with pytest.raises(ValueError, match="over the budget"):
@@ -232,10 +235,52 @@ class TestDeclaredFlags:
 
     def test_K_budget_counts_only_the_batches_that_run(self):
         # one batch of N rows runs alone, whatever --workers says
-        args = argparse.Namespace(K=340, N=mc.BATCH_SIZE, workers=2)
-        assert cli._support_count(args, 2) == 340
-        args = argparse.Namespace(K=4 * 340, N=mc.BATCH_SIZE // 4, workers=1)
-        assert cli._support_count(args, 2) == 4 * 340
+        args = argparse.Namespace(K=949331, N=mc.BATCH_SIZE, workers=2)
+        assert cli._support_count(args, 2) == 949331
+        # a shorter batch holds fewer statistics beside its tile
+        args = argparse.Namespace(K=949331 + 1000, N=mc.BATCH_SIZE // 4, workers=1)
+        assert cli._support_count(args, 2) == 949331 + 1000
+
+    @pytest.mark.parametrize("group, K", [("heisenberg", 400), ("carnot-3", 300)])
+    def test_K_count_bounds_the_traced_peak_of_a_batch(self, group, K, monkeypatch):
+        # one batch of each girsanov estimator, three row tiles long, against the count
+        # that girsanov, bismut and inequalities check at N = rows
+        counted = []
+        rows = 1024
+
+        def count(args, what, row_values, kept_values=0):
+            counted.append(row_values)
+            raise ValueError("counted")  # exit 2 before any sampling
+
+        monkeypatch.setattr(cli, "_check_memory", count)
+        n = cli._parse_group(group)
+        pairs = n * (n - 1) // 2
+        point = ",".join(["0"] * (n + pairs))
+        with pytest.raises(SystemExit):
+            main(["inequalities", "--group", group, "--g", point, "--gt", point, "--h", point,
+                  "--K", str(K), "--N", str(rows)])
+        assert -(-rows // mc.tile_rows((3 * K + 2) * n)) == 3
+        g = CarnotElement.identity(n)
+        gt = CarnotElement(np.full(n, 0.3), SkewMatrix(n, np.eye(1, pairs)[0]))
+        h = girsanov.horizontal_direction(g, 0)
+        bump, sin = CATALOG["gaussian-bump"], CATALOG["sin-perturbation"]
+        estimators = [
+            lambda N: girsanov.girsanov_normalization_check(g, gt, 4.0, K, N, 1),
+            lambda N: girsanov.semigroup_transfer_check(bump, g, gt, 4.0, K, N, 1),
+            lambda N: girsanov.bismut_gradient(bump, g, h, 4.0, K, N, 1),
+            lambda N: girsanov.finite_diff_gradient(bump, g, h, 4.0, 1e-3, N, 1, K=K),
+            lambda N: girsanov.inequality_suite(sin, g, gt, h, 4.0, N, 1, K=K),
+        ]
+        peaks = []
+        for estimator in estimators:
+            estimator(4)  # first-call caches, untraced
+            tracemalloc.start()
+            try:
+                estimator(rows)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert 8 * rows * counted[0] >= max(peaks)
 
     def test_inequalities_samples_the_validated_K(self, monkeypatch, tmp_path):
         seen = []
@@ -251,7 +296,7 @@ class TestDeclaredFlags:
         ["sylvester", "--group", "heisenberg", "--m", "100000000", "--N", "100"],
         ["marginals", "--g", "0,0,0", "--N", "2000000000"],
         ["marginals", "--g", "0,0,0", "--N", "1000000", "--workers", "16"],
-        ["bismut", "--g", "0,0,0", "--h", "1,0,0", "--K", "171", "--N", "65536",
+        ["bismut", "--g", "0,0,0", "--h", "1,0,0", "--K", "469983", "--N", "65536",
          "--workers", "2"],
         ["couple", "--group", "carnot-40", "--g", ",".join(["0"] * 820),
          "--gt", ",".join(["0"] * 820)],

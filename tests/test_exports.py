@@ -1,6 +1,6 @@
-"""Every name in a module's __all__ exists, the package imports cleanly, no
-module imports another module's private names, and the README's module table
-names only public calls."""
+"""Every name in a module's __all__ exists, the package imports cleanly and
+without scipy.stats, no module imports another module's private names, and
+the README's module table names only public calls."""
 
 import ast
 import importlib
@@ -28,6 +28,31 @@ def test_package_imports_in_a_fresh_interpreter():
     assert proc.returncode == 0, proc.stderr
 
 
+_FOOTPRINT = """
+import sys
+import carnot_coupling, carnot_coupling.cli
+from carnot_coupling.cli import main
+out = sys.argv[1]
+codes = [main(["couple", "--g", "0,0,0", "--gt", "0,0,1", "--N", "64", "--out", out]),
+         main(["girsanov", "--g", "0,0,0", "--gt", "0,0,0.1", "--T", "4", "--N", "64",
+               "--out", out])]
+before = "scipy.stats" in sys.modules
+codes.append(main(["marginals", "--g", "0,0,0", "--N", "200", "--out", out]))
+print(before, "scipy.stats" in sys.modules, *codes)
+"""
+
+
+def test_only_the_ks_test_loads_scipy_stats(tmp_path):
+    # importing scipy.stats about doubles the time and memory of a run's start
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, str(tmp_path / "res.csv")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    before, after, couple, weights, marginals = proc.stdout.split()
+    assert (before, after) == ("False", "True")
+    assert {couple, weights} <= {"0", "1"} and marginals == "0"
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_star_import_finds_every_name(name):
     # a stale __all__ entry makes the star import raise AttributeError
@@ -50,7 +75,7 @@ def test_readme_module_table_names_only_exported_calls():
     # a backticked call `name(` in a module's row must be in that module's __all__
     rows = re.findall(r"^\| `carnot_coupling\.(\w+)` \|(.*)\|$",
                       README.read_text(encoding="utf-8"), re.M)
-    assert len(rows) >= 8
+    assert sorted(name for name, _ in rows) == MODULES
     found = []
     for name, contents in rows:
         public = getattr(importlib.import_module(f"carnot_coupling.{name}"), "__all__", ())
