@@ -28,11 +28,17 @@ step is row-wise, so the output of a batch does not depend on its tiling,
 bit for bit.  Tiles are sized by bytes, not rows: rows run from a few dozen
 coefficients to a thousand, and a fixed row count would either pay the
 Python overhead of a call per few short rows or hold megabytes of long ones.
+
+Importing this module gives glibc malloc one arena and fixed mmap and trim
+thresholds for the whole process (`_fix_malloc_thresholds`), so every
+process reuses the heap of one tile's temporaries for the next.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -58,6 +64,38 @@ __all__ = [
 BATCH_SIZE = 1 << 14
 # coefficient bytes a row tile holds at most; see the module docstring
 TILE_BYTES = 1 << 23
+
+# glibc malloc maps a request of at least its mmap threshold afresh and gives
+# free heap back to the system once more than its trim threshold lies free.
+# By default both thresholds move with the largest mapped block freed so far,
+# and each thread of a new pool may open an arena beside those the last
+# pool's threads still hold.  Whether a tile's temporaries, a few MiB each,
+# reuse heap or are faulted in again by every batch, and how much heap a
+# process keeps, then depend on what it freed before, such as the modules it
+# imported: 20k minor page faults per weighted-transfer cycle in one process
+# and none in another, 99 or 120 MB peak RSS.  Fixed thresholds above every
+# worker's tile temporaries and one arena make that the same in every
+# process; the GIL keeps the threads from contending for the arena.
+_MMAP_THRESHOLD_BYTES = 2 * TILE_BYTES
+_TRIM_THRESHOLD_BYTES = 8 * TILE_BYTES
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8  # mallopt, <malloc.h>
+
+
+def _fix_malloc_thresholds() -> None:
+    """Give glibc malloc one arena and fixed mmap and trim thresholds; a no-op
+    where malloc has no mallopt."""
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_ARENA_MAX, 1)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
+_fix_malloc_thresholds()
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15

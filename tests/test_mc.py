@@ -1,6 +1,11 @@
 """Harness determinism, stream independence, interval calibration, KS helper."""
 
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -363,6 +368,30 @@ TILED = {
 }
 
 
+_HEAP_REUSE = """
+import resource
+import threading
+import numpy as np
+from carnot_coupling import mc
+
+def tile():
+    sum(float(t[-1]) for t in [np.ones(mc.TILE_BYTES // 16) for _ in range(4)])
+
+def pool():
+    threads = [threading.Thread(target=tile) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+
+pool()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    pool()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
 class TestRowTiles:
     @pytest.mark.parametrize("count, tiles", [(1, 1), (8, 1), (9, 2), (100, 13), (16384, 2048)])
     def test_map_tiles_splits_rows_evenly_into_the_fewest_tiles(self, count, tiles, monkeypatch):
@@ -395,6 +424,17 @@ class TestRowTiles:
             monkeypatch.setattr(mc, "TILE_BYTES", tile_bytes)
             results.append(run())
         assert results[0] == results[1] == results[2]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+    def test_next_pool_reuses_the_heap_of_the_last(self):
+        # each of two new threads holds four half-tile temporaries at once, as a
+        # pool's workers do; with glibc's moving thresholds and an arena per
+        # thread, ten such pools faulted in about 160 MiB afresh
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", _HEAP_REUSE], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 256  # pages faulted by ten pools
 
     @pytest.mark.parametrize("run", [
         lambda: failure_probability(_G3, _G3T, [4.0, 25.0], 98, 1),
