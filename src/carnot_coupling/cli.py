@@ -43,10 +43,13 @@ arrays it holds at once exceed 256 MiB.  That is min(workers, batches)
 batches of min(N, 16384) rows.  A `couple` batch holds every row's
 coefficient array, (3K + 2) x n values, with its probes, each horizon's
 mismatch and shift, and the peak working set of the shift solve, which
-grows like n^4 (`coupling.batch_row_values`); a `sylvester` batch holds
-its probe and solution matrices.  The other subcommands draw and evaluate a
-batch one row tile of at most 8 MiB of coefficients at a time, and a batch
-holds one tile's working set beside a few statistics values a row.
+grows like n^4 (`coupling.batch_row_values`).  A `sylvester` batch row
+holds at most 4nm + 3n^2 values, its probe matrix v, the lemma solution and
+their products, and so does each of the min(N, 20000) instances of its
+residual pass, which frees them before the batches run.  The other
+subcommands draw and evaluate a batch one row tile of at most 8 MiB of
+coefficients at a time, and a batch holds one tile's working set beside a
+few statistics values a row.
 `girsanov`, `bismut` and `inequalities` count their largest estimator, the
 sign-orbit gradient, whose tile row holds about four times its (3K + 2) x n
 coefficients (`_support_count`), so K is bounded only once a tile is a
@@ -55,12 +58,12 @@ K = 469982 with two.  `marginals` holds 26 values a row, its 8 moment
 columns and what its statistics make of them, and 2 x 257 x n + 3n^2
 values a tile row: its 257 x n coefficients, the weighted copy the area
 series makes of them and the n x n product.  Beside the batches are the N
-endpoints that `marginals` keeps for its KS test and the residual
-instances of `sylvester`.
+endpoints that `marginals` keeps for its KS test.
 
 Exit codes: 0 every record passed, 1 some check failed, 2 a configuration
-error (found before any sampling where the flags alone show it), 3 a
-numerically singular Gram system (no artifact is written).
+error (found before any sampling where the flags or CARNOT_COUPLING_SEED
+alone show it), 3 a numerically singular Gram system (no artifact is
+written).
 """
 
 from __future__ import annotations
@@ -75,7 +78,6 @@ import sys
 from typing import NamedTuple
 
 import numpy as np
-import scipy.special
 
 from . import mc
 from .catalog import CATALOG, get_function
@@ -274,6 +276,8 @@ def _streamed_endpoints(g: CarnotElement, T: float, k_path: int, N: int,
 
 
 def cmd_marginals(args) -> int:
+    import scipy.special
+
     g = _parse_point(args.g, args.group)
     T = args.T
     k_path = truncation_index(1.0 / 32.0, T)
@@ -313,26 +317,39 @@ def cmd_marginals(args) -> int:
     return _emit(args, records)
 
 
+def _lemma_residual(n: int, m: int, count: int, rng: np.random.Generator) -> float:
+    """Largest |u v^t - v u^t - w| / (1 + |w|) of the lemma solution u over `count` draws of v, w.
+
+    Its arrays are freed on return, before the estimators run.
+    """
+    v = rng.standard_normal((count, n, m))
+    w_packed = rng.standard_normal((count, n * (n - 1) // 2))
+    u, _ = lemma_solution_batch(v, w_packed)
+    w = unpack_skew(n, w_packed)
+    resid = u @ np.swapaxes(v, -1, -2) - v @ np.swapaxes(u, -1, -2) - w
+    rnorm = np.sqrt(np.sum(resid ** 2, axis=(-2, -1)))
+    wnorm = np.sqrt(np.sum(w ** 2, axis=(-2, -1)))
+    return float(np.max(rnorm / (1.0 + wnorm)))
+
+
 def cmd_sylvester(args) -> int:
     n = _parse_group(args.group)
     m = default_support_count(n) if args.m is None else args.m
     if m < n + 2:
         raise ValueError(f"--m must be at least n + 2 = {n + 2} on {args.group}")
     count = min(args.N, 20000)
-    # the residual pass keeps v, u, w and the residual of `count` instances
-    _check_memory(args, f"--m {m} on {args.group}", 2 * n * m + n * n,
-                  count * (2 * n * m + 2 * n * n))
+    # an instance of the lemma solve holds at most 3nm + 2n^2 + n(n-1)/2 + n + 2
+    # values (v, its Gram solution and their product with the dense w; the Gram
+    # matrix and the dense w; the packed w, the eigenvalues and the masks), and of
+    # the residual after it 2nm + 4n^2 + n(n-1)/2; 4nm + 3n^2 bounds both for
+    # m >= n + 2.  The residual pass solves `count` instances and frees them before
+    # the estimators' batches, each of which solves or factors one per row.
+    instance = 4 * n * m + 3 * n * n
+    _check_memory(args, f"--m {m} on {args.group}", instance)
+    _check_memory(args, f"--m {m} on {args.group}", 0, count * instance)
     record = _recorder(args, K=m)
     records = []
-    rng = derive_rng(args.seed, 3)
-    v = rng.standard_normal((count, n, m))
-    w_packed = rng.standard_normal((count, n * (n - 1) // 2))
-    u, cond = lemma_solution_batch(v, w_packed)
-    w = unpack_skew(n, w_packed)
-    resid = u @ np.swapaxes(v, -1, -2) - v @ np.swapaxes(u, -1, -2) - w
-    rnorm = np.sqrt(np.sum(resid ** 2, axis=(-2, -1)))
-    wnorm = np.sqrt(np.sum(w ** 2, axis=(-2, -1)))
-    ratio = float(np.max(rnorm / (1.0 + wnorm)))
+    ratio = _lemma_residual(n, m, count, derive_rng(args.seed, 3))
     records.append(record(
         "T-Sylvester particular solution residual", "sylvester:residual",
         estimate=ratio, stderr=0.0, bound=1e-10, passed=bool(ratio <= 1e-10), N=count,
@@ -540,7 +557,11 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed = int(os.environ.get(ENV_SEED, "20240901"))
+    text = os.environ.get(ENV_SEED, "20240901")
+    try:
+        seed = int(text)
+    except ValueError:
+        parser.exit(2, f"{parser.prog}: error: {ENV_SEED}={text!r} is not an integer\n")
     for name, (func, help_text, flags, overrides) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag in flags.split():

@@ -15,6 +15,9 @@ the kernel returns that scalar.  The scalar and the accept test need just
 two row sums, <X, shift> and |shift|^2, and the kernel takes only those, so
 the caller computes them once for the coupling and the Girsanov weights alike
 (`coupling.shift_pairing`).
+
+`gaussian_tv` loads `scipy.special` on its first call, so the module imports
+without it and only a run that couples pays for it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.special
 
 __all__ = [
     "gaussian_tv",
@@ -32,6 +34,8 @@ __all__ = [
 
 def gaussian_tv(delta: float | np.ndarray) -> float | np.ndarray:
     """Exact meeting-failure probability 2 Phi(delta/2) - 1 = erf(delta/(2 sqrt 2)), elementwise."""
+    import scipy.special
+
     delta = np.asarray(delta, dtype=float)
     if np.any(delta < 0):
         raise ValueError("shift norm must be nonnegative")

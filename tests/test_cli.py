@@ -327,6 +327,28 @@ class TestDeclaredFlags:
             tracemalloc.stop()
         assert 8 * rows * coupling.batch_row_values(n, K, 2) >= peak
 
+    @pytest.mark.parametrize("n", [4, 8, 10])
+    def test_sylvester_count_bounds_the_traced_peak(self, n, monkeypatch, tmp_path):
+        # a whole run at N = one batch: the residual pass, then one batch of each estimator
+        counted = []
+        check = cli._check_memory
+
+        def count(args, what, row_values, kept_values=0):
+            counted.append(8 * (min(args.N, mc.BATCH_SIZE) * row_values + kept_values))
+            check(args, what, row_values, kept_values)
+
+        monkeypatch.setattr(cli, "_check_memory", count)
+        argv = ["sylvester", "--group", f"carnot-{n}", "--out", str(tmp_path / "res.csv")]
+        main(argv + ["--N", "64"])  # first-call caches, untraced
+        counted.clear()
+        tracemalloc.start()
+        try:
+            main(argv + ["--N", str(mc.BATCH_SIZE)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(counted) >= peak
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_marginals_count_bounds_the_traced_peak_of_a_batch(self, n, monkeypatch):
         # the row count `marginals` checks at N = rows, against one batch of its KS stream
@@ -385,6 +407,17 @@ class TestDeclaredFlags:
             assert sampled == []
         else:
             assert main(argv) == 0 and len(sampled) == 1
+
+    def test_malformed_env_seed_exits_2_naming_the_variable(self, monkeypatch, tmp_path,
+                                                           capsys):
+        monkeypatch.setenv(cli.ENV_SEED, "abc")
+        out = tmp_path / "res.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["constants", "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "carnot-coupling: error: CARNOT_COUPLING_SEED='abc' is not an integer\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("m", ["0", "4"])
     def test_too_few_probe_columns_rejected_before_the_residual_pass(self, m, monkeypatch,

@@ -1,6 +1,7 @@
 """Every name in a module's __all__ exists, the package imports cleanly and
-without scipy.stats, no module imports another module's private names, and
-the README's module table names only public calls."""
+without scipy, only the calls that read scipy.special or scipy.stats load
+them, no module imports another module's private names, and the README's
+module table names only public calls."""
 
 import ast
 import importlib
@@ -32,25 +33,35 @@ _FOOTPRINT = """
 import sys
 import carnot_coupling, carnot_coupling.cli
 from carnot_coupling.cli import main
-out = sys.argv[1]
-codes = [main(["couple", "--g", "0,0,0", "--gt", "0,0,1", "--N", "64", "--out", out]),
-         main(["girsanov", "--g", "0,0,0", "--gt", "0,0,0.1", "--T", "4", "--N", "64",
-               "--out", out])]
-before = "scipy.stats" in sys.modules
-codes.append(main(["marginals", "--g", "0,0,0", "--N", "200", "--out", out]))
-print(before, "scipy.stats" in sys.modules, *codes)
+
+def loaded(step, code):
+    print(step, code, "scipy.special" in sys.modules, "scipy.stats" in sys.modules)
+
+loaded("import", 0)
+for argv in (["girsanov", "--g", "0,0,0", "--gt", "0,0,0.1", "--T", "4", "--N", "64"],
+             ["bismut", "--g", "0,0,0", "--h", "1,0,0", "--N", "64"],
+             ["inequalities", "--g", "0,0,0", "--gt", "0,0,0.1", "--h", "1,0,0", "--N", "64"],
+             ["sylvester", "--N", "64"],
+             ["couple", "--g", "0,0,0", "--gt", "0,0,1", "--N", "64"],
+             ["marginals", "--g", "0,0,0", "--N", "200"]):
+    loaded(argv[0], main(argv + ["--out", sys.argv[1]]))
 """
 
 
-def test_only_the_ks_test_loads_scipy_stats(tmp_path):
-    # importing scipy.stats about doubles the time and memory of a run's start
+def test_scipy_loads_only_in_the_calls_that_read_it(tmp_path):
+    # importing scipy.special nearly doubles the time and memory of a run's start,
+    # and scipy.stats adds several times that
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, str(tmp_path / "res.csv")],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    before, after, couple, weights, marginals = proc.stdout.split()
-    assert (before, after) == ("False", "True")
-    assert {couple, weights} <= {"0", "1"} and marginals == "0"
+    steps = {step: (code, special, stats)
+             for step, code, special, stats in map(str.split, proc.stdout.splitlines())}
+    unloaded = ("import", "girsanov", "bismut", "inequalities", "sylvester")
+    assert {steps[step][1:] for step in unloaded} == {("False", "False")}
+    assert steps["couple"][1:] == ("True", "False")
+    assert steps["marginals"] == ("0", "True", "True")
+    assert {code for code, _, _ in steps.values()} <= {"0", "1"}
 
 
 @pytest.mark.parametrize("name", MODULES)
