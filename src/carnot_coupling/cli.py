@@ -47,9 +47,10 @@ grows like n^4 (`coupling.batch_row_values`).  A `sylvester` batch row
 holds at most 4nm + 3n^2 values, its probe matrix v, the lemma solution and
 their products, and so does each of the min(N, 20000) instances of its
 residual pass, which frees them before the batches run.  The other
-subcommands draw and evaluate a batch one row tile of at most 8 MiB of
-coefficients at a time, and a batch holds one tile's working set beside a
-few statistics values a row.
+subcommands draw and evaluate a batch in row tiles of at most 8 MiB of
+coefficients, one tile at a time, or two half tiles where the next is drawn
+while the last is evaluated, so a batch holds at most one tile's working
+set beside a few statistics values a row.
 `girsanov`, `bismut` and `inequalities` count their largest estimator, the
 sign-orbit gradient, whose tile row holds about four times its (3K + 2) x n
 coefficients (`_support_count`), so K is bounded only once a tile is a
@@ -285,7 +286,7 @@ def cmd_marginals(args) -> int:
     # of it, and the n x n product with its packed parts; a batch row holds its
     # 8 moment columns, the two copies the statistics make of them and two
     # running sums; the KS test keeps all N x.  One tile's values are spread
-    # over the rows of its batch.
+    # over the rows of its batch; drawing ahead holds two half tiles, no more.
     coefficients = (k_path + 1) * g.n
     rows = min(args.N, mc.BATCH_SIZE)
     tile = min(rows, mc.tile_rows(coefficients)) * (2 * coefficients + 3 * g.n ** 2)
@@ -387,7 +388,8 @@ def _support_count(args, n: int) -> int:
     starts at the four points, their reflections, the test function and the
     output columns).  Each tile also holds the 3K + 2 term alpha ladder and
     its copy per coordinate.  One tile's values are spread over the rows of
-    its batch.
+    its batch; a batch that draws ahead (`mc.tiled_sampler`) holds the
+    working set of one half tile and the draw of the next, which is less.
     """
     K = default_support_count(n) if args.K is None else args.K
     coefficients, pairs = (3 * K + 2) * n, n * (n - 1) // 2

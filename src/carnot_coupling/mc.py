@@ -28,6 +28,8 @@ step is row-wise, so the output of a batch does not depend on its tiling,
 bit for bit.  Tiles are sized by bytes, not rows: rows run from a few dozen
 coefficients to a thousand, and a fixed row count would either pay the
 Python overhead of a call per few short rows or hold megabytes of long ones.
+Where a core is spare, `tiled_sampler` draws the next tile on a helper
+thread while the current one is evaluated (draw-ahead), in half tiles.
 
 Importing this module gives glibc malloc one arena and fixed mmap and trim
 thresholds for the whole process (`_fix_malloc_thresholds`), so every
@@ -38,7 +40,9 @@ from __future__ import annotations
 
 import ctypes
 import math
+import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -75,7 +79,8 @@ TILE_BYTES = 1 << 23
 # imported: 20k minor page faults per weighted-transfer cycle in one process
 # and none in another, 99 or 120 MB peak RSS.  Fixed thresholds above every
 # worker's tile temporaries and one arena make that the same in every
-# process; the GIL keeps the threads from contending for the arena.
+# process.  numpy takes and frees an array's memory while it holds the GIL,
+# so pool workers and the draw-ahead helper seldom contend for the one arena.
 _MMAP_THRESHOLD_BYTES = 2 * TILE_BYTES
 _TRIM_THRESHOLD_BYTES = 8 * TILE_BYTES
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8  # mallopt, <malloc.h>
@@ -97,6 +102,9 @@ def _fix_malloc_thresholds() -> None:
 
 _fix_malloc_thresholds()
 
+# whether the batch running on this thread may draw ahead (`tiled_sampler`)
+_spare_core = threading.local()
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -117,6 +125,13 @@ def tile_rows(row_values: int) -> int:
     return max(1, TILE_BYTES // (8 * row_values))
 
 
+def _tiles(count: int, row_values: int) -> list[slice]:
+    """The fewest slices of at most `tile_rows(row_values)` rows over count rows, in order,
+    whose sizes differ by at most one."""
+    tiles = -(-count // tile_rows(row_values))
+    return [slice(count * t // tiles, count * (t + 1) // tiles) for t in range(tiles)]
+
+
 def map_tiles(fn: Callable[[slice], np.ndarray], count: int, row_values: int) -> np.ndarray:
     """fn over the row tiles of a batch of `count` rows, its outputs stacked in row order.
 
@@ -125,14 +140,12 @@ def map_tiles(fn: Callable[[slice], np.ndarray], count: int, row_values: int) ->
     of that slice, one per leading index.  The tiles run in order, so fn may
     draw from a generator.
     """
-    tiles = -(-count // tile_rows(row_values))
-    edges = [count * t // tiles for t in range(tiles + 1)]
     out = None
-    for start, stop in zip(edges, edges[1:]):
-        vals = np.asarray(fn(slice(start, stop)))
+    for t in _tiles(count, row_values):
+        vals = np.asarray(fn(t))
         if out is None:
             out = np.empty((count,) + vals.shape[1:], dtype=vals.dtype)
-        out[start:stop] = vals
+        out[t] = vals
     return out
 
 
@@ -144,12 +157,43 @@ def tiled_sampler(fn: Callable[[np.ndarray], np.ndarray],
     (`map_tiles`), so one tile of xi is held at a time, and when fn is
     row-wise the batch equals fn(rng.standard_normal((count, *row_shape)))
     bit for bit.
+
+    Draw-ahead: when the run leaves a core idle, 2 x min(workers, batches) <=
+    the usable cores (`_stream_stats` says so per batch), and half a tile
+    holds a row, the tiles hold `tile_rows(2 * row_values)` rows and one
+    helper thread draws tile t + 1 while fn evaluates tile t; numpy's normal
+    fill releases the GIL.  The same generator makes the same draws in the
+    same order, one at a time, so the batch is bit-identical.  The tiles are
+    drawn into two buffers of a half tile each, so the two in flight hold no
+    more coefficients than one tile, no draw takes new heap, and fn's xi is
+    valid only until fn returns.  A batch of one tile, or a run whose
+    batches fill the cores, starts no thread.
     """
     row_values = math.prod(row_shape)
 
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
-        return map_tiles(lambda t: fn(rng.standard_normal((t.stop - t.start, *row_shape))),
-                         count, row_values)
+        ahead = getattr(_spare_core, "on", False) and 16 * row_values <= TILE_BYTES
+        tile_values = 2 * row_values if ahead else row_values
+        if not ahead or count <= tile_rows(tile_values):
+            return map_tiles(lambda t: fn(rng.standard_normal((t.stop - t.start, *row_shape))),
+                             count, tile_values)
+        tiles = _tiles(count, tile_values)
+        # tile k fills buffer k % 2 while tile k - 1 is evaluated
+        buffers = np.empty((2, -(-count // len(tiles)), *row_shape))
+
+        def fill(k):
+            return rng.standard_normal(out=buffers[k % 2, :tiles[k].stop - tiles[k].start])
+
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            drawn = [helper.submit(fill, 0)]
+
+            def evaluate(t):
+                k = len(drawn) - 1  # the index of tile t
+                if k + 1 < len(tiles):
+                    drawn.append(helper.submit(fill, k + 1))
+                return fn(drawn[k].result())
+
+            return map_tiles(evaluate, count, tile_values)
 
     return sampler
 
@@ -217,12 +261,24 @@ def _batch_stats(sampler, seed, batch_index, count, control=False):
     return count, mean, com
 
 
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _stream_stats(sampler, N, seed, workers, control=False):
     n_batches = (N + BATCH_SIZE - 1) // BATCH_SIZE
     sizes = [min(BATCH_SIZE, N - b * BATCH_SIZE) for b in range(n_batches)]
 
+    spare = 2 * min(workers, n_batches) <= _usable_cores()
+
     def batch(b):
-        return _batch_stats(sampler, seed, b, sizes[b], control)
+        _spare_core.on = spare  # read by `tiled_sampler` on this thread
+        try:
+            return _batch_stats(sampler, seed, b, sizes[b], control)
+        finally:
+            _spare_core.on = False
 
     if workers > 1 and n_batches > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

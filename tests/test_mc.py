@@ -5,6 +5,8 @@ import os
 import platform
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -392,6 +394,63 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
+_HEAP_REUSE_AHEAD = """
+import resource
+from carnot_coupling import mc
+mc._usable_cores = lambda: 2  # a spare core on any host
+tiles = []
+sampler = mc.tiled_sampler(lambda xi: tiles.append(1) or (2.0 * xi).sum(axis=(1, 2)), (129, 3))
+mc.run_vector_estimator(sampler, mc.BATCH_SIZE, 0)
+print(len(tiles))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for seed in range(1, 11):
+    mc.run_vector_estimator(sampler, mc.BATCH_SIZE, seed)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+# the rows of the half tiles of 23 rows when a whole tile holds 10 rows
+_AHEAD_TILES = [4, 5, 4, 5, 5]
+
+
+class _RecordingGenerator:
+    """A generator that records the rows, thread and overlap of each standard normal draw."""
+
+    def __init__(self, rng, pause=0.0):
+        self._rng = derive_rng(rng) if isinstance(rng, int) else rng
+        self._pause = pause
+        self._lock = threading.Lock()
+        self._running = 0
+        self.issued, self.threads, self.most_at_once = [], set(), 0
+
+    def standard_normal(self, size=None, out=None):
+        with self._lock:
+            self.issued.append((size if out is None else out.shape)[0])
+            self.threads.add(threading.current_thread())
+            self._running += 1
+            self.most_at_once = max(self.most_at_once, self._running)
+        try:
+            time.sleep(self._pause)
+            return self._rng.standard_normal(size, out=out)
+        finally:
+            with self._lock:
+                self._running -= 1
+
+
+def _run_ahead(monkeypatch, fn, rng, cores, tile_rows=10):
+    """The tiled sampler's values of fn over 23 rows of shape (3, 2) drawn from rng,
+    as a batch of a run on `cores` usable cores, with tiles of `tile_rows` rows."""
+    monkeypatch.setattr(mc, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(mc, "TILE_BYTES", tile_rows * 8 * 6)
+    values = []
+
+    def sampler(_, count):
+        values.append(mc.tiled_sampler(fn, (3, 2))(rng, count))
+        return values[-1]
+
+    run_vector_estimator(sampler, sum(_AHEAD_TILES), 0)
+    return values[0]
+
+
 class TestRowTiles:
     @pytest.mark.parametrize("count, tiles", [(1, 1), (8, 1), (9, 2), (100, 13), (16384, 2048)])
     def test_map_tiles_splits_rows_evenly_into_the_fewest_tiles(self, count, tiles, monkeypatch):
@@ -416,8 +475,11 @@ class TestRowTiles:
             assert np.array_equal(chunks, whole)
 
     @pytest.mark.parametrize("name", sorted(TILED))
-    def test_estimates_do_not_depend_on_the_tile(self, name, monkeypatch):
+    @pytest.mark.parametrize("cores", [1, 2], ids=["drawn-in-turn", "drawn-ahead"])
+    def test_estimates_do_not_depend_on_the_tile(self, cores, name, monkeypatch):
+        # one worker on two usable cores draws each tile while the last is evaluated
         row_values, run = TILED[name]
+        monkeypatch.setattr(mc, "_usable_cores", lambda: cores)
         monkeypatch.setattr(mc, "BATCH_SIZE", _TILE_BATCH)
         results = []
         for tile_bytes in (1, 7 * 8 * row_values, 1 << 40):  # 1 row, 7 rows, a whole batch
@@ -435,6 +497,95 @@ class TestRowTiles:
                               text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) < 256  # pages faulted by ten pools
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+    def test_drawing_ahead_reuses_the_heap_of_the_last_batch(self):
+        # a new helper thread per batch fills one half tile while the caller
+        # evaluates the last, whose temporaries must reuse the heap of the batch before
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", _HEAP_REUSE_AHEAD], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        tiles, faults = map(int, proc.stdout.split())
+        assert tiles == 13
+        assert faults < 256  # pages faulted by ten batches
+
+    def test_draws_ahead_in_tile_order_one_at_a_time(self, monkeypatch):
+        rng = _RecordingGenerator(31)
+        evaluated = []
+
+        def fn(xi):
+            # hold each tile until the next one's draw has been issued
+            deadline = time.monotonic() + 10.0
+            while len(rng.issued) <= len(evaluated) + 1 < len(_AHEAD_TILES) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.001)
+            evaluated.append((xi.copy(), len(rng.issued)))  # xi is valid until fn returns
+            return xi[:, 0, 0]
+
+        out = _run_ahead(monkeypatch, fn, rng, cores=2)
+        assert rng.issued == _AHEAD_TILES and rng.most_at_once == 1
+        assert [issued for _, issued in evaluated] == \
+            [min(k + 2, len(_AHEAD_TILES)) for k in range(len(_AHEAD_TILES))]
+        whole = derive_rng(31).standard_normal((sum(_AHEAD_TILES), 3, 2))
+        assert np.array_equal(np.concatenate([xi for xi, _ in evaluated]), whole)
+        assert np.array_equal(out, whole[:, 0, 0])
+        assert threading.current_thread() not in rng.threads
+
+    def test_error_during_a_draw_ahead_leaves_no_thread(self, monkeypatch):
+        monkeypatch.setattr(coupling, "COND_LIMIT", 0.0)  # every Gram row counts as singular
+        monkeypatch.setattr(mc, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(mc, "tile_rows", lambda row_values: 7)
+        rng = _RecordingGenerator(5, pause=0.05)  # the next tile's draw is in flight
+        monkeypatch.setattr(mc, "derive_rng", lambda seed, index=0: rng)
+        done = []
+        batch_stats = mc._batch_stats
+        monkeypatch.setattr(mc, "_batch_stats", lambda *a: done.append(batch_stats(*a)))
+        threads = threading.active_count()
+        with pytest.raises(SingularGramError, match="7 singular Gram draws in a tile of 7 rows"):
+            bismut_gradient(_SIN, _G3, vertical_direction(3, 1), 4.0, 7, 98, 5)
+        assert done == [] and threading.active_count() == threads
+        assert rng.issued == [7, 7] and threading.current_thread() not in rng.threads
+
+    @pytest.mark.parametrize("workers, cores, ahead", [
+        (2, 2, False), (2, 4, True), (1, 2, True),
+        (4, 8, True),  # three batches and their helpers, more threads than this host's cores
+    ])
+    def test_batches_that_fill_the_cores_draw_in_turn(self, workers, cores, ahead, monkeypatch):
+        monkeypatch.setattr(mc, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(mc, "BATCH_SIZE", 64)
+        monkeypatch.setattr(mc, "TILE_BYTES", 16 * 8 * 6)  # 8-row tiles, 4 rows drawing ahead
+        drew, evaluated = set(), set()
+        lock = threading.Lock()
+
+        def fn(xi):
+            evaluated.add(threading.current_thread())
+            return xi[:, 0, 0]
+
+        def sampler(rng, count):
+            rng = _RecordingGenerator(rng)
+            out = mc.tiled_sampler(fn, (3, 2))(rng, count)
+            with lock:
+                drew.update(rng.threads)
+            return out
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert run_vector_estimator(sampler, 137, 9, workers) == \
+                run_vector_estimator(lambda rng, c: rng.standard_normal((c, 3, 2))[:, 0, 0], 137, 9)
+        finally:
+            sys.setswitchinterval(interval)
+        assert drew.isdisjoint(evaluated) if ahead else drew == evaluated
+
+    def test_a_batch_of_one_tile_starts_no_thread(self, monkeypatch):
+        rng = _RecordingGenerator(31)
+        threads = threading.active_count()
+        assert np.array_equal(_run_ahead(monkeypatch, lambda xi: xi[:, 0, 0], rng, cores=2,
+                                         tile_rows=2 * sum(_AHEAD_TILES)),
+                              derive_rng(31).standard_normal((sum(_AHEAD_TILES), 3, 2))[:, 0, 0])
+        assert rng.issued == [sum(_AHEAD_TILES)] and rng.threads == {threading.current_thread()}
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("run", [
         lambda: failure_probability(_G3, _G3T, [4.0, 25.0], 98, 1),
