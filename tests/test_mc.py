@@ -376,11 +376,14 @@ import threading
 import numpy as np
 from carnot_coupling import mc
 
-def tile():
-    sum(float(t[-1]) for t in [np.ones(mc.TILE_BYTES // 16) for _ in range(4)])
+def tile(barrier):
+    held = [np.ones(mc.TILE_BYTES // 16) for _ in range(4)]
+    barrier.wait(60)  # both threads hold their four arrays at once, in every pool
+    sum(float(t[-1]) for t in held)
 
 def pool():
-    threads = [threading.Thread(target=tile) for _ in range(2)]
+    barrier = threading.Barrier(2)
+    threads = [threading.Thread(target=tile, args=(barrier,)) for _ in range(2)]
     for t in threads:
         t.start()
     for t in threads:
