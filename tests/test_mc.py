@@ -552,7 +552,7 @@ class TestRowTiles:
 
     @pytest.mark.parametrize("workers, cores, ahead", [
         (2, 2, False), (2, 4, True), (1, 2, True),
-        (4, 8, True),  # three batches and their helpers, more threads than this host's cores
+        (4, 8, True),  # three batches and their three helpers, six threads at once
     ])
     def test_batches_that_fill_the_cores_draw_in_turn(self, workers, cores, ahead, monkeypatch):
         monkeypatch.setattr(mc, "_usable_cores", lambda: cores)
