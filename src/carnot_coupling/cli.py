@@ -40,26 +40,18 @@ seed produce byte-identical artifacts.
 
 Every sampling subcommand exits 2 before any sampling when the float64
 arrays it holds at once exceed 256 MiB.  That is min(workers, batches)
-batches of min(N, 16384) rows.  A `couple` batch holds every row's
-coefficient array, (3K + 2) x n values, with its probes, each horizon's
-mismatch and shift, and the peak working set of the shift solve, which
-grows like n^4 (`coupling.batch_row_values`).  A `sylvester` batch row
-holds at most 4nm + 3n^2 values, its probe matrix v, the lemma solution and
-their products, and so does each of the min(N, 20000) instances of its
-residual pass, which frees them before the batches run.  The other
-subcommands draw and evaluate a batch in row tiles of at most 8 MiB of
-coefficients, one tile at a time, or two half tiles where the next is drawn
-while the last is evaluated, so a batch holds at most one tile's working
-set beside a few statistics values a row.
-`girsanov`, `bismut` and `inequalities` count their largest estimator, the
-sign-orbit gradient, whose tile row holds about four times its (3K + 2) x n
-coefficients (`_support_count`), so K is bounded only once a tile is a
-single row: K = 949331 is the largest on `heisenberg` with one worker, and
-K = 469982 with two.  `marginals` holds 26 values a row, its 8 moment
-columns and what its statistics make of them, and 2 x 257 x n + 3n^2
-values a tile row: its 257 x n coefficients, the weighted copy the area
-series makes of them and the n x n product.  Beside the batches are the N
-endpoints that `marginals` keeps for its KS test.
+batches of min(N, 16384) rows, each holding a few statistics values a row
+beside one row tile of at most 8 MiB of coefficients and its working set.
+A `couple` tile row holds its (3K + 2) x n coefficients, its probes, each
+horizon's mismatch and shift, and the peak working set of the shift solve,
+which grows like n^4 (`coupling.batch_row_values`).  `girsanov`, `bismut`
+and `inequalities` count their largest estimator, the sign-orbit gradient,
+so K is bounded only once a tile is a single row: K = 949331 is the largest
+on `heisenberg` with one worker, and K = 469982 with two.  A `marginals` tile row holds 2 x 257 x n + 3n^2
+values; its KS test draws and frees about (2n + 6) N values before the
+batches run.  A `sylvester` batch row holds at most 4nm + 3n^2 values, and
+so does each of the min(N, 20000) instances of its residual pass, which
+frees them before the batches run.
 
 Exit codes: 0 every record passed, 1 some check failed, 2 a configuration
 error (found before any sampling where the flags or CARNOT_COUPLING_SEED
@@ -171,6 +163,19 @@ def _check_memory(args, what: str, row_values: int, kept_values: int = 0) -> Non
                          f"{MAX_BATCH_BYTES >> 20} MiB")
 
 
+def _tile_share(args, coefficients: int, tile_row_values: int, tile_values: int = 0) -> int:
+    """Values per batch row of one row tile, for `_check_memory`.
+
+    The tile holds `mc.tile_rows(coefficients)` rows, at most a batch, of
+    tile_row_values each, and tile_values more, spread here over the min(N,
+    mc.BATCH_SIZE) rows of a batch.  A batch that draws ahead
+    (`mc.tiled_sampler`) holds the working set of one half tile and the draw
+    of the next, which is less.
+    """
+    rows = min(args.N, mc.BATCH_SIZE)
+    return -(-(min(rows, mc.tile_rows(coefficients)) * tile_row_values + tile_values) // rows)
+
+
 def _emit(args, records: list[Record]) -> int:
     """Write the artifact; exit code 0 when every record passed, else 1."""
     if args.format == "json":
@@ -239,8 +244,10 @@ def cmd_couple(args) -> int:
     record = _recorder(args, g=_point_str(g), gt=_point_str(gt), K=K)
     # rejects a variant the group lacks before any sampling
     bounds = [tv_bound(g, gt, T, variant).total for T in args.T]
-    _check_memory(args, f"{args.group} at {len(args.T)} horizons",
-                  batch_row_values(g.n, K, len(args.T)))
+    # a batch row holds its uniform, 2S output columns and what the statistics make of them
+    S = len(args.T)
+    _check_memory(args, f"{args.group} at {S} horizons", 3 * 2 * S + 3 + _tile_share(
+        args, (3 * K + 2) * g.n, batch_row_values(g.n, K, S)))
     ests = failure_probability(g, gt, args.T, args.N, args.seed, args.workers, K=K)
     records = [
         record("endpoint coupling failure given the shift vs total-variation bound",
@@ -263,46 +270,39 @@ def _legendre_moment_sampler(g: CarnotElement, T: float, k_path: int):
                             (k_path + 1, g.n))
 
 
-def _streamed_endpoints(g: CarnotElement, T: float, k_path: int, N: int,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Horizontal endpoints x_T = x + sqrt(T) xi_0 (N, n) of N paths of k_path + 1 terms.
+def _ks_p_values(g: CarnotElement, T: float, N: int, rng: np.random.Generator) -> list[float]:
+    """KS p-value of each horizontal endpoint coordinate of N paths against N(x_i, T).
 
-    Drawn from one generator one row tile at a time (`mc.tiled_sampler`), so
-    the samples equal a single draw of all N paths while only one tile of
-    coefficients is held at a time.  Only xi_0 is read, so no area is taken,
-    but whole paths are drawn: the samples are those of the full endpoint.
+    x_T = x + sqrt(T) xi_0 reads no other coefficient of a path, so only
+    xi_0 (N, n) is drawn.  Its arrays are freed on return, before the moment
+    batches run.
     """
-    sqrtT = math.sqrt(T)
-    return mc.tiled_sampler(lambda xi: g.x + sqrtT * xi[:, 0], (k_path + 1, g.n))(rng, N)
+    import scipy.special
+
+    xT = g.x + math.sqrt(T) * rng.standard_normal((N, g.n))
+    return [ks_test(xT[:, i], lambda x: scipy.special.ndtr((x - loc) / math.sqrt(T)))
+            for i, loc in enumerate(g.x)]
 
 
 def cmd_marginals(args) -> int:
-    import scipy.special
-
     g = _parse_point(args.g, args.group)
     T = args.T
     k_path = truncation_index(1.0 / 32.0, T)
     # a tile row holds its draw, the weighted copy that `levy_area_packed` makes
     # of it, and the n x n product with its packed parts; a batch row holds its
     # 8 moment columns, the two copies the statistics make of them and two
-    # running sums; the KS test keeps all N x.  One tile's values are spread
-    # over the rows of its batch; drawing ahead holds two half tiles, no more.
+    # running sums.  The KS test holds x_T and the draw it is made from, then
+    # x_T and the sorted copies and CDF values of one coordinate.
     coefficients = (k_path + 1) * g.n
-    rows = min(args.N, mc.BATCH_SIZE)
-    tile = min(rows, mc.tile_rows(coefficients)) * (2 * coefficients + 3 * g.n ** 2)
-    _check_memory(args, f"--N {args.N} on {args.group}", 3 * 8 + 2 + -(-tile // rows),
-                  args.N * g.n)
+    what = f"--N {args.N} on {args.group}"
+    _check_memory(args, what, 0, (2 * g.n + 6) * args.N)
+    _check_memory(args, what, 3 * 8 + 2 + _tile_share(
+        args, coefficients, 2 * coefficients + 3 * g.n ** 2))
     record = _recorder(args, g=_point_str(g), T=T, K=k_path)
-    records = []
-
-    xT = _streamed_endpoints(g, T, k_path, args.N, derive_rng(args.seed, 101))
-    for i in range(g.n):
-        loc = float(g.x[i])
-        p = ks_test(xT[:, i], lambda x: scipy.special.ndtr((x - loc) / math.sqrt(T)))
-        records.append(record(
-            "endpoint horizontal coordinate is Gaussian with variance T",
-            f"marginals:ks-x{i}", estimate=p, stderr=0.0, bound=0.01, passed=bool(p > 0.01),
-        ))
+    records = [record(
+        "endpoint horizontal coordinate is Gaussian with variance T",
+        f"marginals:ks-x{i}", estimate=p, stderr=0.0, bound=0.01, passed=bool(p > 0.01),
+    ) for i, p in enumerate(_ks_p_values(g, T, args.N, derive_rng(args.seed, 101)))]
 
     names = ["x1^1", "x1^2", "x1^3", "x1^4", "z12^1", "z12^2", "z12^3", "z12^4"]
     leg = run_vector_estimator(_legendre_moment_sampler(g, T, k_path), args.N,
@@ -387,18 +387,14 @@ def _support_count(args, n: int) -> int:
     horizontal and packed vertical coordinate for the endpoints from both
     starts at the four points, their reflections, the test function and the
     output columns).  Each tile also holds the 3K + 2 term alpha ladder and
-    its copy per coordinate.  One tile's values are spread over the rows of
-    its batch; a batch that draws ahead (`mc.tiled_sampler`) holds the
-    working set of one half tile and the draw of the next, which is less.
+    its copy per coordinate.  `_tile_share` spreads a tile over its batch.
     """
     K = default_support_count(n) if args.K is None else args.K
     coefficients, pairs = (3 * K + 2) * n, n * (n - 1) // 2
     solve = 8 * pairs + max(tsylvester_row_values(n, K, 4), 5 * n * K + n)
     endpoints = 6 * n * K + coefficients + n * n + 40 * (n + pairs)
-    rows = min(args.N, mc.BATCH_SIZE)
-    tile = (min(rows, mc.tile_rows(coefficients)) * (coefficients + n * K + max(solve, endpoints))
-            + (n + 1) * (3 * K + 2))
-    _check_memory(args, f"--K {K}", 3 * 6 + 2 + -(-tile // rows))
+    _check_memory(args, f"--K {K}", 3 * 6 + 2 + _tile_share(
+        args, coefficients, coefficients + n * K + max(solve, endpoints), (n + 1) * (3 * K + 2)))
     return K
 
 

@@ -46,13 +46,13 @@ the failure indicator (Rao-Blackwellization) never raises the variance.
 
 `failure_probability` returns both means from the same rows.  It takes a
 grid of horizons and makes one pass over the draws for all of them.  Per
-batch the draw, and per row tile (`mc.map_tiles`) the probes p_k and one
-factorization of their Gram matrix, are shared: V = T p scales the Gram
-matrix by T^2, so the condition number, and with it the singular flag, does
-not depend on T, and the least-norm shift is u(p, w_T)/T.  A batch draws all
-its coefficients and then its uniforms, and evaluates them tile by tile.
-Each horizon's estimate is the one a grid of that horizon alone gives, bit
-for bit, whatever the tiling.
+row tile the draw, the probes p_k and one factorization of their Gram
+matrix are shared: V = T p scales the Gram matrix by T^2, so the condition
+number, and with it the singular flag, does not depend on T, and the
+least-norm shift is u(p, w_T)/T.  A batch draws its uniforms, then its
+coefficients tile by tile (`mc.tiled_sampler`).  Each horizon's estimate is
+the one a grid of that horizon alone gives, bit for bit, whatever the
+tiling.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from .groups import (
     zeta,
 )
 from .legendre import ORBIT_FLIP, ORBIT_MIRROR, alpha_ladder, endpoint_packed, truncation_index
-from .mc import MCEstimate, map_tiles, run_vector_estimator
+from .mc import MCEstimate, run_vector_estimator, tiled_sampler
 from .special_constants import carnot_constants, heisenberg_constants
 from .sylvester import COND_LIMIT, SingularGramError, tsylvester_batch, tsylvester_row_values
 
@@ -143,18 +143,20 @@ def default_support_count(n: int) -> int:
 
 
 def batch_row_values(n: int, K: int, S: int) -> int:
-    """Float64 values per row that one `failure_probability` batch over S horizons holds at once.
+    """Float64 values per row that one row tile of a `failure_probability` batch over S
+    horizons holds at once.
 
-    An upper bound, from the arrays `_couple_batch` makes.  The draw, (3K + 2)
-    n coefficients and a uniform, the probes, n K, and the S packed mismatches
-    are held through the solve.  Beside them is the larger of the solve's own
-    working set (`tsylvester_row_values`) and, after it, the pairing's: the
-    S K n shift blocks, the temporaries of one horizon's `shift_pairing`,
-    at most two arrays of K n values, a few per-row scalars (the pairing, c
-    and met of every horizon), and the statistics columns: three arrays of S
-    values at once while the conditional column is taken from `norm2`.
+    An upper bound, from the arrays `_couple_rows` makes.  The draw, (3K + 2)
+    n coefficients, the probes, n K, and the S packed mismatches are held
+    through the solve.  Beside them is the larger of the solve's own working
+    set (`tsylvester_row_values`) and, after it, the pairing's: the S K n
+    shift blocks, the temporaries of one horizon's `shift_pairing`, at most
+    two arrays of K n values, a few per-row scalars (the pairing, c and met
+    of every horizon), and the tile's output columns: three arrays of S
+    values at once while the conditional column is taken from `norm2`.  The
+    batch's uniforms and statistics are counted per batch row, not here.
     """
-    held = (3 * K + 2) * n + 1 + n * K + S * n * (n - 1) // 2
+    held = (3 * K + 2) * n + n * K + S * n * (n - 1) // 2
     coupling = S * K * n + 2 * K * n + n + 7 * S + 8
     return held + max(tsylvester_row_values(n, K, S), coupling)
 
@@ -312,15 +314,16 @@ class _GridBatch(NamedTuple):
     met: np.ndarray      # (S, B)
 
 
-def _draw(rng: np.random.Generator, count: int, n: int, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficients xi (count, 3K+2, n) of a batch of coupling runs, then its uniforms."""
-    return rng.standard_normal((count, 3 * K + 2, n)), rng.uniform(size=count)
-
-
 def _couple_batch(gc: CarnotElement, gct: CarnotElement, Ts, rng: np.random.Generator,
                   count: int, K: int) -> _GridBatch:
-    """Vectorized K-block coupling runs at every horizon of the grid Ts, from one draw."""
-    return _couple_rows(gc, gct, Ts, *_draw(rng, count, gc.n, K), K)
+    """Vectorized K-block coupling runs at every horizon of the grid Ts, from one draw.
+
+    It draws as a `failure_probability` batch does, its uniforms and then its
+    coefficients, and keeps the whole draw: a batch of one is a single run.
+    """
+    uniforms = rng.uniform(size=count)
+    xi = tiled_sampler(lambda tile: tile, (3 * K + 2, gc.n))(rng, count)
+    return _couple_rows(gc, gct, Ts, xi, uniforms, K)
 
 
 def _couple_rows(gc: CarnotElement, gct: CarnotElement, Ts, xi: np.ndarray,
@@ -418,15 +421,17 @@ def failure_probability(g: CarnotElement, gt: CarnotElement, Ts, N: int, seed: i
     _check_pair(g, gt, K)
 
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
-        # the uniforms follow the whole draw in the stream: only the evaluation is tiled
-        xi, uniforms = _draw(rng, count, g.n, K)
+        uniforms = rng.uniform(size=count)
+        done = 0
 
-        def columns(tile: slice) -> np.ndarray:
-            batch = _couple_rows(g, gt, Ts, xi[tile], uniforms[tile], K)
+        def columns(xi: np.ndarray) -> np.ndarray:
+            nonlocal done  # the tiles come in row order: these are the next rows
+            batch = _couple_rows(g, gt, Ts, xi, uniforms[done:done + len(xi)], K)
+            done += len(xi)
             # the failure indicator at each horizon, then the conditional probability
             return np.vstack([~batch.met, gaussian_tv(np.sqrt(batch.shift.norm2))]).T
 
-        return map_tiles(columns, count, xi[0].size)
+        return tiled_sampler(columns, (3 * K + 2, g.n))(rng, count)
 
     ests = run_vector_estimator(sampler, N, seed, workers)
     return [FailureEstimate(*pair) for pair in zip(ests[:len(Ts)], ests[len(Ts):])]

@@ -18,18 +18,12 @@ control-variate estimator of `run_vector_estimator` also reads column 1 of C
 entry is the one the full d x d matrix holds, bit for bit.
 
 A batch is the unit of seeding, statistics and parallelism; a tile is the
-unit of compute inside it.  A sampler whose rows carry a coefficient array
-draws and evaluates its batch in row tiles of at most TILE_BYTES of
-coefficients (`tiled_sampler`, `map_tiles`), so the draw and every temporary
-of the same size exist one tile at a time, while the batch keeps its rows,
-its generator and its statistics.  Back-to-back `standard_normal` draws from
-one generator give the values of one draw of all rows, and every evaluation
-step is row-wise, so the output of a batch does not depend on its tiling,
-bit for bit.  Tiles are sized by bytes, not rows: rows run from a few dozen
+unit of compute inside it.  Every sampler whose rows carry a coefficient
+array draws it through `tiled_sampler`, in row tiles of at most TILE_BYTES
+of coefficients, while the batch keeps its rows, its generator and its
+statistics.  Tiles are sized by bytes, not rows: rows run from a few dozen
 coefficients to a thousand, and a fixed row count would either pay the
 Python overhead of a call per few short rows or hold megabytes of long ones.
-Where a core is spare, `tiled_sampler` draws the next tile on a helper
-thread while the current one is evaluated (draw-ahead), in half tiles.
 
 Importing this module gives glibc malloc one arena and fixed mmap and trim
 thresholds for the whole process (`_fix_malloc_thresholds`), so every
@@ -57,7 +51,6 @@ __all__ = [
     "derive_rng",
     "split_seed",
     "tile_rows",
-    "map_tiles",
     "tiled_sampler",
     "run_vector_estimator",
     "ks_test",
@@ -153,10 +146,15 @@ def tiled_sampler(fn: Callable[[np.ndarray], np.ndarray],
                   row_shape: tuple[int, ...]) -> Callable[[np.random.Generator, int], np.ndarray]:
     """Batch sampler of fn over standard normal rows xi (count, *row_shape), tile by tile.
 
-    Each tile is drawn from the batch's generator in turn and evaluated
-    (`map_tiles`), so one tile of xi is held at a time, and when fn is
-    row-wise the batch equals fn(rng.standard_normal((count, *row_shape)))
-    bit for bit.
+    This is the one way a multi-row coefficient stream is drawn.  Each tile
+    of at most `tile_rows(row_values)` rows is drawn from the batch's
+    generator in turn and evaluated (`map_tiles`), so one tile of xi is held
+    at a time.  Back-to-back draws from one generator continue one stream,
+    so when fn is row-wise the batch equals
+    fn(rng.standard_normal((count, *row_shape))) bit for bit, whatever the
+    tiling.  fn is called on the tiles in row order, so a sampler that draws
+    per-row values before the coefficients can hand each tile the next rows
+    of them.
 
     Draw-ahead: when the run leaves a core idle, 2 x min(workers, batches) <=
     the usable cores (`_stream_stats` says so per batch), and half a tile

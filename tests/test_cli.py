@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from carnot_coupling import cli, coupling, girsanov, mc, special_constants
 from carnot_coupling.catalog import CATALOG
@@ -26,7 +27,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 SAMPLERS = ("failure_probability", "girsanov_normalization_check", "semigroup_transfer_check",
             "bismut_gradient", "finite_diff_gradient", "inequality_suite",
             "gradient_sup_spotcheck", "lemma_solution_batch", "wishart_inv_trace_mc",
-            "u_moment_check", "run_vector_estimator", "derive_rng", "_streamed_endpoints")
+            "u_moment_check", "run_vector_estimator", "derive_rng")
 
 # the flags each subcommand's handler reads, and no others
 FLAGS = {
@@ -313,19 +314,29 @@ class TestDeclaredFlags:
         assert not out.exists()
 
     @pytest.mark.parametrize("n", [4, 8, 10])
-    def test_couple_count_bounds_the_traced_peak_of_a_batch(self, n):
-        # one failure_probability batch over two horizons, as `couple` counts it
-        rows, K, pairs = 4096, 2 * n + 1, n * (n - 1) // 2
-        g = CarnotElement(np.zeros(n), SkewMatrix(n, np.zeros(pairs)))
-        gt = CarnotElement(np.full(n, 0.3), SkewMatrix(n, np.eye(1, pairs)[0]))
-        coupling.failure_probability(g, gt, [1.0, 25.0], 64, 1)  # first-call caches, untraced
+    def test_couple_count_bounds_the_traced_peak_of_a_batch(self, n, monkeypatch, tmp_path):
+        # a whole run over two horizons at N = one batch
+        counted = []
+        check = cli._check_memory
+
+        def count(args, what, row_values, kept_values=0):
+            counted.append(8 * (min(args.N, mc.BATCH_SIZE) * row_values + kept_values))
+            check(args, what, row_values, kept_values)
+
+        monkeypatch.setattr(cli, "_check_memory", count)
+        pairs = n * (n - 1) // 2
+        gt = ",".join(["0.3"] * n + ["1"] + ["0"] * (pairs - 1))
+        argv = ["couple", "--group", f"carnot-{n}", "--g", ",".join(["0"] * (n + pairs)),
+                "--gt", gt, "--T", "1,25", "--out", str(tmp_path / "res.csv")]
+        main(argv + ["--N", "64"])  # first-call caches, untraced
+        counted.clear()
         tracemalloc.start()
         try:
-            coupling.failure_probability(g, gt, [1.0, 25.0], rows, 1)
+            main(argv + ["--N", "4096"])  # one tile at n = 4, two at n = 8, three at n = 10
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 8 * rows * coupling.batch_row_values(n, K, 2) >= peak
+        assert counted[0] >= peak
 
     @pytest.mark.parametrize("n", [4, 8, 10])
     def test_sylvester_count_bounds_the_traced_peak(self, n, monkeypatch, tmp_path):
@@ -351,62 +362,56 @@ class TestDeclaredFlags:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_marginals_count_bounds_the_traced_peak_of_a_batch(self, n, monkeypatch):
-        # the row count `marginals` checks at N = rows, against one batch of its KS stream
-        # and of its moments
+        # the counts `marginals` checks at N = rows, against its KS test and one batch of
+        # its moments
         counted = []
         rows = 4096
 
-        def count(args, what, row_values, kept_values=0):
-            counted.append(row_values)
-            raise ValueError("counted")  # exit 2 before any sampling
+        def sampled(*a):
+            raise ValueError("sampled")  # exit 2 once the counts are checked
 
-        monkeypatch.setattr(cli, "_check_memory", count)
+        monkeypatch.setattr(cli, "_check_memory",
+                            lambda args, what, row_values, kept_values=0:
+                            counted.append((row_values, kept_values)))
+        monkeypatch.setattr(cli, "derive_rng", sampled)
         point = ",".join(["0"] * (n + n * (n - 1) // 2))
         with pytest.raises(SystemExit):
             main(["marginals", "--group", f"carnot-{n}", "--g", point, "--N", str(rows)])
+        (_, ks), (row_values, kept) = counted
         k_path, g = truncation_index(1.0 / 32.0, 1.0), CarnotElement.identity(n)
         sampler = cli._legendre_moment_sampler(g, 1.0, k_path)
         mc._batch_stats(sampler, 1, 0, 64)  # first-call caches, untraced
+        cli._ks_p_values(g, 1.0, 64, mc.derive_rng(1))
         tracemalloc.start()
         try:
             mc._batch_stats(sampler, 1, 0, rows)
             moments = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            kept = cli._streamed_endpoints(g, 1.0, k_path, rows, mc.derive_rng(1)).nbytes
-            stream = tracemalloc.get_traced_memory()[1] - kept
+            cli._ks_p_values(g, 1.0, rows, mc.derive_rng(1))
+            ks_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 8 * rows * counted[0] >= max(moments, stream)
+        assert kept == 0 and 8 * rows * row_values >= moments
+        assert 8 * ks >= ks_peak
 
     def test_marginals_on_carnot_4_fits_the_budget_at_the_default_N(self, monkeypatch):
         # one 16384-row batch holds one row tile of coefficients, not all of them
         def sampled(*a):
             raise RuntimeError("sampled")
 
-        monkeypatch.setattr(cli, "_streamed_endpoints", sampled)
+        monkeypatch.setattr(cli, "derive_rng", sampled)  # the KS test's draw, the first
         with pytest.raises(RuntimeError, match="sampled"):
             main(["marginals", "--group", "carnot-4", "--g", ",".join(["0"] * 10)])
 
-    @pytest.mark.parametrize("n, refused", [(9, False), (10, True)])
-    def test_rank_10_couple_batch_rejected_before_any_sampling(self, n, refused, monkeypatch,
-                                                               tmp_path, capsys):
-        # a 16384-row rank-10 batch over two horizons peaks near 290 MB: counted so, it is refused
-        sampled = []
-        monkeypatch.setattr(cli, "failure_probability",
-                            lambda g, gt, Ts, *a, **k: sampled.append(Ts) or [
-                                coupling.FailureEstimate(*[mc.MCEstimate(0.0, 0.0, 2, 0)] * 2)
-                                for _ in Ts])
-        point = ",".join(["0"] * (n + n * (n - 1) // 2))
-        argv = ["couple", "--group", f"carnot-{n}", "--g", point, "--gt", point,
-                "--T", "1,25", "--N", "16384", "--out", str(tmp_path / "res.csv")]
-        if refused:
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
-            assert "over the budget of 256 MiB" in capsys.readouterr().err
-            assert sampled == []
-        else:
-            assert main(argv) == 0 and len(sampled) == 1
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_rank_10_couple_batch_runs(self, n, tmp_path):
+        # a 16384-row batch over two horizons holds one row tile of its coefficients
+        pairs = n * (n - 1) // 2
+        gt = ",".join(["0.3"] * n + ["1"] + ["0"] * (pairs - 1))
+        out = tmp_path / "res.csv"
+        assert main(["couple", "--group", f"carnot-{n}", "--g", ",".join(["0"] * (n + pairs)),
+                     "--gt", gt, "--T", "1,25", "--N", "16384", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 3
 
     def test_malformed_env_seed_exits_2_naming_the_variable(self, monkeypatch, tmp_path,
                                                            capsys):
@@ -677,6 +682,50 @@ class TestArtifacts:
         row = (truncation_index(1.0 / 32.0, 1.0) + 1) * 2 * 8
         argv = ["marginals", "--g", "0,0,0", "--N", str(N), "--seed", "4", "--format", "json"]
         monkeypatch.setattr(mc, "TILE_BYTES", N * row)  # all N paths at once
+        run_cli(argv + ["--out", str(tmp_path / "whole.json")])
+        monkeypatch.setattr(mc, "TILE_BYTES", 1024 * row)
+        tracemalloc.start()
+        try:
+            run_cli(argv + ["--out", str(tmp_path / "tiled.json")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < N * row
+        # no record depends on the tile size
+        assert (tmp_path / "whole.json").read_bytes() == (tmp_path / "tiled.json").read_bytes()
+
+    @pytest.mark.parametrize("workers, cores", [(1, 1), (1, 2), (2, 2), (2, 4)])
+    def test_couple_artifact_does_not_depend_on_workers_or_draw_ahead(self, workers, cores,
+                                                                       monkeypatch, tmp_path):
+        # three batches of 40-row tiles; one worker on two cores, or two on four, draw ahead
+        argv = ["couple", "--group", "carnot-3", "--g", "0,0,0,0,0,0", "--gt", "0,0,0,1,0,0",
+                "--T", "1,25", "--N", "5000", "--seed", "5"]
+        monkeypatch.setattr(mc, "BATCH_SIZE", 2048)
+        monkeypatch.setattr(mc, "_usable_cores", lambda: 1)
+        run_cli(argv + ["--out", str(tmp_path / "whole.csv")])
+        monkeypatch.setattr(mc, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(mc, "TILE_BYTES", 40 * 23 * 3 * 8)
+        run_cli(argv + ["--workers", str(workers), "--out", str(tmp_path / "tiled.csv")])
+        assert (tmp_path / "whole.csv").read_bytes() == (tmp_path / "tiled.csv").read_bytes()
+
+    def test_marginals_ks_test_draws_xi_0_alone(self, tmp_path):
+        # x_T = x + sqrt(T) xi_0 with xi_0 (N, n) from substream 101 of the seed
+        out = tmp_path / "res.json"
+        run_cli(["marginals", "--g", "0.5,-1,0", "--T", "4", "--N", "3000", "--seed", "6",
+                 "--format", "json", "--out", str(out)])
+        got = [r["estimate"] for r in json.loads(out.read_text())["records"]
+               if r["check"].startswith("marginals:ks-x")]
+        x = np.array([0.5, -1.0]) + 2.0 * mc.derive_rng(6, 101).standard_normal((3000, 2))
+        assert got == [mc.ks_test(x[:, i], lambda v: scipy.stats.norm.cdf(v, loc, 2.0))
+                       for i, loc in enumerate([0.5, -1.0])]
+
+    def test_couple_holds_one_tile_of_coefficients(self, monkeypatch, tmp_path):
+        # small tiles keep the test light; N spans eight full tiles and a partial one
+        N, K = 8 * 1024 + 100, coupling.default_support_count(3)
+        row = (3 * K + 2) * 3 * 8
+        argv = ["couple", "--group", "carnot-3", "--g", "0,0,0,0,0,0", "--gt", "0,0,0,1,0,0",
+                "--T", "1,25", "--N", str(N), "--seed", "4", "--format", "json"]
+        monkeypatch.setattr(mc, "TILE_BYTES", N * row)  # all N rows at once
         run_cli(argv + ["--out", str(tmp_path / "whole.json")])
         monkeypatch.setattr(mc, "TILE_BYTES", 1024 * row)
         tracemalloc.start()

@@ -286,9 +286,7 @@ class TestOnePairing:
         pairs.append((pairs[0][0], pairs[0][0]))  # a zero shift meets on every row
         for i, (g, gt) in enumerate(pairs):
             batch = _couple_batch(g, gt, [1.0, 25.0], derive_rng(16, i), 3000, K)
-            replay = derive_rng(16, i)
-            replay.standard_normal(batch.xi.shape)
-            log_u = np.log(replay.uniform(size=3000))
+            log_u = np.log(derive_rng(16, i).uniform(size=3000))  # drawn before the xi
             sh = batch.shift
             accept = (log_u <= -sh.dot - 0.5 * sh.norm2) | (sh.norm2 == 0.0)
             assert np.array_equal(batch.met, accept)

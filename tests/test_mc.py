@@ -365,8 +365,6 @@ TILED = {
         p_values=(2.0,))),
     "marginals-moments": (257 * 3, lambda: run_vector_estimator(
         cli._legendre_moment_sampler(_G3, 1.0, 256), _TILE_N, 8)),
-    "marginals-ks-stream": (257 * 3, lambda: cli._streamed_endpoints(
-        _G3, 1.0, 256, _TILE_N, derive_rng(9)).tolist()),
 }
 
 
