@@ -53,10 +53,11 @@ batches run.  A `sylvester` batch row holds at most 4nm + 3n^2 values, and
 so does each of the min(N, 20000) instances of its residual pass, which
 frees them before the batches run.
 
-Exit codes: 0 every record passed, 1 some check failed, 2 a configuration
-error (found before any sampling where the flags or CARNOT_COUPLING_SEED
-alone show it), 3 a numerically singular Gram system (no artifact is
-written).
+--out names a file in an existing directory; a directory or a path in a
+missing directory exits 2 before any sampling.  Exit codes: 0 every record
+passed, 1 some check failed, 2 a configuration error (found before any
+sampling where the flags or CARNOT_COUPLING_SEED alone show it), 3 a
+numerically singular Gram system (no artifact is written).
 """
 
 from __future__ import annotations
@@ -572,6 +573,13 @@ def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; the only place where a failure becomes an exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.out:
+        # checked before any sampling: a write that fails after it would waste the run
+        folder = os.path.dirname(args.out) or os.curdir
+        if os.path.isdir(args.out):
+            parser.exit(2, f"{parser.prog}: error: --out {args.out!r} is a directory\n")
+        if not os.path.isdir(folder):
+            parser.exit(2, f"{parser.prog}: error: --out {args.out!r}: no directory {folder!r}\n")
     try:
         return args.func(args)
     except SingularGramError as exc:

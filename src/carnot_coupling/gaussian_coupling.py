@@ -16,8 +16,9 @@ two row sums, <X, shift> and |shift|^2, and the kernel takes only those, so
 the caller computes them once for the coupling and the Girsanov weights alike
 (`coupling.shift_pairing`).
 
-`gaussian_tv` loads `scipy.special` on its first call, so the module imports
-without it and only a run that couples pays for it.
+`gaussian_tv` evaluates erf with a numpy port of the Cephes rational
+approximation that `scipy.special.erf` uses, so no `couple` run loads
+`scipy.special`.
 """
 
 from __future__ import annotations
@@ -32,14 +33,69 @@ __all__ = [
 ]
 
 
-def gaussian_tv(delta: float | np.ndarray) -> float | np.ndarray:
-    """Exact meeting-failure probability 2 Phi(delta/2) - 1 = erf(delta/(2 sqrt 2)), elementwise."""
-    import scipy.special
+# Cephes ndtr.c (S. L. Moshier, 1989, after W. J. Cody, Math. Comp. 23, 1969), the
+# erf of scipy.special: x T(x^2)/U(x^2) for x <= 1, 1 - exp(-x^2) P(x)/Q(x) above,
+# highest power first.  U and Q carry the leading 1.0 that Cephes implies (p1evl):
+# 1.0 x is x exactly, so `_horner` gives Cephes' values bit for bit.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERF_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+          4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+          9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERF_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+          9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+          1.65666309194161350182e3, 5.57535340817727675546e2)
+# the least x at which that erf rounds to 1.0; it stays 1.0 above
+_ERF_ONE = 5.921587195794508
 
+
+def _horner(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    """coef[0] x^d + ... + coef[d], in the order of operations of Cephes polevl."""
+    acc = x * coef[0]
+    acc += coef[1]
+    for c in coef[2:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf(x) for x >= 0, -0.0 or NaN, each branch on its own entries; NaN stays NaN."""
+    flat = x.ravel()
+    out = np.where(flat >= _ERF_ONE, 1.0, flat)
+    # numpy gathers and scatters by index several times faster than by boolean mask
+    small = np.flatnonzero(flat <= 1.0)
+    xs = flat[small]
+    z = xs * xs
+    y = _horner(z, _ERF_T)
+    y *= xs
+    y /= _horner(z, _ERF_U)
+    out[small] = y
+    mid = np.flatnonzero((flat > 1.0) & (flat < _ERF_ONE))
+    xm = flat[mid]
+    y = xm * xm
+    np.negative(y, out=y)
+    np.exp(y, out=y)
+    y *= _horner(xm, _ERF_P)
+    y /= _horner(xm, _ERF_Q)
+    out[mid] = np.subtract(1.0, y, out=y)
+    return out.reshape(x.shape)
+
+
+def gaussian_tv(delta: float | np.ndarray) -> float | np.ndarray:
+    """Exact meeting-failure probability 2 Phi(delta/2) - 1 = erf(delta/(2 sqrt 2)), elementwise.
+
+    erf is the Cephes `ndtr.c` approximation of `scipy.special.erf`, with its
+    coefficients, branches and order of operations.  It equals scipy's value
+    bit for bit where erf's argument is at most 1 or at least 3, and within
+    1 ulp in between, where numpy's exp can differ from libm's by 1 ulp.
+    """
     delta = np.asarray(delta, dtype=float)
     if np.any(delta < 0):
         raise ValueError("shift norm must be nonnegative")
-    return scipy.special.erf(delta / (2.0 * math.sqrt(2.0)))
+    return _erf(delta / (2.0 * math.sqrt(2.0)))[()]
 
 
 def couple_to_shift(

@@ -456,6 +456,19 @@ class TestDeclaredFlags:
                   "--variant", "improved-remark2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["couple", *HEIS, "--N", "100"], ["constants"]])
+    @pytest.mark.parametrize("where", ["missing/res.csv", "."])
+    def test_unwritable_out_exits_2_unsampled(self, argv, where, monkeypatch, tmp_path, capsys):
+        # a directory, or a file in a missing directory, fails before any sampling
+        monkeypatch.setattr(cli, "failure_probability", lambda *a, **k: pytest.fail("sampled"))
+        monkeypatch.setattr(cli, "constants_table", lambda: pytest.fail("computed"))
+        out = str(tmp_path / where)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and repr(out) in err[0]
+
     @pytest.mark.parametrize("argv", [
         ["couple", "--group", "carnot-3", "--g", "0,0,0,0,0,0", "--gt", "0,0,0,1,0,0"],
         ["girsanov", *HEIS],

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carnot_coupling.gaussian_coupling import couple_to_shift, gaussian_tv
+from carnot_coupling.gaussian_coupling import _erf, couple_to_shift, gaussian_tv
 from carnot_coupling.mc import derive_rng, ks_test
 
 
@@ -49,6 +50,45 @@ class TestGaussianTV:
         assert np.array_equal(gaussian_tv(d), [[gaussian_tv(x) for x in row] for row in d])
         assert np.allclose(gaussian_tv(d), 2 * scipy.stats.norm.cdf(d / 2) - 1,
                            rtol=1e-14, atol=0)
+
+
+def ulps(a, b):
+    """Distance in units in the last place between same-signed float64 arrays."""
+    return np.abs(np.asarray(a).view(np.int64) - np.asarray(b).view(np.int64))
+
+
+class TestErfKernel:
+    """The numpy port of Cephes erf against scipy.special.erf, which runs the C original."""
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (3.0, 40.0)])
+    def test_bit_for_bit_on_dense_grids(self, lo, hi):
+        x = np.linspace(lo, hi, 1_000_001)
+        assert np.array_equal(_erf(x), scipy.special.erf(x))
+
+    def test_within_one_ulp_between(self):
+        # numpy's exp may round exp(-x^2) 1 ulp away from libm's
+        x = np.linspace(1.0, 3.0, 1_000_001)[1:-1]
+        assert ulps(_erf(x), scipy.special.erf(x)).max() <= 1
+
+    def test_exact_at_the_branch_points(self):
+        one = 5.921587195794508  # the least x at which scipy's erf is 1.0
+        x = np.array([1.0, np.nextafter(1.0, 2.0), np.nextafter(one, 0.0), one, 8.0, np.inf])
+        got = _erf(x)
+        assert np.array_equal(got, scipy.special.erf(x))
+        assert got[2] < 1.0 and got[3] == 1.0
+
+    def test_nan_and_negative_zero_kept(self):
+        got = _erf(np.array([np.nan, -0.0, 0.0]))
+        assert np.isnan(got[0])
+        assert got[1] == 0.0 and math.copysign(1.0, got[1]) == -1.0
+        assert math.copysign(1.0, got[2]) == 1.0
+
+    def test_shape_kept(self):
+        delta = np.random.default_rng(8).uniform(0.0, 20.0, (3, 257))
+        got = gaussian_tv(delta)
+        assert got.shape == (3, 257)
+        assert ulps(got, scipy.special.erf(delta / (2.0 * math.sqrt(2.0)))).max() <= 1
+        assert isinstance(gaussian_tv(1.0), np.float64)
 
 
 class TestMaximalCoupling:
