@@ -382,7 +382,7 @@ def _support_count(args, n: int) -> int:
     (3K + 2) x n coefficients and the n x K probes, and beside them the
     larger of two stages: the shift solve of the four orbit points (their
     packed mismatches and `tsylvester_row_values`, or after it the 4 n K
-    solution and a sign-flipped copy of a quarter of it), and the endpoints
+    solution and 24 pairing columns), and the endpoints
     (those 4 n K shift values, the scaled probes, the weighted copy of the
     draw that the area series makes, the n x n product, and 40 values per
     horizontal and packed vertical coordinate for the endpoints from both
@@ -392,7 +392,7 @@ def _support_count(args, n: int) -> int:
     """
     K = default_support_count(n) if args.K is None else args.K
     coefficients, pairs = (3 * K + 2) * n, n * (n - 1) // 2
-    solve = 8 * pairs + max(tsylvester_row_values(n, K, 4), 5 * n * K + n)
+    solve = 8 * pairs + max(tsylvester_row_values(n, K, 4), 4 * n * K + 24)
     endpoints = 6 * n * K + coefficients + n * n + 40 * (n + pairs)
     _check_memory(args, f"--K {K}", 3 * 6 + 2 + _tile_share(
         args, coefficients, coefficients + n * K + max(solve, endpoints), (n + 1) * (3 * K + 2)))

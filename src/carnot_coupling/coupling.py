@@ -23,8 +23,14 @@ the draw (`shift_pairing`): the two row sums of log R(u) = -<omega, u> -
 Its `orbit` adds the shift at -xi, or at each point of the sign orbit xi,
 -xi, D xi, -D xi ((D xi)_k = (-1)^k xi_k), to the same solve as more
 right-hand sides, for the antithetic transfer check and gradient estimators.
-The streams are coefficient arrays xi (B, L, n) and w stays packed,
-(B, n(n-1)/2), up to the solve; a run is a batch of one.
+
+The layout rule: the draw xi (B, L, n) is row-major, and every array the
+kernel makes keeps its B rows innermost, one (B,) column per entry, built
+from strided columns of xi, since numpy's inner loop runs over the last
+axis, n or K long in a row-major array.  Each sum over k or i adds columns
+in index order, never einsum, np.sum or matmul over the summed axis, whose
+order numpy picks per shape: so a batch of one equals its row.  Public
+shapes, the probes (B, n, K) and blocks (S, B, K, n), view that memory.
 
 Conditionally on everything the shifts depend on, the modified coordinates
 form a standard Gaussian vector, which is coupled jointly with its shifted
@@ -49,10 +55,8 @@ grid of horizons and makes one pass over the draws for all of them.  Per
 row tile the draw, the probes p_k and one factorization of their Gram
 matrix are shared: V = T p scales the Gram matrix by T^2, so the condition
 number, and with it the singular flag, does not depend on T, and the
-least-norm shift is u(p, w_T)/T.  A batch draws its uniforms, then its
-coefficients tile by tile (`mc.tiled_sampler`).  Each horizon's estimate is
-the one a grid of that horizon alone gives, bit for bit, whatever the
-tiling.
+least-norm shift is u(p, w_T/T).  A batch draws its uniforms, then its
+coefficients tile by tile (`mc.tiled_sampler`).
 """
 
 from __future__ import annotations
@@ -69,7 +73,6 @@ from .groups import (
     HeisenbergPoint,
     SkewMatrix,
     heis_to_carnot,
-    odot_packed,
     triu_pairs,
     zeta,
 )
@@ -150,14 +153,14 @@ def batch_row_values(n: int, K: int, S: int) -> int:
     n coefficients, the probes, n K, and the S packed mismatches are held
     through the solve.  Beside them is the larger of the solve's own working
     set (`tsylvester_row_values`) and, after it, the pairing's: the S K n
-    shift blocks, the temporaries of one horizon's `shift_pairing`, at most
-    two arrays of K n values, a few per-row scalars (the pairing, c and met
-    of every horizon), and the tile's output columns: three arrays of S
-    values at once while the conditional column is taken from `norm2`.  The
-    batch's uniforms and statistics are counted per batch row, not here.
+    shift blocks, three temporary columns per horizon of `shift_pairing`, a
+    few per-row scalars (the pairing, c and met of every horizon), and the
+    tile's output columns: three arrays of S values at once while the
+    conditional column is taken from `norm2`.  The batch's uniforms and
+    statistics are counted per batch row, not here.
     """
     held = (3 * K + 2) * n + n * K + S * n * (n - 1) // 2
-    coupling = S * K * n + 2 * K * n + n + 7 * S + 8
+    coupling = S * K * n + 10 * S + 8
     return held + max(tsylvester_row_values(n, K, S), coupling)
 
 
@@ -179,18 +182,21 @@ def _check_pair(g: CarnotElement, gt: CarnotElement, K: int) -> None:
 
 def _odd_mismatch(gc: CarnotElement, gct: CarnotElement, T: float, xi: np.ndarray,
                   flip: bool = False) -> np.ndarray:
-    """The part of the mismatch (`_mismatches`) linear in xi; the rest, -zeta, reads no xi.
+    """The part of the mismatch (`_mismatches`) linear in xi, columns (n(n-1)/2, B).
 
-    `flip` gives it at D xi, which keeps xi_0 and negates xi_1.
+    The rest, -zeta, reads no xi.  `flip` gives it at D xi, which keeps xi_0 and negates xi_1.
     """
     iu, ju = triu_pairs(gc.n)
     sqrtT = math.sqrt(T)
     a0 = alpha_ladder(1)[0]
     d = np.asarray(gc.x, dtype=float) - np.asarray(gct.x, dtype=float)
-    head = (sqrtT / 2.0) * xi[:, 0]
-    step = sqrtT * a0 * xi[:, 1]
-    hat = head + step if flip else head - step
-    return odot_packed(np.broadcast_to(d, hat.shape), hat, iu, ju)
+    hat = np.empty((gc.n, xi.shape[0]))
+    step = np.empty(xi.shape[0])
+    for i, col in enumerate(hat):
+        np.multiply(sqrtT / 2.0, xi[:, 0, i], out=col)
+        np.multiply(sqrtT * a0, xi[:, 1, i], out=step)
+        (np.add if flip else np.subtract)(col, step, out=col)
+    return d[iu, None] * hat[ju] - d[ju, None] * hat[iu]
 
 
 def _probes(xi: np.ndarray, K: int) -> np.ndarray:
@@ -200,10 +206,14 @@ def _probes(xi: np.ndarray, K: int) -> np.ndarray:
     sum_k (u_k V_k^t - V_k u_k^t) = w with V_k = T p_k and w the mismatch at T.
     """
     a = alpha_ladder(3 * K + 1)
-    P = np.empty(xi.shape[:1] + (xi.shape[-1], K))
+    P = np.empty((xi.shape[-1], K, xi.shape[0]))
+    term = np.empty(xi.shape[0])
     for k in range(1, K + 1):
-        P[:, :, k - 1] = a[3 * k] * xi[:, 3 * k + 1] - a[3 * k - 1] * xi[:, 3 * k - 1]
-    return P
+        for i, col in enumerate(P[:, k - 1]):
+            np.multiply(a[3 * k], xi[:, 3 * k + 1, i], out=col)
+            np.multiply(a[3 * k - 1], xi[:, 3 * k - 1, i], out=term)
+            col -= term
+    return np.moveaxis(P, -1, 0)
 
 
 class Shift(NamedTuple):
@@ -228,10 +238,8 @@ def shift_batch(gc: CarnotElement, gct: CarnotElement, Ts, xi: np.ndarray, K: in
                 orbit: int = 1) -> Shift:
     """The K-block shift from gc to gct at each horizon of Ts, for rows xi (B, L >= 3K+2, n).
 
-    One solve serves every horizon.  `blocks` is a transposed view of the
-    solve's (S, B, n, K) output, and `shift_pairing` sums its rows in that order.
-    If any row's cond is past COND_LIMIT (or NaN), it raises SingularGramError,
-    whose message counts the singular rows among the B.
+    One solve serves every horizon.  If any row's cond is past COND_LIMIT (or
+    NaN), it raises SingularGramError, whose message counts the singular rows.
 
     `orbit` = 2 or 4 adds the shift at the other points of the sign orbit xi,
     -xi, D xi, -D xi, with (D xi)_k = (-1)^k xi_k, to the same solve: entry
@@ -254,55 +262,65 @@ def shift_batch(gc: CarnotElement, gct: CarnotElement, Ts, xi: np.ndarray, K: in
     dnorm = float(np.linalg.norm(d))
     axis = d / dnorm if dnorm > 0 else np.zeros_like(d)
     p = _probes(xi, K)
-    u, cond = tsylvester_batch(p, _mismatches(gc, gct, Ts, xi, orbit))
+    scale = np.outer(Ts, ORBIT_MIRROR[:orbit]).ravel()
+    u, cond = tsylvester_batch(p, _mismatches(gc, gct, Ts, xi, orbit) / scale[:, None, None])
     bad = np.count_nonzero(~(cond <= COND_LIMIT))
     if bad:
         # measure-zero event; fail loudly rather than use an ill-conditioned solve
         raise SingularGramError(f"{bad} singular Gram draws in a tile of {cond.size} rows, "
                                 "reseed the run")
-    scale = np.outer(Ts, ORBIT_MIRROR[:orbit]).ravel()
-    u /= scale[:, None, None, None]
     u0 = d / np.sqrt(np.abs(scale))[:, None]
     blocks = np.swapaxes(u, -1, -2)
     flip = np.tile(ORBIT_FLIP[:orbit], len(Ts))
-    pairing = [shift_pairing(u0_s, blocks_s, xi, flip_s)
-               for u0_s, blocks_s, flip_s in zip(u0, blocks, flip)]
+    dot, norm2 = shift_pairing(u0, blocks, xi, flip)
     # the pairing at D xi reads the columns before their signs
-    u[flip, ..., 1::2] *= -1.0
-    return Shift(axis, u0, blocks, *map(np.stack, zip(*pairing)), p, cond)
+    for s in np.flatnonzero(flip):
+        u[s, ..., 1::2] *= -1.0
+    return Shift(axis, u0, blocks, dot, norm2, p, cond)
 
 
 def shift_pairing(u0: np.ndarray, blocks: np.ndarray, xi: np.ndarray,
-                  flip: bool = False) -> tuple[np.ndarray, np.ndarray]:
+                  flip=False) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise <omega, u> over the shift support and |u|^2.
 
-    With `flip`, blocks are the shift at D xi before its column signs
-    (-1)^{k+1}, and the pairing is the one with D xi: D negates every term
-    <xi_{3k}, u_k>, so it is <xi_0, u_0> - sum_k <xi_{3k}, u_k>.  Every term is
-    a row-wise product sum (no BLAS dot, which rounds a single row differently
-    from a batch), so a batch of one equals its batched row.
+    u0 (..., n) and blocks (..., B, K, n) may stack entries on leading axes,
+    with `flip` a bool or one per entry.  With `flip`, blocks are the shift
+    at D xi before its column signs (-1)^{k+1}, and the pairing is the one
+    with D xi: D negates every term <xi_{3k}, u_k>, so it is <xi_0, u_0> -
+    sum_k <xi_{3k}, u_k>.
     """
-    K = blocks.shape[1]
-    mods = xi[:, 3:3 * K + 1:3, :]
-    head = np.sum(xi[:, 0] * u0, axis=1)
-    tail = np.einsum("bkn,bkn->b", mods, blocks)
-    dot = head - tail if flip else head + tail
-    norm2 = float(u0 @ u0) + np.einsum("bkn,bkn->b", blocks, blocks)
-    return dot, norm2
+    K, n = blocks.shape[-2:]
+    u0 = np.asarray(u0)[..., None]
+    head = xi[:, 0, 0] * u0[..., 0, :]
+    u0_sq = u0[..., 0, :] * u0[..., 0, :]
+    for i in range(1, n):
+        head += xi[:, 0, i] * u0[..., i, :]
+        u0_sq += u0[..., i, :] * u0[..., i, :]
+    tail = np.zeros(head.shape)
+    norm2 = np.zeros(head.shape)
+    term = np.empty(head.shape)
+    for k in range(K):
+        for i in range(n):
+            col = blocks[..., k, i]
+            tail += np.multiply(xi[:, 3 * k + 3, i], col, out=term)
+            norm2 += np.multiply(col, col, out=term)
+    np.negative(tail, out=tail, where=np.asarray(flip)[..., None])
+    return head + tail, np.add(u0_sq, norm2, out=norm2)
 
 
 def _mismatches(gc: CarnotElement, gct: CarnotElement, Ts: np.ndarray, xi: np.ndarray,
                 orbit: int) -> np.ndarray:
     """Packed skew endpoint mismatch w (O S, B, n(n-1)/2) at each horizon and orbit point."""
-    even = -zeta(gc, gct).upper
-    rhs = []
+    even = -zeta(gc, gct).upper[:, None]
+    w = np.empty((orbit * len(Ts), len(even), xi.shape[0]))
+    rhs = iter(w)
     for T in Ts:
         for flip in ORBIT_FLIP[:orbit:2]:
             odd = _odd_mismatch(gc, gct, T, xi, flip)
-            rhs.append(even + odd)
+            np.add(even, odd, out=next(rhs))
             if orbit > 1:
-                rhs.append(even - odd)
-    return np.stack(rhs)
+                np.subtract(even, odd, out=next(rhs))
+    return np.moveaxis(w, -1, -2)
 
 
 class _GridBatch(NamedTuple):
@@ -328,11 +346,7 @@ def _couple_batch(gc: CarnotElement, gct: CarnotElement, Ts, rng: np.random.Gene
 
 def _couple_rows(gc: CarnotElement, gct: CarnotElement, Ts, xi: np.ndarray,
                  uniforms: np.ndarray, K: int) -> _GridBatch:
-    """The coupling runs of `_couple_batch` on the rows of a given draw; each row is its own.
-
-    The shift (`shift_batch`) is built once; only the reflection coupling, on
-    the shift's pairing, is repeated per horizon.
-    """
+    """The coupling runs of `_couple_batch` on the rows of a given draw; each row is its own."""
     # the coupling reads no probes: the batch does not keep them
     sh = shift_batch(gc, gct, Ts, xi, K)._replace(probes=None)
     coupled = [couple_to_shift(dot, norm2, uniforms) for dot, norm2 in zip(sh.dot, sh.norm2)]

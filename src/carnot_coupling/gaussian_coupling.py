@@ -16,9 +16,12 @@ two row sums, <X, shift> and |shift|^2, and the kernel takes only those, so
 the caller computes them once for the coupling and the Girsanov weights alike
 (`coupling.shift_pairing`).
 
-`gaussian_tv` evaluates erf with a numpy port of the Cephes rational
-approximation that `scipy.special.erf` uses, so no `couple` run loads
-`scipy.special`.
+`gaussian_tv` evaluates erf with `_erf`, a numpy port of the erf that
+`scipy.special.erf` runs, Cephes `ndtr.c` (S. L. Moshier, 1989, after W. J.
+Cody, Math. Comp. 23, 1969), with its coefficients, branches and order of
+operations, so no `couple` run loads `scipy.special`.  It equals scipy's
+value bit for bit where erf's argument is at most 1 or at least 3, and
+within 1 ulp in between, where numpy's exp can differ from libm's by 1 ulp.
 """
 
 from __future__ import annotations
@@ -33,8 +36,7 @@ __all__ = [
 ]
 
 
-# Cephes ndtr.c (S. L. Moshier, 1989, after W. J. Cody, Math. Comp. 23, 1969), the
-# erf of scipy.special: x T(x^2)/U(x^2) for x <= 1, 1 - exp(-x^2) P(x)/Q(x) above,
+# erf is x T(x^2)/U(x^2) for x <= 1 and 1 - exp(-x^2) P(x)/Q(x) above, coefficients
 # highest power first.  U and Q carry the leading 1.0 that Cephes implies (p1evl):
 # 1.0 x is x exactly, so `_horner` gives Cephes' values bit for bit.
 _ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
@@ -85,13 +87,7 @@ def _erf(x: np.ndarray) -> np.ndarray:
 
 
 def gaussian_tv(delta: float | np.ndarray) -> float | np.ndarray:
-    """Exact meeting-failure probability 2 Phi(delta/2) - 1 = erf(delta/(2 sqrt 2)), elementwise.
-
-    erf is the Cephes `ndtr.c` approximation of `scipy.special.erf`, with its
-    coefficients, branches and order of operations.  It equals scipy's value
-    bit for bit where erf's argument is at most 1 or at least 3, and within
-    1 ulp in between, where numpy's exp can differ from libm's by 1 ulp.
-    """
+    """Exact meeting-failure probability 2 Phi(delta/2) - 1 = erf(delta/(2 sqrt 2)), elementwise."""
     delta = np.asarray(delta, dtype=float)
     if np.any(delta < 0):
         raise ValueError("shift norm must be nonnegative")

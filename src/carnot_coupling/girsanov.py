@@ -45,12 +45,11 @@ over the sign orbit xi, -xi, D xi, -D xi, where D xi_k = (-1)^k xi_k.  D
 keeps the law of xi and xi_0 and negates the area A_T = T sum_k alpha_k
 (xi_k odot xi_{k+1}) exactly, so the orbit costs no second draw: the shifts
 at the other three points are three more right-hand sides of the one solve
-(D only changes the signs of the probe columns, so their Gram matrix is the
-same), and the endpoints at all four come from one area.  The part of f
-that the reflection does not move cancels row by row: a constant f, or an f
-of x alone along a vertical h, gives exactly zero.  The central finite
-difference that checks it is averaged over the same orbit, its eight
-endpoints (g +- eps h at the four points) against one area.
+(`coupling.shift_batch`), and the endpoints at all four come from one
+area.  The part of f that the reflection does not move cancels row by row:
+a constant f, or an f of x alone along a vertical h, gives exactly zero.
+The central finite difference that checks it is averaged over the same
+orbit, its eight endpoints (g +- eps h at the four points) against one area.
 
 All estimators evaluate the Legendre-truncated semigroup (coefficients up to
 index 3K+1 unless a longer path is requested): every identity and inequality
@@ -296,17 +295,24 @@ def _reflected_endpoint(x: np.ndarray, xT: np.ndarray, zT: np.ndarray, xi: np.nd
     """
     O = xT.shape[0]
     n = xi.shape[-1]
-    K = probes.shape[-1]
     iu, ju = triu_pairs(n)
     sqrtT = math.sqrt(T)
     se = np.sum(xi[:, 0] * e, axis=1)[:, None] * e
-    mt = probes @ xi[:, 3:3 * K + 1:3]  # sum_k V_k xi_{3k}^t, (B, n, n)
     x_term = sqrtT * odot_packed(x, se, iu, ju)
     free = 2.0 * T * alpha_ladder(1)[0] * odot_packed(se, xi[:, 1], iu, ju)
-    free += 2.0 * (mt[:, ju, iu] - mt[:, iu, ju])
+    free += 2.0 * np.stack([_probe_sum(probes, xi, j, i) - _probe_sum(probes, xi, i, j)
+                            for i, j in zip(iu, ju)], axis=-1)
     mirror = ORBIT_MIRROR[:O, None, None]
     flip = np.where(ORBIT_FLIP[:O], -1.0, 1.0)[:, None, None]
     return xT - mirror * (2.0 * sqrtT * se), zT - (mirror * x_term + flip * free)
+
+
+def _probe_sum(probes: np.ndarray, xi: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Entry (i, j) of sum_k V_k xi_{3k}^t, (B,), summed over k in order on (B,) columns."""
+    acc = probes[:, i, 0] * xi[:, 3, j]
+    for k in range(1, probes.shape[-1]):
+        acc += probes[:, i, k] * xi[:, 3 * k + 3, j]
+    return acc
 
 
 def _antithetic_gradient(f: TestFunction, g: CarnotElement, gth: CarnotElement, T: float,

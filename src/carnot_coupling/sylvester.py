@@ -13,9 +13,9 @@ space; with G = v v^t = Q diag(lambda) Q^t two of them are used.
   for it as well.  The operator W -> W G + G W is symmetric positive
   definite on skew matrices, with eigenvalues lambda_i + lambda_j, so the
   kernel solves it by Cholesky on the packed entries of W and reads its
-  condition number off a Jacobi eigenvalue sweep of G; both run elementwise
-  over the batch, one (B,) column per matrix entry, because per-row LAPACK
-  calls on 3 x 3 to 6 x 6 matrices cost far more than their arithmetic.
+  condition number off a Jacobi eigenvalue sweep of G; both follow the layout
+  rule of `coupling`, because per-row LAPACK calls on 3 x 3 to 6 x 6 matrices
+  cost far more than their arithmetic.
 * The particular solution of the paper's Sylvester lemma,
   `lemma_solution_batch`, for wide v (m >= n), characterized by
   v u^t = -w/2:
@@ -30,8 +30,7 @@ space; with G = v v^t = Q diag(lambda) Q^t two of them are used.
 Each kernel solves a stack of systems and flags every row whose condition
 number exceeds COND_LIMIT by leaving it NaN; a single system is a batch of
 one.  The right-hand side w is passed packed, as its n(n-1)/2 strictly upper
-entries in the row-major order of `groups`, shape (..., B, n(n-1)/2); each
-kernel builds the dense skew matrix only where it multiplies by one.
+entries in the row-major order of `groups`, shape (..., B, n(n-1)/2).
 """
 
 from __future__ import annotations
@@ -68,49 +67,52 @@ def tsylvester_batch(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     Right-hand sides may be stacked on leading axes, (S, B, n(n-1)/2) against
     one v: the factorization of each row is done once and serves all S of them.
-    Returns (u, cond) with u (..., B, n, m).  cond (B,) is the condition
-    number of the operator W -> W G + G W on skew matrices, G = v v^t with
-    eigenvalues lambda_1 <= ... <= lambda_n: (lambda_n + lambda_{n-1}) /
-    (lambda_1 + lambda_2), which is 1 for n = 2, and infinite where the
-    operator is singular or v has a non-finite entry.  Rows whose cond
-    exceeds COND_LIMIT are not solved: their u is NaN for every right-hand
-    side, and `coupling.shift_batch` raises SingularGramError on them.
-    Every other row equals the solution of that row alone, bit for bit.
+    v and w may have any layout.  Returns (u, cond): u (..., B, n, m) is a
+    view of rows-innermost memory (the layout rule of `coupling`), and cond
+    (B,) the condition number of the operator W -> W G + G W on skew
+    matrices, G = v v^t with eigenvalues lambda_1 <= ... <= lambda_n:
+    (lambda_n + lambda_{n-1}) / (lambda_1 + lambda_2), which is 1 for n = 2,
+    and infinite where the operator is singular or v has a non-finite entry.
+    Rows whose cond exceeds COND_LIMIT are not solved: their u is NaN for
+    every right-hand side, and `coupling.shift_batch` raises
+    SingularGramError on them.  Every other row equals the solution of that
+    row alone, bit for bit.
 
     n = 2 is the closed form u = w_01 (v_1, -v_0) / tr G.  For n >= 3 every
-    step is elementwise on (B,) columns, with no LAPACK call per row: the
-    Gram entries, a cyclic Jacobi on G / tr G for the eigenvalues behind
+    step is on (B,) columns, with no LAPACK call per row: the Gram entries
+    (`_gram_columns`), a cyclic Jacobi on G / tr G for the eigenvalues behind
     cond, and one Cholesky factorization of the packed operator, whose two
-    substitutions serve every right-hand side; then u = W v.  Jacobi runs a
-    fixed 3 + ceil(log2(n - 1)) sweeps (4 at n = 3, 5 at n = 4 and 5, 6 at
-    n = 6 to 9), the fewest after which one more sweep moved no cond by more
-    than 2e-13 relative, over Gaussian, graded (cond up to 1e10), clustered
-    and repeated-eigenvalue Gram matrices at n = 3 to 10; a fixed count keeps
-    every row's steps independent of the batch.
+    substitutions serve every right-hand side; then u = W v (`_skew_times`).
+    Jacobi runs a fixed 3 + ceil(log2(n - 1)) sweeps (4 at n = 3, 5 at n = 4
+    and 5, 6 at n = 6 to 9), the fewest after which one more sweep moved no
+    cond by more than 2e-13 relative, over Gaussian, graded (cond up to
+    1e10), clustered and repeated-eigenvalue Gram matrices at n = 3 to 10; a
+    fixed count keeps every row's steps independent of the batch.
     """
-    n = v.shape[-2]
+    n, m = v.shape[-2:]
+    vt = np.moveaxis(v, 0, -1)  # (n, m, B) columns, with no copy
     with np.errstate(all="ignore"):
         if n == 2:
-            trace = np.einsum("bij,bij->b", v, v)
+            trace = np.zeros(vt.shape[-1])
+            for i in range(n):
+                for j in range(m):
+                    trace += vt[i, j] * vt[i, j]
             cond = np.where((trace > 0) & (trace < np.inf), 1.0, np.inf)
-            w01 = w[..., :1]
-            u = np.empty(w.shape[:-1] + v.shape[-2:])
-            np.multiply(w01, v[:, 1], out=u[..., 0, :])
-            np.multiply(-w01, v[:, 0], out=u[..., 1, :])
-            u /= trace[:, None, None]
+            c = w[..., None, :, 0] / trace
+            u = np.empty(c.shape[:-2] + vt.shape)
+            np.multiply(c, vt[1], out=u[..., 0, :, :])
+            np.multiply(np.negative(c, out=c), vt[0], out=u[..., 1, :, :])
         else:
-            g = _gram_columns(v)
+            g = _gram_columns(vt)
             cond = _operator_cond(g, n)
-            x = _skew_solve(g, n, [w[..., k] for k in range(w.shape[-1])])
-            u = unpack_skew(n, np.stack(x, axis=-1)) @ v
-    u[..., ~(cond <= COND_LIMIT), :, :] = np.nan
-    return u, cond
+            u = _skew_times(_skew_solve(g, n, [w[..., k] for k in range(w.shape[-1])]), vt)
+    u[..., ~(cond <= COND_LIMIT)] = np.nan
+    return np.moveaxis(u, -1, -3), cond
 
 
-def _gram_columns(v: np.ndarray) -> dict:
-    """Upper Gram entries G_kl = <v_k, v_l>, k <= l, as (B,) columns, summed in a fixed order."""
-    n, m = v.shape[-2:]
-    vt = np.ascontiguousarray(np.moveaxis(v, 0, -1))  # (n, m, B)
+def _gram_columns(vt: np.ndarray) -> dict:
+    """Upper Gram entries G_kl = <v_k, v_l>, k <= l, as (B,) columns, summed over m in order."""
+    n, m = vt.shape[:2]
     g = {}
     for k in range(n):
         acc = vt[k, 0] * vt[k:, 0]
@@ -119,6 +121,27 @@ def _gram_columns(v: np.ndarray) -> dict:
         for l in range(k, n):
             g[k, l] = acc[l - k]
     return g
+
+
+def _skew_times(x: list, vt: np.ndarray) -> np.ndarray:
+    """u = W v (..., n, m, B), W skew from its packed columns x (..., B), summed over l in order."""
+    n = vt.shape[0]
+    pair = {}
+    for a, (i, j) in enumerate((i, j) for i in range(n) for j in range(i + 1, n)):
+        pair[i, j] = pair[j, i] = a
+    u = np.empty(x[0].shape[:-1] + vt.shape)
+    term = np.empty(u.shape[:-3] + u.shape[-2:])
+    for i in range(n):
+        row = u[..., i, :, :]
+        first, *rest = (l for l in range(n) if l != i)
+        # W_il = x_il above the diagonal and -x_li below it
+        np.multiply(x[pair[i, first]][..., None, :], vt[first], out=row)
+        if first < i:
+            np.negative(row, out=row)
+        for l in rest:
+            np.multiply(x[pair[i, l]][..., None, :], vt[l], out=term)
+            (np.subtract if l < i else np.add)(row, term, out=row)
+    return u
 
 
 def _operator_cond(g: dict, n: int) -> np.ndarray:
@@ -213,15 +236,16 @@ def _skew_solve(g: dict, n: int, w: list) -> list:
 def tsylvester_row_values(n: int, m: int, S: int) -> int:
     """Float64 values per row that `tsylvester_batch` holds at once, at most, beside its inputs.
 
-    For v (B, n, m) and S stacked right-hand sides.  n = 2 holds the trace,
-    cond and a few mask and index temporaries, and per right-hand side the
-    solution and a negated entry of w.  For n >= 3 it is the largest of four stages, each
-    with the Gram columns, n(n+1)/2, alive: their computation, from an
-    (n, m, B) copy of v; the Jacobi sweep, on a scaled copy of them, about ten
-    temporaries and the P = n(n-1)/2 eigenvalue sums; the factorization of
-    `_skew_solve`; and u = W v, with the substitution columns, their stacked
-    copy, the dense W and u.  The factorization holds the operator entries
-    that are not Gram columns (its P diagonal entries and one -G_il for each
+    For v (B, n, m) and S stacked right-hand sides.  n = 2 holds the trace
+    and a product term, cond and a few masks, and per right-hand side the
+    solution and w_01 / tr G.  For n >= 3 it is the largest of three stages,
+    each with the n(n+1)/2 Gram columns alive: the Jacobi sweep, on a scaled
+    copy of them, about ten temporaries and the P = n(n-1)/2 eigenvalue
+    sums; the factorization of `_skew_solve`; and u = W v, with the S P
+    substitution columns, u, one product term per right-hand side, cond and
+    3 for headers and numpy's iterator buffers (at most 64 KiB, 2 values a
+    row from 4096 rows).  The factorization holds the operator entries that
+    are not Gram columns (its P diagonal entries and one -G_il for each
     triple i < j < l), the Cholesky factor (the lower triangle less the
     C(n-1, 3) entries that stay zero through the elimination), the S P
     substitution columns, a few temporaries per right-hand side, and a dozen
@@ -233,8 +257,8 @@ def tsylvester_row_values(n: int, m: int, S: int) -> int:
     pairs = n * (n - 1) // 2
     operator = pairs + math.comb(n, 3)
     factor = pairs * (pairs + 1) // 2 - math.comb(n - 1, 3)
-    return gram + max(n * m, gram + 10 + pairs, operator + factor + S * (pairs + 4) + 12,
-                      2 * S * pairs + S * n * n + S * n * m)
+    return gram + max(gram + 10 + pairs, operator + factor + S * (pairs + 4) + 12,
+                      S * (pairs + n * m + m) + 4)
 
 
 def lemma_solution_batch(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -350,7 +350,7 @@ class TestSignOrbit:
                 assert np.array_equal(part.probes, sh.probes)
 
     @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(2, 4), count=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+    @given(n=st.integers(2, 6), count=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
     def test_a_batch_of_one_equals_its_row(self, n, count, seed):
         rng = derive_rng(21, seed)
         g, gt, T = _random_pair(rng, n)

@@ -53,3 +53,17 @@ def test_tv_decay_grid_writes_every_row(tmp_path):
         assert [tuple(float(r[c]) for c in columns) for r in got] == [
             (e.indicator.mean, e.indicator.stderr, e.conditional.mean, e.conditional.stderr)
             for e in ests]
+
+
+def test_shift_kernel_timing_prints_every_stage_at_every_shape(tmp_path):
+    proc = run_script("shift_kernel_timing.py", "--rows", "64", "--repeats", "1", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    title, header, *rows = proc.stdout.splitlines()
+    assert title.startswith("B = 64,")
+    assert header.split()[-6:] == ["probes", "mismatch", "solve", "Wv", "pairing", "shift_batch"]
+    assert len(rows) == 5
+    for row in rows:
+        n, cells = int(row.split()[-10]), row.split()[-6:]
+        # u = W v is timed inside the solve at rank 3 and above; rank 2 has the closed form
+        assert (cells[3] == "-") == (n == 2)
+        assert all(float(c) > 0 for c in cells if c != "-")

@@ -336,6 +336,22 @@ class TestLeastNorm:
             alone_u, alone_cond = tsylvester_batch(v[i:i + 1], w[i:i + 1])
             assert np.array_equal(alone_u[0], u[i]) and alone_cond[0] == cond[i]
 
+    @pytest.mark.parametrize("S", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_same_bits_for_row_major_and_rows_innermost_memory(self, n, S):
+        # `coupling._probes` hands the solve a rows-innermost view; tests hand it row-major arrays
+        rng = derive_rng(30, 8 * n + S)
+        v, _ = random_system(rng, 40, n, 2 * n + 1)
+        w = np.stack([random_system(rng, 40, n, 2 * n + 1)[1] for _ in range(S)])
+        v[5, 1, 2] = np.nan
+        innermost = lambda a, axis: np.moveaxis(np.moveaxis(a, axis, -1).copy(), -1, axis)
+        u, cond = tsylvester_batch(v, w)
+        assert np.isnan(u[:, 5]).all() and cond[5] == np.inf and np.isfinite(u[:, 6:]).all()
+        for v_mem, w_mem in [(innermost(v, 0), w), (v, innermost(w, -2)),
+                             (innermost(v, 0), innermost(w, -2))]:
+            u_mem, cond_mem = tsylvester_batch(v_mem, w_mem)
+            assert np.array_equal(u_mem, u, equal_nan=True) and np.array_equal(cond_mem, cond)
+
     @pytest.mark.parametrize("n,m", [(2, 1), (2, 5), (3, 7), (4, 9)])
     def test_flagged_rows_nan_and_the_rest_untouched(self, n, m):
         v, w = random_system(derive_rng(25, n), 12, n, m)
