@@ -413,10 +413,10 @@ def failure_probability(g: CarnotElement, gt: CarnotElement, Ts, N: int, seed: i
     """Failure probability of the K-block coupling at each horizon of Ts, two ways.
 
     K defaults to `default_support_count(n)`; K = 1 is the two-index coupling.
-    K < n - 1 is rejected before any sampling.  Returns one `FailureEstimate`
-    per entry of Ts, from one pass over the draws: the horizons share every
-    batch (common random numbers), and each estimate equals that of a
-    one-horizon grid bit for bit.  Its `indicator` is the fraction of runs
+    K < n - 1 is rejected before any sampling.  One estimate per horizon,
+    from one pass over the draws: the horizons share every batch (common
+    random numbers), and each estimate equals that of a one-horizon grid bit
+    for bit, whatever the tiling.  Its `indicator` is the fraction of runs
     that fail to meet; its `conditional` averages erf(|u|/(2 sqrt 2)), the
     probability that a run fails given its shift u, which has the same mean
     and a smaller variance.  Each upper-bounds the total-variation distance
